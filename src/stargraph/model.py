@@ -1,5 +1,11 @@
 """Terms, triples, graphs, queries, and their canonical ordering.
 
+Terms are interned: ``iri``, ``literal`` and ``variable`` (and ``Term(kind,
+lexical)`` itself) return the one object that exists per (kind, lexical form),
+pickling and copying come back to that same object, and terms therefore compare
+and hash by identity. Triples, tuples and sets of terms hash without touching
+the lexical forms.
+
 Everything downstream (partitioning, decomposition, evaluation) relies on the
 canonical orders defined here: terms sort by (lexical form, kind), triples by
 their per-position term keys. Iteration over graphs and queries always follows
@@ -51,16 +57,28 @@ class TermKind(enum.IntEnum):
 
 
 @total_ordering
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Term:
-    """An IRI, literal, or variable. Compare/sort by (lexical, kind)."""
+    """An IRI, literal, or variable. Compare/sort by (lexical, kind).
+
+    Interned: construction returns the existing term for (kind, lexical), so
+    ``==`` and ``hash`` are object identity.
+    """
 
     kind: TermKind
     lexical: str
 
+    def __new__(cls, kind: TermKind, lexical: str) -> "Term":
+        if not isinstance(lexical, str):
+            raise TypeError(f"lexical form must be str, not {type(lexical).__name__}")
+        return _make(TermKind(kind), lexical)
+
+    def __reduce__(self):
+        return (_make, (self.kind, self.lexical))
+
     @property
     def key(self) -> tuple[str, int]:
-        return (self.lexical, int(self.kind))
+        return (self.lexical, self.kind._value_)
 
     @property
     def is_variable(self) -> bool:
@@ -88,7 +106,9 @@ class Term:
         return f'"{escaped}"'
 
     def __lt__(self, other: "Term") -> bool:
-        return self.key < other.key
+        if self.lexical != other.lexical:
+            return self.lexical < other.lexical
+        return self.kind < other.kind
 
     def __repr__(self) -> str:
         return f"Term({self.token()})"
@@ -101,8 +121,11 @@ def _make(kind: TermKind, lexical: str) -> Term:
     key = (kind, lexical)
     t = _interned.get(key)
     if t is None:
-        t = Term(kind, lexical)
-        _interned[key] = t
+        t = object.__new__(Term)
+        object.__setattr__(t, "kind", kind)
+        object.__setattr__(t, "lexical", lexical)
+        # setdefault is atomic, so racing map/reduce threads agree on one term
+        t = _interned.setdefault(key, t)
     return t
 
 

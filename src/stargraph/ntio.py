@@ -140,12 +140,33 @@ def parse_query(text: str) -> Query:
     return Query(patterns)
 
 
+def _read_text(path: str | Path) -> str:
+    """Read a UTF-8 input file; an unreadable one is a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _read_json(path: str | Path):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{path}: not valid JSON ({exc.msg}, line {exc.lineno})"
+        ) from exc
+
+
 def load_data(path: str | Path) -> DataGraph:
-    return parse_data(Path(path).read_text(encoding="utf-8"))
+    return parse_data(_read_text(path))
 
 
 def load_query(path: str | Path) -> Query:
-    return parse_query(Path(path).read_text(encoding="utf-8"))
+    return parse_query(_read_text(path))
 
 
 def serialize_graph(g: DataGraph) -> str:
@@ -195,7 +216,7 @@ def write_segments(dec: DataDecomposition, outdir: str | Path) -> None:
 
 def _read_node_file(path: Path) -> frozenset[Term]:
     terms = set()
-    for idx, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for idx, raw in enumerate(_read_text(path).splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -213,8 +234,10 @@ def read_segments(indir: str | Path) -> DataDecomposition:
     manifest_path = src / "manifest.json"
     if not manifest_path.is_file():
         raise ParseError(f"no manifest.json in {src}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    m = int(manifest["segments"])
+    manifest = _read_json(manifest_path)
+    if not isinstance(manifest, dict) or type(manifest.get("segments")) is not int:
+        raise ParseError(f"{manifest_path}: 'segments' must be an integer")
+    m = manifest["segments"]
     segments = []
     stored_borders = []
     repl_sets: list[frozenset[Term]] | None = [] if any(
@@ -360,7 +383,9 @@ def write_plan(dec, path: str | Path | None = None) -> dict:
     return doc
 
 
-def _query_from_tokens(tokens: list[str]) -> Query:
+def _query_from_tokens(tokens, what: str) -> Query:
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ParseError(f"plan {what} must be a list of triple pattern strings")
     return Query(
         _parse_line(tok, idx, as_query=True) for idx, tok in enumerate(tokens, 1)
     )
@@ -373,18 +398,22 @@ def read_plan(source: str | Path | dict, query: Query | None = None):
     """
     from .model import QueryDecomposition
 
-    if isinstance(source, dict):
-        doc = source
-    else:
-        doc = json.loads(Path(source).read_text(encoding="utf-8"))
-    plan_query = _query_from_tokens(doc["query"])
+    doc = source if isinstance(source, dict) else _read_json(source)
+    if not isinstance(doc, dict):
+        raise ParseError("a plan must be a JSON object")
+    plan_query = _query_from_tokens(doc.get("query"), "'query'")
     if query is not None and query != plan_query:
         raise NotADecomposition("plan was built for a different query")
+    entries = doc.get("subqueries")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ParseError("plan 'subqueries' must be a list of objects")
     subqueries = []
     centers = []
-    for entry in doc["subqueries"]:
-        subqueries.append(_query_from_tokens(entry["triples"]))
+    for i, entry in enumerate(entries, 1):
+        subqueries.append(_query_from_tokens(entry.get("triples"), f"subquery {i}"))
         c = entry.get("center")
+        if c is not None and not isinstance(c, str):
+            raise ParseError(f"plan subquery {i} center must be a term token")
         centers.append(term_from_token(c) if c is not None else None)
     return QueryDecomposition(
         query=plan_query,

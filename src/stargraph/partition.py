@@ -27,7 +27,7 @@ from .errors import (
     UnknownTriple,
 )
 from .model import DataGraph, DataDecomposition, DataTriple, Term
-from .ntio import _LINE_RE, _parse_line, term_from_token
+from .ntio import _LINE_RE, _parse_line, _read_text, term_from_token
 from .rng import MASK64, XorShift64Star, _splitmix64, fnv1a64
 
 __all__ = [
@@ -209,7 +209,7 @@ def from_edge_assignment(
 
 
 def _assignment_lines(path: Path):
-    for idx, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for idx, raw in enumerate(_read_text(path).splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

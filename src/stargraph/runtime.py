@@ -8,10 +8,13 @@ are sorted again before they leave the stage. Worker count therefore changes
 wall time and nothing else; the acceptance suite pins byte-identical results
 for 1, 4, and 8 workers.
 
-When a stage's map emissions exceed the spill threshold (argument, or the
+Each emission's sort key is computed once: the shuffle sorts by it and groups
+on its key half, and drops the keys before reduce starts. When a stage's map
+emissions exceed the spill threshold (argument, or the
 STARGRAPH_SPILL_THRESHOLD environment variable, default unbounded), sorted
-runs are pickled to a temporary directory and merged back lazily, so grouping
-never needs the full emission list in memory.
+runs of (sort key, record) are pickled to a temporary directory and merged
+back lazily. Spilling bounds the sort keys held in memory at once; the
+emission list and the reducer groups stay in memory either way.
 
 Map and reduce callables receive an Emitter; exceptions are wrapped into
 MapFnError / ReduceFnError with the failing stage and key attached. Limit
@@ -22,7 +25,6 @@ abort, not a bug in the user function, and it must keep its exit code.
 from __future__ import annotations
 
 import heapq
-import itertools
 import os
 import pickle
 import shutil
@@ -30,6 +32,7 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import LimitError, MapFnError, ReduceFnError
@@ -50,7 +53,16 @@ __all__ = [
 
 def record_sort_key(x):
     """Total order over the record value universe. Injective per type family,
-    so sorting by it is as good as sorting by value."""
+    so sorting by it is as good as sorting by value.
+
+    Keys hold only ints, floats, strs, bools and tuples, never a TermKind
+    member, so the collector can stop tracking them.
+    """
+    t = type(x)
+    if t is Term:
+        return (5, x.lexical, x.kind._value_)
+    if t is tuple:
+        return (6,) + tuple(map(record_sort_key, x))
     if x is None:
         return (0,)
     if isinstance(x, bool):
@@ -64,12 +76,15 @@ def record_sort_key(x):
     if isinstance(x, Term):
         return (5,) + x.key
     if isinstance(x, (tuple, list)):
-        return (6,) + tuple(record_sort_key(i) for i in x)
+        return (6,) + tuple(map(record_sort_key, x))
     raise TypeError(f"records may not contain {type(x).__name__!r} values")
 
 
 def _record_key(rec):
     return (record_sort_key(rec[0]), record_sort_key(rec[1]))
+
+
+_first_item = itemgetter(0)
 
 
 class Emitter:
@@ -148,19 +163,16 @@ def _run_tasks(task, chunks: list, workers: int) -> list:
         return [f.result() for f in futures]
 
 
-def _spill_runs(records: Iterable[tuple], threshold: int, tmpdir: str) -> list[str]:
+def _spill_runs(records: list[tuple], threshold: int, tmpdir: str) -> list[str]:
+    """Write sorted runs of (sort key, record) pairs, ``threshold`` at a time."""
     paths = []
-    run: list[tuple] = []
-    it = iter(records)
-    while True:
-        run = list(itertools.islice(it, threshold))
-        if not run:
-            break
-        run.sort(key=_record_key)
+    for start in range(0, len(records), threshold):
+        run = [(_record_key(rec), rec) for rec in records[start:start + threshold]]
+        run.sort(key=_first_item)
         path = os.path.join(tmpdir, f"run-{len(paths):05d}.bin")
         with open(path, "wb") as f:
-            for rec in run:
-                pickle.dump(rec, f, protocol=pickle.HIGHEST_PROTOCOL)
+            for pair in run:
+                pickle.dump(pair, f, protocol=pickle.HIGHEST_PROTOCOL)
         paths.append(path)
     return paths
 
@@ -174,17 +186,48 @@ def _iter_run(path: str) -> Iterator[tuple]:
                 return
 
 
-def _sorted_records(records: list[tuple], spill_threshold: int | None):
-    """Yield records in total order, spilling to disk past the threshold."""
+def _group(
+    records: list[tuple], spill_threshold: int | None
+) -> list[tuple[object, list]]:
+    """Group records by key: groups in key order, each group's values in
+    value order. Each record's sort key is computed once; past the spill
+    threshold the sorted runs go to disk and are merged back lazily."""
     if spill_threshold is None or len(records) <= spill_threshold:
-        yield from sorted(records, key=_record_key)
-        return
+        keys = list(map(_record_key, records))
+        return _collect_groups(_take_in_order(keys, records, _argsort(keys)))
     tmpdir = tempfile.mkdtemp(prefix="stargraph-spill-")
     try:
         paths = _spill_runs(records, spill_threshold, tmpdir)
-        yield from heapq.merge(*(_iter_run(p) for p in paths), key=_record_key)
+        return _collect_groups(heapq.merge(*map(_iter_run, paths), key=_first_item))
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
+
+
+def _collect_groups(keyed: Iterable[tuple]) -> list[tuple[object, list]]:
+    """Fold (sort key, record) pairs, already in order, into (key, values)."""
+    groups: list[tuple[object, list]] = []
+    last = None
+    for (key_key, _), (key, value) in keyed:
+        if key_key != last:
+            last = key_key
+            values = [value]
+            groups.append((key, values))
+        else:
+            values.append(value)
+    return groups
+
+
+def _take_in_order(keys: list, records: list, order: list[int]) -> Iterator[tuple]:
+    """Yield (sort key, record) in ``order``, releasing each key once read so
+    the sort keys shrink while the groups grow instead of peaking together."""
+    for i in order:
+        key = keys[i]
+        keys[i] = None
+        yield key, records[i]
+
+
+def _argsort(keys: list) -> list[int]:
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def run_job(
@@ -234,20 +277,14 @@ def run_job(
     # ---- shuffle
     distinct_keys = 0
     if job.reduce_fn is None:
-        out_records = sorted(map_emissions, key=_record_key)
-        distinct_keys = len({record_sort_key(k) for k, _ in map_emissions})
+        keys = list(map(_record_key, map_emissions))
+        out_records = [map_emissions[i] for i in _argsort(keys)]
+        distinct_keys = len({key_key for key_key, _ in keys})
+        del keys
         side = {name: sorted(recs, key=_record_key) for name, recs in map_side.items()}
         per_worker = tuple(map_out_counts)
     else:
-        groups: list[tuple[object, list]] = []
-        for _, group in itertools.groupby(
-            _sorted_records(map_emissions, spill_threshold),
-            key=lambda rec: record_sort_key(rec[0]),
-        ):
-            first = next(group)
-            values = [first[1]]
-            values.extend(v for _, v in group)
-            groups.append((first[0], values))
+        groups = _group(map_emissions, spill_threshold)
         distinct_keys = len(groups)
 
         # ---- reduce

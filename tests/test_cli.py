@@ -72,6 +72,14 @@ class TestPartitionCommand:
             == 2
         )
 
+    def test_missing_assign_file_is_a_parse_error(self, workdir, capsys):
+        code = run(
+            "partition", workdir / "graph.nt", "--method", "import",
+            "--assign", workdir / "no-such.tsv", "--out", workdir / "segs",
+        )
+        assert code == 2
+        assert "no-such.tsv" in capsys.readouterr().err
+
     def test_too_many_segments_is_semantic(self, workdir):
         assert (
             run(
@@ -226,6 +234,61 @@ class TestEvalCommand:
             "--plan", workdir / "plan.json",
         )
         assert code == 3
+
+
+def _drop_border_file(workdir):
+    (workdir / "segs" / "segment-01.border").unlink()
+    return ()
+
+
+def _corrupt_manifest(workdir):
+    (workdir / "segs" / "manifest.json").write_text("{not json", encoding="utf-8")
+    return ()
+
+
+def _latin1_query(workdir):
+    (workdir / "supervisor.q").write_bytes("?a <caf\xe9> ?b .\n".encode("latin-1"))
+    return ()
+
+
+def _missing_plan(workdir):
+    return ("--plan", workdir / "no-such-plan.json")
+
+
+def _misshapen_plan(workdir):
+    (workdir / "plan.json").write_text(json.dumps({"query": 3}), encoding="utf-8")
+    return ("--plan", workdir / "plan.json")
+
+
+class TestEvalInputErrors:
+    """Unreadable or malformed eval inputs exit 2 with one line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "breaker",
+        [
+            _drop_border_file,
+            _corrupt_manifest,
+            _latin1_query,
+            _missing_plan,
+            _misshapen_plan,
+        ],
+    )
+    def test_parse_error_exit_code(self, workdir, capsys, breaker):
+        run(
+            "partition", workdir / "graph.nt", "-m", 3, "--seed", 7,
+            "--out", workdir / "segs",
+        )
+        extra = breaker(workdir)
+        capsys.readouterr()
+        code = run(
+            "eval", "--data", workdir / "segs", "--query", workdir / "supervisor.q",
+            *extra,
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestGenCommand:

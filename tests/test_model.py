@@ -1,5 +1,9 @@
 """Core data model: terms, triples, graphs, queries, decompositions."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +16,7 @@ from stargraph.errors import (
     VariableInData,
     VariablePredicate,
 )
-from stargraph.model import QueryShape, classify_query
+from stargraph.model import QueryShape, Term, TermKind, classify_query
 
 from conftest import q3
 
@@ -35,6 +39,36 @@ class TestTerm:
         assert sg.iri("a") is sg.iri("a")
         assert sg.literal("a") is sg.literal("a")
         assert sg.iri("a") is not sg.literal("a")
+
+    @given(terms())
+    def test_identity_survives_pickle_and_copy(self, t):
+        assert pickle.loads(pickle.dumps(t)) is t
+        assert pickle.loads(pickle.dumps((t, [t]), protocol=0))[1][0] is t
+        assert copy.copy(t) is t
+        assert copy.deepcopy({"k": (t,)})["k"][0] is t
+
+    def test_direct_construction_returns_the_interned_term(self):
+        t = sg.iri("direct")
+        assert Term(TermKind.IRI, "direct") is t
+        assert Term(0, "direct") is t
+        assert Term(0, "direct").kind is TermKind.IRI
+        assert Term(TermKind.VARIABLE, "direct") is sg.variable("direct")
+
+    def test_direct_construction_rejects_bad_parts(self):
+        with pytest.raises(ValueError):
+            Term(7, "x")
+        with pytest.raises(TypeError):
+            Term(TermKind.IRI, 3)
+
+    def test_terms_are_immutable(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sg.iri("a").lexical = "b"
+
+    def test_equality_and_hash_are_identity(self):
+        a = sg.literal("h")
+        assert a == sg.literal("h") and hash(a) == hash(sg.literal("h"))
+        assert a != sg.iri("h")
+        assert {a: 1}[Term(TermKind.LITERAL, "h")] == 1
 
     def test_kinds_are_disjoint(self):
         assert sg.iri("x") != sg.literal("x") != sg.variable("x")

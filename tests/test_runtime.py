@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import stargraph as sg
+import stargraph.runtime
 from stargraph.errors import CartesianCapExceeded, MapFnError, ReduceFnError
+from stargraph.model import Term
 from stargraph.runtime import (
     Emitter,
     Job,
@@ -27,6 +29,46 @@ values = st.recursive(
     lambda inner: st.lists(inner, max_size=3).map(tuple),
     max_leaves=6,
 )
+
+terms = st.builds(
+    lambda make, lexical: make(lexical),
+    st.sampled_from([sg.iri, sg.literal, sg.variable]),
+    st.text(alphabet="ab", max_size=2),
+)
+
+nested_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(-3, 3, allow_nan=False)
+    | st.text(alphabet="ab", max_size=2)
+    | terms,
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple),
+    max_leaves=8,
+)
+
+
+def reference_record_sort_key(x):
+    """The original implementation, kept verbatim as the order to preserve."""
+    if x is None:
+        return (0,)
+    if isinstance(x, bool):
+        return (1, x)
+    if isinstance(x, int):
+        return (2, x)
+    if isinstance(x, float):
+        return (3, x)
+    if isinstance(x, str):
+        return (4, x)
+    if isinstance(x, Term):
+        return (5,) + x.key
+    if isinstance(x, (tuple, list)):
+        return (6,) + tuple(reference_record_sort_key(i) for i in x)
+    raise TypeError(f"records may not contain {type(x).__name__!r} values")
+
+
+def _cmp(a, b):
+    return (a > b) - (a < b)
 
 
 class TestRecordSortKey:
@@ -54,6 +96,29 @@ class TestRecordSortKey:
             record_sort_key(object())
         with pytest.raises(TypeError):
             record_sort_key({"a": 1})
+        with pytest.raises(TypeError):
+            record_sort_key((1, (sg.iri("a"), {2})))
+
+    @given(nested_values, nested_values)
+    def test_pairwise_order_matches_reference(self, a, b):
+        assert _cmp(record_sort_key(a), record_sort_key(b)) == _cmp(
+            reference_record_sort_key(a), reference_record_sort_key(b)
+        )
+
+    @given(st.lists(nested_values, max_size=8))
+    def test_sorted_order_matches_reference(self, items):
+        got = sorted(items, key=record_sort_key)
+        want = sorted(items, key=reference_record_sort_key)
+        assert [reference_record_sort_key(x) for x in got] == [
+            reference_record_sort_key(x) for x in want
+        ]
+
+    @given(terms, terms)
+    def test_term_keys_match_reference_and_hold_no_enum_member(self, a, b):
+        assert [type(part) for part in record_sort_key(a)] == [int, str, int]
+        assert _cmp(record_sort_key(a), record_sort_key(b)) == _cmp(
+            reference_record_sort_key(a), reference_record_sort_key(b)
+        )
 
 
 def word_count_records():
@@ -192,6 +257,36 @@ class TestErrorWrapping:
 
         with pytest.raises(CartesianCapExceeded):
             run_job(Job("stage-d", split_map, capped), word_count_records())
+
+
+class TestSpillRoundTrip:
+    """Engines give the same bytes when their shuffles spill to disk."""
+
+    @pytest.mark.parametrize("engine", ["qejpe", "stars", "redundancy"])
+    def test_spilled_engines_match_unspilled(
+        self, engine, edge_split, node_split, supervisor_query, monkeypatch
+    ):
+        run = {"qejpe": sg.run_qejpe, "stars": sg.run_stars,
+               "redundancy": sg.run_redundancy}[engine]
+        data = node_split if engine == "redundancy" else edge_split
+        dec = sg.DECOMPOSERS["max-degree"](supervisor_query)
+        plain = run(data, supervisor_query, dec)
+
+        spills = []
+        spill_runs = stargraph.runtime._spill_runs
+
+        def counting(records, threshold, tmpdir):
+            spills.append(len(records))
+            return spill_runs(records, threshold, tmpdir)
+
+        monkeypatch.setattr(stargraph.runtime, "_spill_runs", counting)
+        spilled = run(data, supervisor_query, dec, spill_threshold=4)
+        assert spills, "no shuffle exceeded the threshold"
+        assert spilled.answers.to_tsv() == plain.answers.to_tsv()
+        assert spilled.answers.rows
+        for row in spilled.answers.rows:
+            for t in row:
+                assert t is Term(t.kind, t.lexical)
 
 
 class TestPipeline:
