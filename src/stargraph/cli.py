@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: partition, decompose, eval, oracle, gen. Exit codes: 0 on
-success, 2 for parse and usage errors, 3 for semantic validation errors,
-4 when a resource-limit guard trips.
+success, 2 for parse and usage errors (an unwritable output path among
+them), 3 for semantic validation errors, 4 when a resource-limit guard
+trips.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .decompose import DECOMPOSERS
 from .errors import LimitError, ParseError, StarGraphError
@@ -24,6 +24,7 @@ from .ntio import (
     serialize_graph,
     write_plan,
     write_segments,
+    write_text,
 )
 from .oracle import oracle_answers
 from .partition import edge_random_partition, import_partition, vertex_hash_partition
@@ -105,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -169,9 +170,7 @@ def _cmd_eval(args) -> int:
             },
             "answers": len(result.answers.rows),
         }
-        Path(args.stats).write_text(
-            json.dumps(stats, indent=2) + "\n", encoding="utf-8"
-        )
+        write_text(args.stats, json.dumps(stats, indent=2) + "\n")
     wall = sum(s["wallMillis"] for s in result.stats)
     print(
         f"{result.algorithm}: {len(result.answers.rows)} answer(s), "

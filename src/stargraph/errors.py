@@ -16,6 +16,7 @@ __all__ = [
     "VariableInData",
     "EmptyGraph",
     "EmptyQuery",
+    "UnwritableOutput",
     "ValidationError",
     "NotAPartition",
     "NotANodeCover",
@@ -75,6 +76,10 @@ class EmptyGraph(ParseError):
 
 class EmptyQuery(ParseError):
     """A query must contain at least one triple pattern."""
+
+
+class UnwritableOutput(ParseError):
+    """An output path cannot be written; like a bad argument, a usage error."""
 
 
 # ----------------------------------------------------------- semantic (exit 3)

@@ -35,6 +35,7 @@ __all__ = [
     "reduce2_fn",
     "answers_from_records",
     "coerce_data",
+    "phase1_source",
     "subquery_triple_maps",
 ]
 
@@ -54,6 +55,16 @@ def coerce_data(data) -> DataDecomposition:
     if isinstance(data, DataDecomposition):
         return data
     return read_segments(Path(data))
+
+
+def phase1_source(layout: QueryLayout, data: DataDecomposition) -> list[tuple]:
+    """Every engine's pipeline input: one ((subquery, segment), None) record
+    per pair, for the phase-1 mapper to expand."""
+    return [
+        ((i, j), None)
+        for i in range(len(layout.subqueries))
+        for j in range(len(data.segments))
+    ]
 
 
 def subquery_triple_maps(layout: QueryLayout):

@@ -31,6 +31,7 @@ from .errors import (
     NotADecomposition,
     NotAPartition,
     ParseError,
+    UnwritableOutput,
     VariableInData,
     VariablePredicate,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "load_query",
     "serialize_graph",
     "serialize_query",
+    "write_text",
     "write_segments",
     "read_segments",
     "AnswerSet",
@@ -98,13 +100,25 @@ def term_from_token(tok: str, line: int | None = None) -> Term:
     raise MalformedLine(f"bad term token {tok!r}", line)
 
 
+def _matched_term(tok: str, line: int) -> Term:
+    """A token that _TERM matched. Its shape is checked already: an IRI body
+    holds no angle bracket and nothing ``str.isspace`` accepts, because
+    ``\\s`` matches exactly those code points."""
+    first = tok[0]
+    if first == "<":
+        return iri(tok[1:-1])
+    if first == "?":
+        return variable(tok[1:])
+    return literal(_unescape_literal(tok[1:-1], line))
+
+
 def _parse_line(text: str, line: int, *, as_query: bool):
     m = _LINE_RE.match(text)
     if not m:
         raise MalformedLine(f"does not match the triple grammar: {text.strip()!r}", line)
-    s = term_from_token(m.group("s"), line)
-    p = term_from_token(m.group("p"), line)
-    o = term_from_token(m.group("o"), line)
+    s = _matched_term(m.group("s"), line)
+    p = _matched_term(m.group("p"), line)
+    o = _matched_term(m.group("o"), line)
     if s.is_literal:
         raise LiteralSubject("literal in subject position", line)
     if p.is_variable:
@@ -161,6 +175,18 @@ def _read_json(path: str | Path):
         ) from exc
 
 
+def _unwritable(path: str | Path, exc: OSError) -> UnwritableOutput:
+    return UnwritableOutput(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write a UTF-8 output file; an unwritable path is UnwritableOutput."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
+
+
 def load_data(path: str | Path) -> DataGraph:
     return parse_data(_read_text(path))
 
@@ -193,25 +219,26 @@ def _created_stamp() -> str:
 
 def write_segments(dec: DataDecomposition, outdir: str | Path) -> None:
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(out, exc) from exc
     m = len(dec.segments)
     for i, seg in enumerate(dec.segments):
         stem = _segment_stem(i, m)
-        (out / f"{stem}.nt").write_text(serialize_graph(seg), encoding="utf-8")
+        write_text(out / f"{stem}.nt", serialize_graph(seg))
         border = "".join(n.token() + "\n" for n in sorted(dec.borders[i]))
-        (out / f"{stem}.border").write_text(border, encoding="utf-8")
+        write_text(out / f"{stem}.border", border)
         if dec.replicated is not None:
             repl = "".join(n.token() + "\n" for n in sorted(dec.replicated[i]))
-            (out / f"{stem}.repl").write_text(repl, encoding="utf-8")
+            write_text(out / f"{stem}.repl", repl)
     manifest = {
         "method": dec.method,
         "seed": dec.seed,
         "segments": m,
         "created": _created_stamp(),
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    write_text(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _read_node_file(path: Path) -> frozenset[Term]:
@@ -379,7 +406,7 @@ def write_plan(dec, path: str | Path | None = None) -> dict:
         ],
     }
     if path is not None:
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        write_text(path, json.dumps(doc, indent=2) + "\n")
     return doc
 
 

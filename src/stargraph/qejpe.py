@@ -29,12 +29,13 @@ from .evalcore import (
     EvalResult,
     answers_from_records,
     coerce_data,
+    phase1_source,
     phase2_expand_fn,
     reduce2_fn,
     subquery_triple_maps,
 )
 from .model import DataDecomposition, Query, QueryDecomposition
-from .runtime import Job, run_job
+from .runtime import Job, Stage, run_job, run_pipeline
 
 __all__ = ["qejpe_map1_records", "qejpe_reduce1_fn", "run_qejpe"]
 
@@ -105,37 +106,31 @@ def run_qejpe(
         ):
             em.emit(rec_key, rec_val)
 
-    source = [
-        ((i, j), None)
-        for i in range(len(layout.subqueries))
-        for j in range(len(dec_data.segments))
-    ]
-    j1 = run_job(
-        Job("useful-partials", map1, qejpe_reduce1_fn(layout, cap=cartesian_cap, distinct_segments=distinct_segments)),
-        source,
+    counts = dict.fromkeys(range(len(layout.subqueries)), 0)
+
+    def count_totals(records, _side):
+        for key, val in records:
+            if val[0] == "e":
+                counts[key] += 1
+
+    reduce1 = qejpe_reduce1_fn(
+        layout, cap=cartesian_cap, distinct_segments=distinct_segments
+    )
+    result = run_pipeline(
+        [
+            Stage(Job("useful-partials", map1, reduce1), observe=count_totals),
+            Stage(Job("complete-borders", None, phase2_expand_fn(layout, cartesian_cap))),
+            Stage(Job("join-answers", None, reduce2_fn(layout, cartesian_cap))),
+        ],
+        phase1_source(layout, dec_data),
         workers=workers,
         spill_threshold=spill_threshold,
+        run_job=run_job,
     )
-    j2 = run_job(
-        Job("complete-borders", None, phase2_expand_fn(layout, cartesian_cap)),
-        j1.records,
-        workers=workers,
-        spill_threshold=spill_threshold,
-    )
-    j3 = run_job(
-        Job("join-answers", None, reduce2_fn(layout, cartesian_cap)),
-        j2.records,
-        workers=workers,
-        spill_threshold=spill_threshold,
-    )
-    counts: dict[int, int] = {i: 0 for i in range(len(layout.subqueries))}
-    for key, val in j1.records:
-        if val[0] == "e":
-            counts[key] += 1
     return EvalResult(
         algorithm="qejpe",
-        answers=answers_from_records(layout, j3.records),
-        stats=[j1.stats, j2.stats, j3.stats],
+        answers=answers_from_records(layout, result.records),
+        stats=result.stats,
         subquery_embeddings=counts,
         workers=workers,
     )

@@ -26,12 +26,13 @@ from .evalcore import (
     EvalResult,
     answers_from_records,
     coerce_data,
+    phase1_source,
     phase2_expand_fn,
     reduce2_fn,
 )
 from .decompose import validate_decomposition
 from .model import DataDecomposition, Query, QueryDecomposition
-from .runtime import Job, run_job
+from .runtime import Job, Stage, run_job, run_pipeline
 
 __all__ = ["red_map1_records", "run_redundancy"]
 
@@ -95,53 +96,52 @@ def run_redundancy(
         for rec_key, rec_val in to_r2:
             em.emit_side("to-final-join", rec_key, rec_val)
 
-    source = [
-        ((i, j), None)
-        for i in range(len(layout.subqueries))
-        for j in range(len(dec_data.segments))
+    counts = dict.fromkeys(range(len(layout.subqueries)), 0)
+
+    def count_totals(_records, side):
+        for key, val in side["to-completion"]:
+            if val[0] == "e":
+                counts[key[0]] += 1
+        for _key, val in side["to-final-join"]:
+            counts[val[0]] += 1
+
+    stages = [
+        Stage(
+            Job(
+                "segment-totals",
+                map1,
+                None,
+                side_channels=("to-completion", "to-final-join"),
+            ),
+            observe=count_totals,
+        )
     ]
-    j1 = run_job(
-        Job(
-            "segment-totals",
-            map1,
-            None,
-            side_channels=("to-completion", "to-final-join"),
-        ),
-        source,
-        workers=workers,
-        spill_threshold=spill_threshold,
-    )
     # With no missing border nodes every record is already ground and the
     # completion job would shuffle an empty input, so it is skipped outright.
     if layout.missing_border:
-        j2 = run_job(
-            Job("complete-borders", None, phase2_expand_fn(layout, cartesian_cap)),
-            j1.side["to-completion"],
-            workers=workers,
-            spill_threshold=spill_threshold,
+        stages.append(
+            Stage(
+                Job("complete-borders", None, phase2_expand_fn(layout, cartesian_cap)),
+                consume_sides=("to-completion",),
+            )
         )
-        completed = j2.records
-        stats = [j1.stats, j2.stats]
-    else:
-        completed = []
-        stats = [j1.stats]
-    j3 = run_job(
-        Job("join-answers", None, reduce2_fn(layout, cartesian_cap)),
-        completed + j1.side["to-final-join"],
+    stages.append(
+        Stage(
+            Job("join-answers", None, reduce2_fn(layout, cartesian_cap)),
+            consume_sides=("to-final-join",),
+        )
+    )
+    result = run_pipeline(
+        stages,
+        phase1_source(layout, dec_data),
         workers=workers,
         spill_threshold=spill_threshold,
+        run_job=run_job,
     )
-    stats.append(j3.stats)
-    counts: dict[int, int] = {i: 0 for i in range(len(layout.subqueries))}
-    for key, val in j1.side["to-completion"]:
-        if val[0] == "e":
-            counts[key[0]] += 1
-    for _key, val in j1.side["to-final-join"]:
-        counts[val[0]] += 1
     return EvalResult(
         algorithm="redundancy",
-        answers=answers_from_records(layout, j3.records),
-        stats=stats,
+        answers=answers_from_records(layout, result.records),
+        stats=result.stats,
         subquery_embeddings=counts,
         workers=workers,
     )

@@ -3,10 +3,23 @@
 Records are (key, value) pairs built from None, bool, int, float, str, Term,
 and nested tuples/lists of those. Determinism comes from sorting, not from
 scheduling: the shuffle sorts all map emissions by a total order over record
-structure, reducers see their values in that order, and every stage's outputs
-are sorted again before they leave the stage. Worker count therefore changes
-wall time and nothing else; the acceptance suite pins byte-identical results
-for 1, 4, and 8 workers.
+structure, and reducers see their values in that order. Worker count
+therefore changes wall time and nothing else; the acceptance suite pins
+byte-identical results for 1, 4, and 8 workers.
+
+A stage's output is sorted when it is read, not when the stage ends. As in
+MapReduce, an intermediate output is sorted once, by the next stage's
+shuffle: ``run_pipeline`` feeds each stage's records, and every side channel
+a later stage consumes, to that shuffle in emission order, and sorts only
+what leaves the pipeline (the last stage's records and the side channels no
+stage consumes). ``JobResult.records`` and ``JobResult.side`` sort on first
+read, so ``run_job`` alone still returns sorted outputs. This is safe
+because the shuffle orders every (key, value) pair by the total order, so
+the groups, the order of each group's values, and therefore every reducer's
+output, the stage stats and the spill runs' merge do not depend on the order
+the records arrive in. One caveat: pairs whose sort keys tie although the
+values differ keep their arrival order (the sort is stable). The only such
+values are 0.0 and -0.0, which the engines never emit.
 
 Each emission's sort key is computed once: the shuffle sorts by it and groups
 on its key half, and drops the keys before reduce starts. When a stage's map
@@ -114,8 +127,8 @@ class Job:
     """One map/shuffle/reduce stage.
 
     map_fn None means identity (records pass straight to the shuffle);
-    reduce_fn None means a map-only stage whose output is the sorted map
-    emissions themselves.
+    reduce_fn None means a map-only stage whose output is the map emissions
+    themselves.
     """
 
     name: str
@@ -124,12 +137,45 @@ class Job:
     side_channels: tuple[str, ...] = ()
 
 
-@dataclass
 class JobResult:
-    records: list[tuple]
-    side: dict[str, list[tuple]]
-    stats: dict
-    per_worker_out: tuple[int, ...]
+    """One stage's output records, side channels and stats.
+
+    ``records`` and ``side`` are sorted in place on first read. A pipeline
+    reads the emission-order lists (``_records``, ``_side``) instead and
+    hands them to the next shuffle, which sorts them anyway.
+    """
+
+    __slots__ = ("_records", "_side", "_sorted", "stats", "per_worker_out")
+
+    def __init__(
+        self,
+        records: list[tuple],
+        side: dict[str, list[tuple]],
+        stats: dict,
+        per_worker_out: tuple[int, ...],
+    ):
+        self._records = records
+        self._side = side
+        self._sorted = False
+        self.stats = stats
+        self.per_worker_out = per_worker_out
+
+    def _sort(self) -> None:
+        if not self._sorted:
+            self._records.sort(key=_record_key)
+            for recs in self._side.values():
+                recs.sort(key=_record_key)
+            self._sorted = True
+
+    @property
+    def records(self) -> list[tuple]:
+        self._sort()
+        return self._records
+
+    @property
+    def side(self) -> dict[str, list[tuple]]:
+        self._sort()
+        return self._side
 
 
 def spill_threshold_from_env() -> int | None:
@@ -275,13 +321,10 @@ def run_job(
                 map_side[name].extend(recs)
 
     # ---- shuffle
-    distinct_keys = 0
     if job.reduce_fn is None:
-        keys = list(map(_record_key, map_emissions))
-        out_records = [map_emissions[i] for i in _argsort(keys)]
-        distinct_keys = len({key_key for key_key, _ in keys})
-        del keys
-        side = {name: sorted(recs, key=_record_key) for name, recs in map_side.items()}
+        out_records = map_emissions
+        distinct_keys = len({record_sort_key(key) for key, _ in map_emissions})
+        side = map_side
         per_worker = tuple(map_out_counts)
     else:
         groups = _group(map_emissions, spill_threshold)
@@ -310,8 +353,6 @@ def run_job(
             )
             for name, recs in em.side.items():
                 side[name].extend(recs)
-        out_records.sort(key=_record_key)
-        side = {name: sorted(recs, key=_record_key) for name, recs in side.items()}
         per_worker = tuple(per_worker_counts)
 
     wall = int((time.perf_counter() - started) * 1000)
@@ -330,18 +371,47 @@ def run_job(
 
 @dataclass(frozen=True)
 class Stage:
-    """Pipeline wiring: where this job's input comes from."""
+    """Pipeline wiring: where this job's input comes from.
+
+    ``observe``, when set, is called with the stage's records and side
+    channels in emission order, before anything reads them; it must not
+    change them.
+    """
 
     job: Job
     consume_main: bool = True
     consume_sides: tuple[str, ...] = ()
+    observe: Callable[[list[tuple], dict[str, list[tuple]]], None] | None = None
 
 
 @dataclass
 class PipelineResult:
+    """The last stage's records and the side channels no stage consumed,
+    both sorted, and every stage's stats in order."""
+
     records: list[tuple]
     side: dict[str, list[tuple]]
     stats: list[dict] = field(default_factory=list)
+
+
+def _consumed_channels(stages: list[Stage]) -> set[str]:
+    """Check the wiring before anything runs: side channel names are unique,
+    and each consumed channel comes from an earlier stage and feeds exactly
+    one later stage."""
+    produced: set[str] = set()
+    consumed: set[str] = set()
+    for stage in stages:
+        for name in stage.consume_sides:
+            if name not in produced:
+                raise ValueError(f"side channel {name!r} not produced yet")
+            if name in consumed:
+                raise ValueError(f"side channel {name!r} consumed twice")
+            consumed.add(name)
+        for name in stage.job.side_channels:
+            if name in produced:
+                raise ValueError(f"duplicate side channel {name!r}")
+            produced.add(name)
+    return consumed
 
 
 def run_pipeline(
@@ -350,17 +420,18 @@ def run_pipeline(
     *,
     workers: int = 1,
     spill_threshold: int | None = None,
+    run_job: Callable[..., JobResult] = run_job,
 ) -> PipelineResult:
     """Run stages in order. Each stage consumes the previous stage's main
     output (unless consume_main is False) plus any named side channels emitted
-    by earlier stages. Side channel names must be unique across the pipeline."""
-    seen_channels: set[str] = set()
-    for stage in stages:
-        for name in stage.job.side_channels:
-            if name in seen_channels:
-                raise ValueError(f"duplicate side channel {name!r}")
-            seen_channels.add(name)
+    by earlier stages. Side channel names must be unique across the pipeline.
 
+    Intermediate outputs reach the next shuffle unsorted; only the last
+    stage's records and the unconsumed side channels are sorted. Each stage
+    runs through ``run_job``: the engines pass their own module's name for
+    it, so whoever replaces that name (a tracer, say) sees every stage.
+    """
+    consumed = _consumed_channels(stages)
     available: dict[str, list[tuple]] = {}
     current = list(source)
     all_stats: list[dict] = []
@@ -368,16 +439,19 @@ def run_pipeline(
     for stage in stages:
         inputs = list(current) if stage.consume_main else []
         for name in stage.consume_sides:
-            if name not in available:
-                raise ValueError(f"side channel {name!r} not produced yet")
             inputs.extend(available.pop(name))
-        inputs.sort(key=_record_key)
         res = run_job(
             stage.job, inputs, workers=workers, spill_threshold=spill_threshold
         )
-        for name, recs in res.side.items():
-            available[name] = recs
-            result_side[name] = recs
+        if stage.observe is not None:
+            stage.observe(res._records, res._side)
+        for name, recs in res._side.items():
+            if name in consumed:
+                available[name] = recs
+            else:
+                recs.sort(key=_record_key)
+                result_side[name] = recs
         all_stats.append(res.stats)
-        current = res.records
+        current = res._records
+    current.sort(key=_record_key)
     return PipelineResult(records=current, side=result_side, stats=all_stats)

@@ -31,6 +31,7 @@ from .evalcore import (
     EvalResult,
     answers_from_records,
     coerce_data,
+    phase1_source,
     phase2_expand_fn,
     reduce2_fn,
     subquery_triple_maps,
@@ -43,7 +44,7 @@ from .model import (
     so_centers,
     star_centers,
 )
-from .runtime import Job, run_job
+from .runtime import Job, Stage, run_job, run_pipeline
 
 __all__ = ["resolve_centers", "stars_map1_records", "stars_reduce1_fn", "run_stars"]
 
@@ -202,42 +203,37 @@ def run_stars(
         for rec_key, rec_val in part2:
             em.emit_side("whole-stars", rec_key, rec_val)
 
-    source = [
-        ((i, j), None)
-        for i in range(len(layout.subqueries))
-        for j in range(len(dec_data.segments))
-    ]
-    j1 = run_job(
-        Job(
-            "star-assembly",
-            map1,
-            stars_reduce1_fn(layout, centers, cap=cartesian_cap),
-            side_channels=("whole-stars",),
-        ),
-        source,
+    counts = dict.fromkeys(range(len(layout.subqueries)), 0)
+
+    def count_totals(records, side):
+        for key, val in itertools.chain(records, side["whole-stars"]):
+            if val[0] == "e":
+                counts[key] += 1
+
+    assembly = Job(
+        "star-assembly",
+        map1,
+        stars_reduce1_fn(layout, centers, cap=cartesian_cap),
+        side_channels=("whole-stars",),
+    )
+    result = run_pipeline(
+        [
+            Stage(assembly, observe=count_totals),
+            Stage(
+                Job("complete-borders", None, phase2_expand_fn(layout, cartesian_cap)),
+                consume_sides=("whole-stars",),
+            ),
+            Stage(Job("join-answers", None, reduce2_fn(layout, cartesian_cap))),
+        ],
+        phase1_source(layout, dec_data),
         workers=workers,
         spill_threshold=spill_threshold,
+        run_job=run_job,
     )
-    j2 = run_job(
-        Job("complete-borders", None, phase2_expand_fn(layout, cartesian_cap)),
-        j1.records + j1.side["whole-stars"],
-        workers=workers,
-        spill_threshold=spill_threshold,
-    )
-    j3 = run_job(
-        Job("join-answers", None, reduce2_fn(layout, cartesian_cap)),
-        j2.records,
-        workers=workers,
-        spill_threshold=spill_threshold,
-    )
-    counts: dict[int, int] = {i: 0 for i in range(len(layout.subqueries))}
-    for key, val in itertools.chain(j1.records, j1.side["whole-stars"]):
-        if val[0] == "e":
-            counts[key] += 1
     return EvalResult(
         algorithm="stars",
-        answers=answers_from_records(layout, j3.records),
-        stats=[j1.stats, j2.stats, j3.stats],
+        answers=answers_from_records(layout, result.records),
+        stats=result.stats,
         subquery_embeddings=counts,
         workers=workers,
     )

@@ -291,6 +291,44 @@ class TestEvalInputErrors:
         assert "Traceback" not in err
 
 
+def _write_into_missing_dir(workdir, command):
+    missing = workdir / "no-such-dir"
+    segs = ("--data", workdir / "segs", "--query", workdir / "supervisor.q")
+    return {
+        "gen": ("gen", "--triples", 5, "--out", missing / "g.nt"),
+        "oracle": (
+            "oracle", "--graph", workdir / "graph.nt",
+            "--query", workdir / "supervisor.q", "--out", missing / "a.tsv",
+        ),
+        "eval-out": ("eval", *segs, "--out", missing / "a.tsv"),
+        "eval-stats": ("eval", *segs, "--stats", missing / "s.json"),
+        "partition": (
+            "partition", workdir / "graph.nt", "--out", workdir / "graph.nt",
+        ),
+        "decompose": (
+            "decompose", workdir / "supervisor.q", "--out", missing / "p.json",
+        ),
+    }[command]
+
+
+class TestWriteErrors:
+    """An output path that cannot be written exits 2 with one line."""
+
+    @pytest.mark.parametrize(
+        "command",
+        ["gen", "oracle", "eval-out", "eval-stats", "partition", "decompose"],
+    )
+    def test_unwritable_output_exit_code(self, workdir, capsys, command):
+        run("partition", workdir / "graph.nt", "-m", 3, "--out", workdir / "segs")
+        capsys.readouterr()
+        code = run(*_write_into_missing_dir(workdir, command))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot write ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestGenCommand:
     def test_deterministic_output(self, workdir, capsys):
         assert run("gen", "--triples", 40, "--seed", 9,

@@ -55,6 +55,33 @@ class TestParseErrors:
         assert len(g.triples) == 1
 
 
+BAD_IRI_TOKENS = ["<a b>", "<a\tb>", "<a\u3000b>", "<a\x85b>", "<a<b>", "<a>b>"]
+
+BAD_IRI_ENTRY_POINTS = {
+    "term_from_token": sg.term_from_token,
+    "parse_data": lambda tok: sg.parse_data(f"{tok} <p> <o> .\n"),
+    "parse_query": lambda tok: sg.parse_query(f"?s <p> {tok} .\n"),
+    "answer_tsv": lambda tok: sg.AnswerSet.from_tsv(f"?x\n{tok}\n"),
+    "plan_query": lambda tok: sg.read_plan(
+        {"query": [f"{tok} <p> ?o ."], "subqueries": []}
+    ),
+    "plan_center": lambda tok: sg.read_plan(
+        {
+            "query": ["?s <p> ?o ."],
+            "subqueries": [{"center": tok, "triples": ["?s <p> ?o ."]}],
+        }
+    ),
+    "wire_decode": lambda tok: sg.wire_decode(f"({tok}||)"),
+}
+
+
+@pytest.mark.parametrize("token", BAD_IRI_TOKENS)
+@pytest.mark.parametrize("entry", sorted(BAD_IRI_ENTRY_POINTS))
+def test_bad_iri_token_is_malformed_from_every_entry_point(entry, token):
+    with pytest.raises(MalformedLine):
+        BAD_IRI_ENTRY_POINTS[entry](token)
+
+
 class TestRoundTrips:
     def test_fixture_graph_round_trip(self, bibliography):
         assert sg.parse_data(sg.serialize_graph(bibliography)) == bibliography

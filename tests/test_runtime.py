@@ -1,7 +1,7 @@
 """Deterministic map/shuffle/reduce runtime."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stargraph as sg
@@ -342,3 +342,121 @@ class TestPipeline:
         ]
         with pytest.raises(ValueError):
             run_pipeline(stages, word_count_records())
+
+
+def _stage_job(i: int, map_kind: str, reduce_kind: str | None, side: bool) -> Job:
+    """Stage i of a random pipeline. Reducers emit their values as a tuple,
+    so any change in the order a reducer sees its values changes the output.
+    The side channel is emitted by the reducer, else by the mapper."""
+    channel = f"side{i}"
+    map_side = side and reduce_kind is None
+
+    def swap(key, value, em):
+        em.emit(value, key)
+        if map_side:
+            em.emit_side(channel, key, value)
+
+    def fan_out(key, value, em):
+        em.emit(key, value)
+        em.emit(i, (key, value))
+        if map_side:
+            em.emit_side(channel, value, i)
+
+    def collect(key, values, em):
+        em.emit(key, tuple(values))
+        if side:
+            em.emit_side(channel, tuple(values), key)
+
+    def count(key, values, em):
+        em.emit(len(values), key)
+        if side:
+            em.emit_side(channel, key, len(values))
+
+    map_fn = {"identity": None, "swap": swap, "fan-out": fan_out}[map_kind]
+    reduce_fn = {None: None, "collect": collect, "count": count}[reduce_kind]
+    channels = (channel,) if side and (map_fn or reduce_fn) else ()
+    return Job(f"stage{i}", map_fn, reduce_fn, side_channels=channels)
+
+
+@st.composite
+def pipelines(draw):
+    """2-3 stages with identity and non-identity maps, map-only and reduce
+    stages, and side channels that a later stage consumes or nobody does."""
+    n = draw(st.integers(2, 3))
+    jobs = [
+        _stage_job(
+            i,
+            draw(st.sampled_from(["identity", "swap", "fan-out"])),
+            draw(st.sampled_from([None, "collect", "count"])),
+            draw(st.booleans()),
+        )
+        for i in range(n)
+    ]
+    consumers: dict[int, list[str]] = {}
+    for i, job in enumerate(jobs):
+        for name in job.side_channels:
+            target = draw(st.sampled_from([None, *range(i + 1, n)]))
+            if target is not None:
+                consumers.setdefault(target, []).append(name)
+    return [
+        Stage(
+            job,
+            consume_main=i == 0 or not consumers.get(i) or draw(st.booleans()),
+            consume_sides=tuple(consumers.get(i, ())),
+        )
+        for i, job in enumerate(jobs)
+    ]
+
+
+def _chain_run_jobs(stages, source, workers, spill_threshold):
+    """The pipeline spelled out as public run_job calls, each sorting its
+    outputs before the next one starts."""
+    consumed = {name for stage in stages for name in stage.consume_sides}
+    available, unconsumed, stats = {}, {}, []
+    current = list(source)
+    for stage in stages:
+        inputs = list(current) if stage.consume_main else []
+        for name in stage.consume_sides:
+            inputs += available.pop(name)
+        res = run_job(
+            stage.job, inputs, workers=workers, spill_threshold=spill_threshold
+        )
+        for name, recs in res.side.items():
+            (available if name in consumed else unconsumed)[name] = recs
+        stats.append(res.stats)
+        current = res.records
+    return current, unconsumed, stats
+
+
+def _without_wall(stats):
+    return [{k: v for k, v in s.items() if k != "wallMillis"} for s in stats]
+
+
+pipeline_records = st.lists(
+    st.tuples(st.integers(0, 4) | st.sampled_from("ab"), values), max_size=12
+)
+
+
+class TestPipelineEqualsRunJobChain:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pipelines(),
+        pipeline_records,
+        st.sampled_from([1, 3]),
+        st.sampled_from([None, 4]),
+        st.data(),
+    )
+    def test_same_records_sides_and_stats(
+        self, stages, source, workers, spill_threshold, data
+    ):
+        want = _chain_run_jobs(stages, source, workers, spill_threshold)
+        for order in (source, data.draw(st.permutations(source))):
+            got = run_pipeline(
+                stages, order, workers=workers, spill_threshold=spill_threshold
+            )
+            # compare sort keys: == alone would equate 1 with True
+            assert record_sort_key(got.records) == record_sort_key(want[0])
+            assert got.side.keys() == want[1].keys()
+            for name, recs in got.side.items():
+                assert record_sort_key(recs) == record_sort_key(want[1][name])
+            assert _without_wall(got.stats) == _without_wall(want[2])
