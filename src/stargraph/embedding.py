@@ -11,18 +11,16 @@ matched inside the segment (otherwise no other segment can ever complete it).
 
 The encoded form splits an embedding into a border-node vector, a non-border
 vector, and triple-match flags, following a fixed node/triple enumeration with
-border nodes first. '*' marks undefined positions in the wire rendering:
-
-    (<Article2>	*	<Person2>|*	*	<Person3>	*|+	-)
+border nodes first; None marks an unbound position. The engines ship
+embeddings between stages in this form.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import CartesianCapExceeded, MalformedLine
+from .errors import CartesianCapExceeded
 from .model import (
     DataGraph,
     DataTriple,
@@ -31,7 +29,6 @@ from .model import (
     Term,
     TriplePattern,
 )
-from .ntio import _TERM, term_from_token
 
 __all__ = [
     "Embedding",
@@ -46,9 +43,6 @@ __all__ = [
     "preprocess",
     "EncodedEmbedding",
     "encode",
-    "decode",
-    "wire_encode",
-    "wire_decode",
     "totals_from_fragments",
 ]
 
@@ -305,8 +299,7 @@ class QueryLayout:
     """Fixed enumerations and masks shared by all evaluation phases.
 
     Node positions list border nodes first, then the remaining query nodes,
-    each canonically sorted. Prototypes are per-subquery (border, nonborder,
-    triple) membership masks. ``missing_border`` pairs each border node with
+    each canonically sorted. ``missing_border`` pairs each border node with
     every subquery it does not occur in; ``common_border`` lists the border
     nodes occurring in all subqueries.
     """
@@ -316,8 +309,6 @@ class QueryLayout:
     nonborder_nodes: tuple[Term, ...]
     triples: tuple[TriplePattern, ...]
     node_index: dict[Term, int]
-    border_sets: tuple[frozenset[Term], ...]
-    prototypes: tuple[tuple[tuple[bool, ...], tuple[bool, ...], tuple[bool, ...]], ...]
     missing_border: tuple[tuple[Term, int], ...]
     common_border: tuple[Term, ...]
 
@@ -337,29 +328,13 @@ def preprocess(dec: QueryDecomposition) -> QueryLayout:
     for sub in subs:
         for n in sub.nodes:
             owners[n] = owners.get(n, 0) + 1
-    border_sets = tuple(
-        frozenset(
-            n for n in sub.nodes if not n.is_literal and owners.get(n, 0) > 1
-        )
-        for sub in subs
-    )
-    border_all: set[Term] = set()
-    for bs in border_sets:
-        border_all |= bs
+    # a border node is a non-literal node shared by two or more subqueries
+    border_all = {
+        n for n, count in owners.items() if count > 1 and not n.is_literal
+    }
     border_nodes = tuple(sorted(border_all))
     nonborder_nodes = tuple(sorted(q.nodes - border_all))
     node_index = {n: i for i, n in enumerate(border_nodes + nonborder_nodes)}
-    triples = q.canonical
-    prototypes = []
-    for sub in subs:
-        ns = sub.nodes
-        prototypes.append(
-            (
-                tuple(n in ns for n in border_nodes),
-                tuple(n in ns for n in nonborder_nodes),
-                tuple(t in sub.triples for t in triples),
-            )
-        )
     missing = []
     for n in border_nodes:
         for j, sub in enumerate(subs):
@@ -372,10 +347,8 @@ def preprocess(dec: QueryDecomposition) -> QueryLayout:
         dec=dec,
         border_nodes=border_nodes,
         nonborder_nodes=nonborder_nodes,
-        triples=triples,
+        triples=q.canonical,
         node_index=node_index,
-        border_sets=border_sets,
-        prototypes=tuple(prototypes),
         missing_border=tuple(missing),
         common_border=common,
     )
@@ -394,83 +367,15 @@ class EncodedEmbedding:
 
 
 def encode(
-    e: Embedding,
-    layout: QueryLayout,
-    matched: Iterable[int] = (),
-    segment: DataGraph | None = None,
+    e: Embedding, layout: QueryLayout, matched: Iterable[int] = ()
 ) -> EncodedEmbedding:
-    """Encode an embedding. Match flags come from ``matched`` (query-level
-    triple indexes), or are recomputed against ``segment`` when given."""
-    if segment is not None:
-        matched = _matched_under(layout.triples, dict(e._d), segment)
+    """Encode an embedding; match flags come from ``matched`` (query-level
+    triple indexes)."""
     flags = set(matched)
     return EncodedEmbedding(
         bnv=tuple(e._d.get(n) for n in layout.border_nodes),
         nbnv=tuple(e._d.get(n) for n in layout.nonborder_nodes),
         tm=tuple(i in flags for i in range(len(layout.triples))),
-    )
-
-
-def decode(enc: EncodedEmbedding, layout: QueryLayout) -> tuple[Embedding, frozenset[int]]:
-    mapping = {}
-    for n, v in zip(layout.border_nodes, enc.bnv):
-        if v is not None:
-            mapping[n] = v
-    for n, v in zip(layout.nonborder_nodes, enc.nbnv):
-        if v is not None:
-            mapping[n] = v
-    matched = frozenset(i for i, f in enumerate(enc.tm) if f)
-    return Embedding(mapping), matched
-
-
-_CELL_RE = re.compile(rf"{_TERM}|\*|\+|-")
-
-
-def wire_encode(enc: EncodedEmbedding) -> str:
-    def cells(vec):
-        return "\t".join("*" if v is None else v.token() for v in vec)
-
-    flags = "\t".join("+" if f else "-" for f in enc.tm)
-    return f"({cells(enc.bnv)}|{cells(enc.nbnv)}|{flags})"
-
-
-def wire_decode(text: str) -> EncodedEmbedding:
-    if not (text.startswith("(") and text.endswith(")")):
-        raise MalformedLine(f"bad wire embedding: {text!r}")
-    end = len(text) - 1
-    pos = 1
-    sections: list[list[str]] = []
-    for si in range(3):
-        cells: list[str] = []
-        if pos < end and text[pos] != "|":
-            while True:
-                m = _CELL_RE.match(text, pos)
-                if not m or m.end() > end:
-                    raise MalformedLine(f"bad wire embedding cell at {pos}: {text!r}")
-                cells.append(m.group(0))
-                pos = m.end()
-                if pos < end and text[pos] == "\t":
-                    pos += 1
-                    continue
-                break
-        sections.append(cells)
-        if si < 2:
-            if pos >= end or text[pos] != "|":
-                raise MalformedLine(f"bad wire embedding separators: {text!r}")
-            pos += 1
-    if pos != end:
-        raise MalformedLine(f"trailing garbage in wire embedding: {text!r}")
-
-    def terms(cells: list[str]) -> tuple[Term | None, ...]:
-        return tuple(None if c == "*" else term_from_token(c) for c in cells)
-
-    for c in sections[2]:
-        if c not in ("+", "-"):
-            raise MalformedLine(f"bad match flag {c!r} in {text!r}")
-    return EncodedEmbedding(
-        bnv=terms(sections[0]),
-        nbnv=terms(sections[1]),
-        tm=tuple(c == "+" for c in sections[2]),
     )
 
 
@@ -481,18 +386,16 @@ def totals_from_fragments(
     sub: Query,
     fragments: list[tuple[Embedding, frozenset[int], int]],
     *,
-    distinct_segments: bool = False,
     cap: int | None = None,
 ) -> list[Embedding]:
     """Join useful partial fragments into the total embeddings of sub.
 
     Fragments are (embedding, matched subquery-triple indexes, segment id)
-    records. The search walks the subquery's triples in canonical order and
-    extends each state with fragments that match the first uncovered triple,
-    so every join step makes progress and disconnected subqueries fall out of
-    the same loop. With ``distinct_segments`` a state never uses two fragments
-    from the same segment (stricter provenance, equality-tested against the
-    default in the suite).
+    records; the segment id does not take part in the join. A join state is
+    (bindings, covered triples). The search walks the subquery's triples in
+    canonical order and extends each state with fragments that match the
+    first uncovered triple, so every join step makes progress and
+    disconnected subqueries fall out of the same loop.
     """
     n = len(sub.canonical)
     by_triple: dict[int, list[tuple[Embedding, frozenset[int], int]]] = {
@@ -518,18 +421,12 @@ def totals_from_fragments(
         by_subject.append(sidx)
         by_object.append(oidx)
 
-    def state_key(bindings: dict, covered: frozenset, segs: frozenset):
-        base = (frozenset(bindings.items()), covered)
-        # segment provenance only separates states in strict mode
-        return base + (segs,) if distinct_segments else base
-
-    start = ({}, frozenset(), frozenset())
-    states: dict = {state_key(*start): start}
+    states: dict = {(frozenset(), frozenset()): ({}, frozenset())}
     for i in range(n):
         new_states: dict = {}
-        for bindings, covered, segs in states.values():
+        for key, (bindings, covered) in states.items():
             if i in covered:
-                new_states.setdefault(state_key(bindings, covered, segs), (bindings, covered, segs))
+                new_states.setdefault(key, (bindings, covered))
                 continue
             s_node, o_node = endpoints[i]
             s_img = bindings.get(s_node)
@@ -541,9 +438,7 @@ def totals_from_fragments(
                     candidates = by_object[i].get(o_img, ())
                 else:
                     candidates = by_triple[i]
-            for femb, fmatched, fseg in candidates:
-                if distinct_segments and fseg in segs:
-                    continue
+            for femb, fmatched, _fseg in candidates:
                 ok = True
                 for node, img in femb._d.items():
                     cur = bindings.get(node)
@@ -555,10 +450,9 @@ def totals_from_fragments(
                 merged = dict(bindings)
                 merged.update(femb._d)
                 cov = covered | fmatched
-                used = segs | {fseg}
-                key = state_key(merged, cov, used)
-                if key not in new_states:
-                    new_states[key] = (merged, cov, used)
+                new_key = (frozenset(merged.items()), cov)
+                if new_key not in new_states:
+                    new_states[new_key] = (merged, cov)
                     if cap is not None and len(new_states) > cap:
                         raise CartesianCapExceeded(
                             f"fragment join exceeded {cap} intermediate states"
@@ -567,7 +461,7 @@ def totals_from_fragments(
         if not states:
             return []
     out: dict = {}
-    for bindings, covered, _segs in states.values():
+    for bindings, covered in states.values():
         if len(covered) == n:
             key = frozenset(bindings.items())
             if key not in out:

@@ -124,7 +124,7 @@ def _make(kind: TermKind, lexical: str) -> Term:
         t = object.__new__(Term)
         object.__setattr__(t, "kind", kind)
         object.__setattr__(t, "lexical", lexical)
-        # setdefault is atomic, so racing map/reduce threads agree on one term
+        # setdefault is atomic, so threads interning one term at once agree on it
         t = _interned.setdefault(key, t)
     return t
 

@@ -377,10 +377,8 @@ class AnswerSet:
 
 
 def write_plan(dec, path: str | Path | None = None) -> dict:
-    """Serialize a query decomposition (with its evaluation layout) to JSON."""
-    from .embedding import preprocess
-
-    layout = preprocess(dec)
+    """Serialize a query decomposition to JSON: its method, query and
+    subqueries. The evaluation layout is derived again on load."""
     doc = {
         "method": dec.method,
         "query": [t.token() for t in dec.query.canonical],
@@ -390,19 +388,6 @@ def write_plan(dec, path: str | Path | None = None) -> dict:
                 "triples": [t.token() for t in sub.canonical],
             }
             for sub, c in zip(dec.subqueries, dec.centers)
-        ],
-        "borderNodes": [n.token() for n in layout.border_nodes],
-        "nonborderNodes": [n.token() for n in layout.nonborder_nodes],
-        "triples": [t.token() for t in layout.triples],
-        "commonBorder": [n.token() for n in layout.common_border],
-        "missingBorder": [[n.token(), j] for n, j in layout.missing_border],
-        "prototypes": [
-            {
-                "border": "".join("+" if f else "-" for f in proto[0]),
-                "nonborder": "".join("+" if f else "-" for f in proto[1]),
-                "triples": "".join("+" if f else "-" for f in proto[2]),
-            }
-            for proto in layout.prototypes
         ],
     }
     if path is not None:

@@ -6,7 +6,7 @@ from .embedding import enumerate_total
 from .model import DataGraph, Query
 from .ntio import AnswerSet
 
-__all__ = ["oracle_answers", "count_embeddings"]
+__all__ = ["oracle_answers"]
 
 
 def oracle_answers(query: Query, graph: DataGraph) -> AnswerSet:
@@ -17,7 +17,3 @@ def oracle_answers(query: Query, graph: DataGraph) -> AnswerSet:
     ]
     return AnswerSet(query.output_pattern, rows)
 
-
-def count_embeddings(query: Query, graph: DataGraph) -> int:
-    """Number of total embeddings (not projected, not deduplicated)."""
-    return len(enumerate_total(query, graph))

@@ -52,7 +52,7 @@ def qejpe_map1_records(layout, sub_idx: int, segment, seg_idx: int, border):
     return out
 
 
-def qejpe_reduce1_fn(layout, *, cap: int = CARTESIAN_CAP, distinct_segments: bool = False):
+def qejpe_reduce1_fn(layout, *, cap: int = CARTESIAN_CAP):
     to_query, to_sub = subquery_triple_maps(layout)
 
     def fn(key, values, em):
@@ -71,10 +71,7 @@ def qejpe_reduce1_fn(layout, *, cap: int = CARTESIAN_CAP, distinct_segments: boo
                     mapping[node] = v
             matched = frozenset(back[q] for q in range(len(tm)) if tm[q] and q in back)
             fragments.append((Embedding(mapping), matched, seg_idx))
-        totals = totals_from_fragments(
-            sub, fragments, distinct_segments=distinct_segments, cap=cap
-        )
-        for e in totals:
+        for e in totals_from_fragments(sub, fragments, cap=cap):
             enc = encode(e, layout)
             em.emit(sub_idx, ("e", enc.bnv, enc.nbnv))
             for node, j in layout.missing_border:
@@ -92,7 +89,6 @@ def run_qejpe(
     workers: int = 1,
     spill_threshold: int | None = None,
     cartesian_cap: int = CARTESIAN_CAP,
-    distinct_segments: bool = False,
 ) -> EvalResult:
     dec_data: DataDecomposition = coerce_data(data)
     if query is not None and decomposition.query != query:
@@ -113,9 +109,7 @@ def run_qejpe(
             if val[0] == "e":
                 counts[key] += 1
 
-    reduce1 = qejpe_reduce1_fn(
-        layout, cap=cartesian_cap, distinct_segments=distinct_segments
-    )
+    reduce1 = qejpe_reduce1_fn(layout, cap=cartesian_cap)
     result = run_pipeline(
         [
             Stage(Job("useful-partials", map1, reduce1), observe=count_totals),

@@ -1,11 +1,17 @@
-"""A small deterministic map/shuffle/reduce runtime on threads.
+"""A small deterministic map/shuffle/reduce runtime.
 
 Records are (key, value) pairs built from None, bool, int, float, str, Term,
-and nested tuples/lists of those. Determinism comes from sorting, not from
-scheduling: the shuffle sorts all map emissions by a total order over record
-structure, and reducers see their values in that order. Worker count
-therefore changes wall time and nothing else; the acceptance suite pins
-byte-identical results for 1, 4, and 8 workers.
+and nested tuples/lists of those. Determinism comes from sorting: the shuffle
+sorts all map emissions by a total order over record structure, and reducers
+see their values in that order.
+
+``workers`` is the logical number of map and reduce tasks per stage, as in
+MapReduce: it splits a stage's input records (and its groups) into that many
+contiguous chunks, one task each, and ``JobResult.per_worker_out`` counts each
+task's output. The tasks run one after another in the calling thread; on a
+GIL build, threads gave no CPU parallelism and measured slower than running
+the same chunks in turn. Worker count changes no output; the acceptance
+suite pins byte-identical results for 1, 4, and 8 workers.
 
 A stage's output is sorted when it is read, not when the stage ends. As in
 MapReduce, an intermediate output is sorted once, by the next stage's
@@ -43,7 +49,6 @@ import pickle
 import shutil
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
@@ -200,15 +205,6 @@ def _chunks(items: list, n: int) -> list[list]:
     return out
 
 
-def _run_tasks(task, chunks: list, workers: int) -> list:
-    """Run task over chunks, preserving chunk order in the result list."""
-    if workers <= 1 or len(chunks) <= 1:
-        return [task(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task, c) for c in chunks]
-        return [f.result() for f in futures]
-
-
 def _spill_runs(records: list[tuple], threshold: int, tmpdir: str) -> list[str]:
     """Write sorted runs of (sort key, record) pairs, ``threshold`` at a time."""
     paths = []
@@ -305,7 +301,7 @@ def run_job(
                     raise MapFnError(job.name, key, exc) from exc
             return em
 
-        emitters = _run_tasks(map_task, _chunks(records, workers), workers)
+        emitters = [map_task(c) for c in _chunks(records, workers)]
         map_emissions = []
         map_side = {name: [] for name in job.side_channels}
         map_out_counts = []
@@ -342,7 +338,7 @@ def run_job(
                     raise ReduceFnError(job.name, key, exc) from exc
             return em
 
-        emitters = _run_tasks(reduce_task, _chunks(groups, workers), workers)
+        emitters = [reduce_task(c) for c in _chunks(groups, workers)]
         out_records = []
         side = {name: list(recs) for name, recs in map_side.items()}
         per_worker_counts = list(map_out_counts)
@@ -379,7 +375,6 @@ class Stage:
     """
 
     job: Job
-    consume_main: bool = True
     consume_sides: tuple[str, ...] = ()
     observe: Callable[[list[tuple], dict[str, list[tuple]]], None] | None = None
 
@@ -423,8 +418,8 @@ def run_pipeline(
     run_job: Callable[..., JobResult] = run_job,
 ) -> PipelineResult:
     """Run stages in order. Each stage consumes the previous stage's main
-    output (unless consume_main is False) plus any named side channels emitted
-    by earlier stages. Side channel names must be unique across the pipeline.
+    output plus any named side channels emitted by earlier stages. Side
+    channel names must be unique across the pipeline.
 
     Intermediate outputs reach the next shuffle unsorted; only the last
     stage's records and the unconsumed side channels are sorted. Each stage
@@ -437,7 +432,7 @@ def run_pipeline(
     all_stats: list[dict] = []
     result_side: dict[str, list[tuple]] = {}
     for stage in stages:
-        inputs = list(current) if stage.consume_main else []
+        inputs = list(current)
         for name in stage.consume_sides:
             inputs.extend(available.pop(name))
         res = run_job(

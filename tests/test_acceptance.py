@@ -222,7 +222,7 @@ def test_c5_embedding_count_goldens(capsys, bibliography, coauthor_query):
         lines.append(f"<c> <p2> <b{i}> .")
     nine_g = sg.parse_data("".join(line + "\n" for line in lines))
     nine_q = sg.parse_query("<c> <p1> ?X .\n<c> <p2> ?Y .\n")
-    whole = sg.count_embeddings(nine_q, nine_g)
+    whole = len(sg.enumerate_total(nine_q, nine_g))
     t0, t1 = nine_q.canonical
     split = sg.QueryDecomposition(
         nine_q,

@@ -10,10 +10,7 @@ from stargraph.embedding import (
     enumerate_useful_partial,
     is_useful,
     totals_from_fragments,
-    wire_decode,
-    wire_encode,
 )
-from stargraph.errors import MalformedLine
 
 from conftest import q3
 
@@ -190,15 +187,10 @@ class TestLayout:
             (sg.variable("P1"), 1),
             (sg.variable("P2"), 0),
         )
-        border_mask, nonborder_mask, triple_mask = layout.prototypes[0]
-        assert border_mask == (True, True, False)
-        assert nonborder_mask == (False, True)
-        assert triple_mask == (True, False, False, True, False)
 
     def test_border_sets_exclude_literals(self, coauthor_cover_decomposition):
         layout = sg.preprocess(coauthor_cover_decomposition)
-        for bs in layout.border_sets:
-            assert all(not n.is_literal for n in bs)
+        assert all(not n.is_literal for n in layout.border_nodes)
         assert layout.common_border == (sg.variable("P1"),)
         assert layout.missing_border == (
             (sg.variable("A"), 1),
@@ -206,57 +198,8 @@ class TestLayout:
         )
 
 
-class TestEncoding:
-    def test_round_trip_through_wire(self, edge_split, supervisor_decomposition):
-        layout = sg.preprocess(supervisor_decomposition)
-        seen = 0
-        for i, sub in enumerate(layout.subqueries):
-            for j, seg in enumerate(edge_split.segments):
-                for e, matched in enumerate_useful_partial(
-                    sub, seg, edge_split.borders[j]
-                ):
-                    qmatched = [
-                        layout.triples.index(sub.canonical[k]) for k in matched
-                    ]
-                    enc = sg.encode(e, layout, qmatched)
-                    back = wire_decode(wire_encode(enc))
-                    assert back == enc
-                    decoded, dm = sg.decode(enc, layout)
-                    assert decoded == e
-                    assert dm == frozenset(qmatched)
-                    seen += 1
-        assert seen == 17
-
-    def test_wire_format_shape(self, supervisor_decomposition):
-        layout = sg.preprocess(supervisor_decomposition)
-        e = sg.Embedding(
-            {
-                sg.variable("A"): sg.iri("Article2"),
-                sg.variable("P2"): sg.iri("Person3"),
-            }
-        )
-        text = wire_encode(sg.encode(e, layout, [1]))
-        assert text == "(<Article2>\t*\t<Person3>|*\t*|-\t+\t-\t-\t-)"
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "no parens",
-            "(a|b)",
-            "(<x>|<y>)",
-            "(<x>|<y>|+|-)",
-            "(<x>|<y>|x)",
-            "(<x>|<y>|+-)",
-            "(<x>|<y>|+) ",
-        ],
-    )
-    def test_malformed_wire_rejected(self, bad):
-        with pytest.raises(MalformedLine):
-            wire_decode(bad)
-
-
 class TestTotalsFromFragments:
-    def collect(self, layout, edge_split, i, *, strict=False):
+    def collect(self, layout, edge_split, i):
         sub = layout.subqueries[i]
         frags = []
         for j, seg in enumerate(edge_split.segments):
@@ -264,7 +207,7 @@ class TestTotalsFromFragments:
                 sub, seg, edge_split.borders[j]
             ):
                 frags.append((e, matched, j))
-        return totals_from_fragments(sub, frags, distinct_segments=strict)
+        return totals_from_fragments(sub, frags)
 
     def test_fixture_totals(self, bibliography, edge_split, supervisor_decomposition):
         layout = sg.preprocess(supervisor_decomposition)
@@ -275,15 +218,6 @@ class TestTotalsFromFragments:
                 sg.enumerate_total(sub, bibliography), key=embedding_sort_key
             )
             assert len(totals) == expected_counts[i]
-
-    def test_distinct_segments_mode_agrees(self, edge_split, supervisor_decomposition):
-        layout = sg.preprocess(supervisor_decomposition)
-        for i in range(3):
-            default = self.collect(layout, edge_split, i)
-            strict = self.collect(layout, edge_split, i, strict=True)
-            assert sorted(default, key=embedding_sort_key) == sorted(
-                strict, key=embedding_sort_key
-            )
 
     def test_cap_guard(self, edge_split, supervisor_decomposition):
         layout = sg.preprocess(supervisor_decomposition)

@@ -82,19 +82,6 @@ class TestRunQejpe:
             res = run_qejpe(edge_split, coauthor_query, make(coauthor_query))
             assert res.answers == want, name
 
-    def test_distinct_segments_mode_agrees(
-        self, edge_split, supervisor_query, supervisor_decomposition
-    ):
-        default = run_qejpe(edge_split, supervisor_query, supervisor_decomposition)
-        strict = run_qejpe(
-            edge_split,
-            supervisor_query,
-            supervisor_decomposition,
-            distinct_segments=True,
-        )
-        assert default.answers == strict.answers
-        assert default.subquery_embeddings == strict.subquery_embeddings
-
     @pytest.mark.parametrize("workers", [1, 4, 8])
     def test_worker_count_is_invisible(
         self, edge_split, supervisor_query, supervisor_decomposition, workers

@@ -1,5 +1,7 @@
 """Deterministic map/shuffle/reduce runtime."""
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,6 +188,33 @@ class TestRunJob:
         )
         assert sum(res.per_worker_out) == res.stats["recordsOut"]
 
+    def test_tasks_run_in_the_calling_thread(self):
+        seen = []
+
+        def mapper(key, value, em: Emitter):
+            seen.append(threading.get_ident())
+            split_map(key, value, em)
+
+        def reducer(key, counts, em: Emitter):
+            seen.append(threading.get_ident())
+            sum_reduce(key, counts, em)
+
+        run_job(Job("count", mapper, reducer), word_count_records(), workers=4)
+        assert len(seen) == 10 + 6
+        assert set(seen) == {threading.get_ident()}
+
+    def test_more_workers_than_records(self):
+        records = word_count_records()[:5]
+        job = Job("count", split_map, sum_reduce)
+        base = run_job(job, records)
+        res = run_job(job, records, workers=64)
+        assert res.records == base.records
+        assert res.side == base.side
+        assert _without_wall([res.stats]) == _without_wall([base.stats])
+        # one map task per record, then one reduce task per word group
+        # (and, fox, quick, the); only the reduce tasks emit stage output
+        assert res.per_worker_out == (0, 0, 0, 0, 0, 1, 1, 1, 1)
+
     def test_spill_path_equivalent(self, tmp_path, monkeypatch):
         big = [(i % 7, i) for i in range(500)]
         job = Job("mod", None, lambda k, vs, em: em.emit(k, sum(vs)))
@@ -299,7 +328,6 @@ class TestPipeline:
         first = Stage(Job("count", mapper, sum_reduce, side_channels=("foxes",)))
         second = Stage(
             Job("fold", None, lambda k, vs, em: em.emit(k, sum(vs))),
-            consume_main=True,
             consume_sides=(),
         )
         return [first, second]
@@ -316,11 +344,7 @@ class TestPipeline:
 
         stages = [
             Stage(Job("split", mapper, None, side_channels=("detour",))),
-            Stage(
-                Job("count", None, sum_reduce),
-                consume_main=False,
-                consume_sides=("detour",),
-            ),
+            Stage(Job("count", None, sum_reduce), consume_sides=("detour",)),
         ]
         res = run_pipeline(stages, word_count_records())
         assert res.records == [
@@ -399,11 +423,7 @@ def pipelines(draw):
             if target is not None:
                 consumers.setdefault(target, []).append(name)
     return [
-        Stage(
-            job,
-            consume_main=i == 0 or not consumers.get(i) or draw(st.booleans()),
-            consume_sides=tuple(consumers.get(i, ())),
-        )
+        Stage(job, consume_sides=tuple(consumers.get(i, ())))
         for i, job in enumerate(jobs)
     ]
 
@@ -415,7 +435,7 @@ def _chain_run_jobs(stages, source, workers, spill_threshold):
     available, unconsumed, stats = {}, {}, []
     current = list(source)
     for stage in stages:
-        inputs = list(current) if stage.consume_main else []
+        inputs = list(current)
         for name in stage.consume_sides:
             inputs += available.pop(name)
         res = run_job(
