@@ -8,16 +8,20 @@ partial embedding worth shipping to the join phase: it is non-trivial, it is
 defined on every constant of the subquery present in the segment, and any
 node it maps to a non-border, non-literal value must have all of its triples
 matched inside the segment (otherwise no other segment can ever complete it).
+``enumerate_total`` returns its embeddings sorted; ``enumerate_useful_partial``
+returns its fragments in the order of its depth-first search, because the
+shuffle they go to sorts them.
 
-The encoded form splits an embedding into a border-node vector, a non-border
-vector, and triple-match flags, following a fixed node/triple enumeration with
-border nodes first; None marks an unbound position. The engines ship
-embeddings between stages in this form.
+``encode`` splits an embedding into a border-node vector and a non-border
+vector, following a fixed node enumeration with border nodes first; None marks
+an unbound position. The engines ship embeddings between stages in this form,
+and qejpe's fragments add one match flag per query triple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CartesianCapExceeded
@@ -38,10 +42,8 @@ __all__ = [
     "embedding_sort_key",
     "enumerate_total",
     "enumerate_useful_partial",
-    "is_useful",
     "QueryLayout",
     "preprocess",
-    "EncodedEmbedding",
     "encode",
     "totals_from_fragments",
 ]
@@ -190,105 +192,80 @@ def enumerate_total(q: Query, g: DataGraph) -> list[Embedding]:
     return results
 
 
-def _matched_under(
-    triples: tuple[TriplePattern, ...], full: dict[Term, Term], segment: DataGraph
-) -> frozenset[int]:
-    matched = set()
-    for i, t in enumerate(triples):
-        sv = full.get(t.s) if t.s.is_variable else (t.s if t.s in full else None)
-        ov = full.get(t.o) if t.o.is_variable else (t.o if t.o in full else None)
-        if sv is None or ov is None or sv.is_literal:
-            continue
-        if DataTriple(sv, t.p, ov) in segment:
-            matched.add(i)
-    return frozenset(matched)
-
-
-def _validate_partial(
-    sub: Query,
-    segment: DataGraph,
-    border: frozenset[Term],
-    full: dict[Term, Term],
-) -> frozenset[int] | None:
-    """Useful-partial checks; returns the matched triple set or None."""
-    triples = sub.canonical
-    matched = _matched_under(triples, full, segment)
-    if not matched:
-        return None
-    # every constant of the subquery present in the segment must be bound
-    seg_nodes = segment.nodes
-    for c in sub.constants:
-        if c in seg_nodes and c not in full:
-            return None
-    # every bound variable needs a matched triple as witness
-    for node in full:
-        if not node.is_variable:
-            continue
-        if not any(node in triples[i].nodes for i in matched):
-            return None
-    # bound nodes mapped outside border/literals must be fully matched here
-    for node, img in full.items():
-        if img.is_literal or img in border:
-            continue
-        for i, t in enumerate(triples):
-            if node in t.nodes and i not in matched:
-                return None
-    return matched
-
-
 def enumerate_useful_partial(
     sub: Query, segment: DataGraph, border: frozenset[Term]
 ) -> list[tuple[Embedding, frozenset[int]]]:
     """All useful partial embeddings of sub against one segment.
 
     Returns (embedding, matched-triple-indexes) pairs; indexes refer to the
-    subquery's canonical triple order. Deterministically sorted.
+    subquery's canonical triple order. The pairs come in the order the search
+    first reaches them, which is deterministic but not sorted: the shuffle
+    that receives them sorts them anyway.
+
+    The search walks the canonical triples and either skips each one or
+    matches it to a segment triple that agrees with the bindings so far, so
+    every bound variable is witnessed by a matched triple, and the constants
+    present in the segment are added at the end. A leaf is keyed by its
+    variable images. Its matched set is the union of the triples chosen on
+    all the paths that reach it. That is every triple matched under the
+    leaf's bindings, because such a triple can be chosen at its own step
+    without changing them. Only non-triviality and the closure rule are left
+    to check.
     """
     triples = sub.canonical
+    n = len(triples)
+    variables = tuple(sorted(sub.variables))
     seg_nodes = segment.nodes
-    present_constants = [c for c in sorted(sub.constants) if c in seg_nodes]
-    results: dict = {}
+    present = {c: c for c in sorted(sub.constants) if c in seg_nodes}
+    incident: dict[Term, int] = {}
+    for i, t in enumerate(triples):
+        for node in t.nodes:
+            incident[node] = incident.get(node, 0) | (1 << i)
+    # nodes mapped outside the border and the literals must have every
+    # incident triple matched here, since no other segment can complete them
+    always_required = 0
+    for c in present:
+        if not c.is_literal and c not in border:
+            always_required |= incident[c]
+    variable_masks = [incident[v] for v in variables]
+    leaves: dict[tuple, int] = {}
 
-    def finalize(bindings: dict):
-        full = dict(bindings)
-        for c in present_constants:
-            full[c] = c
-        if not full:
+    def dfs(i: int, bindings: dict, chosen: int):
+        if i == n:
+            key = tuple(map(bindings.get, variables))
+            leaves[key] = leaves.get(key, 0) | chosen
             return
-        key = frozenset(full.items())
-        if key in results:
-            return
-        matched = _validate_partial(sub, segment, border, full)
-        if matched is not None:
-            results[key] = (Embedding(full), matched)
-
-    def dfs(i: int, bindings: dict):
-        if i == len(triples):
-            finalize(bindings)
-            return
-        dfs(i + 1, bindings)
+        dfs(i + 1, bindings, chosen)
         t = triples[i]
+        with_i = chosen | (1 << i)
         for inst in _candidates(
             segment, t, _value_of(t.s, bindings), _value_of(t.o, bindings)
         ):
             nb = _extended(bindings, t, inst)
             if nb is not None:
-                dfs(i + 1, nb)
+                dfs(i + 1, nb, with_i)
 
-    dfs(0, {})
-    out = list(results.values())
-    out.sort(key=lambda pair: (embedding_sort_key(pair[0]), sorted(pair[1])))
+    dfs(0, {}, 0)
+    out = []
+    matched_sets: dict[int, frozenset[int]] = {}
+    for key, matched in leaves.items():
+        if not matched:
+            continue
+        required = always_required
+        for img, mask in zip(key, variable_masks):
+            if img is not None and not img.is_literal and img not in border:
+                required |= mask
+        if required & ~matched:
+            continue
+        indexes = matched_sets.get(matched)
+        if indexes is None:
+            indexes = matched_sets[matched] = frozenset(
+                i for i in range(n) if matched >> i & 1
+            )
+        # None marks an unbound variable and is the only falsy image
+        bound = compress(zip(variables, key), key)
+        out.append((Embedding(chain(bound, present.items())), indexes))
     return out
-
-
-def is_useful(
-    e: Embedding, sub: Query, segment: DataGraph, border: frozenset[Term]
-) -> bool:
-    """Check an arbitrary embedding against the useful-partial conditions."""
-    full = dict(e._d)
-    if not full:
-        return False
-    return _validate_partial(sub, segment, border, full) is not None
 
 
 # ---------------------------------------------------------------- preprocess
@@ -357,25 +334,15 @@ def preprocess(dec: QueryDecomposition) -> QueryLayout:
 # ------------------------------------------------------------------ encoding
 
 
-@dataclass(frozen=True)
-class EncodedEmbedding:
-    """Positional form: border vector, non-border vector, match flags."""
-
-    bnv: tuple[Term | None, ...]
-    nbnv: tuple[Term | None, ...]
-    tm: tuple[bool, ...]
-
-
 def encode(
-    e: Embedding, layout: QueryLayout, matched: Iterable[int] = ()
-) -> EncodedEmbedding:
-    """Encode an embedding; match flags come from ``matched`` (query-level
-    triple indexes)."""
-    flags = set(matched)
-    return EncodedEmbedding(
-        bnv=tuple(e._d.get(n) for n in layout.border_nodes),
-        nbnv=tuple(e._d.get(n) for n in layout.nonborder_nodes),
-        tm=tuple(i in flags for i in range(len(layout.triples))),
+    e: Embedding, layout: QueryLayout
+) -> tuple[tuple[Term | None, ...], tuple[Term | None, ...]]:
+    """The border-node and the non-border vector of an embedding, in the
+    layout's node order; None marks an unbound node."""
+    image = e._d.get
+    return (
+        tuple(map(image, layout.border_nodes)),
+        tuple(map(image, layout.nonborder_nodes)),
     )
 
 

@@ -207,6 +207,15 @@ class TriplePattern:
         return f"TriplePattern({self.token()})"
 
 
+def _flat_key(t: DataTriple | TriplePattern) -> tuple:
+    """``t.key`` flattened to six fields. Each term key has two fields, so
+    both order triples alike, and the flat one builds one tuple, not four."""
+    s, p, o = t.s, t.p, t.o
+    return (
+        s.lexical, s.kind._value_, p.lexical, p.kind._value_, o.lexical, o.kind._value_
+    )
+
+
 class DataGraph:
     """An immutable set of data triples with lazy match indexes."""
 
@@ -226,7 +235,7 @@ class DataGraph:
     @property
     def canonical(self) -> tuple[DataTriple, ...]:
         if self._canonical is None:
-            self._canonical = tuple(sorted(self.triples, key=lambda t: t.key))
+            self._canonical = tuple(sorted(self.triples, key=_flat_key))
         return self._canonical
 
     @property
@@ -306,7 +315,7 @@ class Query:
     @property
     def canonical(self) -> tuple[TriplePattern, ...]:
         if self._canonical is None:
-            self._canonical = tuple(sorted(self.triples, key=lambda t: t.key))
+            self._canonical = tuple(sorted(self.triples, key=_flat_key))
         return self._canonical
 
     @property

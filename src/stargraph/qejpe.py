@@ -16,6 +16,8 @@ Works for any query decomposition over any data partition. Three stages:
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .embedding import (
     Embedding,
     encode,
@@ -44,36 +46,47 @@ def qejpe_map1_records(layout, sub_idx: int, segment, seg_idx: int, border):
     """Useful partial fragments of one subquery against one segment, as
     shuffle records keyed by subquery index. Pure, for direct testing."""
     to_query, _ = subquery_triple_maps(layout)
-    sub = layout.subqueries[sub_idx]
+    positions = to_query[sub_idx]
+    n = len(layout.triples)
+    # fragments share few matched sets, so each set's flag tuple is built once
+    flags: dict[frozenset[int], tuple[bool, ...]] = {}
     out = []
-    for emb, matched in enumerate_useful_partial(sub, segment, border):
-        enc = encode(emb, layout, matched=(to_query[sub_idx][i] for i in matched))
-        out.append((sub_idx, ("f", seg_idx, enc.bnv, enc.nbnv, enc.tm)))
+    for emb, matched in enumerate_useful_partial(
+        layout.subqueries[sub_idx], segment, border
+    ):
+        tm = flags.get(matched)
+        if tm is None:
+            hit = {positions[i] for i in matched}
+            tm = flags[matched] = tuple(q in hit for q in range(n))
+        bnv, nbnv = encode(emb, layout)
+        out.append((sub_idx, ("f", seg_idx, bnv, nbnv, tm)))
     return out
 
 
 def qejpe_reduce1_fn(layout, *, cap: int = CARTESIAN_CAP):
-    to_query, to_sub = subquery_triple_maps(layout)
+    _, to_sub = subquery_triple_maps(layout)
+    nodes = layout.border_nodes + layout.nonborder_nodes
 
     def fn(key, values, em):
         sub_idx = key
         sub = layout.subqueries[sub_idx]
         back = to_sub[sub_idx]
+        matched_of: dict[tuple[bool, ...], frozenset[int]] = {}
         fragments = []
         for tag, seg_idx, bnv, nbnv, tm in values:
             assert tag == "f"
-            mapping = {}
-            for node, v in zip(layout.border_nodes, bnv):
-                if v is not None:
-                    mapping[node] = v
-            for node, v in zip(layout.nonborder_nodes, nbnv):
-                if v is not None:
-                    mapping[node] = v
-            matched = frozenset(back[q] for q in range(len(tm)) if tm[q] and q in back)
-            fragments.append((Embedding(mapping), matched, seg_idx))
+            matched = matched_of.get(tm)
+            if matched is None:
+                matched = matched_of[tm] = frozenset(
+                    back[q] for q, flag in enumerate(tm) if flag and q in back
+                )
+            images = bnv + nbnv
+            # None marks an unbound position and is the only falsy image
+            emb = Embedding(compress(zip(nodes, images), images))
+            fragments.append((emb, matched, seg_idx))
         for e in totals_from_fragments(sub, fragments, cap=cap):
-            enc = encode(e, layout)
-            em.emit(sub_idx, ("e", enc.bnv, enc.nbnv))
+            bnv, nbnv = encode(e, layout)
+            em.emit(sub_idx, ("e", bnv, nbnv))
             for node, j in layout.missing_border:
                 if node in e:
                     em.emit(j, ("v", layout.node_index[node], e[node]))

@@ -51,17 +51,17 @@ def red_map1_records(layout, sub_idx: int, segment, seg_idx: int):
     to_reducer2 = []
     for e in enumerate_total(sub, segment):
         cb_key = tuple(e[n] for n in layout.common_border)
-        enc = encode(e, layout)
+        bnv, nbnv = encode(e, layout)
         if has_missing:
-            to_mapper2.append(((sub_idx, cb_key), ("e", enc.bnv, enc.nbnv)))
+            to_mapper2.append(((sub_idx, cb_key), ("e", bnv, nbnv)))
             for node, j in layout.missing_border:
                 if node in e:
                     to_mapper2.append(
                         ((j, cb_key), ("v", layout.node_index[node], e[node]))
                     )
         else:
-            assert all(v is not None for v in enc.bnv)
-            to_reducer2.append((enc.bnv, (sub_idx, enc.nbnv)))
+            assert all(v is not None for v in bnv)
+            to_reducer2.append((bnv, (sub_idx, nbnv)))
     return to_mapper2, to_reducer2
 
 

@@ -117,8 +117,8 @@ def stars_map1_records(layout, centers, sub_idx: int, segment, seg_idx: int, bor
         img = e[center]
         if img in border or img.is_literal:
             continue
-        enc = encode(e, layout)
-        part2.append((sub_idx, ("e", enc.bnv, enc.nbnv)))
+        bnv, nbnv = encode(e, layout)
+        part2.append((sub_idx, ("e", bnv, nbnv)))
         for node, j in layout.missing_border:
             if node in e:
                 part2.append((j, ("v", layout.node_index[node], e[node])))
@@ -164,8 +164,8 @@ def stars_reduce1_fn(layout, centers, *, cap: int = CARTESIAN_CAP):
         for combo in itertools.product(*pools):
             mapping = {center: img}
             mapping.update(zip(node_order, combo))
-            enc = encode(Embedding(mapping), layout)
-            em.emit(sub_idx, ("e", enc.bnv, enc.nbnv))
+            bnv, nbnv = encode(Embedding(mapping), layout)
+            em.emit(sub_idx, ("e", bnv, nbnv))
         # candidate values ride along once per key, never per embedding
         for node, j in layout.missing_border:
             if node == center:

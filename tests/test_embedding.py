@@ -6,13 +6,119 @@ from hypothesis import strategies as st
 
 import stargraph as sg
 from stargraph.embedding import (
+    _candidates,
+    _extended,
+    _value_of,
     embedding_sort_key,
     enumerate_useful_partial,
-    is_useful,
     totals_from_fragments,
 )
+from stargraph.model import DataTriple
 
 from conftest import q3
+
+
+# The reference for enumerate_useful_partial: the exhaustive search and the
+# candidate validator as they stood before the search tracked its matched
+# sets itself, kept verbatim apart from the names of the two public functions
+# and the package prefix on types. Every leaf is re-checked against the three
+# useful-partial rules and its matched set recomputed from the segment.
+def _matched_under(
+    triples: tuple[sg.TriplePattern, ...],
+    full: dict[sg.Term, sg.Term],
+    segment: sg.DataGraph,
+) -> frozenset[int]:
+    matched = set()
+    for i, t in enumerate(triples):
+        sv = full.get(t.s) if t.s.is_variable else (t.s if t.s in full else None)
+        ov = full.get(t.o) if t.o.is_variable else (t.o if t.o in full else None)
+        if sv is None or ov is None or sv.is_literal:
+            continue
+        if DataTriple(sv, t.p, ov) in segment:
+            matched.add(i)
+    return frozenset(matched)
+
+
+def _validate_partial(
+    sub: sg.Query,
+    segment: sg.DataGraph,
+    border: frozenset[sg.Term],
+    full: dict[sg.Term, sg.Term],
+) -> frozenset[int] | None:
+    """Useful-partial checks; returns the matched triple set or None."""
+    triples = sub.canonical
+    matched = _matched_under(triples, full, segment)
+    if not matched:
+        return None
+    # every constant of the subquery present in the segment must be bound
+    seg_nodes = segment.nodes
+    for c in sub.constants:
+        if c in seg_nodes and c not in full:
+            return None
+    # every bound variable needs a matched triple as witness
+    for node in full:
+        if not node.is_variable:
+            continue
+        if not any(node in triples[i].nodes for i in matched):
+            return None
+    # bound nodes mapped outside border/literals must be fully matched here
+    for node, img in full.items():
+        if img.is_literal or img in border:
+            continue
+        for i, t in enumerate(triples):
+            if node in t.nodes and i not in matched:
+                return None
+    return matched
+
+
+def reference_useful_partials(
+    sub: sg.Query, segment: sg.DataGraph, border: frozenset[sg.Term]
+) -> list[tuple[sg.Embedding, frozenset[int]]]:
+    triples = sub.canonical
+    seg_nodes = segment.nodes
+    present_constants = [c for c in sorted(sub.constants) if c in seg_nodes]
+    results: dict = {}
+
+    def finalize(bindings: dict):
+        full = dict(bindings)
+        for c in present_constants:
+            full[c] = c
+        if not full:
+            return
+        key = frozenset(full.items())
+        if key in results:
+            return
+        matched = _validate_partial(sub, segment, border, full)
+        if matched is not None:
+            results[key] = (sg.Embedding(full), matched)
+
+    def dfs(i: int, bindings: dict):
+        if i == len(triples):
+            finalize(bindings)
+            return
+        dfs(i + 1, bindings)
+        t = triples[i]
+        for inst in _candidates(
+            segment, t, _value_of(t.s, bindings), _value_of(t.o, bindings)
+        ):
+            nb = _extended(bindings, t, inst)
+            if nb is not None:
+                dfs(i + 1, nb)
+
+    dfs(0, {})
+    out = list(results.values())
+    out.sort(key=lambda pair: (embedding_sort_key(pair[0]), sorted(pair[1])))
+    return out
+
+
+def reference_is_useful(
+    e: sg.Embedding, sub: sg.Query, segment: sg.DataGraph, border: frozenset[sg.Term]
+) -> bool:
+    """Check an arbitrary embedding against the useful-partial conditions."""
+    full = dict(e._d)
+    if not full:
+        return False
+    return _validate_partial(sub, segment, border, full) is not None
 
 
 def d3(s, p, o):
@@ -152,16 +258,22 @@ class TestUsefulPartials:
                     sub, seg, edge_split.borders[j]
                 ):
                     assert matched and all(0 <= k < n for k in matched)
-                    assert is_useful(e, sub, seg, edge_split.borders[j])
+                    assert reference_is_useful(e, sub, seg, edge_split.borders[j])
 
     def test_trivial_embedding_is_not_useful(self, edge_split, supervisor_decomposition):
         layout = sg.preprocess(supervisor_decomposition)
-        assert not is_useful(
+        assert not reference_is_useful(
             sg.Embedding({}),
             layout.subqueries[0],
             edge_split.segments[0],
             edge_split.borders[0],
         )
+        for sub in layout.subqueries:
+            for j, seg in enumerate(edge_split.segments):
+                for e, matched in enumerate_useful_partial(
+                    sub, seg, edge_split.borders[j]
+                ):
+                    assert len(e) and matched
 
     def test_closure_condition_rejects_halfbound_interior(self):
         # ?X maps to a node with two outgoing triples but only one matched,
@@ -169,9 +281,105 @@ class TestUsefulPartials:
         g = sg.DataGraph([d3("<a>", "<p>", "<b>"), d3("<a>", "<q>", "<c>")])
         sub = sg.Query([q3("?X", "<p>", "?Y"), q3("?X", "<q>", "?Z")])
         e = sg.Embedding({sg.variable("X"): sg.iri("a"), sg.variable("Y"): sg.iri("b")})
-        assert not is_useful(e, sub, g, frozenset())
+        assert not reference_is_useful(e, sub, g, frozenset())
+        assert e not in dict(enumerate_useful_partial(sub, g, frozenset()))
         # once the image sits on the border the closure requirement lifts
-        assert is_useful(e, sub, g, frozenset({sg.iri("a")}))
+        assert reference_is_useful(e, sub, g, frozenset({sg.iri("a")}))
+        on_border = dict(enumerate_useful_partial(sub, g, frozenset({sg.iri("a")})))
+        assert on_border[e] == frozenset({0})
+
+    def test_matched_set_includes_triples_a_path_skipped(self):
+        # the search reaches {X->a, Y->b} first by skipping <p> and matching
+        # <q>; <p> matches under those bindings too, so it must be reported
+        g = sg.DataGraph([d3("<a>", "<p>", "<b>"), d3("<a>", "<q>", "<b>")])
+        sub = sg.Query([q3("?X", "<p>", "?Y"), q3("?X", "<q>", "?Y")])
+        e = sg.Embedding({sg.variable("X"): sg.iri("a"), sg.variable("Y"): sg.iri("b")})
+        assert enumerate_useful_partial(sub, g, frozenset()) == [(e, frozenset({0, 1}))]
+
+    def test_all_constant_triple_is_matched_without_bindings(self):
+        # <a> <p> <b> binds nothing, so the leaf with no variable bound is
+        # useful once the non-border constant <a> has all its triples matched
+        g = sg.DataGraph([d3("<a>", "<p>", "<b>"), d3("<a>", "<q>", "<c>")])
+        sub = sg.Query([q3("<a>", "<p>", "<b>"), q3("<a>", "<q>", "?Y")])
+        consts = {sg.iri("a"): sg.iri("a"), sg.iri("b"): sg.iri("b")}
+        whole = sg.Embedding({**consts, sg.variable("Y"): sg.iri("c")})
+        assert enumerate_useful_partial(sub, g, frozenset()) == [
+            (whole, frozenset({0, 1}))
+        ]
+        on_border = enumerate_useful_partial(sub, g, frozenset({sg.iri("a")}))
+        assert on_border == [
+            (sg.Embedding(consts), frozenset({0})),
+            (whole, frozenset({0, 1})),
+        ]
+        # with <b> missing from the segment the constant triple cannot match,
+        # and <b> is left out of the embedding
+        g2 = sg.DataGraph([d3("<a>", "<q>", "<c>")])
+        partial = sg.Embedding(
+            {sg.iri("a"): sg.iri("a"), sg.variable("Y"): sg.iri("c")}
+        )
+        assert enumerate_useful_partial(sub, g2, frozenset()) == []
+        assert enumerate_useful_partial(sub, g2, frozenset({sg.iri("a")})) == [
+            (partial, frozenset({1}))
+        ]
+
+
+_IRIS = [sg.iri(c) for c in "abcd"]
+_LITERALS = [sg.literal("l1"), sg.literal("l2")]
+_PREDICATES = [sg.iri("p"), sg.iri("q")]
+_VARIABLES = [sg.variable(c) for c in "xyz"]
+
+
+@st.composite
+def useful_partial_cases(draw):
+    """A small segment, a subquery over it and a border set. Two predicates
+    force repeats; subjects and objects share nodes, so self-loops occur in
+    data and query alike; queries mix variables, IRIs and literals."""
+    data = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_IRIS),
+                st.sampled_from(_PREDICATES),
+                st.sampled_from(_IRIS + _LITERALS),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    segment = sg.DataGraph(sg.DataTriple(s, p, o) for s, p, o in data)
+    patterns = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_VARIABLES + _IRIS[:2]),
+                st.sampled_from(_PREDICATES),
+                st.sampled_from(_VARIABLES + _IRIS[:2] + _LITERALS[:1]),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    sub = sg.Query(sg.TriplePattern(s, p, o) for s, p, o in patterns)
+    border = frozenset(draw(st.sets(st.sampled_from(_IRIS))))
+    return sub, segment, border
+
+
+class TestUsefulPartialsAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(useful_partial_cases())
+    def test_same_pairs_as_the_reference(self, case):
+        sub, segment, border = case
+        got = enumerate_useful_partial(sub, segment, border)
+        want = reference_useful_partials(sub, segment, border)
+        assert len(got) == len(set(got))
+        assert set(got) == set(want)
+
+    def test_fixture_pairs_match_the_reference(
+        self, edge_split, supervisor_decomposition, coauthor_cover_decomposition
+    ):
+        for dec in (supervisor_decomposition, coauthor_cover_decomposition):
+            for sub in dec.subqueries:
+                for seg, border in zip(edge_split.segments, edge_split.borders):
+                    got = enumerate_useful_partial(sub, seg, border)
+                    assert set(got) == set(reference_useful_partials(sub, seg, border))
 
 
 class TestLayout:

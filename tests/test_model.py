@@ -124,6 +124,28 @@ class TestDataGraph:
         keys = [(t.s.key, t.p.key, t.o.key) for t in bibliography.canonical]
         assert keys == sorted(keys)
 
+    @given(st.data())
+    def test_canonical_order_equals_nested_key_order(self, data):
+        # lexical forms that are prefixes of each other and shared by all
+        # three kinds, so the kind field and tuple length both get tested
+        lexicals = st.sampled_from(["", "a", "ab", "b"])
+        iris = lexicals.map(sg.iri)
+        objects = st.one_of(iris, lexicals.map(sg.literal))
+        nodes = st.one_of(iris, lexicals.map(sg.variable))
+        triples = data.draw(
+            st.lists(st.builds(sg.DataTriple, iris, iris, objects), min_size=1)
+        )
+        g = sg.DataGraph(triples)
+        assert list(g.canonical) == sorted(g.triples, key=lambda t: t.key)
+        patterns = data.draw(
+            st.lists(
+                st.builds(sg.TriplePattern, nodes, iris, st.one_of(objects, nodes)),
+                min_size=1,
+            )
+        )
+        q = sg.Query(patterns)
+        assert list(q.canonical) == sorted(q.triples, key=lambda t: t.key)
+
     def test_nodes_exclude_nothing_and_literals_are_flagged(self, bibliography):
         assert sg.literal("2008") in bibliography.nodes
         assert sg.literal("2008") in bibliography.literals
