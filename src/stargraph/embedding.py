@@ -8,9 +8,10 @@ partial embedding worth shipping to the join phase: it is non-trivial, it is
 defined on every constant of the subquery present in the segment, and any
 node it maps to a non-border, non-literal value must have all of its triples
 matched inside the segment (otherwise no other segment can ever complete it).
-``enumerate_total`` returns its embeddings sorted; ``enumerate_useful_partial``
-returns its fragments in the order of its depth-first search, because the
-shuffle they go to sorts them.
+``enumerate_total`` and ``enumerate_useful_partial`` return their results in
+the order of their depth-first search, and ``totals_from_fragments`` in the
+order its join reaches them: the shuffle they go to, or ``AnswerSet`` for the
+oracle, sorts them.
 
 ``encode`` splits an embedding into a border-node vector and a non-border
 vector, following a fixed node enumeration with border nodes first; None marks
@@ -39,7 +40,6 @@ __all__ = [
     "is_compatible",
     "join",
     "restrict",
-    "embedding_sort_key",
     "enumerate_total",
     "enumerate_useful_partial",
     "QueryLayout",
@@ -115,10 +115,6 @@ def restrict(e: Embedding, nodes: Iterable[Term]) -> Embedding:
     return Embedding({n: v for n, v in e._d.items() if n in keep})
 
 
-def embedding_sort_key(e: Embedding):
-    return tuple((n.key, v.key) for n, v in e.items())
-
-
 # ------------------------------------------------------------------ matching
 
 
@@ -162,7 +158,7 @@ def _extended(bindings: dict, t: TriplePattern, inst: DataTriple) -> dict | None
 
 
 def enumerate_total(q: Query, g: DataGraph) -> list[Embedding]:
-    """All total embeddings of q in g, deterministically ordered."""
+    """All total embeddings of q in g, in the order the search finds them."""
     triples = list(q.canonical)
     n = len(triples)
     results: list[Embedding] = []
@@ -188,7 +184,6 @@ def enumerate_total(q: Query, g: DataGraph) -> list[Embedding]:
                 dfs(rest, nb)
 
     dfs(list(range(n)), {})
-    results.sort(key=embedding_sort_key)
     return results
 
 
@@ -433,6 +428,4 @@ def totals_from_fragments(
             key = frozenset(bindings.items())
             if key not in out:
                 out[key] = Embedding(bindings)
-    result = list(out.values())
-    result.sort(key=embedding_sort_key)
-    return result
+    return list(out.values())

@@ -17,6 +17,7 @@ __all__ = [
     "EmptyGraph",
     "EmptyQuery",
     "UnwritableOutput",
+    "InvalidSetting",
     "ValidationError",
     "NotAPartition",
     "NotANodeCover",
@@ -80,6 +81,10 @@ class EmptyQuery(ParseError):
 
 class UnwritableOutput(ParseError):
     """An output path cannot be written; like a bad argument, a usage error."""
+
+
+class InvalidSetting(ParseError):
+    """An environment variable holds a value that cannot be parsed."""
 
 
 # ----------------------------------------------------------- semantic (exit 3)

@@ -111,8 +111,6 @@ def phase2_expand_fn(layout: QueryLayout, cap: int = CARTESIAN_CAP):
                     candidates.setdefault(val[1], []).append(val[2])
             else:
                 raise ValueError(f"unknown phase-2 record tag {tag!r}")
-        for pos in candidates:
-            candidates[pos].sort()
         emitted = 0
         for bnv, nbnv in embeddings:
             holes = [i for i, v in enumerate(bnv) if v is None]
@@ -188,7 +186,7 @@ def reduce2_fn(layout: QueryLayout, cap: int = CARTESIAN_CAP):
                 assert value is not None, "output variable left unbound"
                 row.append(value)
             rows.add(tuple(row))
-        for row in sorted(rows, key=lambda r: tuple(t.key for t in r)):
+        for row in rows:
             em.emit(row, None)
 
     return fn

@@ -13,19 +13,19 @@ GIL build, threads gave no CPU parallelism and measured slower than running
 the same chunks in turn. Worker count changes no output; the acceptance
 suite pins byte-identical results for 1, 4, and 8 workers.
 
-A stage's output is sorted when it is read, not when the stage ends. As in
-MapReduce, an intermediate output is sorted once, by the next stage's
-shuffle: ``run_pipeline`` feeds each stage's records, and every side channel
-a later stage consumes, to that shuffle in emission order, and sorts only
-what leaves the pipeline (the last stage's records and the side channels no
-stage consumes). ``JobResult.records`` and ``JobResult.side`` sort on first
-read, so ``run_job`` alone still returns sorted outputs. This is safe
-because the shuffle orders every (key, value) pair by the total order, so
-the groups, the order of each group's values, and therefore every reducer's
-output, the stage stats and the spill runs' merge do not depend on the order
-the records arrive in. One caveat: pairs whose sort keys tie although the
-values differ keep their arrival order (the sort is stable). The only such
-values are 0.0 and -0.0, which the engines never emit.
+Sorting happens in exactly two places. Intermediate records are ordered
+once, by the shuffle of the stage that reads them (``_group``, including
+the spilled runs and their merge), as in MapReduce. Answers are ordered once,
+by ``ntio.AnswerSet``. Everything else keeps emission order: a ``JobResult``
+holds its records and side channels as the tasks emitted them, and
+``run_pipeline`` hands them on, or back, unsorted. This is safe because the
+shuffle orders every (key, value) pair by the total order, so the groups,
+the order of each group's values, and therefore the stage stats, the spill
+runs' merge and which key trips a cap do not depend on the order the records
+arrive in; only the order a reducer emits in may. One caveat: pairs whose
+sort keys tie although the values differ keep their arrival order (the sort
+is stable). The only such values are 0.0 and -0.0, which the engines never
+emit.
 
 Each emission's sort key is computed once: the shuffle sorts by it and groups
 on its key half, and drops the keys before reduce starts. When a stage's map
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .errors import LimitError, MapFnError, ReduceFnError
+from .errors import InvalidSetting, LimitError, MapFnError, ReduceFnError
 from .model import Term
 
 __all__ = [
@@ -74,7 +74,9 @@ def record_sort_key(x):
     so sorting by it is as good as sorting by value.
 
     Keys hold only ints, floats, strs, bools and tuples, never a TermKind
-    member, so the collector can stop tracking them.
+    member, so the collector can stop tracking them. Every term is exactly
+    a ``Term`` (interning builds each one as such, and nothing subclasses
+    it), so the type test is the only term check.
     """
     t = type(x)
     if t is Term:
@@ -91,8 +93,6 @@ def record_sort_key(x):
         return (3, x)
     if isinstance(x, str):
         return (4, x)
-    if isinstance(x, Term):
-        return (5,) + x.key
     if isinstance(x, (tuple, list)):
         return (6,) + tuple(map(record_sort_key, x))
     raise TypeError(f"records may not contain {type(x).__name__!r} values")
@@ -142,52 +142,27 @@ class Job:
     side_channels: tuple[str, ...] = ()
 
 
+@dataclass
 class JobResult:
-    """One stage's output records, side channels and stats.
+    """One stage's output records and side channels, in emission order, with
+    its stats and each task's output count."""
 
-    ``records`` and ``side`` are sorted in place on first read. A pipeline
-    reads the emission-order lists (``_records``, ``_side``) instead and
-    hands them to the next shuffle, which sorts them anyway.
-    """
-
-    __slots__ = ("_records", "_side", "_sorted", "stats", "per_worker_out")
-
-    def __init__(
-        self,
-        records: list[tuple],
-        side: dict[str, list[tuple]],
-        stats: dict,
-        per_worker_out: tuple[int, ...],
-    ):
-        self._records = records
-        self._side = side
-        self._sorted = False
-        self.stats = stats
-        self.per_worker_out = per_worker_out
-
-    def _sort(self) -> None:
-        if not self._sorted:
-            self._records.sort(key=_record_key)
-            for recs in self._side.values():
-                recs.sort(key=_record_key)
-            self._sorted = True
-
-    @property
-    def records(self) -> list[tuple]:
-        self._sort()
-        return self._records
-
-    @property
-    def side(self) -> dict[str, list[tuple]]:
-        self._sort()
-        return self._side
+    records: list[tuple]
+    side: dict[str, list[tuple]]
+    stats: dict
+    per_worker_out: tuple[int, ...]
 
 
 def spill_threshold_from_env() -> int | None:
     raw = os.environ.get("STARGRAPH_SPILL_THRESHOLD")
     if not raw:
         return None
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise InvalidSetting(
+            f"STARGRAPH_SPILL_THRESHOLD must be an integer, got {raw!r}"
+        ) from None
     return value if value > 0 else None
 
 
@@ -382,7 +357,7 @@ class Stage:
 @dataclass
 class PipelineResult:
     """The last stage's records and the side channels no stage consumed,
-    both sorted, and every stage's stats in order."""
+    both in emission order, and every stage's stats in order."""
 
     records: list[tuple]
     side: dict[str, list[tuple]]
@@ -421,10 +396,11 @@ def run_pipeline(
     output plus any named side channels emitted by earlier stages. Side
     channel names must be unique across the pipeline.
 
-    Intermediate outputs reach the next shuffle unsorted; only the last
-    stage's records and the unconsumed side channels are sorted. Each stage
-    runs through ``run_job``: the engines pass their own module's name for
-    it, so whoever replaces that name (a tracer, say) sees every stage.
+    Nothing is sorted here: intermediate outputs reach the next shuffle in
+    emission order, and the last stage's records and the unconsumed side
+    channels are returned in it. Each stage runs through ``run_job``: the
+    engines pass their own module's name for it, so whoever replaces that
+    name (a tracer, say) sees every stage.
     """
     consumed = _consumed_channels(stages)
     available: dict[str, list[tuple]] = {}
@@ -439,14 +415,9 @@ def run_pipeline(
             stage.job, inputs, workers=workers, spill_threshold=spill_threshold
         )
         if stage.observe is not None:
-            stage.observe(res._records, res._side)
-        for name, recs in res._side.items():
-            if name in consumed:
-                available[name] = recs
-            else:
-                recs.sort(key=_record_key)
-                result_side[name] = recs
+            stage.observe(res.records, res.side)
+        for name, recs in res.side.items():
+            (available if name in consumed else result_side)[name] = recs
         all_stats.append(res.stats)
-        current = res._records
-    current.sort(key=_record_key)
+        current = res.records
     return PipelineResult(records=current, side=result_side, stats=all_stats)

@@ -142,7 +142,7 @@ def stars_reduce1_fn(layout, centers, *, cap: int = CARTESIAN_CAP):
                 return
         # per non-central node, intersect the witness lists of its triples
         node_order = [n for n in sorted(sub.nodes) if n != center]
-        pools: list[list[Term]] = []
+        pools: list[set[Term]] = []
         for node in node_order:
             pool: set[Term] | None = None
             for spos, t in enumerate(sub.canonical):
@@ -153,7 +153,7 @@ def stars_reduce1_fn(layout, centers, *, cap: int = CARTESIAN_CAP):
             assert pool is not None, "non-central nodes share a triple with the center"
             if not pool:
                 return
-            pools.append(sorted(pool))
+            pools.append(pool)
         count = 1
         for pool in pools:
             count *= len(pool)

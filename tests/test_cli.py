@@ -7,7 +7,12 @@ import pytest
 import stargraph as sg
 from stargraph.cli import main
 
-from conftest import BIBLIOGRAPHY, COAUTHOR_QUERY, SUPERVISOR_QUERY
+from conftest import (
+    BIBLIOGRAPHY,
+    COAUTHOR_QUERY,
+    JOURNAL_ARTICLE_QUERY,
+    SUPERVISOR_QUERY,
+)
 
 
 @pytest.fixture()
@@ -15,6 +20,7 @@ def workdir(tmp_path):
     (tmp_path / "graph.nt").write_text(BIBLIOGRAPHY, encoding="utf-8")
     (tmp_path / "supervisor.q").write_text(SUPERVISOR_QUERY, encoding="utf-8")
     (tmp_path / "coauthor.q").write_text(COAUTHOR_QUERY, encoding="utf-8")
+    (tmp_path / "journal.q").write_text(JOURNAL_ARTICLE_QUERY, encoding="utf-8")
     return tmp_path
 
 
@@ -289,6 +295,82 @@ class TestEvalInputErrors:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+    def test_bad_spill_threshold_is_a_parse_error(
+        self, workdir, capsys, monkeypatch
+    ):
+        run(
+            "partition", workdir / "graph.nt", "-m", 3, "--seed", 7,
+            "--out", workdir / "segs",
+        )
+        capsys.readouterr()
+        monkeypatch.setenv("STARGRAPH_SPILL_THRESHOLD", "abc")
+        code = run(
+            "eval", "--data", workdir / "segs", "--query", workdir / "supervisor.q",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            "error: STARGRAPH_SPILL_THRESHOLD must be an integer, got 'abc'\n"
+        )
+
+
+# (partition method or None, command arguments after the partition, message)
+LIMIT_SITES = {
+    "fragment-join": (
+        "edge-random",
+        ("--query", "supervisor.q", "--algorithm", "qejpe"),
+        "fragment join exceeded 1 intermediate states",
+    ),
+    "star-assembly": (
+        "edge-random",
+        ("--query", "supervisor.q", "--algorithm", "stars", "--method", "naive"),
+        "star assembly for key (0, Term(<Article1>)) would produce 9 embeddings",
+    ),
+    "border-completion": (
+        "vertex-hash",
+        ("--query", "supervisor.q", "--algorithm", "redundancy",
+         "--method", "min-res"),
+        "border completion for key (0, ()) exceeded 1 records",
+    ),
+    "final-join": (
+        "vertex-hash",
+        ("--query", "journal.q", "--algorithm", "redundancy", "--method", "naive"),
+        "final join for key () would produce 2 combinations",
+    ),
+    "search-space": (
+        None,
+        ("chain17.q", "--method", "min-subquery"),
+        "17 candidate stars exceed the subset-search guard (16)",
+    ),
+}
+
+
+class TestLimitErrors:
+    """Every resource guard reached from the CLI exits 4 with one line."""
+
+    @pytest.mark.parametrize("site", list(LIMIT_SITES))
+    def test_limit_exit_code_and_message(self, workdir, capsys, site):
+        method, args, message = LIMIT_SITES[site]
+        chain = "".join(f"?v{i} <p> ?v{i + 1} .\n" for i in range(17))
+        (workdir / "chain17.q").write_text(chain, encoding="utf-8")
+        if method is None:
+            argv = ("decompose", workdir / args[0], *args[1:])
+        else:
+            run(
+                "partition", workdir / "graph.nt", "--method", method, "-m", 3,
+                "--seed", 7, "--out", workdir / "segs",
+            )
+            argv = (
+                "eval", "--data", workdir / "segs", args[0], workdir / args[1],
+                *args[2:], "--cartesian-cap", 1,
+            )
+        capsys.readouterr()
+        code = run(*argv)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err == f"error: {message}\n"
 
 
 def _write_into_missing_dir(workdir, command):

@@ -2,15 +2,18 @@
 
 Each instance draws a graph, a query sampled from the graph, a partition and
 a decomposition method, runs one distributed engine, and demands exactly the
-reference answers. The matrix covers all decomposition algorithms against
-the fragment and star engines on both random and imported edge partitions,
-and against the replicated engine on hashed node partitions.
+reference answers, after checking those against the naive, index-free
+evaluator of ``naive_eval``. The matrix covers all decomposition algorithms
+against the fragment and star engines on both random and imported edge
+partitions, and against the replicated engine on hashed node partitions.
 """
 
 import pytest
 
 import stargraph as sg
 from stargraph.rng import XorShift64Star
+
+from naive_eval import naive_answers
 
 DECOMPOSER_NAMES = sorted(sg.DECOMPOSERS)
 
@@ -71,6 +74,10 @@ class TestEnginesAgainstOracle:
                 uid, g, q, m = build_instance(lane_idx, dec_idx, rep, seed)
                 data = partition_for(partition_kind, g, m, uid)
                 dec = decomposer(q)
+                want = sg.oracle_answers(q, g)
+                assert set(want.rows) == naive_answers(q, g), (
+                    f"oracle diverged from the naive evaluator on instance {uid}"
+                )
                 try:
                     res = engine(data, q, dec)
                 except sg.CartesianCapExceeded:
@@ -78,7 +85,6 @@ class TestEnginesAgainstOracle:
                     # that the evaluated count stays above the floor
                     capped += 1
                     continue
-                want = sg.oracle_answers(q, g)
                 assert res.answers == want, (
                     f"{engine_name}/{partition_kind}/{dec_name} diverged on "
                     f"instance {uid} (graph {len(g)}, query {len(q)}, m {m})"

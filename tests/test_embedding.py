@@ -9,13 +9,17 @@ from stargraph.embedding import (
     _candidates,
     _extended,
     _value_of,
-    embedding_sort_key,
     enumerate_useful_partial,
     totals_from_fragments,
 )
 from stargraph.model import DataTriple
 
 from conftest import q3
+
+
+def embedding_sort_key(e: sg.Embedding):
+    """A total order over embeddings, for comparing them as sorted lists."""
+    return tuple((n.key, v.key) for n, v in e.items())
 
 
 # The reference for enumerate_useful_partial: the exhaustive search and the
