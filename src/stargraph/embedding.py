@@ -8,6 +8,13 @@ partial embedding worth shipping to the join phase: it is non-trivial, it is
 defined on every constant of the subquery present in the segment, and any
 node it maps to a non-border, non-literal value must have all of its triples
 matched inside the segment (otherwise no other segment can ever complete it).
+
+``totals_from_fragments`` joins the useful partials of one subquery back into
+its total embeddings. Fragments with different images of the subquery's star
+centre never join, so it joins them one centre image at a time; only a
+subquery without a star centre (from a hand-built plan) gets a per-image
+index of its fragments instead.
+
 ``enumerate_total`` and ``enumerate_useful_partial`` return their results in
 the order of their depth-first search, and ``totals_from_fragments`` in the
 order its join reaches them: the shuffle they go to, or ``AnswerSet`` for the
@@ -22,6 +29,7 @@ and qejpe's fragments add one match flag per query triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
 from typing import Iterable, Iterator, Mapping
 
@@ -33,6 +41,7 @@ from .model import (
     QueryDecomposition,
     Term,
     TriplePattern,
+    star_centers,
 )
 
 __all__ = [
@@ -127,6 +136,7 @@ def _value_of(term: Term, bindings: dict[Term, Term]) -> Term | None:
 def _candidates(
     g: DataGraph, t: TriplePattern, s_val: Term | None, o_val: Term | None
 ) -> tuple[DataTriple, ...]:
+    """t's matches in g with ends s_val/o_val; constant ends come as their value."""
     if s_val is not None and s_val.is_literal:
         return ()
     if s_val is not None and o_val is not None:
@@ -140,12 +150,11 @@ def _candidates(
 
 
 def _extended(bindings: dict, t: TriplePattern, inst: DataTriple) -> dict | None:
-    """Bindings plus whatever inst pins down; None on conflict."""
+    """Bindings plus whatever inst pins down; None on conflict. inst comes
+    from ``_candidates``, so it already agrees with t's constants."""
     new = bindings
     for node, img in ((t.s, inst.s), (t.o, inst.o)):
         if node.is_constant:
-            if node != img:
-                return None
             continue
         cur = new.get(node)
         if cur is None:
@@ -292,6 +301,21 @@ class QueryLayout:
     def subqueries(self) -> tuple[Query, ...]:
         return self.dec.subqueries
 
+    # computed on first use, so the redundancy engine, which never reads
+    # them, does not pay for them on every query
+    @cached_property
+    def to_query(self) -> tuple[tuple[int, ...], ...]:
+        """Per subquery, the query triple index of each canonical position."""
+        pos = {t: i for i, t in enumerate(self.triples)}
+        return tuple(
+            tuple(map(pos.__getitem__, sub.canonical)) for sub in self.subqueries
+        )
+
+    @cached_property
+    def to_sub(self) -> tuple[dict[int, int], ...]:
+        """Per subquery, ``to_query`` inverted."""
+        return tuple(dict(zip(fwd, range(len(fwd)))) for fwd in self.to_query)
+
 
 def preprocess(dec: QueryDecomposition) -> QueryLayout:
     q = dec.query
@@ -358,48 +382,92 @@ def totals_from_fragments(
     canonical order and extends each state with fragments that match the
     first uncovered triple, so every join step makes progress and
     disconnected subqueries fall out of the same loop.
+
+    When sub has a star centre, every fragment binds it (each matched triple
+    contains the centre), and fragments with different centre images never
+    join. The fragments are then split by centre image and each part is
+    joined on its own, its candidates for triple i being the part's
+    fragments that matched i. A subquery without a centre, which no
+    decomposer builds but a hand-built plan may, is joined in one pass whose
+    candidates for triple i are looked up by the image of the triple's
+    bound subject or object.
+
+    ``cap`` bounds the live join states of one part, or of the whole pass
+    when there is no centre; beyond it the join raises CartesianCapExceeded.
     """
     n = len(sub.canonical)
-    by_triple: dict[int, list[tuple[Embedding, frozenset[int], int]]] = {
-        i: [] for i in range(n)
-    }
-    for frag in fragments:
-        for i in frag[1]:
-            by_triple[i].append(frag)
+    out: dict = {}
+    centres = star_centers(sub)
+    if centres:
+        # a variable centre splits the fragments; a constant one cannot
+        centre = next((c for c in centres if not c.is_constant), centres[0])
+        parts: dict[Term, list] = {}
+        for frag in fragments:
+            img = frag[0]._d[centre]
+            part = parts.get(img)
+            if part is None:
+                parts[img] = [frag]
+            else:
+                part.append(frag)
+        for part in parts.values():
+            by_triple = _by_triple(part, n)
+            if all(by_triple):
+                _join(by_triple, None, cap, out)
+        return list(out.values())
 
+    by_triple = _by_triple(fragments, n)
+    if not all(by_triple):
+        return []
     # A fragment listed under triple i matched that triple, so its embedding
     # binds both endpoints. Bucketing by those images lets a state with a
     # bound endpoint probe a handful of candidates instead of every fragment.
     endpoints = [(t.s, t.o) for t in sub.canonical]
     by_subject: list[dict] = []
     by_object: list[dict] = []
-    for i in range(n):
-        s_node, o_node = endpoints[i]
+    for (s_node, o_node), frags in zip(endpoints, by_triple):
         sidx: dict = {}
         oidx: dict = {}
-        for frag in by_triple[i]:
+        for frag in frags:
             sidx.setdefault(frag[0][s_node], []).append(frag)
             oidx.setdefault(frag[0][o_node], []).append(frag)
         by_subject.append(sidx)
         by_object.append(oidx)
 
+    def probe(i: int, bindings: dict) -> list:
+        s_node, o_node = endpoints[i]
+        s_img = bindings.get(s_node)
+        if s_img is not None:
+            return by_subject[i].get(s_img, ())
+        o_img = bindings.get(o_node)
+        if o_img is not None:
+            return by_object[i].get(o_img, ())
+        return by_triple[i]
+
+    _join(by_triple, probe, cap, out)
+    return list(out.values())
+
+
+def _by_triple(fragments: list, n: int) -> list[list]:
+    """The fragments listed under each subquery triple they matched."""
+    by_triple: list[list] = [[] for _ in range(n)]
+    for frag in fragments:
+        for i in frag[1]:
+            by_triple[i].append(frag)
+    return by_triple
+
+
+def _join(by_triple: list[list], probe, cap: int | None, out: dict) -> None:
+    """The state join over one set of per-triple candidate lists; adds each
+    total it reaches to out, keyed by its bindings. ``probe(i, bindings)``,
+    when given, narrows the candidates for triple i."""
     states: dict = {(frozenset(), frozenset()): ({}, frozenset())}
-    for i in range(n):
+    for i, frags in enumerate(by_triple):
         new_states: dict = {}
         for key, (bindings, covered) in states.items():
             if i in covered:
                 new_states.setdefault(key, (bindings, covered))
                 continue
-            s_node, o_node = endpoints[i]
-            s_img = bindings.get(s_node)
-            if s_img is not None:
-                candidates = by_subject[i].get(s_img, ())
-            else:
-                o_img = bindings.get(o_node)
-                if o_img is not None:
-                    candidates = by_object[i].get(o_img, ())
-                else:
-                    candidates = by_triple[i]
+            candidates = frags if probe is None else probe(i, bindings)
             for femb, fmatched, _fseg in candidates:
                 ok = True
                 for node, img in femb._d.items():
@@ -421,11 +489,8 @@ def totals_from_fragments(
                         )
         states = new_states
         if not states:
-            return []
-    out: dict = {}
-    for bindings, covered in states.values():
-        if len(covered) == n:
-            key = frozenset(bindings.items())
-            if key not in out:
-                out[key] = Embedding(bindings)
-    return list(out.values())
+            return
+    # every state left covers all triples: step i covered triple i
+    for key, (bindings, _covered) in states.items():
+        if key[0] not in out:
+            out[key[0]] = Embedding(bindings)

@@ -36,7 +36,6 @@ __all__ = [
     "answers_from_records",
     "coerce_data",
     "phase1_source",
-    "subquery_triple_maps",
 ]
 
 CARTESIAN_CAP = 1_000_000
@@ -65,18 +64,6 @@ def phase1_source(layout: QueryLayout, data: DataDecomposition) -> list[tuple]:
         for i in range(len(layout.subqueries))
         for j in range(len(data.segments))
     ]
-
-
-def subquery_triple_maps(layout: QueryLayout):
-    """Per subquery: canonical-position -> query-triple-index, and back."""
-    query_pos = {t: i for i, t in enumerate(layout.triples)}
-    to_query = []
-    to_sub = []
-    for sub in layout.subqueries:
-        fwd = tuple(query_pos[t] for t in sub.canonical)
-        to_query.append(fwd)
-        to_sub.append({q: s for s, q in enumerate(fwd)})
-    return tuple(to_query), tuple(to_sub)
 
 
 def _sub_index(key) -> int:

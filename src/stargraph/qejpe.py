@@ -4,7 +4,10 @@ Works for any query decomposition over any data partition. Three stages:
 
 1. For every (subquery, segment) pair the mapper enumerates the useful partial
    embeddings and keys them by subquery. The reducer joins the fragments of
-   one subquery into its total embeddings, then emits each total twice over:
+   one subquery into its total embeddings, one image of the subquery's star
+   centre at a time (``totals_from_fragments``; a centre-less subquery from a
+   hand-built plan is joined in one pass through a per-image index of its
+   fragments), then emits each total twice over:
    once as an ("e", bnv, nbnv) record keyed by its subquery, and once per
    missing-border pair as a candidate ("v", position, value) record keyed by
    the subquery lacking that border node.
@@ -34,7 +37,6 @@ from .evalcore import (
     phase1_source,
     phase2_expand_fn,
     reduce2_fn,
-    subquery_triple_maps,
 )
 from .model import DataDecomposition, Query, QueryDecomposition
 from .runtime import Job, Stage, run_job, run_pipeline
@@ -45,8 +47,7 @@ __all__ = ["qejpe_map1_records", "qejpe_reduce1_fn", "run_qejpe"]
 def qejpe_map1_records(layout, sub_idx: int, segment, seg_idx: int, border):
     """Useful partial fragments of one subquery against one segment, as
     shuffle records keyed by subquery index. Pure, for direct testing."""
-    to_query, _ = subquery_triple_maps(layout)
-    positions = to_query[sub_idx]
+    positions = layout.to_query[sub_idx]
     n = len(layout.triples)
     # fragments share few matched sets, so each set's flag tuple is built once
     flags: dict[frozenset[int], tuple[bool, ...]] = {}
@@ -64,13 +65,12 @@ def qejpe_map1_records(layout, sub_idx: int, segment, seg_idx: int, border):
 
 
 def qejpe_reduce1_fn(layout, *, cap: int = CARTESIAN_CAP):
-    _, to_sub = subquery_triple_maps(layout)
     nodes = layout.border_nodes + layout.nonborder_nodes
 
     def fn(key, values, em):
         sub_idx = key
         sub = layout.subqueries[sub_idx]
-        back = to_sub[sub_idx]
+        back = layout.to_sub[sub_idx]
         matched_of: dict[tuple[bool, ...], frozenset[int]] = {}
         fragments = []
         for tag, seg_idx, bnv, nbnv, tm in values:

@@ -34,7 +34,6 @@ from .evalcore import (
     phase1_source,
     phase2_expand_fn,
     reduce2_fn,
-    subquery_triple_maps,
 )
 from .model import (
     DataDecomposition,
@@ -72,12 +71,10 @@ def stars_map1_records(layout, centers, sub_idx: int, segment, seg_idx: int, bor
     and carry ("p", query-triple index, other-endpoint image); part2 records
     are keyed by subquery and carry the usual "e"/"v" shapes.
     """
-    to_query, _ = subquery_triple_maps(layout)
     sub = layout.subqueries[sub_idx]
     center = centers[sub_idx]
     part1 = []
-    for pos, t in enumerate(sub.canonical):
-        qidx = to_query[sub_idx][pos]
+    for t, qidx in zip(sub.canonical, layout.to_query[sub_idx]):
         if t.s == center and t.o == center:
             # self-loop: the match itself is the witness, no neighbor image
             insts = (
@@ -126,18 +123,17 @@ def stars_map1_records(layout, centers, sub_idx: int, segment, seg_idx: int, bor
 
 
 def stars_reduce1_fn(layout, centers, *, cap: int = CARTESIAN_CAP):
-    to_query, _ = subquery_triple_maps(layout)
-
     def fn(key, values, em):
         sub_idx, img = key
         sub = layout.subqueries[sub_idx]
         center = centers[sub_idx]
+        positions = layout.to_query[sub_idx]
         witnesses: dict[int, set[Term]] = {}
         for tag, qidx, other in values:
             assert tag == "p"
             witnesses.setdefault(qidx, set()).add(other)
         # every triple of the star must have matched at least once
-        for pos in to_query[sub_idx]:
+        for pos in positions:
             if not witnesses.get(pos):
                 return
         # per non-central node, intersect the witness lists of its triples
@@ -145,10 +141,10 @@ def stars_reduce1_fn(layout, centers, *, cap: int = CARTESIAN_CAP):
         pools: list[set[Term]] = []
         for node in node_order:
             pool: set[Term] | None = None
-            for spos, t in enumerate(sub.canonical):
+            for t, qidx in zip(sub.canonical, positions):
                 if node not in t.nodes or (t.s == center and t.o == center):
                     continue
-                lst = witnesses[to_query[sub_idx][spos]]
+                lst = witnesses[qidx]
                 pool = set(lst) if pool is None else pool & lst
             assert pool is not None, "non-central nodes share a triple with the center"
             if not pool:

@@ -6,6 +6,8 @@ import stargraph as sg
 from stargraph.errors import NotADecomposition
 from stargraph.qejpe import qejpe_map1_records, run_qejpe
 
+from conftest import q3
+
 
 class TestFragmentRecords:
     def test_record_counts_match_fragment_counts(
@@ -126,10 +128,66 @@ class TestRunQejpe:
             )
 
     def test_boolean_query(self, bibliography, edge_split):
-        from conftest import q3
-
         q = sg.Query([q3("<Article1>", "<publishedIn>", "<Journal1>")])
         res = run_qejpe(edge_split, q, sg.naive_decomposition(q))
         assert res.answers.variables == ()
         assert res.answers == sg.oracle_answers(q, bibliography)
         assert res.answers.to_tsv() == "\n\n"
+
+
+class TestHandBuiltPathPlans:
+    """qejpe on plans whose subqueries no decomposer builds: a 3-edge path
+    split into its first two edges plus the last one (the two-edge part is a
+    star at its middle node), and the whole path as one subquery, which has
+    no star centre."""
+
+    @staticmethod
+    def bibliography_path(bibliography):
+        path = [
+            q3("?A", "<publishedIn>", "?J"),
+            q3("?A", "<hasAuthor>", "?P"),
+            q3("?P", "<hasSupervisor>", "?S"),
+        ]
+        return bibliography, path, sg.edge_random_partition(bibliography, 3, seed=7)
+
+    @staticmethod
+    def generated_path():
+        g = sg.generate_graph(300)
+        out_edges = {}
+        for t in g.canonical:
+            out_edges.setdefault(t.s, []).append(t)
+        # the first walk of three edges over four distinct nodes
+        t1, t2, t3 = next(
+            (t1, t2, t3)
+            for t1 in g.canonical
+            for t2 in out_edges.get(t1.o, ())
+            for t3 in out_edges.get(t2.o, ())
+            if len({t1.s, t1.o, t2.o, t3.o}) == 4
+        )
+        a, b, c, d = (sg.variable(v) for v in "abcd")
+        path = [
+            sg.TriplePattern(a, t1.p, b),
+            sg.TriplePattern(b, t2.p, c),
+            sg.TriplePattern(c, t3.p, d),
+        ]
+        return g, path, sg.edge_random_partition(g, 4, seed=7)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("graph_name", ["bibliography", "generated"])
+    @pytest.mark.parametrize("split", ["two-plus-one", "whole"])
+    def test_answers_equal_the_oracle(self, bibliography, graph_name, split, workers):
+        if graph_name == "bibliography":
+            g, path, data = self.bibliography_path(bibliography)
+        else:
+            g, path, data = self.generated_path()
+        q = sg.Query(path)
+        if split == "whole":
+            subs = (q,)
+            assert sg.star_centers(q) == ()
+        else:
+            subs = (sg.Query(path[:2]), sg.Query(path[2:]))
+        dec = sg.QueryDecomposition(q, subs, (None,) * len(subs), method="hand-built")
+        want = sg.oracle_answers(q, g)
+        assert want.rows
+        res = run_qejpe(data, q, dec, workers=workers)
+        assert res.answers.to_tsv() == want.to_tsv()
