@@ -265,6 +265,8 @@ def read_segments(indir: str | Path) -> DataDecomposition:
     if not isinstance(manifest, dict) or type(manifest.get("segments")) is not int:
         raise ParseError(f"{manifest_path}: 'segments' must be an integer")
     m = manifest["segments"]
+    if m < 1:
+        raise ParseError(f"{manifest_path}: 'segments' must be a positive integer")
     segments = []
     stored_borders = []
     repl_sets: list[frozenset[Term]] | None = [] if any(

@@ -100,7 +100,6 @@ def run_qejpe(
     decomposition: QueryDecomposition,
     *,
     workers: int = 1,
-    spill_threshold: int | None = None,
     cartesian_cap: int = CARTESIAN_CAP,
 ) -> EvalResult:
     dec_data: DataDecomposition = coerce_data(data)
@@ -117,7 +116,7 @@ def run_qejpe(
 
     counts = dict.fromkeys(range(len(layout.subqueries)), 0)
 
-    def count_totals(records, _side):
+    def count_totals(records):
         for key, val in records:
             if val[0] == "e":
                 counts[key] += 1
@@ -131,7 +130,6 @@ def run_qejpe(
         ],
         phase1_source(layout, dec_data),
         workers=workers,
-        spill_threshold=spill_threshold,
         run_job=run_job,
     )
     return EvalResult(

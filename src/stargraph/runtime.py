@@ -13,12 +13,20 @@ GIL build, threads gave no CPU parallelism and measured slower than running
 the same chunks in turn. Worker count changes no output; the acceptance
 suite pins byte-identical results for 1, 4, and 8 workers.
 
+A pipeline is a list of stages, and each stage reads exactly the previous
+stage's output records, as in a chain of MapReduce jobs. A map task may put
+a record straight into its stage's output with ``Emitter.emit_output``,
+past the shuffle and the reduce; it counts in ``recordsOut`` and in that
+task's ``per_worker_out`` like any other output. ``distinctKeys`` is the
+number of shuffle groups, 0 for a map-only stage, which has no shuffle.
+
 Sorting happens in exactly two places. Intermediate records are ordered
 once, by the shuffle of the stage that reads them (``_group``, including
 the spilled runs and their merge), as in MapReduce. Answers are ordered once,
 by ``ntio.AnswerSet``. Everything else keeps emission order: a ``JobResult``
-holds its records and side channels as the tasks emitted them, and
-``run_pipeline`` hands them on, or back, unsorted. This is safe because the
+holds its records as the tasks emitted them (a map task's bypassed records
+first, then the reduce output), and ``run_pipeline`` hands them on, or back,
+unsorted. This is safe because the
 shuffle orders every (key, value) pair by the total order, so the groups,
 the order of each group's values, and therefore the stage stats, the spill
 runs' merge and which key trips a cap do not depend on the order the records
@@ -29,8 +37,8 @@ emit.
 
 Each emission's sort key is computed once: the shuffle sorts by it and groups
 on its key half, and drops the keys before reduce starts. When a stage's map
-emissions exceed the spill threshold (argument, or the
-STARGRAPH_SPILL_THRESHOLD environment variable, default unbounded), sorted
+emissions exceed the spill threshold (the STARGRAPH_SPILL_THRESHOLD
+environment variable, read once per stage; default unbounded), sorted
 runs of (sort key, record) are pickled to a temporary directory and merged
 back lazily. Spilling bounds the sort keys held in memory at once; the
 emission list and the reducer groups stay in memory either way.
@@ -106,21 +114,25 @@ _first_item = itemgetter(0)
 
 
 class Emitter:
-    """Collects a task's emissions; side channels must be declared up front."""
+    """Collects one task's emissions.
 
-    __slots__ = ("records", "side")
+    ``emit`` feeds the stage's shuffle. ``emit_output``, called from a map
+    task, puts a record straight into the stage's output, past the shuffle
+    and the reduce. A task with no shuffle after it (a reduce task, or a map
+    task of a map-only stage) has only output, so both calls append to it.
+    """
 
-    def __init__(self, side_channels: tuple[str, ...] = ()):
+    __slots__ = ("records", "output")
+
+    def __init__(self, shuffled: bool = False):
         self.records: list[tuple] = []
-        self.side: dict[str, list[tuple]] = {name: [] for name in side_channels}
+        self.output: list[tuple] = [] if shuffled else self.records
 
     def emit(self, key, value) -> None:
         self.records.append((key, value))
 
-    def emit_side(self, channel: str, key, value) -> None:
-        if channel not in self.side:
-            raise ValueError(f"undeclared side channel {channel!r}")
-        self.side[channel].append((key, value))
+    def emit_output(self, key, value) -> None:
+        self.output.append((key, value))
 
 
 MapFn = Callable[[object, object, Emitter], None]
@@ -139,16 +151,14 @@ class Job:
     name: str
     map_fn: MapFn | None = None
     reduce_fn: ReduceFn | None = None
-    side_channels: tuple[str, ...] = ()
 
 
 @dataclass
 class JobResult:
-    """One stage's output records and side channels, in emission order, with
-    its stats and each task's output count."""
+    """One stage's output records, in emission order, with its stats and
+    each task's output count."""
 
     records: list[tuple]
-    side: dict[str, list[tuple]]
     stats: dict
     per_worker_out: tuple[int, ...]
 
@@ -247,141 +257,79 @@ def _argsort(keys: list) -> list[int]:
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
-def run_job(
-    job: Job,
-    records: list[tuple],
-    *,
-    workers: int = 1,
-    spill_threshold: int | None = None,
-) -> JobResult:
-    if spill_threshold is None:
-        spill_threshold = spill_threshold_from_env()
+def _run_task(fn, items: list[tuple], em: Emitter, wrap, stage: str) -> Emitter:
+    """Call ``fn`` on every (key, value) of one task's chunk, rewrapping
+    anything but a LimitError with the stage and key."""
+    for key, value in items:
+        try:
+            fn(key, value, em)
+        except LimitError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - rewrapped with context
+            raise wrap(stage, key, exc) from exc
+    return em
+
+
+def run_job(job: Job, records: list[tuple], *, workers: int = 1) -> JobResult:
+    spill_threshold = spill_threshold_from_env()
     started = time.perf_counter()
+    shuffled = job.reduce_fn is not None
+    out: list[tuple] = []
+    per_worker: list[int] = []
 
-    # ---- map
-    map_only = job.reduce_fn is None
+    # ---- map: emissions feed the shuffle, or are the output of a map-only
+    # stage; bypassed records go straight to the output either way
     if job.map_fn is None:
-        map_emissions = list(records)
-        map_side: dict[str, list[tuple]] = {name: [] for name in job.side_channels}
-        map_out_counts = [len(map_emissions)] if map_only else []
+        emissions = records
+        if not shuffled:
+            out.extend(records)
+            per_worker.append(len(records))
     else:
-        def map_task(chunk: list[tuple]) -> Emitter:
-            em = Emitter(job.side_channels)
-            for key, value in chunk:
-                try:
-                    job.map_fn(key, value, em)
-                except LimitError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - rewrapped with context
-                    raise MapFnError(job.name, key, exc) from exc
-            return em
+        emissions = []
+        for chunk in _chunks(records, workers):
+            em = _run_task(job.map_fn, chunk, Emitter(shuffled), MapFnError, job.name)
+            if shuffled:
+                emissions.extend(em.records)
+            out.extend(em.output)
+            per_worker.append(len(em.output))
 
-        emitters = [map_task(c) for c in _chunks(records, workers)]
-        map_emissions = []
-        map_side = {name: [] for name in job.side_channels}
-        map_out_counts = []
-        for em in emitters:
-            map_emissions.extend(em.records)
-            side_count = sum(len(v) for v in em.side.values())
-            # a map worker's stage-level output is its side emissions, plus
-            # its main emissions only when no reduce phase follows
-            map_out_counts.append(
-                side_count + (len(em.records) if map_only else 0)
-            )
-            for name, recs in em.side.items():
-                map_side[name].extend(recs)
-
-    # ---- shuffle
-    if job.reduce_fn is None:
-        out_records = map_emissions
-        distinct_keys = len({record_sort_key(key) for key, _ in map_emissions})
-        side = map_side
-        per_worker = tuple(map_out_counts)
-    else:
-        groups = _group(map_emissions, spill_threshold)
+    # ---- shuffle and reduce
+    distinct_keys = 0
+    if shuffled:
+        groups = _group(emissions, spill_threshold)
         distinct_keys = len(groups)
+        for chunk in _chunks(groups, workers):
+            em = _run_task(job.reduce_fn, chunk, Emitter(), ReduceFnError, job.name)
+            out.extend(em.output)
+            per_worker.append(len(em.output))
 
-        # ---- reduce
-        def reduce_task(chunk: list[tuple[object, list]]) -> Emitter:
-            em = Emitter(job.side_channels)
-            for key, values in chunk:
-                try:
-                    job.reduce_fn(key, values, em)
-                except LimitError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - rewrapped with context
-                    raise ReduceFnError(job.name, key, exc) from exc
-            return em
-
-        emitters = [reduce_task(c) for c in _chunks(groups, workers)]
-        out_records = []
-        side = {name: list(recs) for name, recs in map_side.items()}
-        per_worker_counts = list(map_out_counts)
-        for em in emitters:
-            out_records.extend(em.records)
-            per_worker_counts.append(
-                len(em.records) + sum(len(v) for v in em.side.values())
-            )
-            for name, recs in em.side.items():
-                side[name].extend(recs)
-        per_worker = tuple(per_worker_counts)
-
-    wall = int((time.perf_counter() - started) * 1000)
-    records_out = len(out_records) + sum(len(v) for v in side.values())
     stats = {
         "stage": job.name,
         "recordsIn": len(records),
-        "recordsOut": records_out,
+        "recordsOut": len(out),
         "distinctKeys": distinct_keys,
-        "wallMillis": wall,
+        "wallMillis": int((time.perf_counter() - started) * 1000),
     }
-    return JobResult(
-        records=out_records, side=side, stats=stats, per_worker_out=per_worker
-    )
+    return JobResult(records=out, stats=stats, per_worker_out=tuple(per_worker))
 
 
 @dataclass(frozen=True)
 class Stage:
-    """Pipeline wiring: where this job's input comes from.
-
-    ``observe``, when set, is called with the stage's records and side
-    channels in emission order, before anything reads them; it must not
-    change them.
-    """
+    """One pipeline stage. ``observe``, when set, is called with the stage's
+    output records in emission order, before the next stage reads them; it
+    must not change them."""
 
     job: Job
-    consume_sides: tuple[str, ...] = ()
-    observe: Callable[[list[tuple], dict[str, list[tuple]]], None] | None = None
+    observe: Callable[[list[tuple]], None] | None = None
 
 
 @dataclass
 class PipelineResult:
-    """The last stage's records and the side channels no stage consumed,
-    both in emission order, and every stage's stats in order."""
+    """The last stage's records in emission order, and every stage's stats
+    in order."""
 
     records: list[tuple]
-    side: dict[str, list[tuple]]
     stats: list[dict] = field(default_factory=list)
-
-
-def _consumed_channels(stages: list[Stage]) -> set[str]:
-    """Check the wiring before anything runs: side channel names are unique,
-    and each consumed channel comes from an earlier stage and feeds exactly
-    one later stage."""
-    produced: set[str] = set()
-    consumed: set[str] = set()
-    for stage in stages:
-        for name in stage.consume_sides:
-            if name not in produced:
-                raise ValueError(f"side channel {name!r} not produced yet")
-            if name in consumed:
-                raise ValueError(f"side channel {name!r} consumed twice")
-            consumed.add(name)
-        for name in stage.job.side_channels:
-            if name in produced:
-                raise ValueError(f"duplicate side channel {name!r}")
-            produced.add(name)
-    return consumed
 
 
 def run_pipeline(
@@ -389,35 +337,22 @@ def run_pipeline(
     source: list[tuple],
     *,
     workers: int = 1,
-    spill_threshold: int | None = None,
     run_job: Callable[..., JobResult] = run_job,
 ) -> PipelineResult:
-    """Run stages in order. Each stage consumes the previous stage's main
-    output plus any named side channels emitted by earlier stages. Side
-    channel names must be unique across the pipeline.
+    """Run stages in order, each on the previous stage's output records (the
+    first on ``source``).
 
-    Nothing is sorted here: intermediate outputs reach the next shuffle in
-    emission order, and the last stage's records and the unconsumed side
-    channels are returned in it. Each stage runs through ``run_job``: the
-    engines pass their own module's name for it, so whoever replaces that
-    name (a tracer, say) sees every stage.
+    Nothing is sorted here: each stage's output reaches the next shuffle in
+    emission order, and the last stage's records are returned in it. Each
+    stage runs through ``run_job``: the engines pass their own module's name
+    for it, so whoever replaces that name (a tracer, say) sees every stage.
     """
-    consumed = _consumed_channels(stages)
-    available: dict[str, list[tuple]] = {}
-    current = list(source)
+    records = source
     all_stats: list[dict] = []
-    result_side: dict[str, list[tuple]] = {}
     for stage in stages:
-        inputs = list(current)
-        for name in stage.consume_sides:
-            inputs.extend(available.pop(name))
-        res = run_job(
-            stage.job, inputs, workers=workers, spill_threshold=spill_threshold
-        )
+        res = run_job(stage.job, records, workers=workers)
         if stage.observe is not None:
-            stage.observe(res.records, res.side)
-        for name, recs in res.side.items():
-            (available if name in consumed else result_side)[name] = recs
+            stage.observe(res.records)
         all_stats.append(res.stats)
-        current = res.records
-    return PipelineResult(records=current, side=result_side, stats=all_stats)
+        records = res.records
+    return PipelineResult(records=records, stats=all_stats)

@@ -13,9 +13,11 @@ image of its central node. The mapper has two parts:
   why the records carry the triple index: every triple must contribute its
   own witness list before a node's candidates are believed.
 - Part 2 handles central images that live entirely inside one segment
-  (neither border nor literal): whole-star embeddings enumerated locally and
-  sent straight to the completion phase, alongside candidate values for
-  subqueries missing a border node.
+  (neither border nor literal): whole-star embeddings enumerated locally,
+  with candidate values for subqueries missing a border node. The mapper
+  puts them straight into the stage's output (``emit_output``), past the
+  star-assembly shuffle, so the completion phase reads them next to the
+  reducer's output.
 
 Phases 2 and 3 are the shared completion and final join.
 """
@@ -180,7 +182,6 @@ def run_stars(
     decomposition: QueryDecomposition,
     *,
     workers: int = 1,
-    spill_threshold: int | None = None,
     cartesian_cap: int = CARTESIAN_CAP,
 ) -> EvalResult:
     dec_data: DataDecomposition = coerce_data(data)
@@ -197,33 +198,26 @@ def run_stars(
         for rec_key, rec_val in part1:
             em.emit(rec_key, rec_val)
         for rec_key, rec_val in part2:
-            em.emit_side("whole-stars", rec_key, rec_val)
+            em.emit_output(rec_key, rec_val)
 
     counts = dict.fromkeys(range(len(layout.subqueries)), 0)
 
-    def count_totals(records, side):
-        for key, val in itertools.chain(records, side["whole-stars"]):
+    def count_totals(records):
+        for key, val in records:
             if val[0] == "e":
                 counts[key] += 1
 
     assembly = Job(
-        "star-assembly",
-        map1,
-        stars_reduce1_fn(layout, centers, cap=cartesian_cap),
-        side_channels=("whole-stars",),
+        "star-assembly", map1, stars_reduce1_fn(layout, centers, cap=cartesian_cap)
     )
     result = run_pipeline(
         [
             Stage(assembly, observe=count_totals),
-            Stage(
-                Job("complete-borders", None, phase2_expand_fn(layout, cartesian_cap)),
-                consume_sides=("whole-stars",),
-            ),
+            Stage(Job("complete-borders", None, phase2_expand_fn(layout, cartesian_cap))),
             Stage(Job("join-answers", None, reduce2_fn(layout, cartesian_cap))),
         ],
         phase1_source(layout, dec_data),
         workers=workers,
-        spill_threshold=spill_threshold,
         run_job=run_job,
     )
     return EvalResult(

@@ -252,6 +252,13 @@ def _corrupt_manifest(workdir):
     return ()
 
 
+def _zero_segment_manifest(workdir):
+    manifest = workdir / "segs" / "manifest.json"
+    data = json.loads(manifest.read_text(encoding="utf-8"))
+    manifest.write_text(json.dumps(dict(data, segments=0)), encoding="utf-8")
+    return ()
+
+
 def _latin1_query(workdir):
     (workdir / "supervisor.q").write_bytes("?a <caf\xe9> ?b .\n".encode("latin-1"))
     return ()
@@ -274,6 +281,7 @@ class TestEvalInputErrors:
         [
             _drop_border_file,
             _corrupt_manifest,
+            _zero_segment_manifest,
             _latin1_query,
             _missing_plan,
             _misshapen_plan,

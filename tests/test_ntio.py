@@ -162,6 +162,17 @@ class TestSegmentsOnDisk:
         with pytest.raises(ParseError):
             sg.read_segments(tmp_path)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_segment_count_below_one_is_a_parse_error(
+        self, edge_split, tmp_path, count
+    ):
+        sg.write_segments(edge_split, tmp_path)
+        manifest = tmp_path / "manifest.json"
+        data = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps(dict(data, segments=count)))
+        with pytest.raises(ParseError, match="'segments' must be a positive integer"):
+            sg.read_segments(tmp_path)
+
 
 # The supervisor plan as write_plan used to write it, with six keys of
 # evaluation layout that read_plan never read; such files must keep loading.

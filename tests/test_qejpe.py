@@ -99,15 +99,11 @@ class TestRunQejpe:
             }
 
     def test_spill_threshold_is_invisible(
-        self, edge_split, supervisor_query, supervisor_decomposition
+        self, edge_split, supervisor_query, supervisor_decomposition, monkeypatch
     ):
         base = run_qejpe(edge_split, supervisor_query, supervisor_decomposition)
-        res = run_qejpe(
-            edge_split,
-            supervisor_query,
-            supervisor_decomposition,
-            spill_threshold=2,
-        )
+        monkeypatch.setenv("STARGRAPH_SPILL_THRESHOLD", "2")
+        res = run_qejpe(edge_split, supervisor_query, supervisor_decomposition)
         assert res.answers.to_tsv() == base.answers.to_tsv()
 
     def test_foreign_decomposition_rejected(

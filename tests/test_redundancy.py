@@ -18,15 +18,22 @@ def t(token):
 
 
 def collect(layout, node_split):
-    to_m2 = {}
-    to_r2 = []
+    grouped = {}
     for i in range(len(layout.subqueries)):
         for j, seg in enumerate(node_split.segments):
-            m2, r2 = red_map1_records(layout, i, seg, j)
-            for key, val in m2:
-                to_m2.setdefault(key, []).append(val)
-            to_r2.extend(r2)
-    return to_m2, to_r2
+            for key, val in red_map1_records(layout, i, seg, j):
+                grouped.setdefault(key, []).append(val)
+    return grouped
+
+
+def is_completion_record(record, layout):
+    """Keyed (subquery, common-border values), tagged "e" or "v"."""
+    (sub_idx, cb_key), val = record
+    return (
+        sub_idx in range(len(layout.subqueries))
+        and len(cb_key) == len(layout.common_border)
+        and val[0] in ("e", "v")
+    )
 
 
 class TestMapRecords:
@@ -35,9 +42,11 @@ class TestMapRecords:
         counts = {}
         for i in range(3):
             for j, seg in enumerate(node_split.segments):
-                m2, r2 = red_map1_records(layout, i, seg, j)
-                assert r2 == []  # this layout has missing border pairs
-                counts[(i, j)] = sum(1 for _, v in m2 if v[0] == "e")
+                records = red_map1_records(layout, i, seg, j)
+                # this layout has missing border pairs, so every record is
+                # bound for the completion step
+                assert all(is_completion_record(r, layout) for r in records)
+                counts[(i, j)] = sum(1 for _, v in records if v[0] == "e")
         assert counts == {
             (0, 0): 1, (0, 1): 0, (0, 2): 2,
             (1, 0): 3, (1, 1): 0, (1, 2): 0,
@@ -49,8 +58,8 @@ class TestMapRecords:
     ):
         layout = sg.preprocess(coauthor_cover_decomposition)
         assert layout.common_border == (sg.variable("P1"),)
-        m2, _ = red_map1_records(layout, 1, node_split.segments[0], 0)
-        e_keys = sorted({key for key, v in m2 if v[0] == "e"})
+        records = red_map1_records(layout, 1, node_split.segments[0], 0)
+        e_keys = sorted({key for key, v in records if v[0] == "e"})
         assert e_keys == [
             (1, (t("<Person1>"),)),
             (1, (t("<Person2>"),)),
@@ -65,8 +74,7 @@ class TestMapRecords:
         layout = sg.preprocess(coauthor_cover_decomposition)
         seen = []
         for j, seg in enumerate(node_split.segments):
-            m2, _ = red_map1_records(layout, 2, seg, j)
-            for key, val in m2:
+            for key, val in red_map1_records(layout, 2, seg, j):
                 if val[0] == "e" and key == (2, (t("<Person4>"),)):
                     seen.append((j, val))
         assert len(seen) == 2
@@ -80,11 +88,11 @@ class TestMapRecords:
         dec = sg.naive_decomposition(q)
         layout = sg.preprocess(dec)
         assert layout.missing_border == ()
-        m2, r2 = red_map1_records(layout, 0, node_split.segments[0], 0)
-        assert m2 == []
-        assert len(r2) == 3
-        for bnv, (sub_idx, nbnv) in r2:
+        records = red_map1_records(layout, 0, node_split.segments[0], 0)
+        assert len(records) == 3
+        for bnv, (sub_idx, nbnv) in records:
             assert sub_idx == 0
+            assert len(bnv) == len(layout.border_nodes)
             assert all(v is not None for v in bnv)
 
 
@@ -93,7 +101,7 @@ class TestCompletion:
         self, node_split, coauthor_cover_decomposition
     ):
         layout = sg.preprocess(coauthor_cover_decomposition)
-        grouped, _ = collect(layout, node_split)
+        grouped = collect(layout, node_split)
         key = (1, (t("<Person4>"),))
         em = Emitter()
         phase2_expand_fn(layout)(

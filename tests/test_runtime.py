@@ -1,6 +1,9 @@
 """Deterministic map/shuffle/reduce runtime."""
 
+import importlib
+import os
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -149,7 +152,8 @@ class TestRunJob:
     def test_map_only_stage_keeps_emission_order(self):
         res = run_job(Job("tag", split_map, None), word_count_records())
         assert res.records == [(w, 1) for _, w in word_count_records()]
-        assert res.stats["distinctKeys"] == 6
+        # no shuffle, so no groups
+        assert res.stats["distinctKeys"] == 0
         assert res.stats["recordsOut"] == 10
 
     def test_identity_map(self):
@@ -207,46 +211,73 @@ class TestRunJob:
         base = run_job(job, records)
         res = run_job(job, records, workers=64)
         assert res.records == base.records
-        assert res.side == base.side
         assert _without_wall([res.stats]) == _without_wall([base.stats])
         # one map task per record, then one reduce task per word group
         # (and, fox, quick, the); only the reduce tasks emit stage output
         assert res.per_worker_out == (0, 0, 0, 0, 0, 1, 1, 1, 1)
 
-    def test_spill_path_equivalent(self, tmp_path, monkeypatch):
+    def test_spill_path_equivalent(self, monkeypatch):
         big = [(i % 7, i) for i in range(500)]
         job = Job("mod", None, lambda k, vs, em: em.emit(k, sum(vs)))
         plain = run_job(job, big)
-        spilled = run_job(job, big, spill_threshold=16)
-        assert plain.records == spilled.records
+        spills = []
+        spill_runs = stargraph.runtime._spill_runs
+
+        def counting(records, threshold, tmpdir):
+            spills.append(threshold)
+            return spill_runs(records, threshold, tmpdir)
+
+        monkeypatch.setattr(stargraph.runtime, "_spill_runs", counting)
         monkeypatch.setenv("STARGRAPH_SPILL_THRESHOLD", "16")
         assert spill_threshold_from_env() == 16
-        via_env = run_job(job, big)
-        assert via_env.records == plain.records
+        spilled = run_job(job, big)
+        assert spills == [16]
+        assert spilled.records == plain.records
         monkeypatch.setenv("STARGRAPH_SPILL_THRESHOLD", "0")
         assert spill_threshold_from_env() is None
 
-    def test_side_channels_collected_in_emission_order(self):
+    def test_emit_output_bypasses_the_reduce_in_emission_order(self):
+        seen = []
+
         def mapper(key, value, em: Emitter):
-            em.emit_side("extras", value, key)
+            em.emit_output(value, key)
             em.emit(value, 1)
 
-        res = run_job(
-            Job("count", mapper, sum_reduce, side_channels=("extras",)),
-            word_count_records(),
-        )
-        extras = res.side["extras"]
-        assert len(extras) == 10
-        assert extras == [(w, i) for i, w in word_count_records()]
-        # side emissions count toward the stage output total
-        assert res.stats["recordsOut"] == 6 + 10
+        def reducer(key, counts, em: Emitter):
+            seen.append((key, counts))
+            sum_reduce(key, counts, em)
 
-    def test_undeclared_side_channel_raises(self):
+        job = Job("count", mapper, reducer)
+        results = {w: run_job(job, word_count_records(), workers=w) for w in (1, 3)}
+        # the reducer only ever sees the shuffled 1s, never a bypassed index
+        assert seen == 2 * [
+            ("and", [1, 1]), ("dog", [1]), ("fox", [1, 1]),
+            ("lazy", [1]), ("quick", [1]), ("the", [1, 1, 1]),
+        ]
+        for res in results.values():
+            # the map tasks' bypassed records come first, as emitted
+            assert res.records[:10] == [(w, i) for i, w in word_count_records()]
+            assert res.records[10:] == [
+                ("and", 2), ("dog", 1), ("fox", 2), ("lazy", 1), ("quick", 1), ("the", 3)
+            ]
+            assert res.stats["recordsOut"] == 10 + 6
+            assert res.stats["distinctKeys"] == 6
+        # each map task's bypassed records count as its output
+        assert results[1].per_worker_out == (10, 6)
+        assert results[3].per_worker_out == (4, 3, 3, 2, 2, 2)
+        assert _without_wall([results[3].stats]) == _without_wall([results[1].stats])
+
+    def test_emit_output_in_a_map_only_stage_keeps_emission_order(self):
         def mapper(key, value, em: Emitter):
-            em.emit_side("nope", value, key)
+            em.emit(value, 1)
+            em.emit_output(key, value)
 
-        with pytest.raises(MapFnError):
-            run_job(Job("bad", mapper, None), word_count_records())
+        res = run_job(Job("tag", mapper, None), word_count_records(), workers=3)
+        assert res.records == [
+            rec for i, w in word_count_records() for rec in ((w, 1), (i, w))
+        ]
+        assert res.per_worker_out == (8, 6, 6)
+        assert res.stats["recordsOut"] == 20
 
 
 class TestErrorWrapping:
@@ -305,7 +336,8 @@ class TestSpillRoundTrip:
             return spill_runs(records, threshold, tmpdir)
 
         monkeypatch.setattr(stargraph.runtime, "_spill_runs", counting)
-        spilled = run(data, supervisor_query, dec, spill_threshold=4)
+        monkeypatch.setenv("STARGRAPH_SPILL_THRESHOLD", "4")
+        spilled = run(data, supervisor_query, dec)
         assert spills, "no shuffle exceeded the threshold"
         assert spilled.answers.to_tsv() == plain.answers.to_tsv()
         assert spilled.answers.rows
@@ -314,133 +346,138 @@ class TestSpillRoundTrip:
                 assert t is Term(t.kind, t.lexical)
 
 
+class TestEngineStageHook:
+    """A tracer swaps ``<engine module>.run_job`` for a wrapper; every stage
+    an engine runs must go through that name, in the order of its stats."""
+
+    @pytest.mark.parametrize("engine", ["qejpe", "stars", "redundancy"])
+    @pytest.mark.parametrize(
+        "query, method",
+        [("supervisor_query", "max-degree"), ("journal_article_query", "naive")],
+    )
+    def test_every_stage_runs_through_the_engine_module(
+        self, engine, query, method, edge_split, node_split, request, monkeypatch
+    ):
+        module = importlib.import_module(f"stargraph.{engine}")
+        names = []
+
+        def recording(job, records, **kwargs):
+            names.append(job.name)
+            return stargraph.runtime.run_job(job, records, **kwargs)
+
+        monkeypatch.setattr(module, "run_job", recording)
+        q = request.getfixturevalue(query)
+        data = node_split if engine == "redundancy" else edge_split
+        res = getattr(module, f"run_{engine}")(data, q, sg.DECOMPOSERS[method](q))
+        assert names
+        assert names == [s["stage"] for s in res.stats]
+
+
 class TestPipeline:
     def build(self):
         def mapper(key, value, em: Emitter):
             em.emit(value, 1)
             if value == "fox":
-                em.emit_side("foxes", key, value)
+                em.emit_output(value, 10)
 
-        first = Stage(Job("count", mapper, sum_reduce, side_channels=("foxes",)))
-        second = Stage(
-            Job("fold", None, lambda k, vs, em: em.emit(k, sum(vs))),
-            consume_sides=(),
-        )
+        first = Stage(Job("count", mapper, sum_reduce))
+        second = Stage(Job("fold", None, sum_reduce))
         return [first, second]
 
     def test_stats_per_stage(self):
         res = run_pipeline(self.build(), word_count_records())
         assert isinstance(res, PipelineResult)
         assert [s["stage"] for s in res.stats] == ["count", "fold"]
-        assert res.side["foxes"] == [(2, "fox"), (9, "fox")]
+        assert [
+            (s["recordsIn"], s["recordsOut"], s["distinctKeys"]) for s in res.stats
+        ] == [(10, 8, 6), (8, 6, 6)]
+        assert dict(res.records)["fox"] == 2 + 10 + 10
 
-    def test_consume_sides_feeds_later_stage(self):
+    def test_emit_output_feeds_the_next_stage(self):
+        seen, observed = [], []
+
         def mapper(key, value, em: Emitter):
-            em.emit_side("detour", value, 1)
+            em.emit_output(value, 1)
+            em.emit("total", 1)
+
+        def tally(key, values, em: Emitter):
+            seen.append((key, values))
+            em.emit(key, len(values))
 
         stages = [
-            Stage(Job("split", mapper, None, side_channels=("detour",))),
-            Stage(Job("count", None, sum_reduce), consume_sides=("detour",)),
+            Stage(Job("split", mapper, tally), observe=observed.append),
+            Stage(Job("count", None, sum_reduce)),
         ]
-        res = run_pipeline(stages, word_count_records())
-        assert res.records == [
-            ("and", 2), ("dog", 1), ("fox", 2), ("lazy", 1), ("quick", 1), ("the", 3)
+        results = [run_pipeline(stages, word_count_records(), workers=w) for w in (1, 3)]
+        # the reducer of the first stage sees none of the bypassed words
+        assert seen == 2 * [("total", [1] * 10)]
+        assert observed == 2 * [
+            [(w, 1) for _, w in word_count_records()] + [("total", 10)]
         ]
-
-    def test_unknown_side_channel_rejected(self):
-        stages = [
-            Stage(Job("a", split_map, sum_reduce)),
-            Stage(Job("b", None, sum_reduce), consume_sides=("ghost",)),
-        ]
-        with pytest.raises(ValueError):
-            run_pipeline(stages, word_count_records())
-
-    def test_duplicate_side_channel_rejected(self):
-        stages = [
-            Stage(Job("a", split_map, None, side_channels=("x",))),
-            Stage(Job("b", None, sum_reduce, side_channels=("x",))),
-        ]
-        with pytest.raises(ValueError):
-            run_pipeline(stages, word_count_records())
+        for res in results:
+            assert res.records == [
+                ("and", 2), ("dog", 1), ("fox", 2), ("lazy", 1), ("quick", 1),
+                ("the", 3), ("total", 10),
+            ]
+            assert [(s["recordsIn"], s["recordsOut"]) for s in res.stats] == [
+                (10, 11), (11, 7)
+            ]
+        assert _without_wall(results[1].stats) == _without_wall(results[0].stats)
 
 
-def _stage_job(i: int, map_kind: str, reduce_kind: str | None, side: bool) -> Job:
+def _stage_job(i: int, map_kind: str, reduce_kind: str | None, bypass: bool) -> Job:
     """Stage i of a random pipeline. Reducers emit their values as a tuple,
     so any change in the order a reducer sees its values changes the output.
-    The side channel is emitted by the reducer, else by the mapper."""
-    channel = f"side{i}"
-    map_side = side and reduce_kind is None
+    With ``bypass``, a non-identity map also sends records past the shuffle."""
 
     def swap(key, value, em):
         em.emit(value, key)
-        if map_side:
-            em.emit_side(channel, key, value)
+        if bypass:
+            em.emit_output(key, value)
 
     def fan_out(key, value, em):
         em.emit(key, value)
         em.emit(i, (key, value))
-        if map_side:
-            em.emit_side(channel, value, i)
+        if bypass:
+            em.emit_output(value, i)
 
     def collect(key, values, em):
         em.emit(key, tuple(values))
-        if side:
-            em.emit_side(channel, tuple(values), key)
 
     def count(key, values, em):
         em.emit(len(values), key)
-        if side:
-            em.emit_side(channel, key, len(values))
 
     map_fn = {"identity": None, "swap": swap, "fan-out": fan_out}[map_kind]
     reduce_fn = {None: None, "collect": collect, "count": count}[reduce_kind]
-    channels = (channel,) if side and (map_fn or reduce_fn) else ()
-    return Job(f"stage{i}", map_fn, reduce_fn, side_channels=channels)
+    return Job(f"stage{i}", map_fn, reduce_fn)
 
 
 @st.composite
 def pipelines(draw):
     """2-3 stages with identity and non-identity maps, map-only and reduce
-    stages, and side channels that a later stage consumes or nobody does."""
+    stages, and maps that do or do not bypass the shuffle."""
     n = draw(st.integers(2, 3))
-    jobs = [
-        _stage_job(
-            i,
-            draw(st.sampled_from(["identity", "swap", "fan-out"])),
-            draw(st.sampled_from([None, "collect", "count"])),
-            draw(st.booleans()),
+    return [
+        Stage(
+            _stage_job(
+                i,
+                draw(st.sampled_from(["identity", "swap", "fan-out"])),
+                draw(st.sampled_from([None, "collect", "count"])),
+                draw(st.booleans()),
+            )
         )
         for i in range(n)
     ]
-    consumers: dict[int, list[str]] = {}
-    for i, job in enumerate(jobs):
-        for name in job.side_channels:
-            target = draw(st.sampled_from([None, *range(i + 1, n)]))
-            if target is not None:
-                consumers.setdefault(target, []).append(name)
-    return [
-        Stage(job, consume_sides=tuple(consumers.get(i, ())))
-        for i, job in enumerate(jobs)
-    ]
 
 
-def _chain_run_jobs(stages, source, workers, spill_threshold):
+def _chain_run_jobs(stages, source, workers):
     """The pipeline spelled out as public run_job calls."""
-    consumed = {name for stage in stages for name in stage.consume_sides}
-    available, unconsumed, stats = {}, {}, []
-    current = list(source)
+    records, stats = list(source), []
     for stage in stages:
-        inputs = list(current)
-        for name in stage.consume_sides:
-            inputs += available.pop(name)
-        res = run_job(
-            stage.job, inputs, workers=workers, spill_threshold=spill_threshold
-        )
-        for name, recs in res.side.items():
-            (available if name in consumed else unconsumed)[name] = recs
+        res = run_job(stage.job, records, workers=workers)
         stats.append(res.stats)
-        current = res.records
-    return current, unconsumed, stats
+        records = res.records
+    return records, stats
 
 
 def _sorted_keys(records):
@@ -468,16 +505,15 @@ class TestPipelineEqualsRunJobChain:
     def test_same_records_sides_and_stats(
         self, stages, source, workers, spill_threshold, data
     ):
-        want = _chain_run_jobs(stages, source, workers, spill_threshold)
-        for order in (source, data.draw(st.permutations(source))):
-            got = run_pipeline(
-                stages, order, workers=workers, spill_threshold=spill_threshold
-            )
-            # outputs are in emission order, which a map-only stage takes
-            # from its input; compare sorted sort keys, since == alone would
-            # equate 1 with True
-            assert _sorted_keys(got.records) == _sorted_keys(want[0])
-            assert got.side.keys() == want[1].keys()
-            for name, recs in got.side.items():
-                assert _sorted_keys(recs) == _sorted_keys(want[1][name])
-            assert _without_wall(got.stats) == _without_wall(want[2])
+        # the records bypassed with emit_output are part of each stage's
+        # records, so comparing records compares them too
+        env = {"STARGRAPH_SPILL_THRESHOLD": str(spill_threshold or 0)}
+        with mock.patch.dict(os.environ, env):
+            want = _chain_run_jobs(stages, source, workers)
+            for order in (source, data.draw(st.permutations(source))):
+                got = run_pipeline(stages, order, workers=workers)
+                # outputs are in emission order, which a map-only stage takes
+                # from its input; compare sorted sort keys, since == alone
+                # would equate 1 with True
+                assert _sorted_keys(got.records) == _sorted_keys(want[0])
+                assert _without_wall(got.stats) == _without_wall(want[1])
