@@ -21,9 +21,12 @@ order its join reaches them: the shuffle they go to, or ``AnswerSet`` for the
 oracle, sorts them.
 
 ``encode`` splits an embedding into a border-node vector and a non-border
-vector, following a fixed node enumeration with border nodes first; None marks
-an unbound position. The engines ship embeddings between stages in this form,
-and qejpe's fragments add one match flag per query triple.
+vector, following a fixed node enumeration with border nodes first, and puts
+each image's ID from the data decomposition's ``TermDictionary`` in its place;
+UNBOUND (-1) marks an unbound position. The engines ship embeddings between
+stages in this form, and qejpe's fragments add one match flag per query
+triple. ``id_vectors`` does the same for an embedding whose images are IDs
+already, as in the reducers that join or assemble them.
 """
 
 from __future__ import annotations
@@ -35,11 +38,13 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import CartesianCapExceeded
 from .model import (
+    UNBOUND,
     DataGraph,
     DataTriple,
     Query,
     QueryDecomposition,
     Term,
+    TermDictionary,
     TriplePattern,
     star_centers,
 )
@@ -54,12 +59,14 @@ __all__ = [
     "QueryLayout",
     "preprocess",
     "encode",
+    "id_vectors",
     "totals_from_fragments",
 ]
 
 
 class Embedding(Mapping):
-    """An immutable node-to-node mapping."""
+    """An immutable mapping from query nodes to their images: data nodes,
+    or their dictionary IDs in qejpe's fragment join."""
 
     __slots__ = ("_d", "_hash")
 
@@ -97,7 +104,10 @@ class Embedding(Mapping):
         return self._hash
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{n.token()}->{v.token()}" for n, v in self.items())
+        body = ", ".join(
+            f"{n.token()}->{v.token() if isinstance(v, Term) else v}"
+            for n, v in self.items()
+        )
         return "{" + body + "}"
 
 
@@ -316,6 +326,18 @@ class QueryLayout:
         """Per subquery, ``to_query`` inverted."""
         return tuple(dict(zip(fwd, range(len(fwd)))) for fwd in self.to_query)
 
+    # border nodes come first in the node order, so a border node's position
+    # indexes the border vector too
+    @cached_property
+    def missing_positions(self) -> tuple[tuple[int, int], ...]:
+        """``missing_border`` with each node given by its position."""
+        return tuple((self.node_index[n], j) for n, j in self.missing_border)
+
+    @cached_property
+    def common_positions(self) -> tuple[int, ...]:
+        """``common_border`` as positions."""
+        return tuple(self.node_index[n] for n in self.common_border)
+
 
 def preprocess(dec: QueryDecomposition) -> QueryLayout:
     q = dec.query
@@ -354,14 +376,28 @@ def preprocess(dec: QueryDecomposition) -> QueryLayout:
 
 
 def encode(
-    e: Embedding, layout: QueryLayout
-) -> tuple[tuple[Term | None, ...], tuple[Term | None, ...]]:
+    e: Embedding, layout: QueryLayout, dictionary: TermDictionary
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The border-node and the non-border vector of an embedding, in the
-    layout's node order; None marks an unbound node."""
+    layout's node order: each node's image as its ID in ``dictionary``,
+    UNBOUND for an unbound node. Every image must be a node of the
+    dictionary's graph."""
+    image = e._d.get
+    code = dictionary.ids.__getitem__
+    return (
+        tuple(map(code, map(image, layout.border_nodes))),
+        tuple(map(code, map(image, layout.nonborder_nodes))),
+    )
+
+
+def id_vectors(
+    e: Embedding, layout: QueryLayout
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``encode`` for an embedding whose images are IDs already."""
     image = e._d.get
     return (
-        tuple(map(image, layout.border_nodes)),
-        tuple(map(image, layout.nonborder_nodes)),
+        tuple([image(n, UNBOUND) for n in layout.border_nodes]),
+        tuple([image(n, UNBOUND) for n in layout.nonborder_nodes]),
     )
 
 
@@ -377,7 +413,8 @@ def totals_from_fragments(
     """Join useful partial fragments into the total embeddings of sub.
 
     Fragments are (embedding, matched subquery-triple indexes, segment id)
-    records; the segment id does not take part in the join. A join state is
+    records; the segment id does not take part in the join, and the images
+    only need to hash and compare (qejpe joins dictionary IDs). A join state is
     (bindings, covered triples). The search walks the subquery's triples in
     canonical order and extends each state with fragments that match the
     first uncovered triple, so every join step makes progress and

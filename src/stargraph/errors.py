@@ -35,6 +35,7 @@ __all__ = [
     "RuntimeFailure",
     "MapFnError",
     "ReduceFnError",
+    "UnorderableRecords",
 ]
 
 
@@ -168,3 +169,12 @@ class MapFnError(RuntimeFailure):
 
 class ReduceFnError(RuntimeFailure):
     """Reduce function raised."""
+
+
+class UnorderableRecords(StarGraphError):
+    """A stage emitted records that the shuffle cannot put in one order."""
+
+    def __init__(self, stage: str, cause: BaseException):
+        self.stage = stage
+        self.cause = cause
+        super().__init__(f"{stage}: the shuffle cannot order its records ({cause})")

@@ -4,10 +4,15 @@ All engines meet in the same final join. Phase 1 differs per algorithm but
 always ends with, per subquery, records of two tagged shapes:
 
     ("e", bnv, nbnv)   a total embedding of the subquery, split into its
-                       border-node vector and non-border vector (None marks
-                       an unbound position)
-    ("v", pos, term)   a candidate value for the border-node position ``pos``,
+                       border-node vector and non-border vector
+    ("v", pos, id)     a candidate value for the border-node position ``pos``,
                        sent to subqueries that do not contain that node
+
+Images travel as their IDs in the data decomposition's ``TermDictionary``,
+UNBOUND (-1) marking an unbound position, so every record is built from
+ints, strs, bools and tuples of them, and the shuffle orders records by
+comparing them directly; ID order is term order. Terms come back once, when
+``answers_from_records`` decodes the answer rows.
 
 The completion step (the second-phase mapper, run here as a reduce over the
 grouping key) dedups both lists, fills every unbound border position of every
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import CartesianCapExceeded
-from .model import DataDecomposition, Term
+from .model import UNBOUND, DataDecomposition, TermDictionary
 from .ntio import AnswerSet, read_segments
 from .embedding import QueryLayout
 
@@ -70,20 +75,23 @@ def _sub_index(key) -> int:
     return key if isinstance(key, int) else key[0]
 
 
-def phase2_expand_fn(layout: QueryLayout, cap: int = CARTESIAN_CAP):
+def phase2_expand_fn(
+    layout: QueryLayout, dictionary: TermDictionary, cap: int = CARTESIAN_CAP
+):
     """Reduce function that completes starred border positions.
 
-    Keys are either a subquery index or (subquery index, extra grouping);
+    Keys are either a subquery index or (subquery index, common-border IDs);
     values are the tagged records described in the module docstring. Emits
-    (ground bnv, (subquery index, nbnv)) pairs.
+    (ground bnv, (subquery index, nbnv)) pairs. ``dictionary`` decodes the
+    key of a cap message.
     """
 
     def fn(key, values, em):
         sub_idx = _sub_index(key)
         embeddings: list[tuple] = []
         seen_e: set[tuple] = set()
-        candidates: dict[int, list[Term]] = {}
-        seen_v: set[tuple[int, Term]] = set()
+        candidates: dict[int, list[int]] = {}
+        seen_v: set[tuple[int, int]] = set()
         for val in values:
             tag = val[0]
             if tag == "e":
@@ -100,7 +108,7 @@ def phase2_expand_fn(layout: QueryLayout, cap: int = CARTESIAN_CAP):
                 raise ValueError(f"unknown phase-2 record tag {tag!r}")
         emitted = 0
         for bnv, nbnv in embeddings:
-            holes = [i for i, v in enumerate(bnv) if v is None]
+            holes = [i for i, v in enumerate(bnv) if v == UNBOUND]
             pools = []
             ok = True
             for i in holes:
@@ -114,6 +122,8 @@ def phase2_expand_fn(layout: QueryLayout, cap: int = CARTESIAN_CAP):
             for combo in itertools.product(*pools):
                 emitted += 1
                 if emitted > cap:
+                    if not isinstance(key, int):
+                        key = (sub_idx, dictionary.decode(key[1]))
                     raise CartesianCapExceeded(
                         f"border completion for key {key!r} exceeded {cap} records"
                     )
@@ -125,8 +135,11 @@ def phase2_expand_fn(layout: QueryLayout, cap: int = CARTESIAN_CAP):
     return fn
 
 
-def reduce2_fn(layout: QueryLayout, cap: int = CARTESIAN_CAP):
-    """Final join: one record per subquery per ground border vector."""
+def reduce2_fn(
+    layout: QueryLayout, dictionary: TermDictionary, cap: int = CARTESIAN_CAP
+):
+    """Final join: one record per subquery per ground border vector.
+    ``dictionary`` decodes the key of a cap message."""
     num_subs = len(layout.subqueries)
     n_border = len(layout.border_nodes)
     out_positions = [layout.node_index[v] for v in layout.query.output_pattern]
@@ -148,17 +161,18 @@ def reduce2_fn(layout: QueryLayout, cap: int = CARTESIAN_CAP):
             count *= len(pool)
         if count > cap:
             raise CartesianCapExceeded(
-                f"final join for key {key!r} would produce {count} combinations"
+                f"final join for key {dictionary.decode(key)!r} would produce "
+                f"{count} combinations"
             )
         rows: set[tuple] = set()
         for combo in itertools.product(*pools):
-            merged: list[Term | None] = [None] * len(layout.nonborder_nodes)
+            merged = [UNBOUND] * len(layout.nonborder_nodes)
             consistent = True
             for nbnv in combo:
                 for i, v in enumerate(nbnv):
-                    if v is None:
+                    if v == UNBOUND:
                         continue
-                    if merged[i] is None:
+                    if merged[i] == UNBOUND:
                         merged[i] = v
                     elif merged[i] != v:
                         consistent = False
@@ -170,7 +184,7 @@ def reduce2_fn(layout: QueryLayout, cap: int = CARTESIAN_CAP):
             row = []
             for pos in out_positions:
                 value = key[pos] if pos < n_border else merged[pos - n_border]
-                assert value is not None, "output variable left unbound"
+                assert value != UNBOUND, "output variable left unbound"
                 row.append(value)
             rows.add(tuple(row))
         for row in rows:
@@ -179,5 +193,13 @@ def reduce2_fn(layout: QueryLayout, cap: int = CARTESIAN_CAP):
     return fn
 
 
-def answers_from_records(layout: QueryLayout, records: list[tuple]) -> AnswerSet:
-    return AnswerSet(layout.query.output_pattern, [key for key, _ in records])
+def answers_from_records(
+    layout: QueryLayout, records: list[tuple], dictionary: TermDictionary
+) -> AnswerSet:
+    """The answer set of the final join's (row, None) records, each row's
+    IDs decoded to its terms."""
+    terms = dictionary.terms
+    return AnswerSet(
+        layout.query.output_pattern,
+        [tuple(map(terms.__getitem__, row)) for row, _ in records],
+    )

@@ -8,16 +8,18 @@ the lexical forms.
 
 Everything downstream (partitioning, decomposition, evaluation) relies on the
 canonical orders defined here: terms sort by (lexical form, kind), triples by
-their per-position term keys. Iteration over graphs and queries always follows
-that order, which is what makes runs reproducible regardless of hash seeds or
-worker counts.
+their per-position term keys, and a data decomposition's ``TermDictionary``
+numbers its graph's nodes in term order. Iteration over graphs and queries
+always follows that order, which is what makes runs reproducible regardless
+of hash seeds or worker counts.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import total_ordering
+from functools import cached_property, total_ordering
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -46,6 +48,8 @@ __all__ = [
     "so_centers",
     "star_centers",
     "QueryDecomposition",
+    "UNBOUND",
+    "TermDictionary",
     "DataDecomposition",
 ]
 
@@ -495,6 +499,34 @@ def _compute_borders(node_sets: list[frozenset[Term]]) -> tuple[frozenset[Term],
     return tuple(out)
 
 
+UNBOUND = -1
+
+
+class TermDictionary:
+    """Order-preserving integer IDs for the nodes of one data graph, the
+    dictionary encoding of RDF-3X (Neumann & Weikum, VLDB 2008).
+
+    A node's ID is its rank in term order, so IDs compare as their terms do,
+    and UNBOUND (-1), the image of an unbound query node, sorts before every
+    ID. ``terms`` lists the nodes by ID; ``ids`` maps each node to its ID and
+    None, the unbound image, to UNBOUND.
+    """
+
+    __slots__ = ("terms", "ids")
+
+    def __init__(self, nodes: Iterable[Term]):
+        self.terms: tuple[Term, ...] = tuple(
+            sorted(nodes, key=attrgetter("lexical", "kind"))
+        )
+        self.ids: dict[Term | None, int] = {t: i for i, t in enumerate(self.terms)}
+        self.ids[None] = UNBOUND
+
+    def decode(self, ids: Iterable[int]) -> tuple[Term | None, ...]:
+        """The terms of a vector of IDs, None for UNBOUND."""
+        terms = self.terms
+        return tuple(None if i == UNBOUND else terms[i] for i in ids)
+
+
 @dataclass(frozen=True)
 class DataDecomposition:
     """Segments of a data graph plus the border bookkeeping evaluation needs.
@@ -537,6 +569,13 @@ class DataDecomposition:
     @property
     def is_s_decomposition(self) -> bool:
         return self.node_blocks is not None
+
+    # built on first use, not with the segments, and once per decomposition
+    @cached_property
+    def dictionary(self) -> TermDictionary:
+        """IDs for the graph's nodes, which the engines ship in place of
+        terms. Every image a record carries is a graph node."""
+        return TermDictionary(self.graph.nodes)
 
     def __len__(self) -> int:
         return len(self.segments)

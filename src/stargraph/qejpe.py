@@ -3,11 +3,12 @@
 Works for any query decomposition over any data partition. Three stages:
 
 1. For every (subquery, segment) pair the mapper enumerates the useful partial
-   embeddings and keys them by subquery. The reducer joins the fragments of
-   one subquery into its total embeddings, one image of the subquery's star
-   centre at a time (``totals_from_fragments``; a centre-less subquery from a
-   hand-built plan is joined in one pass through a per-image index of its
-   fragments), then emits each total twice over:
+   embeddings and keys them by subquery, their images as dictionary IDs. The
+   reducer joins the fragments of one subquery into its total embeddings
+   over those IDs, one image of the subquery's star centre at a time
+   (``totals_from_fragments``; a centre-less subquery from a hand-built plan
+   is joined in one pass through a per-image index of its fragments), then
+   emits each total twice over:
    once as an ("e", bnv, nbnv) record keyed by its subquery, and once per
    missing-border pair as a candidate ("v", position, value) record keyed by
    the subquery lacking that border node.
@@ -25,6 +26,7 @@ from .embedding import (
     Embedding,
     encode,
     enumerate_useful_partial,
+    id_vectors,
     preprocess,
     totals_from_fragments,
 )
@@ -38,15 +40,18 @@ from .evalcore import (
     phase2_expand_fn,
     reduce2_fn,
 )
-from .model import DataDecomposition, Query, QueryDecomposition
+from .model import UNBOUND, DataDecomposition, Query, QueryDecomposition
 from .runtime import Job, Stage, run_job, run_pipeline
 
 __all__ = ["qejpe_map1_records", "qejpe_reduce1_fn", "run_qejpe"]
 
 
-def qejpe_map1_records(layout, sub_idx: int, segment, seg_idx: int, border):
+def qejpe_map1_records(
+    layout, sub_idx: int, segment, seg_idx: int, border, dictionary
+):
     """Useful partial fragments of one subquery against one segment, as
-    shuffle records keyed by subquery index. Pure, for direct testing."""
+    shuffle records keyed by subquery index, images as their IDs in
+    ``dictionary``. Pure, for direct testing."""
     positions = layout.to_query[sub_idx]
     n = len(layout.triples)
     # fragments share few matched sets, so each set's flag tuple is built once
@@ -59,13 +64,14 @@ def qejpe_map1_records(layout, sub_idx: int, segment, seg_idx: int, border):
         if tm is None:
             hit = {positions[i] for i in matched}
             tm = flags[matched] = tuple(q in hit for q in range(n))
-        bnv, nbnv = encode(emb, layout)
+        bnv, nbnv = encode(emb, layout, dictionary)
         out.append((sub_idx, ("f", seg_idx, bnv, nbnv, tm)))
     return out
 
 
 def qejpe_reduce1_fn(layout, *, cap: int = CARTESIAN_CAP):
     nodes = layout.border_nodes + layout.nonborder_nodes
+    bound = UNBOUND.__ne__
 
     def fn(key, values, em):
         sub_idx = key
@@ -81,15 +87,14 @@ def qejpe_reduce1_fn(layout, *, cap: int = CARTESIAN_CAP):
                     back[q] for q, flag in enumerate(tm) if flag and q in back
                 )
             images = bnv + nbnv
-            # None marks an unbound position and is the only falsy image
-            emb = Embedding(compress(zip(nodes, images), images))
+            emb = Embedding(compress(zip(nodes, images), map(bound, images)))
             fragments.append((emb, matched, seg_idx))
         for e in totals_from_fragments(sub, fragments, cap=cap):
-            bnv, nbnv = encode(e, layout)
+            bnv, nbnv = id_vectors(e, layout)
             em.emit(sub_idx, ("e", bnv, nbnv))
-            for node, j in layout.missing_border:
-                if node in e:
-                    em.emit(j, ("v", layout.node_index[node], e[node]))
+            for pos, j in layout.missing_positions:
+                if bnv[pos] != UNBOUND:
+                    em.emit(j, ("v", pos, bnv[pos]))
 
     return fn
 
@@ -106,11 +111,12 @@ def run_qejpe(
     if query is not None and decomposition.query != query:
         raise NotADecomposition("decomposition does not belong to this query")
     layout = preprocess(decomposition)
+    dictionary = dec_data.dictionary
 
     def map1(key, _value, em):
         i, j = key
         for rec_key, rec_val in qejpe_map1_records(
-            layout, i, dec_data.segments[j], j, dec_data.borders[j]
+            layout, i, dec_data.segments[j], j, dec_data.borders[j], dictionary
         ):
             em.emit(rec_key, rec_val)
 
@@ -122,11 +128,13 @@ def run_qejpe(
                 counts[key] += 1
 
     reduce1 = qejpe_reduce1_fn(layout, cap=cartesian_cap)
+    complete = phase2_expand_fn(layout, dictionary, cartesian_cap)
+    join = reduce2_fn(layout, dictionary, cartesian_cap)
     result = run_pipeline(
         [
             Stage(Job("useful-partials", map1, reduce1), observe=count_totals),
-            Stage(Job("complete-borders", None, phase2_expand_fn(layout, cartesian_cap))),
-            Stage(Job("join-answers", None, reduce2_fn(layout, cartesian_cap))),
+            Stage(Job("complete-borders", None, complete)),
+            Stage(Job("join-answers", None, join)),
         ],
         phase1_source(layout, dec_data),
         workers=workers,
@@ -134,7 +142,7 @@ def run_qejpe(
     )
     return EvalResult(
         algorithm="qejpe",
-        answers=answers_from_records(layout, result.records),
+        answers=answers_from_records(layout, result.records, dictionary),
         stats=result.stats,
         subquery_embeddings=counts,
         workers=workers,

@@ -16,6 +16,7 @@ a half phases:
   final join's (border vector, (subquery, non-border values)). Either way
   the next stage reads the mapper's output. Replication means the same
   embedding can be found in several segments; the completion step dedups.
+  Images travel as their IDs in the data decomposition's dictionary.
 - Completion and final join are the shared phase-2/phase-3 code.
 """
 
@@ -33,15 +34,15 @@ from .evalcore import (
     reduce2_fn,
 )
 from .decompose import validate_decomposition
-from .model import DataDecomposition, Query, QueryDecomposition
+from .model import UNBOUND, DataDecomposition, Query, QueryDecomposition
 from .runtime import Job, Stage, run_job, run_pipeline
 
 __all__ = ["red_map1_records", "run_redundancy"]
 
 
-def red_map1_records(layout, sub_idx: int, segment, seg_idx: int):
+def red_map1_records(layout, sub_idx: int, segment, seg_idx: int, dictionary):
     """Total embeddings of one subquery inside one segment, as records for
-    the stage that runs next.
+    the stage that runs next, images as their IDs in ``dictionary``.
 
     With missing border pairs present, records are keyed (subquery,
     common-border values) and tagged "e"/"v" for the completion step;
@@ -50,17 +51,18 @@ def red_map1_records(layout, sub_idx: int, segment, seg_idx: int):
     """
     sub = layout.subqueries[sub_idx]
     has_missing = bool(layout.missing_border)
+    common, missing = layout.common_positions, layout.missing_positions
     out = []
     for e in enumerate_total(sub, segment):
-        bnv, nbnv = encode(e, layout)
+        bnv, nbnv = encode(e, layout, dictionary)
         if has_missing:
-            cb_key = tuple(e[n] for n in layout.common_border)
+            cb_key = tuple([bnv[i] for i in common])
             out.append(((sub_idx, cb_key), ("e", bnv, nbnv)))
-            for node, j in layout.missing_border:
-                if node in e:
-                    out.append(((j, cb_key), ("v", layout.node_index[node], e[node])))
+            for pos, j in missing:
+                if bnv[pos] != UNBOUND:
+                    out.append(((j, cb_key), ("v", pos, bnv[pos])))
         else:
-            assert all(v is not None for v in bnv)
+            assert UNBOUND not in bnv
             out.append((bnv, (sub_idx, nbnv)))
     return out
 
@@ -86,10 +88,13 @@ def run_redundancy(
             "replicated evaluation needs so-queries in every subquery slot"
         )
     layout = preprocess(decomposition)
+    dictionary = dec_data.dictionary
 
     def map1(key, _value, em):
         i, j = key
-        for rec_key, rec_val in red_map1_records(layout, i, dec_data.segments[j], j):
+        for rec_key, rec_val in red_map1_records(
+            layout, i, dec_data.segments[j], j, dictionary
+        ):
             em.emit(rec_key, rec_val)
 
     counts = dict.fromkeys(range(len(layout.subqueries)), 0)
@@ -107,16 +112,16 @@ def run_redundancy(
     # With no missing border nodes every record is already ground, so the
     # completion step is left out and the final join reads the map output.
     if layout.missing_border:
-        stages.append(
-            Stage(Job("complete-borders", None, phase2_expand_fn(layout, cartesian_cap)))
-        )
-    stages.append(Stage(Job("join-answers", None, reduce2_fn(layout, cartesian_cap))))
+        complete = phase2_expand_fn(layout, dictionary, cartesian_cap)
+        stages.append(Stage(Job("complete-borders", None, complete)))
+    join = reduce2_fn(layout, dictionary, cartesian_cap)
+    stages.append(Stage(Job("join-answers", None, join)))
     result = run_pipeline(
         stages, phase1_source(layout, dec_data), workers=workers, run_job=run_job
     )
     return EvalResult(
         algorithm="redundancy",
-        answers=answers_from_records(layout, result.records),
+        answers=answers_from_records(layout, result.records, dictionary),
         stats=result.stats,
         subquery_embeddings=counts,
         workers=workers,

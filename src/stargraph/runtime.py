@@ -1,9 +1,17 @@
 """A small deterministic map/shuffle/reduce runtime.
 
-Records are (key, value) pairs built from None, bool, int, float, str, Term,
-and nested tuples/lists of those. Determinism comes from sorting: the shuffle
-sorts all map emissions by a total order over record structure, and reducers
-see their values in that order.
+Records are (key, value) pairs built from ints, strs, bools and tuples of
+them; the engines put a term's ID in a ``TermDictionary`` where the term
+would be, and UNBOUND (-1) for an unbound position. Determinism comes from
+sorting: the shuffle sorts all map emissions in Python's own order and
+reducers see their values in that order. Every position of a stage's
+records must therefore hold values that compare with each other (never None
+next to an int, say); a stage whose emissions do not is stopped with
+UnorderableRecords naming it. Two mixes pass that check and are not
+supported: keys group by equality, so 0 and False (or 1 and True) fall into
+one group, and sets compare only by inclusion, so two sets neither of which
+holds the other reach the reducer in no fixed order (unspilled, in the order
+they arrived). The engines emit neither.
 
 ``workers`` is the logical number of map and reduce tasks per stage, as in
 MapReduce: it splits a stage's input records (and its groups) into that many
@@ -18,7 +26,8 @@ stage's output records, as in a chain of MapReduce jobs. A map task may put
 a record straight into its stage's output with ``Emitter.emit_output``,
 past the shuffle and the reduce; it counts in ``recordsOut`` and in that
 task's ``per_worker_out`` like any other output. ``distinctKeys`` is the
-number of shuffle groups, 0 for a map-only stage, which has no shuffle.
+number of shuffle groups and ``maxGroupSize`` the size of the largest, both
+0 for a map-only stage, which has no shuffle.
 
 Sorting happens in exactly two places. Intermediate records are ordered
 once, by the shuffle of the stage that reads them (``_group``, including
@@ -26,22 +35,21 @@ the spilled runs and their merge), as in MapReduce. Answers are ordered once,
 by ``ntio.AnswerSet``. Everything else keeps emission order: a ``JobResult``
 holds its records as the tasks emitted them (a map task's bypassed records
 first, then the reduce output), and ``run_pipeline`` hands them on, or back,
-unsorted. This is safe because the
-shuffle orders every (key, value) pair by the total order, so the groups,
-the order of each group's values, and therefore the stage stats, the spill
-runs' merge and which key trips a cap do not depend on the order the records
-arrive in; only the order a reducer emits in may. One caveat: pairs whose
-sort keys tie although the values differ keep their arrival order (the sort
-is stable). The only such values are 0.0 and -0.0, which the engines never
-emit.
+unsorted. This is safe because the shuffle orders every (key, value) pair
+by value, so the groups, the order of each group's values, and therefore
+the stage stats, the spill runs' merge and which key trips a cap do not
+depend on the order the records arrive in; only the order a reducer emits
+in may. Records that compare equal are equal (the sort is stable, but no
+two distinct records tie, with the caveats above).
 
-Each emission's sort key is computed once: the shuffle sorts by it and groups
-on its key half, and drops the keys before reduce starts. When a stage's map
-emissions exceed the spill threshold (the STARGRAPH_SPILL_THRESHOLD
-environment variable, read once per stage; default unbounded), sorted
-runs of (sort key, record) are pickled to a temporary directory and merged
-back lazily. Spilling bounds the sort keys held in memory at once; the
-emission list and the reducer groups stay in memory either way.
+When a stage's map emissions exceed the spill threshold (the
+STARGRAPH_SPILL_THRESHOLD environment variable, read once per stage; default
+unbounded), sorted runs of records are pickled to a temporary directory and
+merged back lazily. A run holds ``threshold`` records, or more when that
+would make over ``MAX_OPEN_RUNS`` runs, so the merge never has more files
+open than that. Spilling bounds only the sort's own list of the records:
+the emission list and the reducer groups, which hold the records read back
+from disk, stay in memory either way.
 
 Map and reduce callables receive an Emitter; exceptions are wrapped into
 MapFnError / ReduceFnError with the failing stage and key attached. Limit
@@ -54,18 +62,21 @@ from __future__ import annotations
 import heapq
 import os
 import pickle
-import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .errors import InvalidSetting, LimitError, MapFnError, ReduceFnError
-from .model import Term
+from .errors import (
+    InvalidSetting,
+    LimitError,
+    MapFnError,
+    ReduceFnError,
+    UnorderableRecords,
+)
 
 __all__ = [
-    "record_sort_key",
     "Emitter",
     "Job",
     "JobResult",
@@ -76,41 +87,10 @@ __all__ = [
     "spill_threshold_from_env",
 ]
 
+# Most run files a spilled shuffle writes, and so holds open in its merge.
+MAX_OPEN_RUNS = 16
 
-def record_sort_key(x):
-    """Total order over the record value universe. Injective per type family,
-    so sorting by it is as good as sorting by value.
-
-    Keys hold only ints, floats, strs, bools and tuples, never a TermKind
-    member, so the collector can stop tracking them. Every term is exactly
-    a ``Term`` (interning builds each one as such, and nothing subclasses
-    it), so the type test is the only term check.
-    """
-    t = type(x)
-    if t is Term:
-        return (5, x.lexical, x.kind._value_)
-    if t is tuple:
-        return (6,) + tuple(map(record_sort_key, x))
-    if x is None:
-        return (0,)
-    if isinstance(x, bool):
-        return (1, x)
-    if isinstance(x, int):
-        return (2, x)
-    if isinstance(x, float):
-        return (3, x)
-    if isinstance(x, str):
-        return (4, x)
-    if isinstance(x, (tuple, list)):
-        return (6,) + tuple(map(record_sort_key, x))
-    raise TypeError(f"records may not contain {type(x).__name__!r} values")
-
-
-def _record_key(rec):
-    return (record_sort_key(rec[0]), record_sort_key(rec[1]))
-
-
-_first_item = itemgetter(0)
+_values = itemgetter(1)
 
 
 class Emitter:
@@ -190,18 +170,13 @@ def _chunks(items: list, n: int) -> list[list]:
     return out
 
 
-def _spill_runs(records: list[tuple], threshold: int, tmpdir: str) -> list[str]:
-    """Write sorted runs of (sort key, record) pairs, ``threshold`` at a time."""
-    paths = []
-    for start in range(0, len(records), threshold):
-        run = [(_record_key(rec), rec) for rec in records[start:start + threshold]]
-        run.sort(key=_first_item)
-        path = os.path.join(tmpdir, f"run-{len(paths):05d}.bin")
-        with open(path, "wb") as f:
-            for pair in run:
-                pickle.dump(pair, f, protocol=pickle.HIGHEST_PROTOCOL)
-        paths.append(path)
-    return paths
+def _write_run(path: str, records: Iterable[tuple]) -> None:
+    with open(path, "wb") as f:
+        for rec in records:
+            try:
+                pickle.dump(rec, f, protocol=pickle.HIGHEST_PROTOCOL)
+            except TypeError as exc:  # kept apart from a failed comparison
+                raise pickle.PicklingError(f"cannot spill {rec!r}: {exc}") from exc
 
 
 def _iter_run(path: str) -> Iterator[tuple]:
@@ -213,48 +188,42 @@ def _iter_run(path: str) -> Iterator[tuple]:
                 return
 
 
+def _spill_runs(records: list[tuple], threshold: int, tmpdir: str) -> list[str]:
+    """Write sorted runs of ``threshold`` records, or of as many more as keep
+    the runs to MAX_OPEN_RUNS."""
+    size = max(threshold, -(-len(records) // MAX_OPEN_RUNS))
+    paths = []
+    for start in range(0, len(records), size):
+        paths.append(os.path.join(tmpdir, f"run-{len(paths):05d}.bin"))
+        _write_run(paths[-1], sorted(records[start:start + size]))
+    return paths
+
+
 def _group(
     records: list[tuple], spill_threshold: int | None
 ) -> list[tuple[object, list]]:
     """Group records by key: groups in key order, each group's values in
-    value order. Each record's sort key is computed once; past the spill
-    threshold the sorted runs go to disk and are merged back lazily."""
+    value order. Past the spill threshold the sorted runs go to disk and
+    are merged back lazily."""
     if spill_threshold is None or len(records) <= spill_threshold:
-        keys = list(map(_record_key, records))
-        return _collect_groups(_take_in_order(keys, records, _argsort(keys)))
-    tmpdir = tempfile.mkdtemp(prefix="stargraph-spill-")
-    try:
+        return _collect_groups(sorted(records))
+    with tempfile.TemporaryDirectory(prefix="stargraph-spill-") as tmpdir:
         paths = _spill_runs(records, spill_threshold, tmpdir)
-        return _collect_groups(heapq.merge(*map(_iter_run, paths), key=_first_item))
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
+        return _collect_groups(heapq.merge(*map(_iter_run, paths)))
 
 
-def _collect_groups(keyed: Iterable[tuple]) -> list[tuple[object, list]]:
-    """Fold (sort key, record) pairs, already in order, into (key, values)."""
+def _collect_groups(ordered: Iterable[tuple]) -> list[tuple[object, list]]:
+    """Fold (key, value) records, already in order, into (key, values)."""
     groups: list[tuple[object, list]] = []
-    last = None
-    for (key_key, _), (key, value) in keyed:
-        if key_key != last:
-            last = key_key
+    last = values = None
+    for key, value in ordered:
+        if values is None or key != last:
+            last = key
             values = [value]
             groups.append((key, values))
         else:
             values.append(value)
     return groups
-
-
-def _take_in_order(keys: list, records: list, order: list[int]) -> Iterator[tuple]:
-    """Yield (sort key, record) in ``order``, releasing each key once read so
-    the sort keys shrink while the groups grow instead of peaking together."""
-    for i in order:
-        key = keys[i]
-        keys[i] = None
-        yield key, records[i]
-
-
-def _argsort(keys: list) -> list[int]:
-    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _run_task(fn, items: list[tuple], em: Emitter, wrap, stage: str) -> Emitter:
@@ -294,10 +263,14 @@ def run_job(job: Job, records: list[tuple], *, workers: int = 1) -> JobResult:
             per_worker.append(len(em.output))
 
     # ---- shuffle and reduce
-    distinct_keys = 0
+    distinct_keys = max_group = 0
     if shuffled:
-        groups = _group(emissions, spill_threshold)
+        try:
+            groups = _group(emissions, spill_threshold)
+        except TypeError as exc:  # two records that do not compare
+            raise UnorderableRecords(job.name, exc) from exc
         distinct_keys = len(groups)
+        max_group = max(map(len, map(_values, groups)), default=0)
         for chunk in _chunks(groups, workers):
             em = _run_task(job.reduce_fn, chunk, Emitter(), ReduceFnError, job.name)
             out.extend(em.output)
@@ -308,6 +281,7 @@ def run_job(job: Job, records: list[tuple], *, workers: int = 1) -> JobResult:
         "recordsIn": len(records),
         "recordsOut": len(out),
         "distinctKeys": distinct_keys,
+        "maxGroupSize": max_group,
         "wallMillis": int((time.perf_counter() - started) * 1000),
     }
     return JobResult(records=out, stats=stats, per_worker_out=tuple(per_worker))

@@ -19,6 +19,9 @@ image of its central node. The mapper has two parts:
   star-assembly shuffle, so the completion phase reads them next to the
   reducer's output.
 
+Images travel as their IDs in the data decomposition's dictionary; the
+mapper tests border membership and literals on the terms before encoding.
+
 Phases 2 and 3 are the shared completion and final join.
 """
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 
-from .embedding import Embedding, encode, enumerate_total, preprocess
+from .embedding import Embedding, encode, enumerate_total, id_vectors, preprocess
 from .errors import CartesianCapExceeded, NotADecomposition
 from .evalcore import (
     CARTESIAN_CAP,
@@ -38,6 +41,7 @@ from .evalcore import (
     reduce2_fn,
 )
 from .model import (
+    UNBOUND,
     DataDecomposition,
     Query,
     QueryDecomposition,
@@ -66,8 +70,11 @@ def resolve_centers(dec: QueryDecomposition) -> tuple[Term, ...]:
     return tuple(out)
 
 
-def stars_map1_records(layout, centers, sub_idx: int, segment, seg_idx: int, border):
-    """Part-1 and part-2 records for one (subquery, segment) pair.
+def stars_map1_records(
+    layout, centers, sub_idx: int, segment, seg_idx: int, border, dictionary
+):
+    """Part-1 and part-2 records for one (subquery, segment) pair, images as
+    their IDs in ``dictionary``.
 
     Returns (part1, part2): part1 records are keyed (subquery, central image)
     and carry ("p", query-triple index, other-endpoint image); part2 records
@@ -75,6 +82,7 @@ def stars_map1_records(layout, centers, sub_idx: int, segment, seg_idx: int, bor
     """
     sub = layout.subqueries[sub_idx]
     center = centers[sub_idx]
+    ids = dictionary.ids
     part1 = []
     for t, qidx in zip(sub.canonical, layout.to_query[sub_idx]):
         if t.s == center and t.o == center:
@@ -86,7 +94,7 @@ def stars_map1_records(layout, centers, sub_idx: int, segment, seg_idx: int, bor
             )
             for inst in insts:
                 if inst.s == inst.o and inst.s in border:
-                    part1.append(((sub_idx, inst.s), ("p", qidx, inst.s)))
+                    part1.append(((sub_idx, ids[inst.s]), ("p", qidx, ids[inst.s])))
         elif t.s == center:
             if center.is_constant:
                 insts = segment.by_subject_predicate(center, t.p)
@@ -98,7 +106,7 @@ def stars_map1_records(layout, centers, sub_idx: int, segment, seg_idx: int, bor
                 if t.o.is_constant and inst.o != t.o:
                     continue
                 if inst.s in border:
-                    part1.append(((sub_idx, inst.s), ("p", qidx, inst.o)))
+                    part1.append(((sub_idx, ids[inst.s]), ("p", qidx, ids[inst.o])))
         else:  # t.o == center
             if center.is_constant:
                 insts = segment.by_object_predicate(center, t.p)
@@ -110,27 +118,30 @@ def stars_map1_records(layout, centers, sub_idx: int, segment, seg_idx: int, bor
                 if t.s.is_constant and inst.s != t.s:
                     continue
                 if inst.o in border or inst.o.is_literal:
-                    part1.append(((sub_idx, inst.o), ("p", qidx, inst.s)))
+                    part1.append(((sub_idx, ids[inst.o]), ("p", qidx, ids[inst.s])))
     part2 = []
     for e in enumerate_total(sub, segment):
         img = e[center]
         if img in border or img.is_literal:
             continue
-        bnv, nbnv = encode(e, layout)
+        bnv, nbnv = encode(e, layout, dictionary)
         part2.append((sub_idx, ("e", bnv, nbnv)))
-        for node, j in layout.missing_border:
-            if node in e:
-                part2.append((j, ("v", layout.node_index[node], e[node])))
+        for pos, j in layout.missing_positions:
+            if bnv[pos] != UNBOUND:
+                part2.append((j, ("v", pos, bnv[pos])))
     return part1, part2
 
 
-def stars_reduce1_fn(layout, centers, *, cap: int = CARTESIAN_CAP):
+def stars_reduce1_fn(layout, centers, dictionary, *, cap: int = CARTESIAN_CAP):
+    """Star assembly over IDs; ``dictionary`` decodes the key of a cap
+    message."""
+
     def fn(key, values, em):
         sub_idx, img = key
         sub = layout.subqueries[sub_idx]
         center = centers[sub_idx]
         positions = layout.to_query[sub_idx]
-        witnesses: dict[int, set[Term]] = {}
+        witnesses: dict[int, set[int]] = {}
         for tag, qidx, other in values:
             assert tag == "p"
             witnesses.setdefault(qidx, set()).add(other)
@@ -140,9 +151,9 @@ def stars_reduce1_fn(layout, centers, *, cap: int = CARTESIAN_CAP):
                 return
         # per non-central node, intersect the witness lists of its triples
         node_order = [n for n in sorted(sub.nodes) if n != center]
-        pools: list[set[Term]] = []
+        pools: list[set[int]] = []
         for node in node_order:
-            pool: set[Term] | None = None
+            pool: set[int] | None = None
             for t, qidx in zip(sub.canonical, positions):
                 if node not in t.nodes or (t.s == center and t.o == center):
                     continue
@@ -156,13 +167,14 @@ def stars_reduce1_fn(layout, centers, *, cap: int = CARTESIAN_CAP):
         for pool in pools:
             count *= len(pool)
         if count > cap:
+            shown = (sub_idx, dictionary.terms[img])
             raise CartesianCapExceeded(
-                f"star assembly for key {key!r} would produce {count} embeddings"
+                f"star assembly for key {shown!r} would produce {count} embeddings"
             )
         for combo in itertools.product(*pools):
             mapping = {center: img}
             mapping.update(zip(node_order, combo))
-            bnv, nbnv = encode(Embedding(mapping), layout)
+            bnv, nbnv = id_vectors(Embedding(mapping), layout)
             em.emit(sub_idx, ("e", bnv, nbnv))
         # candidate values ride along once per key, never per embedding
         for node, j in layout.missing_border:
@@ -189,11 +201,13 @@ def run_stars(
         raise NotADecomposition("decomposition does not belong to this query")
     layout = preprocess(decomposition)
     centers = resolve_centers(decomposition)
+    dictionary = dec_data.dictionary
 
     def map1(key, _value, em):
         i, j = key
         part1, part2 = stars_map1_records(
-            layout, centers, i, dec_data.segments[j], j, dec_data.borders[j]
+            layout, centers, i, dec_data.segments[j], j, dec_data.borders[j],
+            dictionary,
         )
         for rec_key, rec_val in part1:
             em.emit(rec_key, rec_val)
@@ -208,13 +222,16 @@ def run_stars(
                 counts[key] += 1
 
     assembly = Job(
-        "star-assembly", map1, stars_reduce1_fn(layout, centers, cap=cartesian_cap)
+        "star-assembly", map1,
+        stars_reduce1_fn(layout, centers, dictionary, cap=cartesian_cap),
     )
+    complete = phase2_expand_fn(layout, dictionary, cartesian_cap)
+    join = reduce2_fn(layout, dictionary, cartesian_cap)
     result = run_pipeline(
         [
             Stage(assembly, observe=count_totals),
-            Stage(Job("complete-borders", None, phase2_expand_fn(layout, cartesian_cap))),
-            Stage(Job("join-answers", None, reduce2_fn(layout, cartesian_cap))),
+            Stage(Job("complete-borders", None, complete)),
+            Stage(Job("join-answers", None, join)),
         ],
         phase1_source(layout, dec_data),
         workers=workers,
@@ -222,7 +239,7 @@ def run_stars(
     )
     return EvalResult(
         algorithm="stars",
-        answers=answers_from_records(layout, result.records),
+        answers=answers_from_records(layout, result.records, dictionary),
         stats=result.stats,
         subquery_embeddings=counts,
         workers=workers,

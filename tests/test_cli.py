@@ -197,7 +197,8 @@ class TestEvalCommand:
         ]
         for s in stats["stages"]:
             assert set(s) == {
-                "stage", "recordsIn", "recordsOut", "distinctKeys", "wallMillis"
+                "stage", "recordsIn", "recordsOut", "distinctKeys", "maxGroupSize",
+                "wallMillis",
             }
         assert set(stats["subqueryEmbeddings"]) == {"Q1", "Q2"}
         assert all(n > 0 for n in stats["subqueryEmbeddings"].values())

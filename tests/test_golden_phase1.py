@@ -2,17 +2,16 @@
 
 For every subquery x segment pair of the supervisor fixture split and of the
 coauthor cover split over the edge partition, the records
-``qejpe_map1_records`` emits, sorted by ``record_sort_key``, exactly as the
-exhaustive search with a re-validated candidate list produced them. One line
-per record: the border vector, the non-border vector (``-`` for unbound) and
-the query-level triple-match flags.
+``qejpe_map1_records`` emits, sorted as the shuffle sorts them and decoded
+to terms, exactly as the exhaustive search with a re-validated candidate
+list produced them. One line per record: the border vector, the non-border
+vector (``-`` for unbound) and the query-level triple-match flags.
 """
 
 import pytest
 
 import stargraph as sg
 from stargraph.qejpe import qejpe_map1_records
-from stargraph.runtime import record_sort_key
 
 SUPERVISOR = {
     (0, 0): [
@@ -90,20 +89,21 @@ COAUTHOR = {
 }
 
 
-def _cell(v):
-    return "-" if v is None else v.token()
+def _cells(split, ids):
+    terms = split.dictionary.decode(ids)
+    return " ".join("-" if v is None else v.token() for v in terms)
 
 
 def _rendered(layout, split, i, j):
-    records = qejpe_map1_records(layout, i, split.segments[j], j, split.borders[j])
-    records.sort(key=record_sort_key)
+    records = qejpe_map1_records(
+        layout, i, split.segments[j], j, split.borders[j], split.dictionary
+    )
+    records.sort()
     lines = []
     for key, (tag, seg, bnv, nbnv, tm) in records:
         assert (key, tag, seg) == (i, "f", j)
         flags = "".join("1" if f else "0" for f in tm)
-        lines.append(
-            f"{' '.join(map(_cell, bnv))} | {' '.join(map(_cell, nbnv))} | {flags}"
-        )
+        lines.append(f"{_cells(split, bnv)} | {_cells(split, nbnv)} | {flags}")
     return lines
 
 

@@ -18,7 +18,8 @@ class TestFragmentRecords:
         for i in range(3):
             for j in range(3):
                 recs = qejpe_map1_records(
-                    layout, i, edge_split.segments[j], j, edge_split.borders[j]
+                    layout, i, edge_split.segments[j], j, edge_split.borders[j],
+                    edge_split.dictionary,
                 )
                 counts[(i, j)] = len(recs)
                 for key, val in recs:
@@ -37,7 +38,8 @@ class TestFragmentRecords:
             if t in supervisor_decomposition.subqueries[2].triples
         }
         recs = qejpe_map1_records(
-            layout, 2, edge_split.segments[1], 1, edge_split.borders[1]
+            layout, 2, edge_split.segments[1], 1, edge_split.borders[1],
+            edge_split.dictionary,
         )
         for _, (_, _, _, _, tm) in recs:
             assert {i for i, f in enumerate(tm) if f} <= sub2_mask_positions

@@ -10,7 +10,7 @@ from stargraph.errors import (
 )
 from stargraph.redundancy import red_map1_records, run_redundancy
 from stargraph.evalcore import phase2_expand_fn
-from stargraph.runtime import Emitter, record_sort_key
+from stargraph.runtime import Emitter
 
 
 def t(token):
@@ -21,9 +21,14 @@ def collect(layout, node_split):
     grouped = {}
     for i in range(len(layout.subqueries)):
         for j, seg in enumerate(node_split.segments):
-            for key, val in red_map1_records(layout, i, seg, j):
+            for key, val in red_map1_records(layout, i, seg, j, node_split.dictionary):
                 grouped.setdefault(key, []).append(val)
     return grouped
+
+
+def decoded_key(split, key):
+    """A completion key (subquery, common-border IDs) with its IDs decoded."""
+    return key[0], split.dictionary.decode(key[1])
 
 
 def is_completion_record(record, layout):
@@ -42,7 +47,7 @@ class TestMapRecords:
         counts = {}
         for i in range(3):
             for j, seg in enumerate(node_split.segments):
-                records = red_map1_records(layout, i, seg, j)
+                records = red_map1_records(layout, i, seg, j, node_split.dictionary)
                 # this layout has missing border pairs, so every record is
                 # bound for the completion step
                 assert all(is_completion_record(r, layout) for r in records)
@@ -58,8 +63,12 @@ class TestMapRecords:
     ):
         layout = sg.preprocess(coauthor_cover_decomposition)
         assert layout.common_border == (sg.variable("P1"),)
-        records = red_map1_records(layout, 1, node_split.segments[0], 0)
-        e_keys = sorted({key for key, v in records if v[0] == "e"})
+        records = red_map1_records(
+            layout, 1, node_split.segments[0], 0, node_split.dictionary
+        )
+        e_keys = sorted(
+            {decoded_key(node_split, key) for key, v in records if v[0] == "e"}
+        )
         assert e_keys == [
             (1, (t("<Person1>"),)),
             (1, (t("<Person2>"),)),
@@ -74,7 +83,8 @@ class TestMapRecords:
         layout = sg.preprocess(coauthor_cover_decomposition)
         seen = []
         for j, seg in enumerate(node_split.segments):
-            for key, val in red_map1_records(layout, 2, seg, j):
+            for key, val in red_map1_records(layout, 2, seg, j, node_split.dictionary):
+                key = decoded_key(node_split, key)
                 if val[0] == "e" and key == (2, (t("<Person4>"),)):
                     seen.append((j, val))
         assert len(seen) == 2
@@ -88,12 +98,14 @@ class TestMapRecords:
         dec = sg.naive_decomposition(q)
         layout = sg.preprocess(dec)
         assert layout.missing_border == ()
-        records = red_map1_records(layout, 0, node_split.segments[0], 0)
+        records = red_map1_records(
+            layout, 0, node_split.segments[0], 0, node_split.dictionary
+        )
         assert len(records) == 3
         for bnv, (sub_idx, nbnv) in records:
             assert sub_idx == 0
             assert len(bnv) == len(layout.border_nodes)
-            assert all(v is not None for v in bnv)
+            assert all(v is not None for v in node_split.dictionary.decode(bnv))
 
 
 class TestCompletion:
@@ -102,12 +114,10 @@ class TestCompletion:
     ):
         layout = sg.preprocess(coauthor_cover_decomposition)
         grouped = collect(layout, node_split)
-        key = (1, (t("<Person4>"),))
+        key = (1, (node_split.dictionary.ids[t("<Person4>")],))
         em = Emitter()
-        phase2_expand_fn(layout)(
-            key, sorted(grouped[key], key=record_sort_key), em
-        )
-        filled = sorted(k for k, _ in em.records)
+        phase2_expand_fn(layout, node_split.dictionary)(key, sorted(grouped[key]), em)
+        filled = sorted(node_split.dictionary.decode(k) for k, _ in em.records)
         assert filled == [
             (t("<Article1>"), t("<Journal1>"), t("<Person4>")),
             (t("<Article3>"), t("<Journal1>"), t("<Person4>")),

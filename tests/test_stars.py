@@ -4,7 +4,7 @@ import pytest
 
 import stargraph as sg
 from stargraph.errors import NotADecomposition
-from stargraph.runtime import Emitter, record_sort_key
+from stargraph.runtime import Emitter
 from stargraph.stars import (
     resolve_centers,
     run_stars,
@@ -24,11 +24,23 @@ def all_part1(layout, centers, edge_split):
     for i in range(len(layout.subqueries)):
         for j, seg in enumerate(edge_split.segments):
             part1, _ = stars_map1_records(
-                layout, centers, i, seg, j, edge_split.borders[j]
+                layout, centers, i, seg, j, edge_split.borders[j],
+                edge_split.dictionary,
             )
             for key, val in part1:
                 grouped.setdefault(key, []).append(val)
     return grouped
+
+
+def decoded(split, record):
+    """A stars record with its IDs decoded to terms."""
+    key, val = record
+    terms, decode = split.dictionary.terms, split.dictionary.decode
+    if isinstance(key, tuple):  # part 1: ((sub, image), ("p", qidx, image))
+        return (key[0], terms[key[1]]), (val[0], val[1], terms[val[2]])
+    if val[0] == "e":
+        return key, ("e", decode(val[1]), decode(val[2]))
+    return key, ("v", val[1], terms[val[2]])
 
 
 class TestMapRecords:
@@ -38,9 +50,10 @@ class TestMapRecords:
         layout = sg.preprocess(coauthor_cover_decomposition)
         centers = resolve_centers(coauthor_cover_decomposition)
         part1, part2 = stars_map1_records(
-            layout, centers, 1, edge_split.segments[0], 0, edge_split.borders[0]
+            layout, centers, 1, edge_split.segments[0], 0, edge_split.borders[0],
+            edge_split.dictionary,
         )
-        assert part1 == [
+        assert [decoded(edge_split, r) for r in part1] == [
             ((1, t("<Article1>")), ("p", 4, t("<Person4>"))),
             ((1, t("<Article1>")), ("p", 6, t('"Title1"'))),
         ]
@@ -54,10 +67,11 @@ class TestMapRecords:
         layout = sg.preprocess(coauthor_cover_decomposition)
         centers = resolve_centers(coauthor_cover_decomposition)
         _, part2 = stars_map1_records(
-            layout, centers, 0, edge_split.segments[0], 0, edge_split.borders[0]
+            layout, centers, 0, edge_split.segments[0], 0, edge_split.borders[0],
+            edge_split.dictionary,
         )
         keys = [key for key, _ in part2]
-        values = [val for _, val in part2]
+        values = [decoded(edge_split, r)[1] for r in part2]
         assert keys == [0, 1, 2]
         assert values[0] == (
             "e",
@@ -69,11 +83,14 @@ class TestMapRecords:
 
 
 class TestReduce:
-    def run_key(self, layout, centers, grouped, key):
+    def run_key(self, layout, centers, grouped, key, split):
+        """The reducer's records for a (subquery, central term) key, decoded."""
+        sub_idx, img = key
+        key = (sub_idx, split.dictionary.ids[img])
         em = Emitter()
-        fn = stars_reduce1_fn(layout, centers)
-        fn(key, sorted(grouped.get(key, []), key=record_sort_key), em)
-        return em.records
+        fn = stars_reduce1_fn(layout, centers, split.dictionary)
+        fn(key, sorted(grouped.get(key, [])), em)
+        return [decoded(split, r) for r in em.records]
 
     def test_witness_assembly_for_constant_center(
         self, edge_split, coauthor_cover_decomposition
@@ -83,15 +100,15 @@ class TestReduce:
         grouped = all_part1(layout, centers, edge_split)
         key = (1, t("<Article1>"))
         witnesses = {}
-        for tag, qidx, other in grouped[key]:
+        for tag, qidx, other in grouped[(1, edge_split.dictionary.ids[key[1]])]:
             assert tag == "p"
-            witnesses.setdefault(qidx, set()).add(other)
+            witnesses.setdefault(qidx, set()).add(edge_split.dictionary.terms[other])
         assert witnesses == {
             4: {t("<Person1>"), t("<Person2>"), t("<Person4>")},
             5: {t("<Journal1>")},
             6: {t('"Title1"')},
         }
-        records = self.run_key(layout, centers, grouped, key)
+        records = self.run_key(layout, centers, grouped, key, edge_split)
         embeddings = [v for k, v in records if v[0] == "e"]
         assert len(embeddings) == 3
         assert (2, ("v", 1, t("<Journal1>"))) in records
@@ -100,7 +117,9 @@ class TestReduce:
         layout = sg.preprocess(coauthor_cover_decomposition)
         centers = resolve_centers(coauthor_cover_decomposition)
         grouped = all_part1(layout, centers, edge_split)
-        records = self.run_key(layout, centers, grouped, (0, t("<Article2>")))
+        records = self.run_key(
+            layout, centers, grouped, (0, t("<Article2>")), edge_split
+        )
         embeddings = [v for k, v in records if v[0] == "e"]
         assert len(embeddings) == 2
         assert (1, ("v", 0, t("<Article2>"))) in records
@@ -113,9 +132,13 @@ class TestReduce:
         centers = resolve_centers(coauthor_cover_decomposition)
         grouped = all_part1(layout, centers, edge_split)
         # Article1 never matches the year triple of the first star
-        assert self.run_key(layout, centers, grouped, (0, t("<Article1>"))) == []
+        assert self.run_key(
+            layout, centers, grouped, (0, t("<Article1>")), edge_split
+        ) == []
         # Person4 collects hasAuthor witnesses but no supervision pair
-        assert self.run_key(layout, centers, grouped, (2, t("<Person4>"))) == []
+        assert self.run_key(
+            layout, centers, grouped, (2, t("<Person4>")), edge_split
+        ) == []
 
 
 class TestRunStars:
