@@ -17,7 +17,6 @@ __all__ = [
     "EmptyGraph",
     "EmptyQuery",
     "UnwritableOutput",
-    "InvalidSetting",
     "ValidationError",
     "NotAPartition",
     "NotANodeCover",
@@ -82,10 +81,6 @@ class EmptyQuery(ParseError):
 
 class UnwritableOutput(ParseError):
     """An output path cannot be written; like a bad argument, a usage error."""
-
-
-class InvalidSetting(ParseError):
-    """An environment variable holds a value that cannot be parsed."""
 
 
 # ----------------------------------------------------------- semantic (exit 3)

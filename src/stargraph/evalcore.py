@@ -89,21 +89,17 @@ def phase2_expand_fn(
     def fn(key, values, em):
         sub_idx = _sub_index(key)
         embeddings: list[tuple] = []
-        seen_e: set[tuple] = set()
         candidates: dict[int, list[int]] = {}
-        seen_v: set[tuple[int, int]] = set()
+        last = None
         for val in values:
+            if val == last:  # values arrive sorted, so a duplicate is adjacent
+                continue
+            last = val
             tag = val[0]
             if tag == "e":
-                pair = (val[1], val[2])
-                if pair not in seen_e:
-                    seen_e.add(pair)
-                    embeddings.append(pair)
+                embeddings.append((val[1], val[2]))
             elif tag == "v":
-                pv = (val[1], val[2])
-                if pv not in seen_v:
-                    seen_v.add(pv)
-                    candidates.setdefault(val[1], []).append(val[2])
+                candidates.setdefault(val[1], []).append(val[2])
             else:
                 raise ValueError(f"unknown phase-2 record tag {tag!r}")
         emitted = 0
@@ -146,13 +142,11 @@ def reduce2_fn(
 
     def fn(key, values, em):
         by_sub: dict[int, list[tuple]] = {}
-        seen: set[tuple[int, tuple]] = set()
-        for sub_idx, nbnv in values:
-            mark = (sub_idx, nbnv)
-            if mark in seen:
-                continue
-            seen.add(mark)
-            by_sub.setdefault(sub_idx, []).append(nbnv)
+        last = None
+        for val in values:
+            if val != last:  # values arrive sorted, so a duplicate is adjacent
+                last = val
+                by_sub.setdefault(val[0], []).append(val[1])
         if len(by_sub) < num_subs:
             return
         pools = [by_sub[i] for i in range(num_subs)]

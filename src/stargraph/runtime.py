@@ -10,8 +10,8 @@ next to an int, say); a stage whose emissions do not is stopped with
 UnorderableRecords naming it. Two mixes pass that check and are not
 supported: keys group by equality, so 0 and False (or 1 and True) fall into
 one group, and sets compare only by inclusion, so two sets neither of which
-holds the other reach the reducer in no fixed order (unspilled, in the order
-they arrived). The engines emit neither.
+holds the other reach the reducer in the order they arrived. The engines
+emit neither.
 
 ``workers`` is the logical number of map and reduce tasks per stage, as in
 MapReduce: it splits a stage's input records (and its groups) into that many
@@ -30,26 +30,19 @@ number of shuffle groups and ``maxGroupSize`` the size of the largest, both
 0 for a map-only stage, which has no shuffle.
 
 Sorting happens in exactly two places. Intermediate records are ordered
-once, by the shuffle of the stage that reads them (``_group``, including
-the spilled runs and their merge), as in MapReduce. Answers are ordered once,
-by ``ntio.AnswerSet``. Everything else keeps emission order: a ``JobResult``
-holds its records as the tasks emitted them (a map task's bypassed records
-first, then the reduce output), and ``run_pipeline`` hands them on, or back,
-unsorted. This is safe because the shuffle orders every (key, value) pair
-by value, so the groups, the order of each group's values, and therefore
-the stage stats, the spill runs' merge and which key trips a cap do not
-depend on the order the records arrive in; only the order a reducer emits
-in may. Records that compare equal are equal (the sort is stable, but no
-two distinct records tie, with the caveats above).
+once, by the shuffle of the stage that reads them, as in MapReduce. Answers
+are ordered once, by ``ntio.AnswerSet``. Everything else keeps emission
+order: a ``JobResult`` holds its records as the tasks emitted them (a map
+task's bypassed records first, then the reduce output), and ``run_pipeline``
+hands them on, or back, unsorted. This is safe because the shuffle orders
+every (key, value) pair by value, so the groups, the order of each group's
+values, and therefore the stage stats and which key trips a cap do not
+depend on the order the records arrive in; only the order a reducer emits in
+may. Records that compare equal are equal (the sort is stable, but no two
+distinct records tie, with the caveats above).
 
-When a stage's map emissions exceed the spill threshold (the
-STARGRAPH_SPILL_THRESHOLD environment variable, read once per stage; default
-unbounded), sorted runs of records are pickled to a temporary directory and
-merged back lazily. A run holds ``threshold`` records, or more when that
-would make over ``MAX_OPEN_RUNS`` runs, so the merge never has more files
-open than that. Spilling bounds only the sort's own list of the records:
-the emission list and the reducer groups, which hold the records read back
-from disk, stay in memory either way.
+The shuffle is one in-memory sort: a stage's emissions and its groups are
+held in memory, as is every stage's output.
 
 Map and reduce callables receive an Emitter; exceptions are wrapped into
 MapFnError / ReduceFnError with the failing stage and key attached. Limit
@@ -59,22 +52,12 @@ abort, not a bug in the user function, and it must keep its exit code.
 
 from __future__ import annotations
 
-import heapq
-import os
-import pickle
-import tempfile
 import time
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
-from .errors import (
-    InvalidSetting,
-    LimitError,
-    MapFnError,
-    ReduceFnError,
-    UnorderableRecords,
-)
+from .errors import LimitError, MapFnError, ReduceFnError, UnorderableRecords
 
 __all__ = [
     "Emitter",
@@ -84,11 +67,7 @@ __all__ = [
     "Stage",
     "PipelineResult",
     "run_pipeline",
-    "spill_threshold_from_env",
 ]
-
-# Most run files a spilled shuffle writes, and so holds open in its merge.
-MAX_OPEN_RUNS = 16
 
 _values = itemgetter(1)
 
@@ -143,19 +122,6 @@ class JobResult:
     per_worker_out: tuple[int, ...]
 
 
-def spill_threshold_from_env() -> int | None:
-    raw = os.environ.get("STARGRAPH_SPILL_THRESHOLD")
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidSetting(
-            f"STARGRAPH_SPILL_THRESHOLD must be an integer, got {raw!r}"
-        ) from None
-    return value if value > 0 else None
-
-
 def _chunks(items: list, n: int) -> list[list]:
     if n <= 1 or len(items) <= 1:
         return [items]
@@ -170,49 +136,7 @@ def _chunks(items: list, n: int) -> list[list]:
     return out
 
 
-def _write_run(path: str, records: Iterable[tuple]) -> None:
-    with open(path, "wb") as f:
-        for rec in records:
-            try:
-                pickle.dump(rec, f, protocol=pickle.HIGHEST_PROTOCOL)
-            except TypeError as exc:  # kept apart from a failed comparison
-                raise pickle.PicklingError(f"cannot spill {rec!r}: {exc}") from exc
-
-
-def _iter_run(path: str) -> Iterator[tuple]:
-    with open(path, "rb") as f:
-        while True:
-            try:
-                yield pickle.load(f)
-            except EOFError:
-                return
-
-
-def _spill_runs(records: list[tuple], threshold: int, tmpdir: str) -> list[str]:
-    """Write sorted runs of ``threshold`` records, or of as many more as keep
-    the runs to MAX_OPEN_RUNS."""
-    size = max(threshold, -(-len(records) // MAX_OPEN_RUNS))
-    paths = []
-    for start in range(0, len(records), size):
-        paths.append(os.path.join(tmpdir, f"run-{len(paths):05d}.bin"))
-        _write_run(paths[-1], sorted(records[start:start + size]))
-    return paths
-
-
-def _group(
-    records: list[tuple], spill_threshold: int | None
-) -> list[tuple[object, list]]:
-    """Group records by key: groups in key order, each group's values in
-    value order. Past the spill threshold the sorted runs go to disk and
-    are merged back lazily."""
-    if spill_threshold is None or len(records) <= spill_threshold:
-        return _collect_groups(sorted(records))
-    with tempfile.TemporaryDirectory(prefix="stargraph-spill-") as tmpdir:
-        paths = _spill_runs(records, spill_threshold, tmpdir)
-        return _collect_groups(heapq.merge(*map(_iter_run, paths)))
-
-
-def _collect_groups(ordered: Iterable[tuple]) -> list[tuple[object, list]]:
+def _collect_groups(ordered: list[tuple]) -> list[tuple[object, list]]:
     """Fold (key, value) records, already in order, into (key, values)."""
     groups: list[tuple[object, list]] = []
     last = values = None
@@ -240,7 +164,6 @@ def _run_task(fn, items: list[tuple], em: Emitter, wrap, stage: str) -> Emitter:
 
 
 def run_job(job: Job, records: list[tuple], *, workers: int = 1) -> JobResult:
-    spill_threshold = spill_threshold_from_env()
     started = time.perf_counter()
     shuffled = job.reduce_fn is not None
     out: list[tuple] = []
@@ -266,9 +189,10 @@ def run_job(job: Job, records: list[tuple], *, workers: int = 1) -> JobResult:
     distinct_keys = max_group = 0
     if shuffled:
         try:
-            groups = _group(emissions, spill_threshold)
+            emissions = sorted(emissions)
         except TypeError as exc:  # two records that do not compare
             raise UnorderableRecords(job.name, exc) from exc
+        groups = _collect_groups(emissions)
         distinct_keys = len(groups)
         max_group = max(map(len, map(_values, groups)), default=0)
         for chunk in _chunks(groups, workers):

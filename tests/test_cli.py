@@ -306,25 +306,6 @@ class TestEvalInputErrors:
         assert "Traceback" not in err
 
 
-    def test_bad_spill_threshold_is_a_parse_error(
-        self, workdir, capsys, monkeypatch
-    ):
-        run(
-            "partition", workdir / "graph.nt", "-m", 3, "--seed", 7,
-            "--out", workdir / "segs",
-        )
-        capsys.readouterr()
-        monkeypatch.setenv("STARGRAPH_SPILL_THRESHOLD", "abc")
-        code = run(
-            "eval", "--data", workdir / "segs", "--query", workdir / "supervisor.q",
-        )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err == (
-            "error: STARGRAPH_SPILL_THRESHOLD must be an integer, got 'abc'\n"
-        )
-
-
 # (partition method or None, command arguments after the partition, message)
 LIMIT_SITES = {
     "fragment-join": (

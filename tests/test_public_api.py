@@ -1,8 +1,11 @@
-"""The public API resolves, and no module keeps an import it does not use.
+"""The public API resolves, no module keeps an import it does not use, and
+no module reads a setting from the environment.
 
-No linter ships with the project, so the unused-import check is a small
-stdlib ``ast`` scan: deleting code must also delete the imports that only
-that code needed.
+No linter ships with the project, so both source checks are small stdlib
+``ast`` scans: deleting code must also delete the imports that only that
+code needed, and behaviour is set through parameters, not environment
+variables. The one variable read is ``SOURCE_DATE_EPOCH``, the
+reproducible-builds convention for manifest timestamps.
 """
 
 import ast
@@ -79,3 +82,42 @@ def test_scan_catches_an_unused_import():
         "    return _TERM\n"
     )
     assert unused_imports(source) == ["line 2: re", "line 3: ThreadPoolExecutor"]
+
+
+def environment_reads(source: str) -> list[str]:
+    """The names of the environment variables a module reads through
+    ``os.environ`` or ``os.getenv``; "?" where the name is not a literal."""
+    tree = ast.parse(source)
+    parent = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            names += ["?" for a in node.names if a.name in ("environ", "getenv")]
+        if not (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in ("environ", "getenv")
+        ):
+            continue
+        use = parent[node]
+        if isinstance(use, ast.Attribute):  # os.environ.get(...) and the like
+            use = parent[use]
+        if isinstance(use, ast.Subscript):
+            name = use.slice
+        elif isinstance(use, ast.Call) and use.args:
+            name = use.args[0]
+        else:
+            name = None
+        literal = isinstance(name, ast.Constant) and isinstance(name.value, str)
+        names.append(name.value if literal else "?")
+    return names
+
+
+def test_no_module_reads_a_setting_from_the_environment():
+    reads = {p.name: environment_reads(p.read_text(encoding="utf-8")) for p in SOURCES}
+    assert reads["ntio.py"] == ["SOURCE_DATE_EPOCH"]
+    assert {
+        name: found for name, found in reads.items()
+        if set(found) - {"SOURCE_DATE_EPOCH"}
+    } == {}

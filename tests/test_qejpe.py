@@ -100,14 +100,6 @@ class TestRunQejpe:
                 k: v for k, v in b.items() if k != "wallMillis"
             }
 
-    def test_spill_threshold_is_invisible(
-        self, edge_split, supervisor_query, supervisor_decomposition, monkeypatch
-    ):
-        base = run_qejpe(edge_split, supervisor_query, supervisor_decomposition)
-        monkeypatch.setenv("STARGRAPH_SPILL_THRESHOLD", "2")
-        res = run_qejpe(edge_split, supervisor_query, supervisor_decomposition)
-        assert res.answers.to_tsv() == base.answers.to_tsv()
-
     def test_foreign_decomposition_rejected(
         self, edge_split, journal_article_query, supervisor_decomposition
     ):

@@ -2,10 +2,7 @@
 
 import importlib
 import itertools
-import os
-import pickle
 import threading
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +24,6 @@ from stargraph.runtime import (
     Stage,
     run_job,
     run_pipeline,
-    spill_threshold_from_env,
 )
 
 
@@ -118,9 +114,9 @@ def _collect(key, values, em):
 
 
 class TestRecordSortKey:
-    """The shuffle's sort key is the record itself: records carry term IDs
-    and sort in Python's own order. That order must be the one
-    ``reference_record_sort_key`` gives the term records they encode."""
+    """The shuffle sorts records in Python's own order: records carry term
+    IDs, and that order must be the one ``reference_record_sort_key`` gives
+    the term records they encode."""
 
     @given(stage_records())
     def test_total_order(self, case):
@@ -145,29 +141,24 @@ class TestRecordSortKey:
     def test_unsupported_type_rejected(self):
         job = Job("mixed-images", None, _collect)
         bad_pairs = (((1,), (None,)), ({"a": 1}, {"b": 2}))
-        # in memory, and spilled in runs of two that sort on their own, so
-        # that only the merge compares the two values
-        for spill, (a, b) in itertools.product(("0", "2"), bad_pairs):
-            with mock.patch.dict(os.environ, {"STARGRAPH_SPILL_THRESHOLD": spill}):
-                with pytest.raises(UnorderableRecords) as exc:
-                    run_job(job, [(0, a), (1, (2,)), (0, b), (1, (2,))])
+        for a, b in bad_pairs:
+            with pytest.raises(UnorderableRecords) as exc:
+                run_job(job, [(0, a), (1, (2,)), (0, b), (1, (2,))])
             assert not isinstance(exc.value, TypeError)
             assert exc.value.stage == "mixed-images"
             assert str(exc.value).startswith("mixed-images: the shuffle cannot order")
 
-    @pytest.mark.parametrize("spill", ["0", "1"])
-    def test_bool_and_int_keys_share_a_group(self, spill):
+    def test_bool_and_int_keys_share_a_group(self):
         # a documented limitation: keys group by equality, and 0 == False
-        with mock.patch.dict(os.environ, {"STARGRAPH_SPILL_THRESHOLD": spill}):
-            records = [(0, "a"), (False, "b"), (True, "c"), (1, "d")]
-            res = run_job(Job("flags", None, _collect), records)
+        records = [(0, "a"), (False, "b"), (True, "c"), (1, "d")]
+        res = run_job(Job("flags", None, _collect), records)
         assert res.records == [(0, ("a", "b")), (True, ("c", "d"))]
         assert res.stats["distinctKeys"] == 2
 
     def test_set_values_keep_arrival_order(self):
         # a documented limitation: sets compare by inclusion only, so two
-        # sets neither of which holds the other are not ordered; an
-        # unspilled shuffle hands them to the reducer as they arrived
+        # sets neither of which holds the other are not ordered; the
+        # shuffle hands them to the reducer as they arrived
         one, two = frozenset({1}), frozenset({2})
         job = Job("sets", None, _collect)
         assert run_job(job, [(0, two), (0, one)]).records == [(0, (two, one))]
@@ -190,8 +181,8 @@ class TestRecordSortKey:
         assert sorted(positions, key=encoded.__getitem__) == sorted(
             positions, key=lambda i: reference_record_sort_key(records[i])
         )
-        # the groups the shuffle forms, in memory and spilled, are those of
-        # the term records sorted by the reference key
+        # the groups the shuffle forms are those of the term records sorted
+        # by the reference key
         want = []
         for _, group in itertools.groupby(
             sorted(records, key=reference_record_sort_key),
@@ -199,9 +190,7 @@ class TestRecordSortKey:
         ):
             group = list(group)
             want.append(to_ids((group[0][0], tuple(v for _, v in group)), dictionary))
-        for spill in ("0", "3"):
-            with mock.patch.dict(os.environ, {"STARGRAPH_SPILL_THRESHOLD": spill}):
-                assert run_job(Job("groups", None, _collect), encoded).records == want
+        assert run_job(Job("groups", None, _collect), encoded).records == want
 
     @given(terms, terms)
     def test_term_keys_match_reference_and_hold_no_enum_member(self, a, b):
@@ -308,57 +297,6 @@ class TestRunJob:
         # (and, fox, quick, the); only the reduce tasks emit stage output
         assert res.per_worker_out == (0, 0, 0, 0, 0, 1, 1, 1, 1)
 
-    def test_spill_path_equivalent(self, monkeypatch):
-        big = [(i % 7, i) for i in range(500)]
-        job = Job("mod", None, lambda k, vs, em: em.emit(k, sum(vs)))
-        plain = run_job(job, big)
-        spills = []
-        spill_runs = stargraph.runtime._spill_runs
-
-        def counting(records, threshold, tmpdir):
-            spills.append(threshold)
-            return spill_runs(records, threshold, tmpdir)
-
-        monkeypatch.setattr(stargraph.runtime, "_spill_runs", counting)
-        monkeypatch.setenv("STARGRAPH_SPILL_THRESHOLD", "16")
-        assert spill_threshold_from_env() == 16
-        spilled = run_job(job, big)
-        assert spills == [16]
-        assert spilled.records == plain.records
-        monkeypatch.setenv("STARGRAPH_SPILL_THRESHOLD", "0")
-        assert spill_threshold_from_env() is None
-
-    def test_spilled_merge_keeps_few_run_files_open(self, monkeypatch):
-        # 4,000 records at threshold 2 would make 2,000 runs, and merging
-        # them all at once would hold 2,000 files open
-        records = [((i * 7919) % 97, i) for i in range(4000)]
-        job = Job("mod", None, lambda k, vs, em: em.emit(k, tuple(vs)))
-        plain = run_job(job, records)
-        runs, peak = [], [0]
-
-        def tracking_open(path, *args, **kwargs):
-            f = open(path, *args, **kwargs)
-            runs.append(f)
-            peak[0] = max(peak[0], sum(not g.closed for g in runs))
-            return f
-
-        monkeypatch.setattr(stargraph.runtime, "open", tracking_open, raising=False)
-        monkeypatch.setenv("STARGRAPH_SPILL_THRESHOLD", "2")
-        spilled = run_job(job, records)
-        # every run written and read back, all of them open in the merge
-        assert len(runs) == 2 * stargraph.runtime.MAX_OPEN_RUNS
-        assert peak[0] == stargraph.runtime.MAX_OPEN_RUNS
-        assert spilled.records == plain.records
-        assert _without_wall([spilled.stats]) == _without_wall([plain.stats])
-
-    def test_unpicklable_spilled_record_is_not_reported_as_unorderable(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("STARGRAPH_SPILL_THRESHOLD", "1")
-        records = [(0, "a"), (1, (x for x in ()))]
-        with pytest.raises(pickle.PicklingError, match="cannot spill"):
-            run_job(Job("spill", None, _collect), records)
-
     def test_emit_output_bypasses_the_reduce_in_emission_order(self):
         seen = []
 
@@ -438,37 +376,6 @@ class TestErrorWrapping:
             run_job(Job("stage-d", split_map, capped), word_count_records())
 
 
-class TestSpillRoundTrip:
-    """Engines give the same bytes when their shuffles spill to disk."""
-
-    @pytest.mark.parametrize("engine", ["qejpe", "stars", "redundancy"])
-    def test_spilled_engines_match_unspilled(
-        self, engine, edge_split, node_split, supervisor_query, monkeypatch
-    ):
-        run = {"qejpe": sg.run_qejpe, "stars": sg.run_stars,
-               "redundancy": sg.run_redundancy}[engine]
-        data = node_split if engine == "redundancy" else edge_split
-        dec = sg.DECOMPOSERS["max-degree"](supervisor_query)
-        plain = run(data, supervisor_query, dec)
-
-        spills = []
-        spill_runs = stargraph.runtime._spill_runs
-
-        def counting(records, threshold, tmpdir):
-            spills.append(len(records))
-            return spill_runs(records, threshold, tmpdir)
-
-        monkeypatch.setattr(stargraph.runtime, "_spill_runs", counting)
-        monkeypatch.setenv("STARGRAPH_SPILL_THRESHOLD", "4")
-        spilled = run(data, supervisor_query, dec)
-        assert spills, "no shuffle exceeded the threshold"
-        assert spilled.answers.to_tsv() == plain.answers.to_tsv()
-        assert spilled.answers.rows
-        for row in spilled.answers.rows:
-            for t in row:
-                assert t is Term(t.kind, t.lexical)
-
-
 class TestEngineStageHook:
     """A tracer swaps ``<engine module>.run_job`` for a wrapper; every stage
     an engine runs must go through that name, in the order of its stats."""
@@ -494,6 +401,10 @@ class TestEngineStageHook:
         res = getattr(module, f"run_{engine}")(data, q, sg.DECOMPOSERS[method](q))
         assert names
         assert names == [s["stage"] for s in res.stats]
+        assert res.answers.rows
+        for row in res.answers.rows:
+            for t in row:
+                assert t is Term(t.kind, t.lexical)
 
 
 class TestPipeline:
@@ -620,20 +531,15 @@ class TestPipelineEqualsRunJobChain:
         pipelines(),
         pipeline_records,
         st.sampled_from([1, 3]),
-        st.sampled_from([None, 4]),
         st.data(),
     )
-    def test_same_records_sides_and_stats(
-        self, stages, source, workers, spill_threshold, data
-    ):
+    def test_same_records_sides_and_stats(self, stages, source, workers, data):
         # the records bypassed with emit_output are part of each stage's
         # records, so comparing records compares them too
-        env = {"STARGRAPH_SPILL_THRESHOLD": str(spill_threshold or 0)}
-        with mock.patch.dict(os.environ, env):
-            want = _chain_run_jobs(stages, source, workers)
-            for order in (source, data.draw(st.permutations(source))):
-                got = run_pipeline(stages, order, workers=workers)
-                # outputs are in emission order, which a map-only stage takes
-                # from its input, so compare them sorted
-                assert sorted(got.records) == sorted(want[0])
-                assert _without_wall(got.stats) == _without_wall(want[1])
+        want = _chain_run_jobs(stages, source, workers)
+        for order in (source, data.draw(st.permutations(source))):
+            got = run_pipeline(stages, order, workers=workers)
+            # outputs are in emission order, which a map-only stage takes
+            # from its input, so compare them sorted
+            assert sorted(got.records) == sorted(want[0])
+            assert _without_wall(got.stats) == _without_wall(want[1])
