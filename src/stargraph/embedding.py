@@ -51,9 +51,6 @@ from .model import (
 
 __all__ = [
     "Embedding",
-    "is_compatible",
-    "join",
-    "restrict",
     "enumerate_total",
     "enumerate_useful_partial",
     "QueryLayout",
@@ -109,29 +106,6 @@ class Embedding(Mapping):
             for n, v in self.items()
         )
         return "{" + body + "}"
-
-
-def is_compatible(e1: Embedding, e2: Embedding) -> bool:
-    """True when the embeddings agree on every shared node."""
-    a, b = (e1, e2) if len(e1) <= len(e2) else (e2, e1)
-    bd = b._d
-    for n, v in a._d.items():
-        if n in bd and bd[n] != v:
-            return False
-    return True
-
-
-def join(e1: Embedding, e2: Embedding) -> Embedding:
-    if not is_compatible(e1, e2):
-        raise ValueError("cannot join incompatible embeddings")
-    merged = dict(e1._d)
-    merged.update(e2._d)
-    return Embedding(merged)
-
-
-def restrict(e: Embedding, nodes: Iterable[Term]) -> Embedding:
-    keep = set(nodes)
-    return Embedding({n: v for n, v in e._d.items() if n in keep})
 
 
 # ------------------------------------------------------------------ matching

@@ -20,6 +20,17 @@ embedding from the candidate sets, and emits fully ground border vectors. The
 final reducer groups by ground border vector, requires a record from every
 subquery, merges the non-border vectors positionally, and projects the query's
 output pattern.
+
+``run_phases`` is the one driver of all three engines: a chain of MapReduce
+jobs (the engine's phase 1; the completion step, unless phase 1 already
+emits ground border vectors; the final join), each reading exactly the
+previous job's output records. A phase-1 map task may put records straight into its
+job's output with ``Emitter.emit_output``, past the shuffle and the reduce;
+the next job reads them next to the reducer's output. Nothing is sorted
+between jobs: each job's output reaches the next shuffle in emission order,
+and the join's records are returned in it. Every job runs through the
+``run_job`` the engine passes in, its own module's name for it, so whoever
+replaces that name (a tracer, say) sees every job.
 """
 
 from __future__ import annotations
@@ -28,10 +39,11 @@ import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import CartesianCapExceeded
-from .model import UNBOUND, DataDecomposition, TermDictionary
+from .errors import CartesianCapExceeded, NotADecomposition
+from .model import UNBOUND, DataDecomposition, QueryDecomposition, TermDictionary
 from .ntio import AnswerSet, read_segments
 from .embedding import QueryLayout
+from .runtime import Job
 
 __all__ = [
     "CARTESIAN_CAP",
@@ -39,8 +51,8 @@ __all__ = [
     "phase2_expand_fn",
     "reduce2_fn",
     "answers_from_records",
-    "coerce_data",
-    "phase1_source",
+    "checked_data",
+    "run_phases",
 ]
 
 CARTESIAN_CAP = 1_000_000
@@ -55,20 +67,14 @@ class EvalResult:
     workers: int = 1
 
 
-def coerce_data(data) -> DataDecomposition:
-    if isinstance(data, DataDecomposition):
-        return data
-    return read_segments(Path(data))
-
-
-def phase1_source(layout: QueryLayout, data: DataDecomposition) -> list[tuple]:
-    """Every engine's pipeline input: one ((subquery, segment), None) record
-    per pair, for the phase-1 mapper to expand."""
-    return [
-        ((i, j), None)
-        for i in range(len(layout.subqueries))
-        for j in range(len(data.segments))
-    ]
+def checked_data(data, query, decomposition: QueryDecomposition) -> DataDecomposition:
+    """``data`` as a data decomposition (read from its manifest when it is a
+    path), once ``decomposition`` is known to belong to ``query``."""
+    if not isinstance(data, DataDecomposition):
+        data = read_segments(Path(data))
+    if query is not None and decomposition.query != query:
+        raise NotADecomposition("decomposition does not belong to this query")
+    return data
 
 
 def _sub_index(key) -> int:
@@ -197,3 +203,50 @@ def answers_from_records(
         layout.query.output_pattern,
         [tuple(map(terms.__getitem__, row)) for row, _ in records],
     )
+
+
+def run_phases(
+    layout: QueryLayout,
+    data: DataDecomposition,
+    phase1: Job,
+    *,
+    complete: bool,
+    workers: int,
+    cap: int,
+    run_job,
+) -> tuple[list[tuple], list[dict], dict[int, int]]:
+    """Run an engine's phase-1 job, then border completion when ``complete``,
+    then the final join, each through ``run_job``.
+
+    Phase 1 reads one ((subquery, segment), None) record per pair. Its output
+    is the completion step's tagged records when ``complete``, else already
+    the join's (bnv, (subquery, nbnv)) records. Returns the join's records,
+    every job's stats in order, and each subquery's total embeddings as
+    counted in phase 1's output.
+    """
+    dictionary = data.dictionary
+    source = [
+        ((i, j), None)
+        for i in range(len(layout.subqueries))
+        for j in range(len(data.segments))
+    ]
+    res = run_job(phase1, source, workers=workers)
+    counts = dict.fromkeys(range(len(layout.subqueries)), 0)
+    join = Job("join-answers", None, reduce2_fn(layout, dictionary, cap))
+    if complete:
+        expand = phase2_expand_fn(layout, dictionary, cap)
+        jobs = [Job("complete-borders", None, expand), join]
+        for key, val in res.records:
+            if val[0] == "e":
+                counts[_sub_index(key)] += 1
+    else:
+        jobs = [join]
+        for _bnv, (sub_idx, _nbnv) in res.records:
+            counts[sub_idx] += 1
+    stats = [res.stats]
+    records = res.records
+    for job in jobs:
+        res = run_job(job, records, workers=workers)
+        stats.append(res.stats)
+        records = res.records
+    return records, stats, counts

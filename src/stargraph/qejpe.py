@@ -16,6 +16,9 @@ Works for any query decomposition over any data partition. Three stages:
    candidate sets, yielding fully ground border vectors.
 3. Final join (shared): group by border vector, require every subquery,
    merge non-border values, project the output pattern.
+
+``run_qejpe`` builds the phase-1 job; ``evalcore.run_phases`` runs it and
+the two shared jobs.
 """
 
 from __future__ import annotations
@@ -30,18 +33,15 @@ from .embedding import (
     preprocess,
     totals_from_fragments,
 )
-from .errors import NotADecomposition
 from .evalcore import (
     CARTESIAN_CAP,
     EvalResult,
     answers_from_records,
-    coerce_data,
-    phase1_source,
-    phase2_expand_fn,
-    reduce2_fn,
+    checked_data,
+    run_phases,
 )
-from .model import UNBOUND, DataDecomposition, Query, QueryDecomposition
-from .runtime import Job, Stage, run_job, run_pipeline
+from .model import UNBOUND, Query, QueryDecomposition
+from .runtime import Job, run_job
 
 __all__ = ["qejpe_map1_records", "qejpe_reduce1_fn", "run_qejpe"]
 
@@ -107,9 +107,7 @@ def run_qejpe(
     workers: int = 1,
     cartesian_cap: int = CARTESIAN_CAP,
 ) -> EvalResult:
-    dec_data: DataDecomposition = coerce_data(data)
-    if query is not None and decomposition.query != query:
-        raise NotADecomposition("decomposition does not belong to this query")
+    dec_data = checked_data(data, query, decomposition)
     layout = preprocess(decomposition)
     dictionary = dec_data.dictionary
 
@@ -120,30 +118,15 @@ def run_qejpe(
         ):
             em.emit(rec_key, rec_val)
 
-    counts = dict.fromkeys(range(len(layout.subqueries)), 0)
-
-    def count_totals(records):
-        for key, val in records:
-            if val[0] == "e":
-                counts[key] += 1
-
-    reduce1 = qejpe_reduce1_fn(layout, cap=cartesian_cap)
-    complete = phase2_expand_fn(layout, dictionary, cartesian_cap)
-    join = reduce2_fn(layout, dictionary, cartesian_cap)
-    result = run_pipeline(
-        [
-            Stage(Job("useful-partials", map1, reduce1), observe=count_totals),
-            Stage(Job("complete-borders", None, complete)),
-            Stage(Job("join-answers", None, join)),
-        ],
-        phase1_source(layout, dec_data),
-        workers=workers,
-        run_job=run_job,
+    phase1 = Job("useful-partials", map1, qejpe_reduce1_fn(layout, cap=cartesian_cap))
+    records, stats, counts = run_phases(
+        layout, dec_data, phase1,
+        complete=True, workers=workers, cap=cartesian_cap, run_job=run_job,
     )
     return EvalResult(
         algorithm="qejpe",
-        answers=answers_from_records(layout, result.records, dictionary),
-        stats=result.stats,
+        answers=answers_from_records(layout, records, dictionary),
+        stats=stats,
         subquery_embeddings=counts,
         workers=workers,
     )

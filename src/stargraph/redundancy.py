@@ -18,24 +18,27 @@ a half phases:
   embedding can be found in several segments; the completion step dedups.
   Images travel as their IDs in the data decomposition's dictionary.
 - Completion and final join are the shared phase-2/phase-3 code.
+
+``run_redundancy`` checks the data and the decomposition as every engine
+does (``evalcore.checked_data``), then the two conditions above, and hands
+its map-only job to ``evalcore.run_phases``, with the completion step only
+when some border node is missing.
 """
 
 from __future__ import annotations
 
 from .embedding import encode, enumerate_total, preprocess
-from .errors import NotADecomposition, NotAnSDecomposition, NotSoDecomposition
+from .errors import NotAnSDecomposition, NotSoDecomposition
 from .evalcore import (
     CARTESIAN_CAP,
     EvalResult,
     answers_from_records,
-    coerce_data,
-    phase1_source,
-    phase2_expand_fn,
-    reduce2_fn,
+    checked_data,
+    run_phases,
 )
 from .decompose import validate_decomposition
-from .model import UNBOUND, DataDecomposition, Query, QueryDecomposition
-from .runtime import Job, Stage, run_job, run_pipeline
+from .model import UNBOUND, Query, QueryDecomposition
+from .runtime import Job, run_job
 
 __all__ = ["red_map1_records", "run_redundancy"]
 
@@ -75,13 +78,11 @@ def run_redundancy(
     workers: int = 1,
     cartesian_cap: int = CARTESIAN_CAP,
 ) -> EvalResult:
-    dec_data: DataDecomposition = coerce_data(data)
+    dec_data = checked_data(data, query, decomposition)
     if not dec_data.is_s_decomposition:
         raise NotAnSDecomposition(
             "replicated evaluation needs node-partitioned segments"
         )
-    if query is not None and decomposition.query != query:
-        raise NotADecomposition("decomposition does not belong to this query")
     report = validate_decomposition(decomposition.query, decomposition)
     if not report.all_so:
         raise NotSoDecomposition(
@@ -97,32 +98,17 @@ def run_redundancy(
         ):
             em.emit(rec_key, rec_val)
 
-    counts = dict.fromkeys(range(len(layout.subqueries)), 0)
-
-    def count_totals(records):
-        if layout.missing_border:
-            for key, val in records:
-                if val[0] == "e":
-                    counts[key[0]] += 1
-        else:
-            for _bnv, (sub_idx, _nbnv) in records:
-                counts[sub_idx] += 1
-
-    stages = [Stage(Job("segment-totals", map1, None), observe=count_totals)]
     # With no missing border nodes every record is already ground, so the
     # completion step is left out and the final join reads the map output.
-    if layout.missing_border:
-        complete = phase2_expand_fn(layout, dictionary, cartesian_cap)
-        stages.append(Stage(Job("complete-borders", None, complete)))
-    join = reduce2_fn(layout, dictionary, cartesian_cap)
-    stages.append(Stage(Job("join-answers", None, join)))
-    result = run_pipeline(
-        stages, phase1_source(layout, dec_data), workers=workers, run_job=run_job
+    records, stats, counts = run_phases(
+        layout, dec_data, Job("segment-totals", map1, None),
+        complete=bool(layout.missing_border), workers=workers,
+        cap=cartesian_cap, run_job=run_job,
     )
     return EvalResult(
         algorithm="redundancy",
-        answers=answers_from_records(layout, result.records, dictionary),
-        stats=result.stats,
+        answers=answers_from_records(layout, records, dictionary),
+        stats=stats,
         subquery_embeddings=counts,
         workers=workers,
     )

@@ -21,28 +21,25 @@ GIL build, threads gave no CPU parallelism and measured slower than running
 the same chunks in turn. Worker count changes no output; the acceptance
 suite pins byte-identical results for 1, 4, and 8 workers.
 
-A pipeline is a list of stages, and each stage reads exactly the previous
-stage's output records, as in a chain of MapReduce jobs. A map task may put
-a record straight into its stage's output with ``Emitter.emit_output``,
-past the shuffle and the reduce; it counts in ``recordsOut`` and in that
-task's ``per_worker_out`` like any other output. ``distinctKeys`` is the
-number of shuffle groups and ``maxGroupSize`` the size of the largest, both
-0 for a map-only stage, which has no shuffle.
+A map task may put a record straight into its stage's output with
+``Emitter.emit_output``, past the shuffle and the reduce; it counts in
+``recordsOut`` and in that task's ``per_worker_out`` like any other output.
+``distinctKeys`` is the number of shuffle groups and ``maxGroupSize`` the
+size of the largest, both 0 for a map-only stage, which has no shuffle.
 
 Sorting happens in exactly two places. Intermediate records are ordered
 once, by the shuffle of the stage that reads them, as in MapReduce. Answers
 are ordered once, by ``ntio.AnswerSet``. Everything else keeps emission
 order: a ``JobResult`` holds its records as the tasks emitted them (a map
-task's bypassed records first, then the reduce output), and ``run_pipeline``
-hands them on, or back, unsorted. This is safe because the shuffle orders
-every (key, value) pair by value, so the groups, the order of each group's
-values, and therefore the stage stats and which key trips a cap do not
-depend on the order the records arrive in; only the order a reducer emits in
-may. Records that compare equal are equal (the sort is stable, but no two
-distinct records tie, with the caveats above).
+task's bypassed records first, then the reduce output), unsorted. This is
+safe because the shuffle orders every (key, value) pair by value, so the
+groups, the order of each group's values, and therefore the stage stats and
+which key trips a cap do not depend on the order the records arrive in; only
+the order a reducer emits in may. Records that compare equal are equal (the
+sort is stable, but no two distinct records tie, with the caveats above).
 
-The shuffle is one in-memory sort: a stage's emissions and its groups are
-held in memory, as is every stage's output.
+The shuffle is one in-memory sort: a stage's emissions, its groups and its
+output are held in memory.
 
 Map and reduce callables receive an Emitter; exceptions are wrapped into
 MapFnError / ReduceFnError with the failing stage and key attached. Limit
@@ -53,7 +50,7 @@ abort, not a bug in the user function, and it must keep its exit code.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
 
@@ -64,9 +61,6 @@ __all__ = [
     "Job",
     "JobResult",
     "run_job",
-    "Stage",
-    "PipelineResult",
-    "run_pipeline",
 ]
 
 _values = itemgetter(1)
@@ -209,48 +203,3 @@ def run_job(job: Job, records: list[tuple], *, workers: int = 1) -> JobResult:
         "wallMillis": int((time.perf_counter() - started) * 1000),
     }
     return JobResult(records=out, stats=stats, per_worker_out=tuple(per_worker))
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One pipeline stage. ``observe``, when set, is called with the stage's
-    output records in emission order, before the next stage reads them; it
-    must not change them."""
-
-    job: Job
-    observe: Callable[[list[tuple]], None] | None = None
-
-
-@dataclass
-class PipelineResult:
-    """The last stage's records in emission order, and every stage's stats
-    in order."""
-
-    records: list[tuple]
-    stats: list[dict] = field(default_factory=list)
-
-
-def run_pipeline(
-    stages: list[Stage],
-    source: list[tuple],
-    *,
-    workers: int = 1,
-    run_job: Callable[..., JobResult] = run_job,
-) -> PipelineResult:
-    """Run stages in order, each on the previous stage's output records (the
-    first on ``source``).
-
-    Nothing is sorted here: each stage's output reaches the next shuffle in
-    emission order, and the last stage's records are returned in it. Each
-    stage runs through ``run_job``: the engines pass their own module's name
-    for it, so whoever replaces that name (a tracer, say) sees every stage.
-    """
-    records = source
-    all_stats: list[dict] = []
-    for stage in stages:
-        res = run_job(stage.job, records, workers=workers)
-        if stage.observe is not None:
-            stage.observe(res.records)
-        all_stats.append(res.stats)
-        records = res.records
-    return PipelineResult(records=records, stats=all_stats)

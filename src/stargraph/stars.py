@@ -5,7 +5,8 @@ image of its central node. The mapper has two parts:
 
 - Part 1 handles central images that might span segments (border nodes, and
   literals for object-central triples, since literals are never border): it
-  emits one record per matching triple, keyed by (subquery, central image),
+  emits one record per matching triple, found through the same index lookup
+  as ``enumerate_total`` and keyed by (subquery, central image),
   carrying the triple's index and the image of its other endpoint. The
   reducer re-assembles whole stars: it intersects, per non-central node, the
   candidate lists of that node's triples, and takes the cartesian product
@@ -22,34 +23,39 @@ image of its central node. The mapper has two parts:
 Images travel as their IDs in the data decomposition's dictionary; the
 mapper tests border membership and literals on the terms before encoding.
 
-Phases 2 and 3 are the shared completion and final join.
+Phases 2 and 3 are the shared completion and final join: ``run_stars``
+builds the phase-1 job and ``evalcore.run_phases`` runs all three.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .embedding import Embedding, encode, enumerate_total, id_vectors, preprocess
+from .embedding import (
+    Embedding,
+    _candidates,
+    encode,
+    enumerate_total,
+    id_vectors,
+    preprocess,
+)
 from .errors import CartesianCapExceeded, NotADecomposition
 from .evalcore import (
     CARTESIAN_CAP,
     EvalResult,
     answers_from_records,
-    coerce_data,
-    phase1_source,
-    phase2_expand_fn,
-    reduce2_fn,
+    checked_data,
+    run_phases,
 )
 from .model import (
     UNBOUND,
-    DataDecomposition,
     Query,
     QueryDecomposition,
     Term,
     so_centers,
     star_centers,
 )
-from .runtime import Job, Stage, run_job, run_pipeline
+from .runtime import Job, run_job
 
 __all__ = ["resolve_centers", "stars_map1_records", "stars_reduce1_fn", "run_stars"]
 
@@ -85,40 +91,26 @@ def stars_map1_records(
     ids = dictionary.ids
     part1 = []
     for t, qidx in zip(sub.canonical, layout.to_query[sub_idx]):
+        insts = _candidates(
+            segment, t,
+            t.s if t.s.is_constant else None, t.o if t.o.is_constant else None,
+        )
         if t.s == center and t.o == center:
             # self-loop: the match itself is the witness, no neighbor image
-            insts = (
-                segment.by_subject_predicate(center, t.p)
-                if center.is_constant
-                else segment.by_predicate(t.p)
+            part1.extend(
+                ((sub_idx, ids[i.s]), ("p", qidx, ids[i.s]))
+                for i in insts if i.s == i.o and i.s in border
             )
-            for inst in insts:
-                if inst.s == inst.o and inst.s in border:
-                    part1.append(((sub_idx, ids[inst.s]), ("p", qidx, ids[inst.s])))
         elif t.s == center:
-            if center.is_constant:
-                insts = segment.by_subject_predicate(center, t.p)
-            elif t.o.is_constant:
-                insts = segment.by_object_predicate(t.o, t.p)
-            else:
-                insts = segment.by_predicate(t.p)
-            for inst in insts:
-                if t.o.is_constant and inst.o != t.o:
-                    continue
-                if inst.s in border:
-                    part1.append(((sub_idx, ids[inst.s]), ("p", qidx, ids[inst.o])))
+            part1.extend(
+                ((sub_idx, ids[i.s]), ("p", qidx, ids[i.o]))
+                for i in insts if i.s in border
+            )
         else:  # t.o == center
-            if center.is_constant:
-                insts = segment.by_object_predicate(center, t.p)
-            elif t.s.is_constant:
-                insts = segment.by_subject_predicate(t.s, t.p)
-            else:
-                insts = segment.by_predicate(t.p)
-            for inst in insts:
-                if t.s.is_constant and inst.s != t.s:
-                    continue
-                if inst.o in border or inst.o.is_literal:
-                    part1.append(((sub_idx, ids[inst.o]), ("p", qidx, ids[inst.s])))
+            part1.extend(
+                ((sub_idx, ids[i.o]), ("p", qidx, ids[i.s]))
+                for i in insts if i.o in border or i.o.is_literal
+            )
     part2 = []
     for e in enumerate_total(sub, segment):
         img = e[center]
@@ -196,9 +188,7 @@ def run_stars(
     workers: int = 1,
     cartesian_cap: int = CARTESIAN_CAP,
 ) -> EvalResult:
-    dec_data: DataDecomposition = coerce_data(data)
-    if query is not None and decomposition.query != query:
-        raise NotADecomposition("decomposition does not belong to this query")
+    dec_data = checked_data(data, query, decomposition)
     layout = preprocess(decomposition)
     centers = resolve_centers(decomposition)
     dictionary = dec_data.dictionary
@@ -214,33 +204,18 @@ def run_stars(
         for rec_key, rec_val in part2:
             em.emit_output(rec_key, rec_val)
 
-    counts = dict.fromkeys(range(len(layout.subqueries)), 0)
-
-    def count_totals(records):
-        for key, val in records:
-            if val[0] == "e":
-                counts[key] += 1
-
-    assembly = Job(
+    phase1 = Job(
         "star-assembly", map1,
         stars_reduce1_fn(layout, centers, dictionary, cap=cartesian_cap),
     )
-    complete = phase2_expand_fn(layout, dictionary, cartesian_cap)
-    join = reduce2_fn(layout, dictionary, cartesian_cap)
-    result = run_pipeline(
-        [
-            Stage(assembly, observe=count_totals),
-            Stage(Job("complete-borders", None, complete)),
-            Stage(Job("join-answers", None, join)),
-        ],
-        phase1_source(layout, dec_data),
-        workers=workers,
-        run_job=run_job,
+    records, stats, counts = run_phases(
+        layout, dec_data, phase1,
+        complete=True, workers=workers, cap=cartesian_cap, run_job=run_job,
     )
     return EvalResult(
         algorithm="stars",
-        answers=answers_from_records(layout, result.records, dictionary),
-        stats=result.stats,
+        answers=answers_from_records(layout, records, dictionary),
+        stats=stats,
         subquery_embeddings=counts,
         workers=workers,
     )

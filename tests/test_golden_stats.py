@@ -2,7 +2,8 @@
 
 Each engine's stats (minus wallMillis) and subquery embedding counts on the
 fixture graph, as the engines produced them when each still wired its own
-run_job chain. Any change to how stages are driven must leave them alone.
+run_job chain, before ``evalcore.run_phases`` drove them all. Any change to
+how stages are driven must leave them alone.
 """
 
 import pytest

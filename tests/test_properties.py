@@ -16,11 +16,18 @@ one of the structural facts the engines rely on:
   agree on the shared non-literal nodes of their subqueries;
 - the structural properties of node partitions with replication (coverage,
   replicated nodes and triples always owned elsewhere, and so on).
+
+The joins are checked against a reference join of embeddings
+(``is_compatible``, ``join``, ``restrict``) that the engines do not use;
+``TestCompatibilityAlgebra`` pins its own laws.
 """
 
 import itertools
+from typing import Iterable
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import stargraph as sg
 from stargraph.embedding import enumerate_useful_partial, totals_from_fragments
@@ -28,6 +35,67 @@ from stargraph.embedding import enumerate_useful_partial, totals_from_fragments
 DECOMPOSERS = sorted(sg.DECOMPOSERS)
 
 STATE_GUARD = 100_000
+
+
+def is_compatible(e1: sg.Embedding, e2: sg.Embedding) -> bool:
+    """True when the embeddings agree on every shared node."""
+    a, b = (e1, e2) if len(e1) <= len(e2) else (e2, e1)
+    bd = b._d
+    for n, v in a._d.items():
+        if n in bd and bd[n] != v:
+            return False
+    return True
+
+
+def join(e1: sg.Embedding, e2: sg.Embedding) -> sg.Embedding:
+    if not is_compatible(e1, e2):
+        raise ValueError("cannot join incompatible embeddings")
+    merged = dict(e1._d)
+    merged.update(e2._d)
+    return sg.Embedding(merged)
+
+
+def restrict(e: sg.Embedding, nodes: Iterable[sg.Term]) -> sg.Embedding:
+    keep = set(nodes)
+    return sg.Embedding({n: v for n, v in e._d.items() if n in keep})
+
+
+class TestCompatibilityAlgebra:
+    nodes = st.sampled_from(
+        [sg.variable(c) for c in "xyzw"] + [sg.iri(c) for c in "ab"]
+    )
+    values = st.sampled_from([sg.iri(f"n{i}") for i in range(4)])
+    embeddings = st.dictionaries(nodes, values, max_size=5).map(sg.Embedding)
+
+    @given(embeddings, embeddings)
+    def test_compatibility_is_symmetric(self, e1, e2):
+        assert is_compatible(e1, e2) == is_compatible(e2, e1)
+
+    @given(embeddings, embeddings)
+    def test_join_merges_or_raises(self, e1, e2):
+        if is_compatible(e1, e2):
+            j = join(e1, e2)
+            assert j.domain == e1.domain | e2.domain
+            for n in e1:
+                assert j[n] == e1[n]
+            for n in e2:
+                assert j[n] == e2[n]
+            assert j == join(e2, e1)
+        else:
+            with pytest.raises(ValueError):
+                join(e1, e2)
+
+    @given(embeddings)
+    def test_self_compatibility(self, e):
+        assert is_compatible(e, e)
+        assert join(e, e) == e
+
+    @given(embeddings, st.sets(nodes))
+    def test_restrict_is_a_subset(self, e, keep):
+        r = restrict(e, keep)
+        assert r.domain == e.domain & frozenset(keep)
+        for n in r:
+            assert r[n] == e[n]
 
 
 def instance(uid, *, max_graph=50, max_query=6):
@@ -67,8 +135,8 @@ def incremental_join(total_sets):
         nxt = set()
         for s in states:
             for e in totals:
-                if sg.is_compatible(s, e):
-                    nxt.add(sg.join(s, e))
+                if is_compatible(s, e):
+                    nxt.add(join(s, e))
                     if len(nxt) > STATE_GUARD:
                         return None
         states = nxt
@@ -124,13 +192,13 @@ class TestSubqueryReconstruction:
             seen = False
             for a, b, c in itertools.combinations(range(len(dec)), 3):
                 for e1, e2 in itertools.product(sets[a], sets[b]):
-                    if not sg.is_compatible(e1, e2):
+                    if not is_compatible(e1, e2):
                         continue
-                    j12 = sg.join(e1, e2)
+                    j12 = join(e1, e2)
                     for e3 in sets[c]:
                         seen = True
-                        assert sg.is_compatible(j12, e3) == (
-                            sg.is_compatible(e1, e3) and sg.is_compatible(e2, e3)
+                        assert is_compatible(j12, e3) == (
+                            is_compatible(e1, e3) and is_compatible(e2, e3)
                         )
             return seen
 
@@ -195,8 +263,8 @@ class TestBorderAgreement:
                 )
                 for ei, ej in itertools.product(totals[i], totals[j]):
                     checked = True
-                    agree = sg.restrict(ei, shared) == sg.restrict(ej, shared)
-                    assert sg.is_compatible(ei, ej) == agree
+                    agree = restrict(ei, shared) == restrict(ej, shared)
+                    assert is_compatible(ei, ej) == agree
             return checked
 
         run_instances(check, count=200, floor=100)

@@ -183,6 +183,15 @@ class TestRunRedundancy:
         with pytest.raises(NotADecomposition):
             run_redundancy(node_split, supervisor_query, dec)
 
+    def test_foreign_decomposition_checked_before_partition_kind(
+        self, edge_split, supervisor_query, coauthor_query
+    ):
+        # every engine checks the data and the decomposition first, in the
+        # same order, before anything of its own
+        dec = sg.max_degree_decomposition(coauthor_query)
+        with pytest.raises(NotADecomposition):
+            run_redundancy(edge_split, supervisor_query, dec)
+
     def test_cap_trips(self, node_split, coauthor_query):
         dec = sg.max_degree_decomposition(coauthor_query)
         with pytest.raises(sg.CartesianCapExceeded):

@@ -17,14 +17,7 @@ from stargraph.errors import (
     UnorderableRecords,
 )
 from stargraph.model import UNBOUND, Term, TermDictionary
-from stargraph.runtime import (
-    Emitter,
-    Job,
-    PipelineResult,
-    Stage,
-    run_job,
-    run_pipeline,
-)
+from stargraph.runtime import Emitter, Job, run_job
 
 
 # lexical forms shared across kinds and prefixing each other ("", "a", "ab")
@@ -113,7 +106,7 @@ def _collect(key, values, em):
     em.emit(key, tuple(values))
 
 
-class TestRecordSortKey:
+class TestShuffleRecordOrder:
     """The shuffle sorts records in Python's own order: records carry term
     IDs, and that order must be the one ``reference_record_sort_key`` gives
     the term records they encode."""
@@ -199,6 +192,56 @@ class TestRecordSortKey:
         assert _cmp(ids[a], ids[b]) == _cmp(
             reference_record_sort_key(a), reference_record_sort_key(b)
         )
+
+
+def _stage_job(i: int, map_kind: str, reduce_kind: str | None, bypass: bool) -> Job:
+    """A stage named after ``i``. Keys and values are all strs, so every
+    record compares with every other. Reducers emit their values in order,
+    so any change in the order a reducer sees its values changes the output.
+    With ``bypass``, a non-identity map also sends records past the shuffle."""
+
+    def swap(key, value, em):
+        em.emit(value, key)
+        if bypass:
+            em.emit_output(key, value)
+
+    def fan_out(key, value, em):
+        em.emit(key, value)
+        em.emit(str(i), repr((key, value)))
+        if bypass:
+            em.emit_output(value, str(i))
+
+    def collect(key, values, em):
+        em.emit(key, repr(tuple(values)))
+
+    def count(key, values, em):
+        em.emit(str(len(values)), key)
+
+    map_fn = {"identity": None, "swap": swap, "fan-out": fan_out}[map_kind]
+    reduce_fn = {None: None, "collect": collect, "count": count}[reduce_kind]
+    return Job(f"stage{i}", map_fn, reduce_fn)
+
+
+@st.composite
+def stage_jobs(draw):
+    """Identity and non-identity maps, map-only and reduce stages, and maps
+    that do or do not bypass the shuffle."""
+    return _stage_job(
+        draw(st.integers(0, 2)),
+        draw(st.sampled_from(["identity", "swap", "fan-out"])),
+        draw(st.sampled_from([None, "collect", "count"])),
+        draw(st.booleans()),
+    )
+
+
+def _without_wall(stats):
+    return [{k: v for k, v in s.items() if k != "wallMillis"} for s in stats]
+
+
+str_records = st.lists(
+    st.tuples(st.sampled_from("01234ab"), st.text(alphabet="ab", max_size=3)),
+    max_size=12,
+)
 
 
 def word_count_records():
@@ -340,6 +383,20 @@ class TestRunJob:
         assert res.per_worker_out == (8, 6, 6)
         assert res.stats["recordsOut"] == 20
 
+    @settings(max_examples=60, deadline=None)
+    @given(stage_jobs(), str_records, st.sampled_from([1, 3]), st.data())
+    def test_arrival_order_changes_no_group_value_order_or_stat(
+        self, job, source, workers, data
+    ):
+        # the records bypassed with emit_output are part of the stage's
+        # records, so comparing records compares them too
+        want = run_job(job, source, workers=workers)
+        got = run_job(job, data.draw(st.permutations(source)), workers=workers)
+        # outputs are in emission order, which a map-only stage takes from
+        # its input, so compare them sorted
+        assert sorted(got.records) == sorted(want.records)
+        assert _without_wall([got.stats]) == _without_wall([want.stats])
+
 
 class TestErrorWrapping:
     def test_map_error_carries_stage_and_key(self):
@@ -377,8 +434,10 @@ class TestErrorWrapping:
 
 
 class TestEngineStageHook:
-    """A tracer swaps ``<engine module>.run_job`` for a wrapper; every stage
-    an engine runs must go through that name, in the order of its stats."""
+    """A tracer swaps ``<engine module>.run_job``, ``.preprocess`` and
+    ``.answers_from_records`` for wrappers. Every stage an engine runs must go
+    through that ``run_job``, in the order of its stats, and each run must
+    call the other two through the engine module exactly once."""
 
     @pytest.mark.parametrize("engine", ["qejpe", "stars", "redundancy"])
     @pytest.mark.parametrize(
@@ -396,150 +455,20 @@ class TestEngineStageHook:
             return stargraph.runtime.run_job(job, records, **kwargs)
 
         monkeypatch.setattr(module, "run_job", recording)
+        calls = dict.fromkeys(["preprocess", "answers_from_records"], 0)
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
         q = request.getfixturevalue(query)
         data = node_split if engine == "redundancy" else edge_split
         res = getattr(module, f"run_{engine}")(data, q, sg.DECOMPOSERS[method](q))
         assert names
         assert names == [s["stage"] for s in res.stats]
+        assert calls == {"preprocess": 1, "answers_from_records": 1}
         assert res.answers.rows
         for row in res.answers.rows:
             for t in row:
                 assert t is Term(t.kind, t.lexical)
-
-
-class TestPipeline:
-    def build(self):
-        def mapper(key, value, em: Emitter):
-            em.emit(value, 1)
-            if value == "fox":
-                em.emit_output(value, 10)
-
-        first = Stage(Job("count", mapper, sum_reduce))
-        second = Stage(Job("fold", None, sum_reduce))
-        return [first, second]
-
-    def test_stats_per_stage(self):
-        res = run_pipeline(self.build(), word_count_records())
-        assert isinstance(res, PipelineResult)
-        assert [s["stage"] for s in res.stats] == ["count", "fold"]
-        assert [
-            (s["recordsIn"], s["recordsOut"], s["distinctKeys"]) for s in res.stats
-        ] == [(10, 8, 6), (8, 6, 6)]
-        assert dict(res.records)["fox"] == 2 + 10 + 10
-
-    def test_emit_output_feeds_the_next_stage(self):
-        seen, observed = [], []
-
-        def mapper(key, value, em: Emitter):
-            em.emit_output(value, 1)
-            em.emit("total", 1)
-
-        def tally(key, values, em: Emitter):
-            seen.append((key, values))
-            em.emit(key, len(values))
-
-        stages = [
-            Stage(Job("split", mapper, tally), observe=observed.append),
-            Stage(Job("count", None, sum_reduce)),
-        ]
-        results = [run_pipeline(stages, word_count_records(), workers=w) for w in (1, 3)]
-        # the reducer of the first stage sees none of the bypassed words
-        assert seen == 2 * [("total", [1] * 10)]
-        assert observed == 2 * [
-            [(w, 1) for _, w in word_count_records()] + [("total", 10)]
-        ]
-        for res in results:
-            assert res.records == [
-                ("and", 2), ("dog", 1), ("fox", 2), ("lazy", 1), ("quick", 1),
-                ("the", 3), ("total", 10),
-            ]
-            assert [(s["recordsIn"], s["recordsOut"]) for s in res.stats] == [
-                (10, 11), (11, 7)
-            ]
-        assert _without_wall(results[1].stats) == _without_wall(results[0].stats)
-
-
-def _stage_job(i: int, map_kind: str, reduce_kind: str | None, bypass: bool) -> Job:
-    """Stage i of a random pipeline. Keys and values are all strs, so every
-    record compares with every other. Reducers emit their values in order,
-    so any change in the order a reducer sees its values changes the output.
-    With ``bypass``, a non-identity map also sends records past the shuffle."""
-
-    def swap(key, value, em):
-        em.emit(value, key)
-        if bypass:
-            em.emit_output(key, value)
-
-    def fan_out(key, value, em):
-        em.emit(key, value)
-        em.emit(str(i), repr((key, value)))
-        if bypass:
-            em.emit_output(value, str(i))
-
-    def collect(key, values, em):
-        em.emit(key, repr(tuple(values)))
-
-    def count(key, values, em):
-        em.emit(str(len(values)), key)
-
-    map_fn = {"identity": None, "swap": swap, "fan-out": fan_out}[map_kind]
-    reduce_fn = {None: None, "collect": collect, "count": count}[reduce_kind]
-    return Job(f"stage{i}", map_fn, reduce_fn)
-
-
-@st.composite
-def pipelines(draw):
-    """2-3 stages with identity and non-identity maps, map-only and reduce
-    stages, and maps that do or do not bypass the shuffle."""
-    n = draw(st.integers(2, 3))
-    return [
-        Stage(
-            _stage_job(
-                i,
-                draw(st.sampled_from(["identity", "swap", "fan-out"])),
-                draw(st.sampled_from([None, "collect", "count"])),
-                draw(st.booleans()),
-            )
-        )
-        for i in range(n)
-    ]
-
-
-def _chain_run_jobs(stages, source, workers):
-    """The pipeline spelled out as public run_job calls."""
-    records, stats = list(source), []
-    for stage in stages:
-        res = run_job(stage.job, records, workers=workers)
-        stats.append(res.stats)
-        records = res.records
-    return records, stats
-
-
-def _without_wall(stats):
-    return [{k: v for k, v in s.items() if k != "wallMillis"} for s in stats]
-
-
-pipeline_records = st.lists(
-    st.tuples(st.sampled_from("01234ab"), st.text(alphabet="ab", max_size=3)),
-    max_size=12,
-)
-
-
-class TestPipelineEqualsRunJobChain:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        pipelines(),
-        pipeline_records,
-        st.sampled_from([1, 3]),
-        st.data(),
-    )
-    def test_same_records_sides_and_stats(self, stages, source, workers, data):
-        # the records bypassed with emit_output are part of each stage's
-        # records, so comparing records compares them too
-        want = _chain_run_jobs(stages, source, workers)
-        for order in (source, data.draw(st.permutations(source))):
-            got = run_pipeline(stages, order, workers=workers)
-            # outputs are in emission order, which a map-only stage takes
-            # from its input, so compare them sorted
-            assert sorted(got.records) == sorted(want[0])
-            assert _without_wall(got.stats) == _without_wall(want[1])

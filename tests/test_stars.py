@@ -82,6 +82,82 @@ class TestMapRecords:
         assert values[2] == ("v", 1, t("<Journal2>"))
 
 
+def brute_force_part1(layout, centers, sub_idx, segment, border, dictionary):
+    """Part 1 by scanning every segment triple against every star triple."""
+    sub, center, ids = layout.subqueries[sub_idx], centers[sub_idx], dictionary.ids
+    out = []
+    for t, qidx in zip(sub.canonical, layout.to_query[sub_idx]):
+        for inst in segment.triples:
+            if inst.p != t.p or any(
+                end.is_constant and end != img
+                for end, img in ((t.s, inst.s), (t.o, inst.o))
+            ):
+                continue
+            if t.s == center and t.o == center:
+                if inst.s == inst.o and inst.s in border:
+                    out.append(((sub_idx, ids[inst.s]), ("p", qidx, ids[inst.s])))
+            elif t.s == center:
+                if inst.s in border:
+                    out.append(((sub_idx, ids[inst.s]), ("p", qidx, ids[inst.o])))
+            elif inst.o in border or inst.o.is_literal:
+                out.append(((sub_idx, ids[inst.o]), ("p", qidx, ids[inst.s])))
+    return out
+
+
+# (segment of each data triple, star triples, centre). The centre's images
+# that take part sit on the border, or are literals, and each case also has
+# triples that part 1 must leave out.
+PART1_CASES = {
+    "self-loop-centre-on-a-border-node": (
+        {
+            "<a> <p> <a> .": 0, "<a> <p> <c> .": 0, "<c> <p> <c> .": 0,
+            "<c> <p> <a> .": 0, "<a> <q> <b> .": 1, "<b> <p> <b> .": 1,
+        },
+        [("?x", "<p>", "?x"), ("?x", "<q>", "?y")],
+        "?x",
+    ),
+    "constant-centre-with-a-constant-far-end": (
+        {
+            "<a> <q> <b> .": 0, "<a> <q> <c> .": 0, "<d> <q> <b> .": 0,
+            "<a> <p> <e> .": 1, "<a> <q> <b2> .": 1,
+        },
+        [("<a>", "<q>", "<b>"), ("<a>", "<p>", "?z")],
+        "<a>",
+    ),
+    "literal-centre": (
+        {
+            '<a> <p> "v" .': 0, '<b> <r> "v" .': 0, '<c> <p> "w" .': 0,
+            '<a> <r> "v" .': 1, '<b> <p> "w" .': 1,
+        },
+        [("?x", "<p>", "?y"), ("<b>", "<r>", "?y")],
+        "?y",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PART1_CASES))
+def test_part1_equals_a_scan_of_the_segment(case):
+    assignment, star, centre = PART1_CASES[case]
+    g = sg.parse_data("".join(line + "\n" for line in assignment))
+    split = sg.from_edge_assignment(g, assignment)
+    q = sg.Query([q3(*t) for t in star])
+    dec = sg.QueryDecomposition(q, (q,), (t(centre),), "handmade")
+    layout = sg.preprocess(dec)
+    centers = resolve_centers(dec)
+    assert centers == (t(centre),)
+    found = 0
+    for j, seg in enumerate(split.segments):
+        part1, _ = stars_map1_records(
+            layout, centers, 0, seg, j, split.borders[j], split.dictionary
+        )
+        want = brute_force_part1(
+            layout, centers, 0, seg, split.borders[j], split.dictionary
+        )
+        assert sorted(part1) == sorted(want)
+        found += len(part1)
+    assert found
+
+
 class TestReduce:
     def run_key(self, layout, centers, grouped, key, split):
         """The reducer's records for a (subquery, central term) key, decoded."""
