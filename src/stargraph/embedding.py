@@ -1,4 +1,4 @@
-"""Embeddings: total, partial, useful partial, and their encodings.
+"""Embeddings: total, partial, useful partial, and the join of fragments.
 
 An embedding maps query nodes to data nodes. A total embedding of a query
 instantiates every triple inside the graph. A partial embedding may leave
@@ -9,32 +9,32 @@ defined on every constant of the subquery present in the segment, and any
 node it maps to a non-border, non-literal value must have all of its triples
 matched inside the segment (otherwise no other segment can ever complete it).
 
-``totals_from_fragments`` joins the useful partials of one subquery back into
-its total embeddings. Fragments with different images of the subquery's star
-centre never join, so it joins them one centre image at a time; only a
-subquery without a star centre (from a hand-built plan) gets a per-image
-index of its fragments instead.
+Every primitive takes the order of the nodes it reports, ``nodes``, and
+returns each embedding as the tuple of their images: the oracle asks for
+the output pattern, the engines for their layout's node order (border nodes
+first). ``enumerate_total`` and ``enumerate_useful_partial`` give terms, None
+for a node they leave unbound; the engines encode them to IDs in the data
+decomposition's ``TermDictionary``, and ``QueryLayout.split`` cuts each ID
+vector into its border and non-border part. A useful partial comes with the
+int bit mask of the subquery's canonical triples it matched.
+
+``totals_from_fragments`` joins (ID vector, mask) fragments of one subquery
+back into its total embeddings, UNBOUND (-1) marking an unbound position.
+Fragments with different images of the subquery's star centre never join, so
+it joins them one centre image at a time; only a subquery without a star
+centre (from a hand-built plan) gets a per-image index of its fragments
+instead.
 
 ``enumerate_total`` and ``enumerate_useful_partial`` return their results in
 the order of their depth-first search, and ``totals_from_fragments`` in the
 order its join reaches them: the shuffle they go to, or ``AnswerSet`` for the
 oracle, sorts them.
-
-``encode`` splits an embedding into a border-node vector and a non-border
-vector, following a fixed node enumeration with border nodes first, and puts
-each image's ID from the data decomposition's ``TermDictionary`` in its place;
-UNBOUND (-1) marks an unbound position. The engines ship embeddings between
-stages in this form, and qejpe's fragments add one match flag per query
-triple. ``id_vectors`` does the same for an embedding whose images are IDs
-already, as in the reducers that join or assemble them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
-from typing import Iterable, Iterator, Mapping
 
 from .errors import CartesianCapExceeded
 from .model import (
@@ -44,68 +44,17 @@ from .model import (
     Query,
     QueryDecomposition,
     Term,
-    TermDictionary,
     TriplePattern,
     star_centers,
 )
 
 __all__ = [
-    "Embedding",
     "enumerate_total",
     "enumerate_useful_partial",
     "QueryLayout",
     "preprocess",
-    "encode",
-    "id_vectors",
     "totals_from_fragments",
 ]
-
-
-class Embedding(Mapping):
-    """An immutable mapping from query nodes to their images: data nodes,
-    or their dictionary IDs in qejpe's fragment join."""
-
-    __slots__ = ("_d", "_hash")
-
-    def __init__(self, mapping: Mapping[Term, Term] | Iterable[tuple[Term, Term]]):
-        self._d = dict(mapping)
-        self._hash: int | None = None
-
-    def __getitem__(self, node: Term) -> Term:
-        return self._d[node]
-
-    def __iter__(self) -> Iterator[Term]:
-        return iter(sorted(self._d))
-
-    def __len__(self) -> int:
-        return len(self._d)
-
-    def __contains__(self, node) -> bool:
-        return node in self._d
-
-    def items(self):
-        return tuple(sorted(self._d.items()))
-
-    @property
-    def domain(self) -> frozenset[Term]:
-        return frozenset(self._d)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Embedding):
-            return self._d == other._d
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._d.items()))
-        return self._hash
-
-    def __repr__(self) -> str:
-        body = ", ".join(
-            f"{n.token()}->{v.token() if isinstance(v, Term) else v}"
-            for n, v in self.items()
-        )
-        return "{" + body + "}"
 
 
 # ------------------------------------------------------------------ matching
@@ -150,22 +99,22 @@ def _extended(bindings: dict, t: TriplePattern, inst: DataTriple) -> dict | None
     return dict(new) if new is bindings else new
 
 
-def enumerate_total(q: Query, g: DataGraph) -> list[Embedding]:
-    """All total embeddings of q in g, in the order the search finds them."""
+def enumerate_total(
+    q: Query, g: DataGraph, nodes: tuple[Term, ...]
+) -> list[tuple[Term | None, ...]]:
+    """All total embeddings of q in g, in the order the search finds them,
+    each as the images of ``nodes``: a constant of q maps to itself, and a
+    node not in q to None."""
     triples = list(q.canonical)
     n = len(triples)
-    results: list[Embedding] = []
+    results: list[tuple[Term | None, ...]] = []
 
     def bound_count(t: TriplePattern, bindings) -> int:
         return sum(1 for x in (t.s, t.o) if _value_of(x, bindings) is not None)
 
     def dfs(remaining: list[int], bindings: dict):
         if not remaining:
-            full = dict(bindings)
-            for node in q.nodes:
-                if node.is_constant:
-                    full[node] = node
-            results.append(Embedding(full))
+            results.append(tuple(map(bindings.get, nodes)))
             return
         # most-constrained first: prefer patterns with more bound endpoints
         pick = max(remaining, key=lambda i: (bound_count(triples[i], bindings), -i))
@@ -176,19 +125,22 @@ def enumerate_total(q: Query, g: DataGraph) -> list[Embedding]:
             if nb is not None:
                 dfs(rest, nb)
 
-    dfs(list(range(n)), {})
+    # the search reads constants off the patterns, so binding each to itself
+    # up front only puts it in the results
+    dfs(list(range(n)), {c: c for c in q.constants})
     return results
 
 
 def enumerate_useful_partial(
-    sub: Query, segment: DataGraph, border: frozenset[Term]
-) -> list[tuple[Embedding, frozenset[int]]]:
+    sub: Query, segment: DataGraph, border: frozenset[Term], nodes: tuple[Term, ...]
+) -> list[tuple[tuple[Term | None, ...], int]]:
     """All useful partial embeddings of sub against one segment.
 
-    Returns (embedding, matched-triple-indexes) pairs; indexes refer to the
-    subquery's canonical triple order. The pairs come in the order the search
-    first reaches them, which is deterministic but not sorted: the shuffle
-    that receives them sorts them anyway.
+    Returns (images, matched) pairs: the images of ``nodes``, None for a
+    node left unbound or not in sub, and the bit mask of the subquery's
+    canonical triples matched (bit i for triple i). The pairs come in the
+    order the search first reaches them, which is deterministic but not
+    sorted: the shuffle that receives them sorts them anyway.
 
     The search walks the canonical triples and either skips each one or
     matches it to a segment triple that agrees with the bindings so far, so
@@ -204,7 +156,7 @@ def enumerate_useful_partial(
     n = len(triples)
     variables = tuple(sorted(sub.variables))
     seg_nodes = segment.nodes
-    present = {c: c for c in sorted(sub.constants) if c in seg_nodes}
+    present = tuple(c for c in sorted(sub.constants) if c in seg_nodes)
     incident: dict[Term, int] = {}
     for i, t in enumerate(triples):
         for node in t.nodes:
@@ -234,8 +186,12 @@ def enumerate_useful_partial(
                 dfs(i + 1, nb, with_i)
 
     dfs(0, {}, 0)
+    # a leaf key followed by the present constants and None holds every
+    # image; pick says where each of ``nodes`` finds its own
+    slot = {v: k for k, v in enumerate(variables + present)}
+    pick = [slot.get(node, len(slot)) for node in nodes]
+    tail = present + (None,)
     out = []
-    matched_sets: dict[int, frozenset[int]] = {}
     for key, matched in leaves.items():
         if not matched:
             continue
@@ -245,14 +201,8 @@ def enumerate_useful_partial(
                 required |= mask
         if required & ~matched:
             continue
-        indexes = matched_sets.get(matched)
-        if indexes is None:
-            indexes = matched_sets[matched] = frozenset(
-                i for i in range(n) if matched >> i & 1
-            )
-        # None marks an unbound variable and is the only falsy image
-        bound = compress(zip(variables, key), key)
-        out.append((Embedding(chain(bound, present.items())), indexes))
+        images = key + tail
+        out.append((tuple(map(images.__getitem__, pick)), matched))
     return out
 
 
@@ -263,15 +213,17 @@ def enumerate_useful_partial(
 class QueryLayout:
     """Fixed enumerations and masks shared by all evaluation phases.
 
-    Node positions list border nodes first, then the remaining query nodes,
-    each canonically sorted. ``missing_border`` pairs each border node with
-    every subquery it does not occur in; ``common_border`` lists the border
-    nodes occurring in all subqueries.
+    ``nodes`` lists the border nodes first, then the remaining query nodes,
+    each canonically sorted; a node's position in it is its position in
+    every embedding the engines ship. ``missing_border`` pairs each border
+    node with every subquery it does not occur in; ``common_border`` lists
+    the border nodes occurring in all subqueries.
     """
 
     dec: QueryDecomposition
     border_nodes: tuple[Term, ...]
     nonborder_nodes: tuple[Term, ...]
+    nodes: tuple[Term, ...]
     triples: tuple[TriplePattern, ...]
     node_index: dict[Term, int]
     missing_border: tuple[tuple[Term, int], ...]
@@ -285,6 +237,11 @@ class QueryLayout:
     def subqueries(self) -> tuple[Query, ...]:
         return self.dec.subqueries
 
+    def split(self, vector: tuple) -> tuple[tuple, tuple]:
+        """A vector over ``nodes`` as its border and its non-border part."""
+        k = len(self.border_nodes)
+        return vector[:k], vector[k:]
+
     # computed on first use, so the redundancy engine, which never reads
     # them, does not pay for them on every query
     @cached_property
@@ -294,11 +251,6 @@ class QueryLayout:
         return tuple(
             tuple(map(pos.__getitem__, sub.canonical)) for sub in self.subqueries
         )
-
-    @cached_property
-    def to_sub(self) -> tuple[dict[int, int], ...]:
-        """Per subquery, ``to_query`` inverted."""
-        return tuple(dict(zip(fwd, range(len(fwd)))) for fwd in self.to_query)
 
     # border nodes come first in the node order, so a border node's position
     # indexes the border vector too
@@ -326,7 +278,8 @@ def preprocess(dec: QueryDecomposition) -> QueryLayout:
     }
     border_nodes = tuple(sorted(border_all))
     nonborder_nodes = tuple(sorted(q.nodes - border_all))
-    node_index = {n: i for i, n in enumerate(border_nodes + nonborder_nodes)}
+    nodes = border_nodes + nonborder_nodes
+    node_index = {n: i for i, n in enumerate(nodes)}
     missing = []
     for n in border_nodes:
         for j, sub in enumerate(subs):
@@ -339,39 +292,11 @@ def preprocess(dec: QueryDecomposition) -> QueryLayout:
         dec=dec,
         border_nodes=border_nodes,
         nonborder_nodes=nonborder_nodes,
+        nodes=nodes,
         triples=q.canonical,
         node_index=node_index,
         missing_border=tuple(missing),
         common_border=common,
-    )
-
-
-# ------------------------------------------------------------------ encoding
-
-
-def encode(
-    e: Embedding, layout: QueryLayout, dictionary: TermDictionary
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The border-node and the non-border vector of an embedding, in the
-    layout's node order: each node's image as its ID in ``dictionary``,
-    UNBOUND for an unbound node. Every image must be a node of the
-    dictionary's graph."""
-    image = e._d.get
-    code = dictionary.ids.__getitem__
-    return (
-        tuple(map(code, map(image, layout.border_nodes))),
-        tuple(map(code, map(image, layout.nonborder_nodes))),
-    )
-
-
-def id_vectors(
-    e: Embedding, layout: QueryLayout
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``encode`` for an embedding whose images are IDs already."""
-    image = e._d.get
-    return (
-        tuple([image(n, UNBOUND) for n in layout.border_nodes]),
-        tuple([image(n, UNBOUND) for n in layout.nonborder_nodes]),
     )
 
 
@@ -380,19 +305,21 @@ def id_vectors(
 
 def totals_from_fragments(
     sub: Query,
-    fragments: list[tuple[Embedding, frozenset[int], int]],
+    fragments: list[tuple[tuple[int, ...], int]],
+    nodes: tuple[Term, ...],
     *,
     cap: int | None = None,
-) -> list[Embedding]:
+) -> list[tuple[int, ...]]:
     """Join useful partial fragments into the total embeddings of sub.
 
-    Fragments are (embedding, matched subquery-triple indexes, segment id)
-    records; the segment id does not take part in the join, and the images
-    only need to hash and compare (qejpe joins dictionary IDs). A join state is
-    (bindings, covered triples). The search walks the subquery's triples in
-    canonical order and extends each state with fragments that match the
-    first uncovered triple, so every join step makes progress and
-    disconnected subqueries fall out of the same loop.
+    A fragment is (ids, mask): the ID of each of ``nodes``' images, UNBOUND
+    where the fragment leaves a node unbound, and the bit mask of the
+    subquery triples it matched. ``nodes`` lists every node of sub, and each
+    total comes back as an ID tuple over it. A join state is (ids, covered
+    mask). The search walks the subquery's triples in canonical order and
+    extends each state with fragments that match the first uncovered triple,
+    so every join step makes progress and disconnected subqueries fall out
+    of the same loop.
 
     When sub has a star centre, every fragment binds it (each matched triple
     contains the centre), and fragments with different centre images never
@@ -407,14 +334,17 @@ def totals_from_fragments(
     when there is no centre; beyond it the join raises CartesianCapExceeded.
     """
     n = len(sub.canonical)
+    index = {node: p for p, node in enumerate(nodes)}
+    positions = [index[node] for node in sub.nodes]
+    start = ((UNBOUND,) * len(nodes), 0)
     out: dict = {}
     centres = star_centers(sub)
     if centres:
         # a variable centre splits the fragments; a constant one cannot
-        centre = next((c for c in centres if not c.is_constant), centres[0])
-        parts: dict[Term, list] = {}
+        centre = index[next((c for c in centres if not c.is_constant), centres[0])]
+        parts: dict[int, list] = {}
         for frag in fragments:
-            img = frag[0]._d[centre]
+            img = frag[0][centre]
             part = parts.get(img)
             if part is None:
                 parts[img] = [frag]
@@ -423,85 +353,89 @@ def totals_from_fragments(
         for part in parts.values():
             by_triple = _by_triple(part, n)
             if all(by_triple):
-                _join(by_triple, None, cap, out)
-        return list(out.values())
+                _join(by_triple, None, positions, start, cap, out)
+        return list(out)
 
     by_triple = _by_triple(fragments, n)
     if not all(by_triple):
         return []
-    # A fragment listed under triple i matched that triple, so its embedding
-    # binds both endpoints. Bucketing by those images lets a state with a
-    # bound endpoint probe a handful of candidates instead of every fragment.
-    endpoints = [(t.s, t.o) for t in sub.canonical]
+    # A fragment listed under triple i matched that triple, so it binds both
+    # endpoints. Bucketing by those images lets a state with a bound
+    # endpoint probe a handful of candidates instead of every fragment.
+    endpoints = [(index[t.s], index[t.o]) for t in sub.canonical]
     by_subject: list[dict] = []
     by_object: list[dict] = []
-    for (s_node, o_node), frags in zip(endpoints, by_triple):
+    for (s_pos, o_pos), frags in zip(endpoints, by_triple):
         sidx: dict = {}
         oidx: dict = {}
         for frag in frags:
-            sidx.setdefault(frag[0][s_node], []).append(frag)
-            oidx.setdefault(frag[0][o_node], []).append(frag)
+            sidx.setdefault(frag[0][s_pos], []).append(frag)
+            oidx.setdefault(frag[0][o_pos], []).append(frag)
         by_subject.append(sidx)
         by_object.append(oidx)
 
-    def probe(i: int, bindings: dict) -> list:
-        s_node, o_node = endpoints[i]
-        s_img = bindings.get(s_node)
-        if s_img is not None:
-            return by_subject[i].get(s_img, ())
-        o_img = bindings.get(o_node)
-        if o_img is not None:
-            return by_object[i].get(o_img, ())
+    def probe(i: int, ids: tuple[int, ...]) -> list:
+        s_pos, o_pos = endpoints[i]
+        if ids[s_pos] != UNBOUND:
+            return by_subject[i].get(ids[s_pos], ())
+        if ids[o_pos] != UNBOUND:
+            return by_object[i].get(ids[o_pos], ())
         return by_triple[i]
 
-    _join(by_triple, probe, cap, out)
-    return list(out.values())
+    _join(by_triple, probe, positions, start, cap, out)
+    return list(out)
 
 
 def _by_triple(fragments: list, n: int) -> list[list]:
     """The fragments listed under each subquery triple they matched."""
     by_triple: list[list] = [[] for _ in range(n)]
     for frag in fragments:
-        for i in frag[1]:
-            by_triple[i].append(frag)
+        mask = frag[1]
+        for i in range(n):
+            if mask >> i & 1:
+                by_triple[i].append(frag)
     return by_triple
 
 
-def _join(by_triple: list[list], probe, cap: int | None, out: dict) -> None:
-    """The state join over one set of per-triple candidate lists; adds each
-    total it reaches to out, keyed by its bindings. ``probe(i, bindings)``,
-    when given, narrows the candidates for triple i."""
-    states: dict = {(frozenset(), frozenset()): ({}, frozenset())}
+def _join(
+    by_triple: list[list], probe, positions: list[int], start: tuple,
+    cap: int | None, out: dict,
+) -> None:
+    """The state join over one set of per-triple candidate lists, from the
+    state ``start``; adds each total it reaches to out. Two ID vectors join
+    when they agree at every one of ``positions`` that both bind.
+    ``probe(i, ids)``, when given, narrows the candidates for triple i."""
+    states = [start]
     for i, frags in enumerate(by_triple):
         new_states: dict = {}
-        for key, (bindings, covered) in states.items():
-            if i in covered:
-                new_states.setdefault(key, (bindings, covered))
+        for state in states:
+            ids, covered = state
+            if covered >> i & 1:
+                new_states[state] = None
                 continue
-            candidates = frags if probe is None else probe(i, bindings)
-            for femb, fmatched, _fseg in candidates:
-                ok = True
-                for node, img in femb._d.items():
-                    cur = bindings.get(node)
-                    if cur is not None and cur != img:
-                        ok = False
+            candidates = frags if probe is None else probe(i, ids)
+            for fids, fmask in candidates:
+                merged = list(ids)
+                for p in positions:
+                    img = fids[p]
+                    if img == UNBOUND:
+                        continue
+                    cur = merged[p]
+                    if cur == UNBOUND:
+                        merged[p] = img
+                    elif cur != img:
                         break
-                if not ok:
-                    continue
-                merged = dict(bindings)
-                merged.update(femb._d)
-                cov = covered | fmatched
-                new_key = (frozenset(merged.items()), cov)
-                if new_key not in new_states:
-                    new_states[new_key] = (merged, cov)
-                    if cap is not None and len(new_states) > cap:
-                        raise CartesianCapExceeded(
-                            f"fragment join exceeded {cap} intermediate states"
-                        )
+                else:
+                    new = (tuple(merged), covered | fmask)
+                    if new not in new_states:
+                        new_states[new] = None
+                        if cap is not None and len(new_states) > cap:
+                            raise CartesianCapExceeded(
+                                f"fragment join exceeded {cap} intermediate states"
+                            )
         states = new_states
         if not states:
             return
     # every state left covers all triples: step i covered triple i
-    for key, (bindings, _covered) in states.items():
-        if key[0] not in out:
-            out[key[0]] = Embedding(bindings)
+    for ids, _covered in states:
+        out[ids] = None

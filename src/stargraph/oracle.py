@@ -11,9 +11,6 @@ __all__ = ["oracle_answers"]
 
 def oracle_answers(query: Query, graph: DataGraph) -> AnswerSet:
     """All answers of the query over the whole graph, by direct backtracking."""
-    rows = [
-        tuple(e[v] for v in query.output_pattern)
-        for e in enumerate_total(query, graph)
-    ]
-    return AnswerSet(query.output_pattern, rows)
+    pattern = query.output_pattern
+    return AnswerSet(pattern, enumerate_total(query, graph, pattern))
 

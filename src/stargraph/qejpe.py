@@ -3,12 +3,13 @@
 Works for any query decomposition over any data partition. Three stages:
 
 1. For every (subquery, segment) pair the mapper enumerates the useful partial
-   embeddings and keys them by subquery, their images as dictionary IDs. The
-   reducer joins the fragments of one subquery into its total embeddings
-   over those IDs, one image of the subquery's star centre at a time
-   (``totals_from_fragments``; a centre-less subquery from a hand-built plan
-   is joined in one pass through a per-image index of its fragments), then
-   emits each total twice over:
+   embeddings and ships each as a (subquery, (ids, mask)) record: the ID of
+   every layout node's image, UNBOUND where it is unbound, and the bit mask of
+   the subquery triples it matched. The reducer hands one subquery's fragments
+   as they are to ``totals_from_fragments``, which joins them into the
+   subquery's total embeddings one image of its star centre at a time (a
+   centre-less subquery from a hand-built plan is joined in one pass through
+   a per-image index of its fragments), then emits each total twice over:
    once as an ("e", bnv, nbnv) record keyed by its subquery, and once per
    missing-border pair as a candidate ("v", position, value) record keyed by
    the subquery lacking that border node.
@@ -23,16 +24,7 @@ the two shared jobs.
 
 from __future__ import annotations
 
-from itertools import compress
-
-from .embedding import (
-    Embedding,
-    encode,
-    enumerate_useful_partial,
-    id_vectors,
-    preprocess,
-    totals_from_fragments,
-)
+from .embedding import enumerate_useful_partial, preprocess, totals_from_fragments
 from .evalcore import (
     CARTESIAN_CAP,
     EvalResult,
@@ -46,52 +38,25 @@ from .runtime import Job, run_job
 __all__ = ["qejpe_map1_records", "qejpe_reduce1_fn", "run_qejpe"]
 
 
-def qejpe_map1_records(
-    layout, sub_idx: int, segment, seg_idx: int, border, dictionary
-):
+def qejpe_map1_records(layout, sub_idx: int, segment, border, dictionary):
     """Useful partial fragments of one subquery against one segment, as
-    shuffle records keyed by subquery index, images as their IDs in
+    (subquery index, (ids, mask)) shuffle records, images as their IDs in
     ``dictionary``. Pure, for direct testing."""
-    positions = layout.to_query[sub_idx]
-    n = len(layout.triples)
-    # fragments share few matched sets, so each set's flag tuple is built once
-    flags: dict[frozenset[int], tuple[bool, ...]] = {}
-    out = []
-    for emb, matched in enumerate_useful_partial(
-        layout.subqueries[sub_idx], segment, border
-    ):
-        tm = flags.get(matched)
-        if tm is None:
-            hit = {positions[i] for i in matched}
-            tm = flags[matched] = tuple(q in hit for q in range(n))
-        bnv, nbnv = encode(emb, layout, dictionary)
-        out.append((sub_idx, ("f", seg_idx, bnv, nbnv, tm)))
-    return out
+    code = dictionary.ids.__getitem__
+    return [
+        (sub_idx, (tuple(map(code, images)), matched))
+        for images, matched in enumerate_useful_partial(
+            layout.subqueries[sub_idx], segment, border, layout.nodes
+        )
+    ]
 
 
 def qejpe_reduce1_fn(layout, *, cap: int = CARTESIAN_CAP):
-    nodes = layout.border_nodes + layout.nonborder_nodes
-    bound = UNBOUND.__ne__
-
     def fn(key, values, em):
-        sub_idx = key
-        sub = layout.subqueries[sub_idx]
-        back = layout.to_sub[sub_idx]
-        matched_of: dict[tuple[bool, ...], frozenset[int]] = {}
-        fragments = []
-        for tag, seg_idx, bnv, nbnv, tm in values:
-            assert tag == "f"
-            matched = matched_of.get(tm)
-            if matched is None:
-                matched = matched_of[tm] = frozenset(
-                    back[q] for q, flag in enumerate(tm) if flag and q in back
-                )
-            images = bnv + nbnv
-            emb = Embedding(compress(zip(nodes, images), map(bound, images)))
-            fragments.append((emb, matched, seg_idx))
-        for e in totals_from_fragments(sub, fragments, cap=cap):
-            bnv, nbnv = id_vectors(e, layout)
-            em.emit(sub_idx, ("e", bnv, nbnv))
+        sub = layout.subqueries[key]
+        for ids in totals_from_fragments(sub, values, layout.nodes, cap=cap):
+            bnv, nbnv = layout.split(ids)
+            em.emit(key, ("e", bnv, nbnv))
             for pos, j in layout.missing_positions:
                 if bnv[pos] != UNBOUND:
                     em.emit(j, ("v", pos, bnv[pos]))
@@ -114,7 +79,7 @@ def run_qejpe(
     def map1(key, _value, em):
         i, j = key
         for rec_key, rec_val in qejpe_map1_records(
-            layout, i, dec_data.segments[j], j, dec_data.borders[j], dictionary
+            layout, i, dec_data.segments[j], dec_data.borders[j], dictionary
         ):
             em.emit(rec_key, rec_val)
 

@@ -27,7 +27,7 @@ when some border node is missing.
 
 from __future__ import annotations
 
-from .embedding import encode, enumerate_total, preprocess
+from .embedding import enumerate_total, preprocess
 from .errors import NotAnSDecomposition, NotSoDecomposition
 from .evalcore import (
     CARTESIAN_CAP,
@@ -55,9 +55,10 @@ def red_map1_records(layout, sub_idx: int, segment, seg_idx: int, dictionary):
     sub = layout.subqueries[sub_idx]
     has_missing = bool(layout.missing_border)
     common, missing = layout.common_positions, layout.missing_positions
+    code = dictionary.ids.__getitem__
     out = []
-    for e in enumerate_total(sub, segment):
-        bnv, nbnv = encode(e, layout, dictionary)
+    for images in enumerate_total(sub, segment, layout.nodes):
+        bnv, nbnv = layout.split(tuple(map(code, images)))
         if has_missing:
             cb_key = tuple([bnv[i] for i in common])
             out.append(((sub_idx, cb_key), ("e", bnv, nbnv)))

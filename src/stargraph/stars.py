@@ -20,8 +20,11 @@ image of its central node. The mapper has two parts:
   star-assembly shuffle, so the completion phase reads them next to the
   reducer's output.
 
-Images travel as their IDs in the data decomposition's dictionary; the
-mapper tests border membership and literals on the terms before encoding.
+Images travel as their IDs in the data decomposition's dictionary, an
+embedding as the ID vector over the layout's nodes split into its border and
+non-border part; the mapper tests border membership and literals on the
+terms before encoding, and the reducer writes each assembled star's IDs
+straight into their layout positions.
 
 Phases 2 and 3 are the shared completion and final join: ``run_stars``
 builds the phase-1 job and ``evalcore.run_phases`` runs all three.
@@ -31,14 +34,7 @@ from __future__ import annotations
 
 import itertools
 
-from .embedding import (
-    Embedding,
-    _candidates,
-    encode,
-    enumerate_total,
-    id_vectors,
-    preprocess,
-)
+from .embedding import _candidates, enumerate_total, preprocess
 from .errors import CartesianCapExceeded, NotADecomposition
 from .evalcore import (
     CARTESIAN_CAP,
@@ -112,11 +108,13 @@ def stars_map1_records(
                 for i in insts if i.o in border or i.o.is_literal
             )
     part2 = []
-    for e in enumerate_total(sub, segment):
-        img = e[center]
+    center_pos = layout.node_index[center]
+    code = ids.__getitem__
+    for images in enumerate_total(sub, segment, layout.nodes):
+        img = images[center_pos]
         if img in border or img.is_literal:
             continue
-        bnv, nbnv = encode(e, layout, dictionary)
+        bnv, nbnv = layout.split(tuple(map(code, images)))
         part2.append((sub_idx, ("e", bnv, nbnv)))
         for pos, j in layout.missing_positions:
             if bnv[pos] != UNBOUND:
@@ -163,10 +161,13 @@ def stars_reduce1_fn(layout, centers, dictionary, *, cap: int = CARTESIAN_CAP):
             raise CartesianCapExceeded(
                 f"star assembly for key {shown!r} would produce {count} embeddings"
             )
+        vector = [UNBOUND] * len(layout.nodes)
+        vector[layout.node_index[center]] = img
+        slots = [layout.node_index[node] for node in node_order]
         for combo in itertools.product(*pools):
-            mapping = {center: img}
-            mapping.update(zip(node_order, combo))
-            bnv, nbnv = id_vectors(Embedding(mapping), layout)
+            for pos, u in zip(slots, combo):
+                vector[pos] = u
+            bnv, nbnv = layout.split(tuple(vector))
             em.emit(sub_idx, ("e", bnv, nbnv))
         # candidate values ride along once per key, never per embedding
         for node, j in layout.missing_border:

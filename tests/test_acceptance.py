@@ -209,7 +209,10 @@ def test_c4_reconstruction_facts(capsys):
 def test_c5_embedding_count_goldens(capsys, bibliography, coauthor_query):
     def counts(dec):
         return sorted(
-            (len(sg.enumerate_total(sub, bibliography)) for sub in dec.subqueries),
+            (
+                len(sg.enumerate_total(sub, bibliography, tuple(sorted(sub.nodes))))
+                for sub in dec.subqueries
+            ),
             reverse=True,
         )
 
@@ -222,7 +225,7 @@ def test_c5_embedding_count_goldens(capsys, bibliography, coauthor_query):
         lines.append(f"<c> <p2> <b{i}> .")
     nine_g = sg.parse_data("".join(line + "\n" for line in lines))
     nine_q = sg.parse_query("<c> <p1> ?X .\n<c> <p2> ?Y .\n")
-    whole = len(sg.enumerate_total(nine_q, nine_g))
+    whole = len(sg.enumerate_total(nine_q, nine_g, tuple(sorted(nine_q.nodes))))
     t0, t1 = nine_q.canonical
     split = sg.QueryDecomposition(
         nine_q,
@@ -230,7 +233,10 @@ def test_c5_embedding_count_goldens(capsys, bibliography, coauthor_query):
         (sg.iri("c"), sg.iri("c")),
         method="handmade",
     )
-    split_counts = [len(sg.enumerate_total(sub, nine_g)) for sub in split.subqueries]
+    split_counts = [
+        len(sg.enumerate_total(sub, nine_g, tuple(sorted(sub.nodes))))
+        for sub in split.subqueries
+    ]
 
     ok = (
         minres == [3, 3, 2, 2, 1, 1]

@@ -6,6 +6,12 @@ reference answers, after checking those against the naive, index-free
 evaluator of ``naive_eval``. The matrix covers all decomposition algorithms
 against the fragment and star engines on both random and imported edge
 partitions, and against the replicated engine on hashed node partitions.
+
+``TestAdversarialShapes`` does not sample its queries from the graph: it
+builds graphs around a hub, self-loops and literal objects, and queries that
+mix variables with IRI and literal constants, so many have no answers, and
+checks every engine at one and three workers against the naive evaluator
+directly.
 """
 
 import pytest
@@ -92,3 +98,131 @@ class TestEnginesAgainstOracle:
                 ran += 1
         assert capped <= 2
         assert ran >= INSTANCES_PER_CELL * len(SEEDS) - 2
+
+
+# ---------------------------------------------------------------- adversarial
+
+ADVERSARIAL_INSTANCES = 36  # 6 per decomposer, each run by 3 engines x 2 worker counts
+ADVERSARIAL_LANES = [
+    ("qejpe", "edge-random"),
+    ("stars", "edge-random"),
+    ("redundancy", "vertex-hash"),
+]
+HUB_PREDICATE = "<p0>"
+
+
+def adversarial_graph(rng):
+    """About a hundred triples over four predicates: a hub with two to three
+    dozen out-edges on ``<p0>``, self-loops, and mostly literal objects on
+    ``<p2>``/``<p3>``."""
+    iris = [f"<n{i}>" for i in range(12)]
+    literals = [f'"l{i}"' for i in range(4)]
+    hub_targets = [f"<n{i}>" for i in range(30)] + [f'"h{i}"' for i in range(12)]
+    rng.shuffle(hub_targets)
+    lines = {f"<hub> {HUB_PREDICATE} {o} ." for o in hub_targets[: 24 + rng.below(13)]}
+    lines |= {f"{n} {rng.choice(['<p1>', '<p2>'])} {n} ." for n in iris[: 3 + rng.below(4)]}
+    lines |= {
+        f"{rng.choice(iris)} {rng.choice(['<p2>', '<p3>'])} {rng.choice(literals)} ."
+        for _ in range(40)
+    }
+    lines |= {
+        f"{rng.choice(iris)} {rng.choice(['<p0>', '<p1>', '<p3>'])} "
+        f"{rng.choice(iris + ['<hub>'])} ."
+        for _ in range(30)
+    }
+    return sg.parse_data("".join(line + "\n" for line in sorted(lines)))
+
+
+def _query_node(rng, subject: bool) -> str:
+    """Mostly a variable; else the hub, an IRI, an IRI absent from the
+    graph, or (as an object) a literal."""
+    r = rng.below(20)
+    if r < 13:
+        return rng.choice(["?a", "?b", "?c", "?d"])
+    if r < 15:
+        return "<hub>"
+    if r < 17:
+        return rng.choice(["<n1>", "<n2>"])
+    if r == 17:
+        return "<absent>"
+    return "<n3>" if subject else '"l1"'
+
+
+# the patterns a query starts from: none, a star around an object that the
+# literal-heavy predicates bind to literals, or the hub's own star
+SEED_PATTERNS = (
+    [],
+    [("?a", "<p2>", "?l"), ("?b", "<p3>", "?l")],
+    [("?h", HUB_PREDICATE, "?x"), ("?h", HUB_PREDICATE, "?y")],
+)
+
+
+def adversarial_query(rng, seed):
+    """A connected query of up to four patterns over the graph's
+    predicates, grown from ``seed``; at most two patterns on the hub's
+    predicate keep the naive evaluator quick."""
+    patterns = list(seed)
+    hub_uses = sum(1 for _, p, _ in patterns if p == HUB_PREDICATE)
+    for _ in range(rng.below(3) if patterns else 1 + rng.below(4)):
+        predicate = rng.choice(["<p0>", "<p1>", "<p2>", "<p3>"])
+        if predicate == HUB_PREDICATE:
+            if hub_uses == 2:
+                predicate = "<p1>"
+            hub_uses += 1
+        s, o = _query_node(rng, True), _query_node(rng, False)
+        if patterns:
+            # share with an earlier pattern its subject (a star), its object,
+            # both ends (a repeated neighbour), or one end as the other (a
+            # path)
+            ps, _, po = rng.choice(patterns)
+            shape = rng.below(5)
+            if shape == 0:
+                s = ps
+            elif shape == 1:
+                o = po
+            elif shape == 2:
+                s, o = ps, po
+            elif shape == 3:
+                o = ps
+            else:
+                s = ps if po.startswith('"') else po
+        patterns.append((s, predicate, o))
+    return sg.parse_query("".join(" ".join(t) + " .\n" for t in patterns))
+
+
+def adversarial_instance(k):
+    """Instance k: a graph, a query, a segment count and a decomposer; every
+    decomposer meets every seed shape."""
+    rng = XorShift64Star(0xAD5E + k)
+    g = adversarial_graph(rng)
+    q = adversarial_query(rng, SEED_PATTERNS[k // len(DECOMPOSER_NAMES) % 3])
+    return g, q, 1 + rng.below(4), DECOMPOSER_NAMES[k % len(DECOMPOSER_NAMES)]
+
+
+class TestAdversarialShapes:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("engine_name, partition_kind", ADVERSARIAL_LANES)
+    def test_lane(self, engine_name, partition_kind, workers):
+        engine = ENGINES[engine_name]
+        capped = 0
+        for k in range(ADVERSARIAL_INSTANCES):
+            g, q, m, dec_name = adversarial_instance(k)
+            data = partition_for(partition_kind, g, m, k)
+            try:
+                res = engine(data, q, sg.DECOMPOSERS[dec_name](q), workers=workers)
+            except sg.CartesianCapExceeded:
+                capped += 1  # a counted resource abort, not an answer
+                continue
+            assert set(res.answers.rows) == naive_answers(q, g), (
+                f"{engine_name}/{dec_name}/workers={workers} diverged on "
+                f"adversarial instance {k}: {sg.serialize_query(q)!r}"
+            )
+        assert capped <= 1
+
+    def test_matrix_has_empty_and_nonempty_answers(self):
+        sizes = [
+            len(naive_answers(q, g))
+            for g, q, _, _ in map(adversarial_instance, range(ADVERSARIAL_INSTANCES))
+        ]
+        assert 0 in sizes
+        assert any(sizes)

@@ -1,4 +1,9 @@
-"""Embedding enumeration, encoding, and fragment joining."""
+"""Embedding enumeration, the query layout, and fragment joining.
+
+Every primitive reports an embedding as the tuple of the images of a node
+order the caller gives, None (or UNBOUND, for the ID vectors the fragment
+join reads) where a node is unbound; these tests pass that order explicitly.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -12,21 +17,27 @@ from stargraph.embedding import (
     enumerate_useful_partial,
     totals_from_fragments,
 )
-from stargraph.model import DataTriple
+from stargraph.model import UNBOUND, DataTriple
 
 from conftest import BIBLIOGRAPHY, q3
 
 
-def embedding_sort_key(e: sg.Embedding):
-    """A total order over embeddings, for comparing them as sorted lists."""
-    return tuple((n.key, v.key) for n, v in e.items())
+def images_over(nodes, bindings):
+    """The images of nodes under a {node: image} dict, None where unbound."""
+    return tuple(map(bindings.get, nodes))
+
+
+def mask_of(indexes):
+    return sum(1 << i for i in indexes)
 
 
 # The reference for enumerate_useful_partial: the exhaustive search and the
 # candidate validator as they stood before the search tracked its matched
-# sets itself, kept verbatim apart from the names of the two public functions
-# and the package prefix on types. Every leaf is re-checked against the three
-# useful-partial rules and its matched set recomputed from the segment.
+# sets itself, kept verbatim apart from the names of the two public functions,
+# the package prefix on types, and the last step, which reports each result
+# as its images over ``nodes`` and its matched set as a bit mask. Every leaf
+# is re-checked against the three useful-partial rules and its matched set
+# recomputed from the segment.
 def _matched_under(
     triples: tuple[sg.TriplePattern, ...],
     full: dict[sg.Term, sg.Term],
@@ -76,8 +87,8 @@ def _validate_partial(
 
 
 def reference_useful_partials(
-    sub: sg.Query, segment: sg.DataGraph, border: frozenset[sg.Term]
-) -> list[tuple[sg.Embedding, frozenset[int]]]:
+    sub: sg.Query, segment: sg.DataGraph, border: frozenset[sg.Term], nodes
+) -> list[tuple[tuple, int]]:
     triples = sub.canonical
     seg_nodes = segment.nodes
     present_constants = [c for c in sorted(sub.constants) if c in seg_nodes]
@@ -94,7 +105,7 @@ def reference_useful_partials(
             return
         matched = _validate_partial(sub, segment, border, full)
         if matched is not None:
-            results[key] = (sg.Embedding(full), matched)
+            results[key] = (images_over(nodes, full), mask_of(matched))
 
     def dfs(i: int, bindings: dict):
         if i == len(triples):
@@ -110,16 +121,14 @@ def reference_useful_partials(
                 dfs(i + 1, nb)
 
     dfs(0, {})
-    out = list(results.values())
-    out.sort(key=lambda pair: (embedding_sort_key(pair[0]), sorted(pair[1])))
-    return out
+    return list(results.values())
 
 
 def reference_is_useful(
-    e: sg.Embedding, sub: sg.Query, segment: sg.DataGraph, border: frozenset[sg.Term]
+    images: tuple, nodes, sub: sg.Query, segment: sg.DataGraph, border: frozenset[sg.Term]
 ) -> bool:
-    """Check an arbitrary embedding against the useful-partial conditions."""
-    full = dict(e._d)
+    """Check arbitrary images of nodes against the useful-partial conditions."""
+    full = {n: v for n, v in zip(nodes, images) if v is not None}
     if not full:
         return False
     return _validate_partial(sub, segment, border, full) is not None
@@ -127,6 +136,10 @@ def reference_is_useful(
 
 def d3(s, p, o):
     return sg.DataTriple(sg.term_from_token(s), sg.term_from_token(p), sg.term_from_token(o))
+
+
+def nodes_of(q):
+    return tuple(sorted(q.nodes))
 
 
 NINE_GRAPH = sg.DataGraph(
@@ -140,15 +153,17 @@ class TestEnumerateTotal:
     def test_fixture_counts(
         self, bibliography, journal_article_query, supervisor_query, coauthor_query
     ):
-        assert len(sg.enumerate_total(journal_article_query, bibliography)) == 2
-        assert len(sg.enumerate_total(supervisor_query, bibliography)) == 2
-        assert len(sg.enumerate_total(coauthor_query, bibliography)) == 1
+        for q, count in (
+            (journal_article_query, 2), (supervisor_query, 2), (coauthor_query, 1)
+        ):
+            assert len(sg.enumerate_total(q, bibliography, nodes_of(q))) == count
 
     def test_supervisor_bindings(self, bibliography, supervisor_query):
-        rows = {
-            tuple(e[n] for n in supervisor_query.output_pattern)
-            for e in sg.enumerate_total(supervisor_query, bibliography)
-        }
+        rows = set(
+            sg.enumerate_total(
+                supervisor_query, bibliography, supervisor_query.output_pattern
+            )
+        )
         assert rows == {
             tuple(sg.term_from_token(t) for t in row)
             for row in (
@@ -158,38 +173,31 @@ class TestEnumerateTotal:
         }
 
     def test_total_embeddings_bind_every_node(self, bibliography, coauthor_query):
-        for e in sg.enumerate_total(coauthor_query, bibliography):
-            assert e.domain == coauthor_query.nodes
+        # a constant maps to itself, and a node outside the query to None
+        foreign = sg.variable("Foreign")
+        nodes = nodes_of(coauthor_query) + (foreign,)
+        totals = sg.enumerate_total(coauthor_query, bibliography, nodes)
+        assert totals
+        for images in totals:
+            assert images[-1] is None
+            for node, img in zip(nodes[:-1], images):
+                assert img is not None
+                if node.is_constant:
+                    assert img == node
 
     def test_cartesian_star_product(self):
-        assert len(sg.enumerate_total(NINE_QUERY, NINE_GRAPH)) == 9
+        assert len(sg.enumerate_total(NINE_QUERY, NINE_GRAPH, nodes_of(NINE_QUERY))) == 9
         left = sg.Query([q3("<c>", "<p1>", "?X")])
         right = sg.Query([q3("<c>", "<p2>", "?Y")])
-        assert len(sg.enumerate_total(left, NINE_GRAPH)) == 3
-        assert len(sg.enumerate_total(right, NINE_GRAPH)) == 3
+        assert len(sg.enumerate_total(left, NINE_GRAPH, nodes_of(left))) == 3
+        assert len(sg.enumerate_total(right, NINE_GRAPH, nodes_of(right))) == 3
 
     def test_no_answers_on_empty_intersection(self, bibliography):
         q = sg.Query([q3("?A", "<nope>", "?B")])
-        assert sg.enumerate_total(q, bibliography) == []
-
-
-class TestCompatibilityAlgebra:
-    nodes = st.sampled_from(
-        [sg.variable(c) for c in "xyzw"] + [sg.iri(c) for c in "ab"]
-    )
-    values = st.sampled_from([sg.iri(f"n{i}") for i in range(4)])
-    embeddings = st.dictionaries(nodes, values, max_size=5).map(sg.Embedding)
-
-    @given(embeddings, embeddings)
-    def test_sort_key_orders_consistently_with_equality(self, e1, e2):
-        if embedding_sort_key(e1) == embedding_sort_key(e2):
-            assert e1 == e2
+        assert sg.enumerate_total(q, bibliography, nodes_of(q)) == []
 
 
 class TestUsefulPartials:
-    def layout(self, supervisor_decomposition):
-        return sg.preprocess(supervisor_decomposition)
-
     def test_fragment_counts_per_subquery_and_segment(
         self, edge_split, supervisor_decomposition
     ):
@@ -197,7 +205,9 @@ class TestUsefulPartials:
         counts = {}
         for i, sub in enumerate(layout.subqueries):
             for j, seg in enumerate(edge_split.segments):
-                frags = enumerate_useful_partial(sub, seg, edge_split.borders[j])
+                frags = enumerate_useful_partial(
+                    sub, seg, edge_split.borders[j], layout.nodes
+                )
                 counts[(i, j)] = len(frags)
         assert counts == {
             (0, 0): 3, (0, 1): 4, (0, 2): 1,
@@ -211,13 +221,14 @@ class TestUsefulPartials:
         layout = sg.preprocess(supervisor_decomposition)
         sub = layout.subqueries[1]
         frags = enumerate_useful_partial(
-            sub, edge_split.segments[0], edge_split.borders[0]
+            sub, edge_split.segments[0], edge_split.borders[0], layout.nodes
         )
-        witness = sg.Embedding(
+        witness = images_over(
+            layout.nodes,
             {
                 sg.variable("A"): sg.iri("Article1"),
                 sg.variable("P2"): sg.iri("Person4"),
-            }
+            },
         )
         assert [e for e, _ in frags] == [witness]
 
@@ -225,19 +236,21 @@ class TestUsefulPartials:
         self, edge_split, supervisor_decomposition
     ):
         layout = sg.preprocess(supervisor_decomposition)
-        for i, sub in enumerate(layout.subqueries):
+        for sub in layout.subqueries:
             n = len(sub.canonical)
             for j, seg in enumerate(edge_split.segments):
+                border = edge_split.borders[j]
                 for e, matched in enumerate_useful_partial(
-                    sub, seg, edge_split.borders[j]
+                    sub, seg, border, layout.nodes
                 ):
-                    assert matched and all(0 <= k < n for k in matched)
-                    assert reference_is_useful(e, sub, seg, edge_split.borders[j])
+                    assert 0 < matched < 1 << n
+                    assert reference_is_useful(e, layout.nodes, sub, seg, border)
 
     def test_trivial_embedding_is_not_useful(self, edge_split, supervisor_decomposition):
         layout = sg.preprocess(supervisor_decomposition)
         assert not reference_is_useful(
-            sg.Embedding({}),
+            (None,) * len(layout.nodes),
+            layout.nodes,
             layout.subqueries[0],
             edge_split.segments[0],
             edge_split.borders[0],
@@ -245,56 +258,72 @@ class TestUsefulPartials:
         for sub in layout.subqueries:
             for j, seg in enumerate(edge_split.segments):
                 for e, matched in enumerate_useful_partial(
-                    sub, seg, edge_split.borders[j]
+                    sub, seg, edge_split.borders[j], layout.nodes
                 ):
-                    assert len(e) and matched
+                    assert any(v is not None for v in e) and matched
 
     def test_closure_condition_rejects_halfbound_interior(self):
         # ?X maps to a node with two outgoing triples but only one matched,
         # and the image is neither border nor literal, so the partial is dead
         g = sg.DataGraph([d3("<a>", "<p>", "<b>"), d3("<a>", "<q>", "<c>")])
         sub = sg.Query([q3("?X", "<p>", "?Y"), q3("?X", "<q>", "?Z")])
-        e = sg.Embedding({sg.variable("X"): sg.iri("a"), sg.variable("Y"): sg.iri("b")})
-        assert not reference_is_useful(e, sub, g, frozenset())
-        assert e not in dict(enumerate_useful_partial(sub, g, frozenset()))
+        nodes = nodes_of(sub)
+        e = images_over(
+            nodes, {sg.variable("X"): sg.iri("a"), sg.variable("Y"): sg.iri("b")}
+        )
+        assert not reference_is_useful(e, nodes, sub, g, frozenset())
+        assert e not in dict(enumerate_useful_partial(sub, g, frozenset(), nodes))
         # once the image sits on the border the closure requirement lifts
-        assert reference_is_useful(e, sub, g, frozenset({sg.iri("a")}))
-        on_border = dict(enumerate_useful_partial(sub, g, frozenset({sg.iri("a")})))
-        assert on_border[e] == frozenset({0})
+        on_border = frozenset({sg.iri("a")})
+        assert reference_is_useful(e, nodes, sub, g, on_border)
+        assert dict(enumerate_useful_partial(sub, g, on_border, nodes))[e] == 0b01
 
     def test_matched_set_includes_triples_a_path_skipped(self):
         # the search reaches {X->a, Y->b} first by skipping <p> and matching
         # <q>; <p> matches under those bindings too, so it must be reported
         g = sg.DataGraph([d3("<a>", "<p>", "<b>"), d3("<a>", "<q>", "<b>")])
         sub = sg.Query([q3("?X", "<p>", "?Y"), q3("?X", "<q>", "?Y")])
-        e = sg.Embedding({sg.variable("X"): sg.iri("a"), sg.variable("Y"): sg.iri("b")})
-        assert enumerate_useful_partial(sub, g, frozenset()) == [(e, frozenset({0, 1}))]
+        nodes = nodes_of(sub)
+        e = images_over(
+            nodes, {sg.variable("X"): sg.iri("a"), sg.variable("Y"): sg.iri("b")}
+        )
+        assert enumerate_useful_partial(sub, g, frozenset(), nodes) == [(e, 0b11)]
 
     def test_all_constant_triple_is_matched_without_bindings(self):
         # <a> <p> <b> binds nothing, so the leaf with no variable bound is
         # useful once the non-border constant <a> has all its triples matched
         g = sg.DataGraph([d3("<a>", "<p>", "<b>"), d3("<a>", "<q>", "<c>")])
         sub = sg.Query([q3("<a>", "<p>", "<b>"), q3("<a>", "<q>", "?Y")])
+        nodes = nodes_of(sub)
         consts = {sg.iri("a"): sg.iri("a"), sg.iri("b"): sg.iri("b")}
-        whole = sg.Embedding({**consts, sg.variable("Y"): sg.iri("c")})
-        assert enumerate_useful_partial(sub, g, frozenset()) == [
-            (whole, frozenset({0, 1}))
-        ]
-        on_border = enumerate_useful_partial(sub, g, frozenset({sg.iri("a")}))
-        assert on_border == [
-            (sg.Embedding(consts), frozenset({0})),
-            (whole, frozenset({0, 1})),
-        ]
+        whole = images_over(nodes, {**consts, sg.variable("Y"): sg.iri("c")})
+        assert enumerate_useful_partial(sub, g, frozenset(), nodes) == [(whole, 0b11)]
+        on_border = enumerate_useful_partial(sub, g, frozenset({sg.iri("a")}), nodes)
+        assert on_border == [(images_over(nodes, consts), 0b01), (whole, 0b11)]
         # with <b> missing from the segment the constant triple cannot match,
-        # and <b> is left out of the embedding
+        # and <b> is left unbound
         g2 = sg.DataGraph([d3("<a>", "<q>", "<c>")])
-        partial = sg.Embedding(
-            {sg.iri("a"): sg.iri("a"), sg.variable("Y"): sg.iri("c")}
+        partial = images_over(
+            nodes, {sg.iri("a"): sg.iri("a"), sg.variable("Y"): sg.iri("c")}
         )
-        assert enumerate_useful_partial(sub, g2, frozenset()) == []
-        assert enumerate_useful_partial(sub, g2, frozenset({sg.iri("a")})) == [
-            (partial, frozenset({1}))
+        assert enumerate_useful_partial(sub, g2, frozenset(), nodes) == []
+        assert enumerate_useful_partial(sub, g2, frozenset({sg.iri("a")}), nodes) == [
+            (partial, 0b10)
         ]
+
+    def test_images_follow_the_given_node_order(self, edge_split, supervisor_decomposition):
+        # the same fragments over a reversed order with a foreign node added
+        layout = sg.preprocess(supervisor_decomposition)
+        flipped = (sg.variable("Foreign"),) + layout.nodes[::-1]
+        for sub in layout.subqueries:
+            for seg, border in zip(edge_split.segments, edge_split.borders):
+                want = [
+                    ((None,) + images[::-1], matched)
+                    for images, matched in enumerate_useful_partial(
+                        sub, seg, border, layout.nodes
+                    )
+                ]
+                assert enumerate_useful_partial(sub, seg, border, flipped) == want
 
 
 _IRIS = [sg.iri(c) for c in "abcd"]
@@ -341,8 +370,9 @@ class TestUsefulPartialsAgainstReference:
     @given(useful_partial_cases())
     def test_same_pairs_as_the_reference(self, case):
         sub, segment, border = case
-        got = enumerate_useful_partial(sub, segment, border)
-        want = reference_useful_partials(sub, segment, border)
+        nodes = nodes_of(sub)
+        got = enumerate_useful_partial(sub, segment, border, nodes)
+        want = reference_useful_partials(sub, segment, border, nodes)
         assert len(got) == len(set(got))
         assert set(got) == set(want)
 
@@ -350,10 +380,12 @@ class TestUsefulPartialsAgainstReference:
         self, edge_split, supervisor_decomposition, coauthor_cover_decomposition
     ):
         for dec in (supervisor_decomposition, coauthor_cover_decomposition):
+            nodes = sg.preprocess(dec).nodes
             for sub in dec.subqueries:
                 for seg, border in zip(edge_split.segments, edge_split.borders):
-                    got = enumerate_useful_partial(sub, seg, border)
-                    assert set(got) == set(reference_useful_partials(sub, seg, border))
+                    got = enumerate_useful_partial(sub, seg, border, nodes)
+                    want = reference_useful_partials(sub, seg, border, nodes)
+                    assert set(got) == set(want)
 
 
 class TestLayout:
@@ -369,9 +401,8 @@ class TestLayout:
             (sg.variable("P1"), 1),
             (sg.variable("P2"), 0),
         )
-        for sub, fwd, back in zip(layout.subqueries, layout.to_query, layout.to_sub):
+        for sub, fwd in zip(layout.subqueries, layout.to_query):
             assert tuple(layout.triples[q] for q in fwd) == sub.canonical
-            assert back == {q: s for s, q in enumerate(fwd)}
 
     def test_border_sets_exclude_literals(self, coauthor_cover_decomposition):
         layout = sg.preprocess(coauthor_cover_decomposition)
@@ -382,14 +413,35 @@ class TestLayout:
             (sg.variable("J"), 2),
         )
 
+    def test_nodes_put_the_border_first_and_split_cuts_there(
+        self, supervisor_decomposition, coauthor_cover_decomposition
+    ):
+        for dec in (supervisor_decomposition, coauthor_cover_decomposition):
+            layout = sg.preprocess(dec)
+            assert layout.nodes == layout.border_nodes + layout.nonborder_nodes
+            assert set(layout.nodes) == dec.query.nodes
+            assert layout.split(layout.nodes) == (
+                layout.border_nodes, layout.nonborder_nodes
+            )
+            for node, pos in layout.node_index.items():
+                assert layout.nodes[pos] == node
 
-def fragments_of(sub, data):
-    """Every useful partial of sub in every segment, as join input."""
+
+def fragments_of(sub, data, nodes):
+    """Every useful partial of sub in every segment, as join input: images
+    as their IDs in the data decomposition's dictionary."""
+    code = data.dictionary.ids.__getitem__
     return [
-        (e, matched, j)
-        for j, seg in enumerate(data.segments)
-        for e, matched in enumerate_useful_partial(sub, seg, data.borders[j])
+        (tuple(map(code, images)), matched)
+        for seg, border in zip(data.segments, data.borders)
+        for images, matched in enumerate_useful_partial(sub, seg, border, nodes)
     ]
+
+
+def joined_totals(sub, data, nodes, **kwargs):
+    """totals_from_fragments over sub's fragments, decoded to terms."""
+    totals = totals_from_fragments(sub, fragments_of(sub, data, nodes), nodes, **kwargs)
+    return [data.dictionary.decode(ids) for ids in totals]
 
 
 # The bibliography plus self-loops and a second predicate between articles
@@ -425,32 +477,20 @@ JOIN_SHAPES = {
 
 
 class TestTotalsFromFragments:
-    def collect(self, layout, edge_split, i):
-        return totals_from_fragments(
-            layout.subqueries[i], fragments_of(layout.subqueries[i], edge_split)
-        )
-
     def test_fixture_totals(self, bibliography, edge_split, supervisor_decomposition):
         layout = sg.preprocess(supervisor_decomposition)
         expected_counts = [5, 5, 2]
         for i, sub in enumerate(layout.subqueries):
-            totals = self.collect(layout, edge_split, i)
-            assert sorted(totals, key=embedding_sort_key) == sorted(
-                sg.enumerate_total(sub, bibliography), key=embedding_sort_key
+            totals = joined_totals(sub, edge_split, layout.nodes)
+            assert len(totals) == len(set(totals)) == expected_counts[i]
+            assert set(totals) == set(
+                sg.enumerate_total(sub, bibliography, layout.nodes)
             )
-            assert len(totals) == expected_counts[i]
 
     def test_cap_guard(self, edge_split, supervisor_decomposition):
         layout = sg.preprocess(supervisor_decomposition)
-        sub = layout.subqueries[0]
-        frags = []
-        for j, seg in enumerate(edge_split.segments):
-            for e, matched in enumerate_useful_partial(
-                sub, seg, edge_split.borders[j]
-            ):
-                frags.append((e, matched, j))
         with pytest.raises(sg.CartesianCapExceeded):
-            totals_from_fragments(sub, frags, cap=1)
+            joined_totals(layout.subqueries[0], edge_split, layout.nodes, cap=1)
 
     @pytest.mark.parametrize("shape", sorted(JOIN_SHAPES))
     def test_shape_totals_equal_enumerate_total(self, shape, bibliography, edge_split):
@@ -462,9 +502,10 @@ class TestTotalsFromFragments:
             (bibliography, edge_split),
             (extended, sg.edge_random_partition(extended, 3, seed=5)),
         ]
+        nodes = nodes_of(sub)
         for graph, data in cases:
-            got = totals_from_fragments(sub, fragments_of(sub, data))
-            want = sg.enumerate_total(sub, graph)
+            got = joined_totals(sub, data, nodes)
+            want = sg.enumerate_total(sub, graph, nodes)
             assert len(got) == len(set(got))
             assert set(got) == set(want)
         # the extended graph gives every shape some totals
@@ -476,39 +517,46 @@ class TestTotalsFromFragments:
             [q3("?C", "<p>", "?X"), q3("?C", "<q>", "?X"), q3("?C", "<r>", "<k>")]
         )
         assert sg.star_centers(sub) == (sg.variable("C"),)
+        nodes = (sg.variable("C"), sg.variable("X"), sg.iri("k"))
 
         def frag(centre, matched):
-            images = {"?C": centre, "?X": "<x>", "<k>": "<k>"}
-            emb = sg.Embedding(
-                {sg.term_from_token(n): sg.term_from_token(v) for n, v in images.items()}
-            )
-            return emb, frozenset(matched), 0
+            return (centre, 7, 9), mask_of(matched)
 
-        first, other_centre = frag("<c1>", {0, 2}), frag("<c2>", {1})
-        assert totals_from_fragments(sub, [first, other_centre]) == []
-        same_centre = frag("<c1>", {1})
-        assert totals_from_fragments(sub, [first, other_centre, same_centre]) == [
-            first[0]
-        ]
+        first, other_centre = frag(1, {0, 2}), frag(2, {1})
+        assert totals_from_fragments(sub, [first, other_centre], nodes) == []
+        same_centre = frag(1, {1})
+        assert totals_from_fragments(
+            sub, [first, other_centre, same_centre], nodes
+        ) == [first[0]]
 
     def test_cap_counts_states_per_centre_image(self):
         # one live state per centre image stays under cap 1; two states for
         # one image exceed it
-        c, x, y = (sg.variable(v) for v in "CXY")
         sub = sg.Query([q3("?C", "<p>", "?X"), q3("?C", "<q>", "?Y")])
-        assert sg.star_centers(sub) == (c,)
+        assert sg.star_centers(sub) == (sg.variable("C"),)
+        nodes = tuple(sg.variable(v) for v in "CXY")
 
         def frag(centre, x_image):
-            emb = sg.Embedding({c: sg.iri(centre), x: sg.iri(x_image), y: sg.iri("y")})
-            return emb, frozenset({0, 1}), 0
+            return (centre, x_image, 100), 0b11
 
-        frags = [frag("c1", "x"), frag("c2", "x")]
-        assert len(totals_from_fragments(sub, frags, cap=1)) == 2
-        frags.append(frag("c1", "x2"))
+        frags = [frag(1, 5), frag(2, 5)]
+        assert len(totals_from_fragments(sub, frags, nodes, cap=1)) == 2
+        frags.append(frag(1, 6))
         with pytest.raises(
             sg.CartesianCapExceeded, match="fragment join exceeded 1 intermediate states"
         ):
-            totals_from_fragments(sub, frags, cap=1)
+            totals_from_fragments(sub, frags, nodes, cap=1)
+
+    def test_unbound_positions_fill_and_foreign_nodes_stay_unbound(self):
+        # each fragment leaves the other's leaf UNBOUND; ?F is not in sub
+        sub = sg.Query([q3("?C", "<p>", "?X"), q3("?C", "<q>", "?Y")])
+        nodes = tuple(sg.variable(v) for v in "YFCX")
+        x_side = ((UNBOUND, UNBOUND, 1, 5), 0b01)
+        y_side = ((6, UNBOUND, 1, UNBOUND), 0b10)
+        clash = ((6, UNBOUND, 1, 8), 0b10)
+        assert totals_from_fragments(sub, [x_side, y_side, clash], nodes) == [
+            (6, UNBOUND, 1, 5)
+        ]
 
 
 _ENDS = ("constant", "bound", "free")

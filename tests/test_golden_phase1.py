@@ -5,7 +5,8 @@ coauthor cover split over the edge partition, the records
 ``qejpe_map1_records`` emits, sorted as the shuffle sorts them and decoded
 to terms, exactly as the exhaustive search with a re-validated candidate
 list produced them. One line per record: the border vector, the non-border
-vector (``-`` for unbound) and the query-level triple-match flags.
+vector (``-`` for unbound) and one match flag per query triple, read off the
+record's subquery-level mask through ``layout.to_query``.
 """
 
 import pytest
@@ -96,13 +97,16 @@ def _cells(split, ids):
 
 def _rendered(layout, split, i, j):
     records = qejpe_map1_records(
-        layout, i, split.segments[j], j, split.borders[j], split.dictionary
+        layout, i, split.segments[j], split.borders[j], split.dictionary
     )
     records.sort()
+    positions = layout.to_query[i]
     lines = []
-    for key, (tag, seg, bnv, nbnv, tm) in records:
-        assert (key, tag, seg) == (i, "f", j)
-        flags = "".join("1" if f else "0" for f in tm)
+    for key, (ids, mask) in records:
+        assert key == i
+        bnv, nbnv = layout.split(ids)
+        hit = {positions[k] for k in range(len(positions)) if mask >> k & 1}
+        flags = "".join("1" if q in hit else "0" for q in range(len(layout.triples)))
         lines.append(f"{_cells(split, bnv)} | {_cells(split, nbnv)} | {flags}")
     return lines
 

@@ -62,7 +62,7 @@ class TestOracle:
     def test_projection_deduplicates(self, bibliography):
         # two authors of Article2 collapse onto one projected row
         q = sg.parse_query('?A <year> "2008" .\n?A <hasAuthor> ?W .\n')
-        full = len(sg.enumerate_total(q, bibliography))
+        full = len(sg.enumerate_total(q, bibliography, tuple(sorted(q.nodes))))
         projected = sg.Query(
             [q3("?A", "<year>", '"2008"'), q3("?A", "<hasAuthor>", "?W")]
         )

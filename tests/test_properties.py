@@ -17,9 +17,12 @@ one of the structural facts the engines rely on:
 - the structural properties of node partitions with replication (coverage,
   replicated nodes and triples always owned elsewhere, and so on).
 
-The joins are checked against a reference join of embeddings
-(``is_compatible``, ``join``, ``restrict``) that the engines do not use;
-``TestCompatibilityAlgebra`` pins its own laws.
+An embedding here is the tuple of the images of one fixed node order, the
+query's nodes sorted, None for an unbound node; fragments are encoded to the
+data decomposition's IDs for ``totals_from_fragments`` and its totals decoded
+back. The joins are checked against a reference join of such tuples
+(``is_compatible``, ``join``, ``restrict``, position by position) that the
+engines do not use; ``TestCompatibilityAlgebra`` pins its own laws.
 """
 
 import itertools
@@ -37,35 +40,35 @@ DECOMPOSERS = sorted(sg.DECOMPOSERS)
 STATE_GUARD = 100_000
 
 
-def is_compatible(e1: sg.Embedding, e2: sg.Embedding) -> bool:
-    """True when the embeddings agree on every shared node."""
-    a, b = (e1, e2) if len(e1) <= len(e2) else (e2, e1)
-    bd = b._d
-    for n, v in a._d.items():
-        if n in bd and bd[n] != v:
-            return False
-    return True
+Images = tuple  # one image per node of a fixed node order, None if unbound
 
 
-def join(e1: sg.Embedding, e2: sg.Embedding) -> sg.Embedding:
+def domain(e: Images) -> frozenset[int]:
+    """The positions e binds."""
+    return frozenset(p for p, v in enumerate(e) if v is not None)
+
+
+def is_compatible(e1: Images, e2: Images) -> bool:
+    """True when the embeddings agree at every position both bind."""
+    return all(a is None or b is None or a == b for a, b in zip(e1, e2))
+
+
+def join(e1: Images, e2: Images) -> Images:
     if not is_compatible(e1, e2):
         raise ValueError("cannot join incompatible embeddings")
-    merged = dict(e1._d)
-    merged.update(e2._d)
-    return sg.Embedding(merged)
+    return tuple(b if a is None else a for a, b in zip(e1, e2))
 
 
-def restrict(e: sg.Embedding, nodes: Iterable[sg.Term]) -> sg.Embedding:
-    keep = set(nodes)
-    return sg.Embedding({n: v for n, v in e._d.items() if n in keep})
+def restrict(e: Images, keep: Iterable[int]) -> Images:
+    keep = set(keep)
+    return tuple(v if p in keep else None for p, v in enumerate(e))
 
 
 class TestCompatibilityAlgebra:
-    nodes = st.sampled_from(
-        [sg.variable(c) for c in "xyzw"] + [sg.iri(c) for c in "ab"]
-    )
-    values = st.sampled_from([sg.iri(f"n{i}") for i in range(4)])
-    embeddings = st.dictionaries(nodes, values, max_size=5).map(sg.Embedding)
+    width = 6
+    positions = st.integers(0, width - 1)
+    images = st.none() | st.sampled_from([sg.iri(f"n{i}") for i in range(4)])
+    embeddings = st.lists(images, min_size=width, max_size=width).map(tuple)
 
     @given(embeddings, embeddings)
     def test_compatibility_is_symmetric(self, e1, e2):
@@ -75,11 +78,11 @@ class TestCompatibilityAlgebra:
     def test_join_merges_or_raises(self, e1, e2):
         if is_compatible(e1, e2):
             j = join(e1, e2)
-            assert j.domain == e1.domain | e2.domain
-            for n in e1:
-                assert j[n] == e1[n]
-            for n in e2:
-                assert j[n] == e2[n]
+            assert domain(j) == domain(e1) | domain(e2)
+            for p in domain(e1):
+                assert j[p] == e1[p]
+            for p in domain(e2):
+                assert j[p] == e2[p]
             assert j == join(e2, e1)
         else:
             with pytest.raises(ValueError):
@@ -90,12 +93,12 @@ class TestCompatibilityAlgebra:
         assert is_compatible(e, e)
         assert join(e, e) == e
 
-    @given(embeddings, st.sets(nodes))
+    @given(embeddings, st.sets(positions))
     def test_restrict_is_a_subset(self, e, keep):
         r = restrict(e, keep)
-        assert r.domain == e.domain & frozenset(keep)
-        for n in r:
-            assert r[n] == e[n]
+        assert domain(r) == domain(e) & frozenset(keep)
+        for p in domain(r):
+            assert r[p] == e[p]
 
 
 def instance(uid, *, max_graph=50, max_query=6):
@@ -119,18 +122,29 @@ def node_partition(g, uid):
     return sg.vertex_hash_partition(g, m, seed=uid)
 
 
-def fragments_of(sub, data):
-    frags = []
-    for j, seg in enumerate(data.segments):
-        for e, matched in enumerate_useful_partial(sub, seg, data.borders[j]):
-            frags.append((e, matched, j))
-    return frags
+def nodes_of(q):
+    return tuple(sorted(q.nodes))
 
 
-def incremental_join(total_sets):
+def totals_of(sub, data, nodes):
+    """sub's totals joined from its useful partials in every segment, as
+    term tuples over nodes."""
+    code = data.dictionary.ids.__getitem__
+    frags = [
+        (tuple(map(code, images)), matched)
+        for seg, border in zip(data.segments, data.borders)
+        for images, matched in enumerate_useful_partial(sub, seg, border, nodes)
+    ]
+    return {
+        data.dictionary.decode(ids)
+        for ids in totals_from_fragments(sub, frags, nodes)
+    }
+
+
+def incremental_join(total_sets, width):
     """All compatible joins taking one embedding from each set; None when the
     intermediate state count escapes the guard."""
-    states = {sg.Embedding({})}
+    states = {(None,) * width}
     for totals in total_sets:
         nxt = set()
         for s in states:
@@ -158,8 +172,8 @@ class TestFragmentReconstruction:
         def check(uid):
             g, q = instance(uid)
             data = edge_partition(g, uid)
-            rebuilt = set(totals_from_fragments(q, fragments_of(q, data)))
-            assert rebuilt == set(sg.enumerate_total(q, g))
+            nodes = nodes_of(q)
+            assert totals_of(q, data, nodes) == set(sg.enumerate_total(q, g, nodes))
             return True
 
         run_instances(check)
@@ -170,11 +184,12 @@ class TestSubqueryReconstruction:
         def check(uid):
             g, q = instance(uid)
             dec = decomposer_for(uid)(q)
-            sets = [set(sg.enumerate_total(sub, g)) for sub in dec.subqueries]
-            joined = incremental_join(sets)
+            nodes = nodes_of(q)
+            sets = [set(sg.enumerate_total(sub, g, nodes)) for sub in dec.subqueries]
+            joined = incremental_join(sets, len(nodes))
             if joined is None:
                 return False
-            assert joined == set(sg.enumerate_total(q, g))
+            assert joined == set(sg.enumerate_total(q, g, nodes))
             return True
 
         run_instances(check)
@@ -188,7 +203,8 @@ class TestSubqueryReconstruction:
             dec = decomposer_for(uid)(q)
             if len(dec) < 3:
                 return False
-            sets = [sg.enumerate_total(sub, g)[:6] for sub in dec.subqueries]
+            nodes = nodes_of(q)
+            sets = [sg.enumerate_total(sub, g, nodes)[:6] for sub in dec.subqueries]
             seen = False
             for a, b, c in itertools.combinations(range(len(dec)), 3):
                 for e1, e2 in itertools.product(sets[a], sets[b]):
@@ -211,13 +227,12 @@ class TestTwoLevelReconstruction:
             g, q = instance(uid)
             dec = decomposer_for(uid)(q)
             data = edge_partition(g, uid)
-            sets = []
-            for sub in dec.subqueries:
-                sets.append(set(totals_from_fragments(sub, fragments_of(sub, data))))
-            joined = incremental_join(sets)
+            nodes = nodes_of(q)
+            sets = [totals_of(sub, data, nodes) for sub in dec.subqueries]
+            joined = incremental_join(sets, len(nodes))
             if joined is None:
                 return False
-            assert joined == set(sg.enumerate_total(q, g))
+            assert joined == set(sg.enumerate_total(q, g, nodes))
             return True
 
         run_instances(check)
@@ -230,17 +245,18 @@ class TestSingleSegmentLocality:
             dec = decomposer_for(uid)(q)
             assert sg.validate_decomposition(q, dec).all_so
             data = node_partition(g, uid)
+            nodes = nodes_of(q)
             sets = []
             for sub in dec.subqueries:
                 local = set()
                 for seg in data.segments:
-                    local |= set(sg.enumerate_total(sub, seg))
-                assert local == set(sg.enumerate_total(sub, g))
+                    local |= set(sg.enumerate_total(sub, seg, nodes))
+                assert local == set(sg.enumerate_total(sub, g, nodes))
                 sets.append(local)
-            joined = incremental_join(sets)
+            joined = incremental_join(sets, len(nodes))
             if joined is None:
                 return False
-            assert joined == set(sg.enumerate_total(q, g))
+            assert joined == set(sg.enumerate_total(q, g, nodes))
             return True
 
         run_instances(check)
@@ -253,14 +269,16 @@ class TestBorderAgreement:
             dec = decomposer_for(uid)(q)
             if len(dec) < 2:
                 return False
-            totals = [sg.enumerate_total(sub, g)[:10] for sub in dec.subqueries]
+            nodes = nodes_of(q)
+            totals = [sg.enumerate_total(sub, g, nodes)[:10] for sub in dec.subqueries]
             checked = False
             for i, j in itertools.combinations(range(len(dec)), 2):
-                shared = frozenset(
-                    n
-                    for n in dec.subqueries[i].nodes & dec.subqueries[j].nodes
-                    if not n.is_literal
-                )
+                shared = [
+                    p
+                    for p, n in enumerate(nodes)
+                    if n in dec.subqueries[i].nodes & dec.subqueries[j].nodes
+                    and not n.is_literal
+                ]
                 for ei, ej in itertools.product(totals[i], totals[j]):
                     checked = True
                     agree = restrict(ei, shared) == restrict(ej, shared)

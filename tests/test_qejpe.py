@@ -18,31 +18,47 @@ class TestFragmentRecords:
         for i in range(3):
             for j in range(3):
                 recs = qejpe_map1_records(
-                    layout, i, edge_split.segments[j], j, edge_split.borders[j],
+                    layout, i, edge_split.segments[j], edge_split.borders[j],
                     edge_split.dictionary,
                 )
                 counts[(i, j)] = len(recs)
-                for key, val in recs:
+                for key, (ids, mask) in recs:
                     assert key == i
-                    assert val[0] == "f" and val[1] == j
+                    assert len(ids) == len(layout.nodes) and mask > 0
         assert counts == {
             (0, 0): 3, (0, 1): 4, (0, 2): 1,
             (1, 0): 1, (1, 1): 4, (1, 2): 2,
             (2, 0): 0, (2, 1): 2, (2, 2): 0,
         }
 
-    def test_match_flags_use_query_indexes(self, edge_split, supervisor_decomposition):
+    def test_mask_bits_refer_to_subquery_canonical_triples(
+        self, edge_split, supervisor_decomposition
+    ):
+        # bit k of a mask is the subquery's k-th canonical triple, and it is
+        # set exactly when the segment holds that triple under the record's
+        # images
         layout = sg.preprocess(supervisor_decomposition)
-        sub2_mask_positions = {
-            i for i, t in enumerate(layout.triples)
-            if t in supervisor_decomposition.subqueries[2].triples
-        }
-        recs = qejpe_map1_records(
-            layout, 2, edge_split.segments[1], 1, edge_split.borders[1],
-            edge_split.dictionary,
-        )
-        for _, (_, _, _, _, tm) in recs:
-            assert {i for i, f in enumerate(tm) if f} <= sub2_mask_positions
+        seen = 0
+        for i, sub in enumerate(layout.subqueries):
+            for j, seg in enumerate(edge_split.segments):
+                recs = qejpe_map1_records(
+                    layout, i, seg, edge_split.borders[j], edge_split.dictionary
+                )
+                for _, (ids, mask) in recs:
+                    assert 0 < mask < 1 << len(sub.canonical)
+                    image = dict(
+                        zip(layout.nodes, edge_split.dictionary.decode(ids))
+                    )
+                    for k, t in enumerate(sub.canonical):
+                        s_img, o_img = image[t.s], image[t.o]
+                        held = (
+                            s_img is not None
+                            and o_img is not None
+                            and sg.DataTriple(s_img, t.p, o_img) in seg
+                        )
+                        assert bool(mask >> k & 1) == held
+                        seen += held
+        assert seen
 
 
 class TestRunQejpe:

@@ -155,7 +155,7 @@ class TestRunRedundancy:
         layout = sg.preprocess(supervisor_decomposition)
         for i, sub in enumerate(layout.subqueries):
             assert res.subquery_embeddings[i] >= len(
-                sg.enumerate_total(sub, bibliography)
+                sg.enumerate_total(sub, bibliography, layout.nodes)
             )
 
     @pytest.mark.parametrize("workers", [1, 4, 8])

@@ -16,6 +16,7 @@ from stargraph.errors import (
     ReduceFnError,
     UnorderableRecords,
 )
+from stargraph.embedding import enumerate_total
 from stargraph.model import UNBOUND, Term, TermDictionary
 from stargraph.runtime import Emitter, Job, run_job
 
@@ -437,7 +438,22 @@ class TestEngineStageHook:
     """A tracer swaps ``<engine module>.run_job``, ``.preprocess`` and
     ``.answers_from_records`` for wrappers. Every stage an engine runs must go
     through that ``run_job``, in the order of its stats, and each run must
-    call the other two through the engine module exactly once."""
+    call the other two through the engine module exactly once.
+
+    The tracer also swaps the embedding primitives where the engines and the
+    oracle call them (``qejpe.enumerate_useful_partial``,
+    ``qejpe.totals_from_fragments``, ``stars.enumerate_total``,
+    ``redundancy.enumerate_total``, ``oracle.enumerate_total``) and counts
+    ``len()`` of what they return as fragments and totals. So each must be
+    called through that name, and return a list with one entry per fragment
+    or total, as counted some other way."""
+
+    PRIMITIVES = {
+        "qejpe": ("enumerate_useful_partial", "totals_from_fragments"),
+        "stars": ("enumerate_total",),
+        "redundancy": ("enumerate_total",),
+        "oracle": ("enumerate_total",),
+    }
 
     @pytest.mark.parametrize("engine", ["qejpe", "stars", "redundancy"])
     @pytest.mark.parametrize(
@@ -445,7 +461,8 @@ class TestEngineStageHook:
         [("supervisor_query", "max-degree"), ("journal_article_query", "naive")],
     )
     def test_every_stage_runs_through_the_engine_module(
-        self, engine, query, method, edge_split, node_split, request, monkeypatch
+        self, engine, query, method, bibliography, edge_split, node_split, request,
+        monkeypatch,
     ):
         module = importlib.import_module(f"stargraph.{engine}")
         names = []
@@ -462,9 +479,24 @@ class TestEngineStageHook:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
+        # (arguments, returned length) of every primitive call, per name
+        returned: dict[str, list] = {}
+        for owner in (engine, "oracle"):
+            owner_module = importlib.import_module(f"stargraph.{owner}")
+            for name in self.PRIMITIVES[owner]:
+                log = returned[f"{owner}.{name}"] = []
+
+                def listing(*args, _log=log, _fn=getattr(owner_module, name), **kwargs):
+                    out = _fn(*args, **kwargs)
+                    assert type(out) is list
+                    _log.append((args, len(out)))
+                    return out
+
+                monkeypatch.setattr(owner_module, name, listing)
         q = request.getfixturevalue(query)
         data = node_split if engine == "redundancy" else edge_split
-        res = getattr(module, f"run_{engine}")(data, q, sg.DECOMPOSERS[method](q))
+        dec = sg.DECOMPOSERS[method](q)
+        res = getattr(module, f"run_{engine}")(data, q, dec)
         assert names
         assert names == [s["stage"] for s in res.stats]
         assert calls == {"preprocess": 1, "answers_from_records": 1}
@@ -472,3 +504,35 @@ class TestEngineStageHook:
         for row in res.answers.rows:
             for t in row:
                 assert t is Term(t.kind, t.lexical)
+
+        assert res.answers == sg.oracle_answers(q, bibliography)
+        nodes = tuple(sorted(q.nodes))
+        (_, oracle_totals), = returned["oracle.enumerate_total"]
+        assert oracle_totals == len(enumerate_total(q, bibliography, nodes))
+        totals = sum(res.subquery_embeddings.values())
+        pairs = len(dec.subqueries) * len(data.segments)
+        if engine == "qejpe":
+            enumerated = returned["qejpe.enumerate_useful_partial"]
+            joined = returned["qejpe.totals_from_fragments"]
+            assert len(enumerated) == pairs
+            # every fragment enumerated reaches a join, and every total joined
+            # is one of the subquery totals phase 1 ships
+            assert sum(len(args[1]) for args, _ in joined) == sum(
+                n for _, n in enumerated
+            ) > 0
+            assert sum(n for _, n in joined) == totals > 0
+        else:
+            enumerated = returned[f"{engine}.enumerate_total"]
+            assert len(enumerated) == pairs
+            counted = sum(n for _, n in enumerated)
+            if engine == "redundancy":
+                # one phase-1 record per total, each counted by the driver
+                assert counted == totals > 0
+            else:
+                # stars part 2 ships only the totals part 1 does not cover
+                layout = sg.preprocess(dec)
+                assert counted == sum(
+                    len(enumerate_total(sub, seg, layout.nodes))
+                    for sub in dec.subqueries
+                    for seg in data.segments
+                )
