@@ -8,19 +8,20 @@ the lexical forms.
 
 Everything downstream (partitioning, decomposition, evaluation) relies on the
 canonical orders defined here: terms sort by (lexical form, kind), triples by
-their per-position term keys, and a data decomposition's ``TermDictionary``
-numbers its graph's nodes in term order. Iteration over graphs and queries
-always follows that order, which is what makes runs reproducible regardless
-of hash seeds or worker counts.
+their per-position term keys, and a graph's ``TermDictionary`` numbers its
+nodes in term order. Iteration over graphs and queries always follows that
+order, which is what makes runs reproducible regardless of hash seeds or
+worker counts. A ``DataGraph``'s match index keeps it too: each lookup
+returns its triples in canonical order, as a read-only sequence.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property, total_ordering
+from functools import total_ordering
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EmptyGraph,
@@ -220,10 +221,28 @@ def _flat_key(t: DataTriple | TriplePattern) -> tuple:
     )
 
 
-class DataGraph:
-    """An immutable set of data triples with lazy match indexes."""
+# the index entry of a predicate the graph does not have
+_NO_ENTRY: tuple = ((), {}, {})
 
-    __slots__ = ("triples", "_canonical", "_nodes", "_by_p", "_by_sp", "_by_op")
+
+class DataGraph:
+    """An immutable set of data triples with a lazy match index.
+
+    ``canonical`` lists the triples in canonical order. A graph built from
+    arbitrary triples sorts them on first use; a segment built by
+    ``partition`` inherits its parent's order, which it keeps as given.
+
+    The index is one dict per graph, keyed by predicate (the per-predicate
+    vectors of Hexastore, Weiss et al., VLDB 2008): ``_index[p]`` is
+    ``(triples, by_subject, by_object)``, the list of p's triples and, under
+    it, one list per subject and one per object, so no (s, p) or (o, p) pair
+    needs a key of its own. The first lookup builds all of it in one pass
+    over ``canonical``, so every list is in canonical order. The lookups hand
+    out those lists themselves: read-only sequences that callers must not
+    change.
+    """
+
+    __slots__ = ("triples", "_canonical", "_nodes", "_index", "_dictionary")
 
     def __init__(self, triples: Iterable[DataTriple]):
         ts = frozenset(triples)
@@ -232,9 +251,18 @@ class DataGraph:
         self.triples = ts
         self._canonical: tuple[DataTriple, ...] | None = None
         self._nodes: frozenset[Term] | None = None
-        self._by_p = None
-        self._by_sp = None
-        self._by_op = None
+        self._index: dict[Term, tuple] | None = None
+        self._dictionary: TermDictionary | None = None
+
+    @classmethod
+    def _from_canonical(cls, canonical: list[DataTriple]) -> "DataGraph":
+        """The graph of ``canonical``, distinct triples already in canonical
+        order, which it keeps without sorting again. Only ``partition`` calls
+        this, with segments filled in one pass over the parent's
+        ``canonical``."""
+        g = cls(canonical)
+        g._canonical = tuple(canonical)
+        return g
 
     @property
     def canonical(self) -> tuple[DataTriple, ...]:
@@ -253,35 +281,48 @@ class DataGraph:
         return self._nodes
 
     @property
-    def literals(self) -> frozenset[Term]:
-        return frozenset(n for n in self.nodes if n.is_literal)
+    def dictionary(self) -> TermDictionary:
+        """IDs for the graph's nodes, built on first use and kept, so every
+        decomposition of the graph shares one."""
+        if self._dictionary is None:
+            self._dictionary = TermDictionary(self.nodes)
+        return self._dictionary
 
-    def _build_indexes(self) -> None:
-        by_p: dict[Term, list[DataTriple]] = {}
-        by_sp: dict[tuple[Term, Term], list[DataTriple]] = {}
-        by_op: dict[tuple[Term, Term], list[DataTriple]] = {}
+    def _build_index(self) -> dict[Term, tuple]:
+        index: dict[Term, tuple] = {}
         for t in self.canonical:
-            by_p.setdefault(t.p, []).append(t)
-            by_sp.setdefault((t.s, t.p), []).append(t)
-            by_op.setdefault((t.o, t.p), []).append(t)
-        self._by_p = {k: tuple(v) for k, v in by_p.items()}
-        self._by_sp = {k: tuple(v) for k, v in by_sp.items()}
-        self._by_op = {k: tuple(v) for k, v in by_op.items()}
+            entry = index.get(t.p)
+            if entry is None:
+                entry = index[t.p] = ([], {}, {})
+            triples, by_s, by_o = entry
+            triples.append(t)
+            same = by_s.get(t.s)
+            if same is None:
+                by_s[t.s] = [t]
+            else:
+                same.append(t)
+            same = by_o.get(t.o)
+            if same is None:
+                by_o[t.o] = [t]
+            else:
+                same.append(t)
+        self._index = index
+        return index
 
-    def by_predicate(self, p: Term) -> tuple[DataTriple, ...]:
-        if self._by_p is None:
-            self._build_indexes()
-        return self._by_p.get(p, ())
+    def by_predicate(self, p: Term) -> Sequence[DataTriple]:
+        """The triples with predicate p, canonical order, read-only."""
+        index = self._index or self._build_index()  # never empty once built
+        return index.get(p, _NO_ENTRY)[0]
 
-    def by_subject_predicate(self, s: Term, p: Term) -> tuple[DataTriple, ...]:
-        if self._by_sp is None:
-            self._build_indexes()
-        return self._by_sp.get((s, p), ())
+    def by_subject_predicate(self, s: Term, p: Term) -> Sequence[DataTriple]:
+        """The triples (s, p, *), canonical order, read-only."""
+        index = self._index or self._build_index()
+        return index.get(p, _NO_ENTRY)[1].get(s, ())
 
-    def by_object_predicate(self, o: Term, p: Term) -> tuple[DataTriple, ...]:
-        if self._by_op is None:
-            self._build_indexes()
-        return self._by_op.get((o, p), ())
+    def by_object_predicate(self, o: Term, p: Term) -> Sequence[DataTriple]:
+        """The triples (*, p, o), canonical order, read-only."""
+        index = self._index or self._build_index()
+        return index.get(p, _NO_ENTRY)[2].get(o, ())
 
     def __contains__(self, t: DataTriple) -> bool:
         return t in self.triples
@@ -570,12 +611,11 @@ class DataDecomposition:
     def is_s_decomposition(self) -> bool:
         return self.node_blocks is not None
 
-    # built on first use, not with the segments, and once per decomposition
-    @cached_property
+    @property
     def dictionary(self) -> TermDictionary:
-        """IDs for the graph's nodes, which the engines ship in place of
+        """The graph's dictionary, whose IDs the engines ship in place of
         terms. Every image a record carries is a graph node."""
-        return TermDictionary(self.graph.nodes)
+        return self.graph.dictionary
 
     def __len__(self) -> int:
         return len(self.segments)

@@ -11,6 +11,10 @@ Two families:
 
 Both produce a DataDecomposition. Imports from files are supported for both
 families so partitions computed elsewhere can be reused.
+
+Every family fills its segments in one pass over the graph's ``canonical``,
+so each segment lists its triples in the graph's canonical order and keeps
+that order as its own without sorting again.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ __all__ = [
     "edge_random_partition",
     "vertex_hash_partition",
     "s_decompose",
-    "segments_from_edge_blocks",
     "from_edge_assignment",
     "import_edge_assignment",
     "import_node_partition",
@@ -42,15 +45,12 @@ __all__ = [
 ]
 
 
-def segments_from_edge_blocks(
-    g: DataGraph,
-    blocks: list[set[DataTriple]],
-    *,
-    method: str,
-    seed: int | None = None,
-) -> DataDecomposition:
-    segments = tuple(DataGraph(b) for b in blocks)
-    return DataDecomposition(graph=g, segments=segments, method=method, seed=seed)
+def _decomposition(g: DataGraph, segments: list[list[DataTriple]], **fields):
+    return DataDecomposition(
+        graph=g,
+        segments=tuple(map(DataGraph._from_canonical, segments)),
+        **fields,
+    )
 
 
 def edge_random_partition(g: DataGraph, m: int, seed: int = 0) -> DataDecomposition:
@@ -60,8 +60,8 @@ def edge_random_partition(g: DataGraph, m: int, seed: int = 0) -> DataDecomposit
     the per-triple distribution uniform conditioned on all segments being
     used. When m is close to the triple count that event is rare, so after a
     bounded number of redraws the last assignment is repaired instead by
-    moving triples out of the largest segments. Deterministic in
-    (graph, m, seed).
+    moving the first triple of the largest segment into an empty one.
+    Deterministic in (graph, m, seed).
     """
     triples = g.canonical
     if m < 1:
@@ -71,20 +71,18 @@ def edge_random_partition(g: DataGraph, m: int, seed: int = 0) -> DataDecomposit
             f"cannot spread {len(triples)} triples over {m} non-empty segments"
         )
     rng = XorShift64Star(seed)
-    blocks: list[set[DataTriple]] = []
+    blocks: list[list[DataTriple]] = []
     for _attempt in range(1000):
-        blocks = [set() for _ in range(m)]
+        blocks = [[] for _ in range(m)]
         for t in triples:
-            blocks[rng.below(m)].add(t)
+            blocks[rng.below(m)].append(t)
         if all(blocks):
             break
     while not all(blocks):
         donor = max(range(m), key=lambda i: (len(blocks[i]), -i))
         target = next(i for i in range(m) if not blocks[i])
-        moved = min(blocks[donor], key=lambda t: t.key)
-        blocks[donor].remove(moved)
-        blocks[target].add(moved)
-    return segments_from_edge_blocks(g, blocks, method="edge-random", seed=seed)
+        blocks[target].append(blocks[donor].pop(0))
+    return _decomposition(g, blocks, method="edge-random", seed=seed)
 
 
 def _node_hash(node: Term, seed: int) -> int:
@@ -136,34 +134,29 @@ def s_decompose(
     if not blocks or any(not b for b in blocks):
         raise NotAPartition("node blocks must be non-empty")
     expected = {n for n in g.nodes if not n.is_literal}
-    seen: set[Term] = set()
-    for b in blocks:
+    block_of: dict[Term, int] = {}
+    for i, b in enumerate(blocks):
         for n in b:
             if n.is_literal:
                 raise NotAPartition(f"literal {n.token()} cannot be in a node block")
-            if n in seen:
+            if n in block_of:
                 raise NotAPartition(f"node {n.token()} appears in two blocks")
-            seen.add(n)
-    if seen != expected:
-        missing = sorted(expected - seen)
-        extra = sorted(seen - expected)
+            block_of[n] = i
+    if block_of.keys() != expected:
+        missing = sorted(expected - block_of.keys())
+        extra = sorted(block_of.keys() - expected)
         if extra:
             raise NotAPartition(f"block node {extra[0].token()} is not in the graph")
         raise NotAPartition(f"node {missing[0].token()} is not covered by any block")
-    segments = []
-    for block in blocks:
-        seg = [
-            t
-            for t in g.canonical
-            if t.s in block or (not t.o.is_literal and t.o in block)
-        ]
-        segments.append(DataGraph(seg))
-    return DataDecomposition(
-        graph=g,
-        segments=tuple(segments),
-        method=method,
-        seed=seed,
-        node_blocks=tuple(blocks),
+    segments: list[list[DataTriple]] = [[] for _ in blocks]
+    for t in g.canonical:
+        i = block_of[t.s]
+        segments[i].append(t)
+        j = block_of.get(t.o)  # None for a literal, which no block holds
+        if j is not None and j != i:
+            segments[j].append(t)
+    return _decomposition(
+        g, segments, method=method, seed=seed, node_blocks=tuple(blocks)
     )
 
 
@@ -202,10 +195,10 @@ def from_edge_assignment(
         if t not in mapping:
             raise MissingTriple(f"triple {t.token()} has no block assignment")
     m = _check_block_ids(mapping.values(), "edge")
-    blocks: list[set[DataTriple]] = [set() for _ in range(m)]
-    for t, block in mapping.items():
-        blocks[block].add(t)
-    return segments_from_edge_blocks(g, blocks, method=method, seed=seed)
+    segments: list[list[DataTriple]] = [[] for _ in range(m)]
+    for t in g.canonical:
+        segments[mapping[t]].append(t)
+    return _decomposition(g, segments, method=method, seed=seed)
 
 
 def _assignment_lines(path: Path):

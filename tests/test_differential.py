@@ -11,7 +11,8 @@ partitions, and against the replicated engine on hashed node partitions.
 builds graphs around a hub, self-loops and literal objects, and queries that
 mix variables with IRI and literal constants, so many have no answers, and
 checks every engine at one and three workers against the naive evaluator
-directly.
+directly, qejpe on random and imported edge partitions and redundancy on
+hashed and imported node partitions.
 """
 
 import pytest
@@ -55,8 +56,14 @@ def partition_for(kind, g, m, uid):
         m_eff = min(m, len(triples))
         assignment = {t: i % m_eff for i, t in enumerate(triples)}
         return sg.from_edge_assignment(g, assignment)
-    non_literal = sum(1 for n in g.nodes if not n.is_literal)
-    return sg.vertex_hash_partition(g, min(m, non_literal), seed=uid)
+    non_literal = sorted(n for n in g.nodes if not n.is_literal)
+    if kind == "node-import":
+        rng = XorShift64Star(uid ^ 0x1D0C)
+        rng.shuffle(non_literal)
+        m_eff = min(m, len(non_literal))
+        mapping = {n: i % m_eff for i, n in enumerate(non_literal)}
+        return sg.import_node_partition(mapping, g)
+    return sg.vertex_hash_partition(g, min(m, len(non_literal)), seed=uid)
 
 
 ENGINES = {
@@ -102,11 +109,13 @@ class TestEnginesAgainstOracle:
 
 # ---------------------------------------------------------------- adversarial
 
-ADVERSARIAL_INSTANCES = 36  # 6 per decomposer, each run by 3 engines x 2 worker counts
+ADVERSARIAL_INSTANCES = 36  # 6 per decomposer, each run by 5 lanes x 2 worker counts
 ADVERSARIAL_LANES = [
     ("qejpe", "edge-random"),
+    ("qejpe", "edge-import"),
     ("stars", "edge-random"),
     ("redundancy", "vertex-hash"),
+    ("redundancy", "node-import"),
 ]
 HUB_PREDICATE = "<p0>"
 

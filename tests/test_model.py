@@ -148,8 +148,9 @@ class TestDataGraph:
 
     def test_nodes_exclude_nothing_and_literals_are_flagged(self, bibliography):
         assert sg.literal("2008") in bibliography.nodes
-        assert sg.literal("2008") in bibliography.literals
-        assert sg.iri("Article1") not in bibliography.literals
+        assert sg.literal("2008").is_literal
+        assert sg.iri("Article1") in bibliography.nodes
+        assert not sg.iri("Article1").is_literal
 
     def test_equality_ignores_construction_order(self, bibliography):
         again = sg.DataGraph(list(reversed(list(bibliography))))

@@ -1,6 +1,10 @@
 """Graph partitioning: random edge splits, hashed node splits, imports."""
 
+import dataclasses
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stargraph as sg
 from stargraph.errors import (
@@ -12,6 +16,7 @@ from stargraph.errors import (
     UnknownNode,
     UnknownTriple,
 )
+from stargraph.model import UNBOUND, TermDictionary, _flat_key
 
 from conftest import EDGE_BLOCKS
 
@@ -204,3 +209,137 @@ class TestImports:
         path.write_text("<Article1> 0\n")
         with pytest.raises(MalformedLine):
             sg.import_edge_assignment(path, bibliography)
+
+
+# ------------------------------------------------- segment order and indexes
+
+_PREDICATES = [sg.iri(f"p{i}") for i in range(3)]
+_HUB = sg.iri("hub")
+_IRIS = [_HUB] + [sg.iri(f"n{i}") for i in range(6)]
+# "n0" is also an IRI's lexical form, so term order has to break the tie on kind
+_LITERALS = [sg.literal("n0"), sg.literal("l1"), sg.literal("l2")]
+_ABSENT = sg.iri("absent")
+
+
+@st.composite
+def _graphs(draw):
+    """A hub with three to nine out-edges on one predicate, self-loops, and
+    random triples whose objects are often literals."""
+    hub_p = draw(st.sampled_from(_PREDICATES))
+    fan = draw(st.lists(st.sampled_from(_IRIS[1:] + _LITERALS), min_size=3, unique=True))
+    loops = draw(
+        st.lists(st.tuples(st.sampled_from(_IRIS), st.sampled_from(_PREDICATES)), max_size=4)
+    )
+    rest = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_IRIS),
+                st.sampled_from(_PREDICATES),
+                st.sampled_from(_IRIS + _LITERALS),
+            ),
+            max_size=20,
+        )
+    )
+    triples = [sg.DataTriple(_HUB, hub_p, o) for o in fan]
+    triples += [sg.DataTriple(n, p, n) for n, p in loops]
+    triples += [sg.DataTriple(s, p, o) for s, p, o in rest]
+    return sg.DataGraph(triples)
+
+
+def _assert_ordered_and_indexed(g):
+    """g keeps canonical order, and each lookup is the matching filter of
+    it, in order, for present and absent keys alike."""
+    canonical = g.canonical
+    assert canonical == tuple(sorted(g.triples, key=_flat_key))
+    for p in _PREDICATES + [_ABSENT]:
+        assert list(g.by_predicate(p)) == [t for t in canonical if t.p is p]
+        for n in _IRIS + _LITERALS + [_ABSENT]:
+            assert list(g.by_subject_predicate(n, p)) == [
+                t for t in canonical if t.s is n and t.p is p
+            ]
+            assert list(g.by_object_predicate(n, p)) == [
+                t for t in canonical if t.o is n and t.p is p
+            ]
+
+
+def _assert_s_segments(g, dec):
+    """Each segment is the scan definition of its block, in g's order."""
+    for seg, block in zip(dec.segments, dec.node_blocks):
+        assert seg.canonical == tuple(
+            t
+            for t in g.canonical
+            if t.s in block or (not t.o.is_literal and t.o in block)
+        )
+        _assert_ordered_and_indexed(seg)
+
+
+def _non_literal(g):
+    return sorted(n for n in g.nodes if not n.is_literal)
+
+
+class TestSegmentOrderAndIndex:
+    @settings(max_examples=40, deadline=None)
+    @given(g=_graphs(), data=st.data())
+    def test_edge_random_near_one_triple_per_segment(self, g, data):
+        # this close to one triple per segment the redraws rarely fill every
+        # segment, so the repair step runs
+        m = data.draw(st.integers(max(1, len(g) - 2), len(g)))
+        dec = sg.edge_random_partition(g, m, seed=data.draw(st.integers(0, 99)))
+        _assert_ordered_and_indexed(g)
+        for seg in dec.segments:
+            _assert_ordered_and_indexed(seg)
+        assert sum(len(seg) for seg in dec.segments) == len(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=_graphs(), data=st.data())
+    def test_vertex_hash(self, g, data):
+        m = data.draw(st.integers(1, min(4, len(_non_literal(g)))))
+        dec = sg.vertex_hash_partition(g, m, seed=data.draw(st.integers(0, 99)))
+        _assert_ordered_and_indexed(g)
+        _assert_s_segments(g, dec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=_graphs(), data=st.data())
+    def test_shuffled_edge_assignment(self, g, data):
+        shuffled = data.draw(st.permutations(g.canonical))
+        m = data.draw(st.integers(1, min(4, len(g))))
+        assignment = {t: i % m for i, t in enumerate(shuffled)}
+        dec = sg.from_edge_assignment(g, assignment)
+        for i, seg in enumerate(dec.segments):
+            assert seg.canonical == tuple(t for t in g.canonical if assignment[t] == i)
+            _assert_ordered_and_indexed(seg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=_graphs(), data=st.data())
+    def test_node_import(self, g, data):
+        shuffled = data.draw(st.permutations(_non_literal(g)))
+        m = data.draw(st.integers(1, min(4, len(shuffled))))
+        dec = sg.import_node_partition({n: i % m for i, n in enumerate(shuffled)}, g)
+        _assert_s_segments(g, dec)
+
+
+class TestSharedDictionary:
+    def test_partitions_of_one_graph_share_the_graph_dictionary(self, bibliography):
+        edge = sg.edge_random_partition(bibliography, 3, seed=1)
+        node = sg.vertex_hash_partition(bibliography, 3, seed=1)
+        assert edge.dictionary is node.dictionary is bibliography.dictionary
+        # every ID is still the node's rank in term order
+        ranked = sorted(bibliography.nodes, key=lambda n: n.key)
+        assert edge.dictionary.ids == {
+            **{n: i for i, n in enumerate(ranked)},
+            None: UNBOUND,
+        }
+        assert edge.dictionary.ids == TermDictionary(bibliography.nodes).ids
+
+
+class TestColdSetup:
+    def test_benchmark_setup_leaves_no_index_work_to_the_ops(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import bench
+
+        workload = dataclasses.replace(bench.WORKLOADS["hub-star"], triples=400, queries=1)
+        state = bench.setup(bench.make_inputs(workload, 1))
+        graphs = (state.graph, *state.edge.segments, *state.node.segments)
+        assert len(graphs) == 1 + 2 * bench.SEGMENTS
+        built = [g._index is not None and g._canonical is not None for g in graphs]
+        assert built == [True] * len(graphs)
