@@ -5,8 +5,9 @@ always ends with, per subquery, records of two tagged shapes:
 
     ("e", bnv, nbnv)   a total embedding of the subquery, split into its
                        border-node vector and non-border vector
-    ("v", pos, id)     a candidate value for the border-node position ``pos``,
-                       sent to subqueries that do not contain that node
+    ("v", pos, id, src)  a candidate value for the border-node position
+                       ``pos``, offered by subquery ``src``, which contains
+                       that node, and sent to every subquery that does not
 
 Images travel as their IDs in the data decomposition's ``TermDictionary``,
 UNBOUND (-1) marking an unbound position, so every record is built from
@@ -16,10 +17,14 @@ comparing them directly; ID order is term order. Terms come back once, when
 
 The completion step (the second-phase mapper, run here as a reduce over the
 grouping key) dedups both lists, fills every unbound border position of every
-embedding from the candidate sets, and emits fully ground border vectors. The
-final reducer groups by ground border vector, requires a record from every
-subquery, merges the non-border vectors positionally, and projects the query's
-output pattern.
+embedding from the candidate sets, and emits fully ground border vectors. A
+position's candidate set is the intersection, not the union, of the values
+its owners offer (the subqueries that contain its node): an answer binds
+the node to one value in every owner, so a value some owner never offers
+could only complete records that the final join drops (a semi-join
+reduction, Bernstein and Chiu, JACM 1981). The final reducer groups by
+ground border vector, requires a record from every subquery, merges the
+non-border vectors positionally, and projects the query's output pattern.
 
 ``run_phases`` is the one driver of all three engines: a chain of MapReduce
 jobs (the engine's phase 1; the completion step, unless phase 1 already
@@ -87,16 +92,22 @@ def phase2_expand_fn(
     """Reduce function that completes starred border positions.
 
     Keys are either a subquery index or (subquery index, common-border IDs);
-    values are the tagged records described in the module docstring. Emits
-    (ground bnv, (subquery index, nbnv)) pairs. ``dictionary`` decodes the
-    key of a cap message.
+    values are the tagged records described in the module docstring. A
+    candidate fills its position only once every owner of the position's
+    node has offered it. Emits (ground bnv, (subquery index, nbnv)) pairs.
+    ``dictionary`` decodes the key of a cap message.
     """
+    owners = [
+        sum(node in sub.nodes for sub in layout.subqueries)
+        for node in layout.border_nodes
+    ]
 
     def fn(key, values, em):
         sub_idx = _sub_index(key)
         embeddings: list[tuple] = []
         candidates: dict[int, list[int]] = {}
         last = None
+        offered = None  # the (pos, id) whose sources are being counted
         for val in values:
             if val == last:  # values arrive sorted, so a duplicate is adjacent
                 continue
@@ -105,7 +116,12 @@ def phase2_expand_fn(
             if tag == "e":
                 embeddings.append((val[1], val[2]))
             elif tag == "v":
-                candidates.setdefault(val[1], []).append(val[2])
+                # the distinct sources of one (pos, id) arrive as one run
+                if val[1:3] != offered:
+                    offered, sources = val[1:3], 0
+                sources += 1
+                if sources == owners[val[1]]:
+                    candidates.setdefault(val[1], []).append(val[2])
             else:
                 raise ValueError(f"unknown phase-2 record tag {tag!r}")
         emitted = 0

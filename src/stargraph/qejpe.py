@@ -11,10 +11,11 @@ Works for any query decomposition over any data partition. Three stages:
    centre-less subquery from a hand-built plan is joined in one pass through
    a per-image index of its fragments), then emits each total twice over:
    once as an ("e", bnv, nbnv) record keyed by its subquery, and once per
-   missing-border pair as a candidate ("v", position, value) record keyed by
-   the subquery lacking that border node.
-2. Border completion (shared): unbound border positions are filled from the
-   candidate sets, yielding fully ground border vectors.
+   missing-border pair as a candidate ("v", position, value, subquery)
+   record keyed by the subquery lacking that border node.
+2. Border completion (shared): unbound border positions are filled with the
+   candidate values that every subquery containing the node offered,
+   yielding fully ground border vectors.
 3. Final join (shared): group by border vector, require every subquery,
    merge non-border values, project the output pattern.
 
@@ -59,7 +60,7 @@ def qejpe_reduce1_fn(layout, *, cap: int = CARTESIAN_CAP):
             em.emit(key, ("e", bnv, nbnv))
             for pos, j in layout.missing_positions:
                 if bnv[pos] != UNBOUND:
-                    em.emit(j, ("v", pos, bnv[pos]))
+                    em.emit(j, ("v", pos, bnv[pos], key))
 
     return fn
 

@@ -16,6 +16,9 @@ a half phases:
   final join's (border vector, (subquery, non-border values)). Either way
   the next stage reads the mapper's output. Replication means the same
   embedding can be found in several segments; the completion step dedups.
+  Completion takes each candidate set within one (subquery, common-border
+  values) group, which is sound because an answer agrees on the common
+  border in every subquery.
   Images travel as their IDs in the data decomposition's dictionary.
 - Completion and final join are the shared phase-2/phase-3 code.
 
@@ -48,7 +51,8 @@ def red_map1_records(layout, sub_idx: int, segment, seg_idx: int, dictionary):
     the stage that runs next, images as their IDs in ``dictionary``.
 
     With missing border pairs present, records are keyed (subquery,
-    common-border values) and tagged "e"/"v" for the completion step;
+    common-border values) and tagged "e"/"v" for the completion step, a "v"
+    record naming ``sub_idx`` as the subquery that offers its value;
     otherwise border vectors are ground already and records are the final
     join's (bnv, (subquery, nbnv)).
     """
@@ -64,7 +68,7 @@ def red_map1_records(layout, sub_idx: int, segment, seg_idx: int, dictionary):
             out.append(((sub_idx, cb_key), ("e", bnv, nbnv)))
             for pos, j in missing:
                 if bnv[pos] != UNBOUND:
-                    out.append(((j, cb_key), ("v", pos, bnv[pos])))
+                    out.append(((j, cb_key), ("v", pos, bnv[pos], sub_idx)))
         else:
             assert UNBOUND not in bnv
             out.append((bnv, (sub_idx, nbnv)))

@@ -15,10 +15,10 @@ image of its central node. The mapper has two parts:
   own witness list before a node's candidates are believed.
 - Part 2 handles central images that live entirely inside one segment
   (neither border nor literal): whole-star embeddings enumerated locally,
-  with candidate values for subqueries missing a border node. The mapper
-  puts them straight into the stage's output (``emit_output``), past the
-  star-assembly shuffle, so the completion phase reads them next to the
-  reducer's output.
+  with ("v", position, value, subquery) candidate values for the subqueries
+  missing a border node. The mapper puts them straight into the stage's
+  output (``emit_output``), past the star-assembly shuffle, so the
+  completion phase reads them next to the reducer's output.
 
 Images travel as their IDs in the data decomposition's dictionary, an
 embedding as the ID vector over the layout's nodes split into its border and
@@ -26,8 +26,11 @@ non-border part; the mapper tests border membership and literals on the
 terms before encoding, and the reducer writes each assembled star's IDs
 straight into their layout positions.
 
-Phases 2 and 3 are the shared completion and final join: ``run_stars``
-builds the phase-1 job and ``evalcore.run_phases`` runs all three.
+The reducer, too, offers each assembled star's border values as
+("v", position, value, subquery) candidates for the subqueries missing
+them, once per key. Phases 2 and 3 are the shared completion and final
+join: ``run_stars`` builds the phase-1 job and ``evalcore.run_phases`` runs
+all three.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ def stars_map1_records(
 
     Returns (part1, part2): part1 records are keyed (subquery, central image)
     and carry ("p", query-triple index, other-endpoint image); part2 records
-    are keyed by subquery and carry the usual "e"/"v" shapes.
+    are keyed by subquery and carry the usual "e"/"v" shapes, a "v" record
+    naming ``sub_idx`` as the subquery that offers its value.
     """
     sub = layout.subqueries[sub_idx]
     center = centers[sub_idx]
@@ -118,7 +122,7 @@ def stars_map1_records(
         part2.append((sub_idx, ("e", bnv, nbnv)))
         for pos, j in layout.missing_positions:
             if bnv[pos] != UNBOUND:
-                part2.append((j, ("v", pos, bnv[pos])))
+                part2.append((j, ("v", pos, bnv[pos], sub_idx)))
     return part1, part2
 
 
@@ -172,11 +176,11 @@ def stars_reduce1_fn(layout, centers, dictionary, *, cap: int = CARTESIAN_CAP):
         # candidate values ride along once per key, never per embedding
         for node, j in layout.missing_border:
             if node == center:
-                em.emit(j, ("v", layout.node_index[node], img))
+                em.emit(j, ("v", layout.node_index[node], img, sub_idx))
             elif node in sub.nodes:
                 idx = node_order.index(node)
                 for u in pools[idx]:
-                    em.emit(j, ("v", layout.node_index[node], u))
+                    em.emit(j, ("v", layout.node_index[node], u, sub_idx))
 
     return fn
 

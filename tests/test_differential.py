@@ -11,8 +11,14 @@ partitions, and against the replicated engine on hashed node partitions.
 builds graphs around a hub, self-loops and literal objects, and queries that
 mix variables with IRI and literal constants, so many have no answers, and
 checks every engine at one and three workers against the naive evaluator
-directly, qejpe on random and imported edge partitions and redundancy on
-hashed and imported node partitions.
+directly, qejpe and stars on random and imported edge partitions and
+redundancy on hashed and imported node partitions.
+
+``TestCompletionLane`` runs all-variable 5-edge paths over graphs of three
+or four predicates, whose decompositions leave border nodes missing from
+some subquery, so every engine's answers pass through border completion;
+the instances have answers, so a completion that drops a value some answer
+needs shows as a missing row.
 """
 
 import pytest
@@ -109,11 +115,12 @@ class TestEnginesAgainstOracle:
 
 # ---------------------------------------------------------------- adversarial
 
-ADVERSARIAL_INSTANCES = 36  # 6 per decomposer, each run by 5 lanes x 2 worker counts
+ADVERSARIAL_INSTANCES = 36  # 6 per decomposer, each run by 6 lanes x 2 worker counts
 ADVERSARIAL_LANES = [
     ("qejpe", "edge-random"),
     ("qejpe", "edge-import"),
     ("stars", "edge-random"),
+    ("stars", "edge-import"),
     ("redundancy", "vertex-hash"),
     ("redundancy", "node-import"),
 ]
@@ -235,3 +242,54 @@ class TestAdversarialShapes:
         ]
         assert 0 in sizes
         assert any(sizes)
+
+
+# ---------------------------------------------------------- border completion
+
+COMPLETION_INSTANCES = 8
+COMPLETION_LANES = [
+    ("qejpe", "edge-random"),
+    ("stars", "edge-random"),
+    ("redundancy", "vertex-hash"),
+]
+
+
+def completion_instance(k):
+    """Instance k: a graph of 200 to 400 triples over three or four
+    predicates, an all-variable 5-edge path over them (predicates repeat),
+    its max-degree-reshaping decomposition and a segment count."""
+    rng = XorShift64Star(0xB0DE + k)
+    g = sg.generate_graph(
+        200 + rng.below(201), predicates=3 + rng.below(2), seed=rng.below(1 << 30)
+    )
+    predicates = sorted({t.p for t in g.canonical})
+    q = sg.Query(
+        sg.TriplePattern(
+            sg.variable(f"x{i}"), rng.choice(predicates), sg.variable(f"x{i + 1}")
+        )
+        for i in range(5)
+    )
+    return g, q, sg.DECOMPOSERS["max-degree-reshaping"](q), 2 + rng.below(3)
+
+
+class TestCompletionLane:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("engine_name, partition_kind", COMPLETION_LANES)
+    def test_lane(self, engine_name, partition_kind, workers):
+        engine = ENGINES[engine_name]
+        for k in range(COMPLETION_INSTANCES):
+            g, q, dec, m = completion_instance(k)
+            data = partition_for(partition_kind, g, m, k)
+            res = engine(data, q, dec, workers=workers)
+            assert set(res.answers.rows) == naive_answers(q, g), (
+                f"{engine_name}/workers={workers} diverged on completion "
+                f"instance {k}: {sg.serialize_query(q)!r}"
+            )
+
+    def test_instances_complete_borders_and_have_answers(self):
+        both = 0
+        for k in range(COMPLETION_INSTANCES):
+            g, q, dec, _ = completion_instance(k)
+            if sg.preprocess(dec).missing_border and naive_answers(q, g):
+                both += 1
+        assert both >= COMPLETION_INSTANCES // 2

@@ -109,19 +109,32 @@ class TestMapRecords:
 
 
 class TestCompletion:
+    def fill(self, node_split, layout, grouped, person):
+        key = (1, (node_split.dictionary.ids[t(person)],))
+        em = Emitter()
+        phase2_expand_fn(layout, node_split.dictionary)(key, sorted(grouped[key]), em)
+        return sorted(node_split.dictionary.decode(k) for k, _ in em.records)
+
     def test_border_holes_fill_from_candidates(
         self, node_split, coauthor_cover_decomposition
     ):
+        # ?A is missing from subquery 1 and held by subqueries 0 and 2, and
+        # both offer Article2 with ?P1 = Person2
         layout = sg.preprocess(coauthor_cover_decomposition)
         grouped = collect(layout, node_split)
-        key = (1, (node_split.dictionary.ids[t("<Person4>")],))
-        em = Emitter()
-        phase2_expand_fn(layout, node_split.dictionary)(key, sorted(grouped[key]), em)
-        filled = sorted(node_split.dictionary.decode(k) for k, _ in em.records)
-        assert filled == [
-            (t("<Article1>"), t("<Journal1>"), t("<Person4>")),
-            (t("<Article3>"), t("<Journal1>"), t("<Person4>")),
+        assert self.fill(node_split, layout, grouped, "<Person2>") == [
+            (t("<Article2>"), t("<Journal1>"), t("<Person2>")),
         ]
+
+    def test_a_value_one_owner_lacks_fills_nothing(
+        self, node_split, coauthor_cover_decomposition
+    ):
+        # with ?P1 = Person4, subquery 0 offers ?A = Article3 but not
+        # Article1 (Article1 has no year), and subquery 2 offers Article1
+        # but not Article3 (Person4's supervisor did not write Article3)
+        layout = sg.preprocess(coauthor_cover_decomposition)
+        grouped = collect(layout, node_split)
+        assert self.fill(node_split, layout, grouped, "<Person4>") == []
 
 
 class TestRunRedundancy:

@@ -61,7 +61,7 @@ def stage_records(draw):
     elif kind == "ev":
         key = sub if draw(st.booleans()) else st.tuples(sub, vector(n_common, True))
         value = st.tuples(st.just("e"), vector(n_border), vector(n_other)) | st.tuples(
-            st.just("v"), st.integers(0, 3), term
+            st.just("v"), st.integers(0, 3), term, sub
         )
         record = st.tuples(key, value)
     else:

@@ -40,7 +40,7 @@ def decoded(split, record):
         return (key[0], terms[key[1]]), (val[0], val[1], terms[val[2]])
     if val[0] == "e":
         return key, ("e", decode(val[1]), decode(val[2]))
-    return key, ("v", val[1], terms[val[2]])
+    return key, ("v", val[1], terms[val[2]], val[3])
 
 
 class TestMapRecords:
@@ -78,8 +78,8 @@ class TestMapRecords:
             (t("<Article3>"), t("<Journal2>"), t("<Person4>")),
             (t('"2008"'), None, None, None),
         )
-        assert values[1] == ("v", 0, t("<Article3>"))
-        assert values[2] == ("v", 1, t("<Journal2>"))
+        assert values[1] == ("v", 0, t("<Article3>"), 0)
+        assert values[2] == ("v", 1, t("<Journal2>"), 0)
 
 
 def brute_force_part1(layout, centers, sub_idx, segment, border, dictionary):
@@ -187,7 +187,7 @@ class TestReduce:
         records = self.run_key(layout, centers, grouped, key, edge_split)
         embeddings = [v for k, v in records if v[0] == "e"]
         assert len(embeddings) == 3
-        assert (2, ("v", 1, t("<Journal1>"))) in records
+        assert (2, ("v", 1, t("<Journal1>"), 1)) in records
 
     def test_variable_center_assembly(self, edge_split, coauthor_cover_decomposition):
         layout = sg.preprocess(coauthor_cover_decomposition)
@@ -198,8 +198,8 @@ class TestReduce:
         )
         embeddings = [v for k, v in records if v[0] == "e"]
         assert len(embeddings) == 2
-        assert (1, ("v", 0, t("<Article2>"))) in records
-        assert (2, ("v", 1, t("<Journal1>"))) in records
+        assert (1, ("v", 0, t("<Article2>"), 0)) in records
+        assert (2, ("v", 1, t("<Journal1>"), 0)) in records
 
     def test_missing_triple_kills_the_image(
         self, edge_split, coauthor_cover_decomposition
