@@ -1,41 +1,51 @@
 """Machinery shared by the three distributed evaluation algorithms.
 
-All engines meet in the same final join. Phase 1 differs per algorithm but
-always ends with, per subquery, records of two tagged shapes:
+The engines differ only in how phase 1 finds each subquery's total
+embeddings. Every phase-1 job outputs one record per total it finds:
 
-    ("e", bnv, nbnv)   a total embedding of the subquery, split into its
-                       border-node vector and non-border vector
-    ("v", pos, id, src)  a candidate value for the border-node position
-                       ``pos``, offered by subquery ``src``, which contains
-                       that node, and sent to every subquery that does not
+    (sub, ids)    a total embedding of subquery ``sub``: the ID of every
+                  layout node's image, UNBOUND (-1) for the nodes ``sub``
+                  does not hold
 
+and this module alone turns those records into the next stages' records.
 Images travel as their IDs in the data decomposition's ``TermDictionary``,
-UNBOUND (-1) marking an unbound position, so every record is built from
-ints, strs, bools and tuples of them, and the shuffle orders records by
-comparing them directly; ID order is term order. Terms come back once, when
-``answers_from_records`` decodes the answer rows.
+so every record is built from ints, strs and tuples of them, and the
+shuffle orders records by comparing them directly; ID order is term order.
+Terms come back once, when ``answers_from_records`` decodes the answer rows.
 
-The completion step (the second-phase mapper, run here as a reduce over the
-grouping key) dedups both lists, fills every unbound border position of every
-embedding from the candidate sets, and emits fully ground border vectors. A
+Border completion (the paper's second-phase mapper) runs when some border
+node is missing from some subquery. Its map keys every total by (sub, the
+IDs of the common border nodes, which every subquery holds) and ships it as
+
+    ("e", ids)           the total itself
+    ("v", pos, id, src)  for each border position ``pos`` the total binds
+                         and subquery j lacks, a candidate value offered by
+                         ``src``, keyed (j, common-border IDs) instead
+
+An answer binds a common border node to one value in every subquery, so a
+group holds all it needs. The reduce fills each total's unbound border
+positions from the candidates and emits the filled totals as (sub, ids). A
 position's candidate set is the intersection, not the union, of the values
 its owners offer (the subqueries that contain its node): an answer binds
 the node to one value in every owner, so a value some owner never offers
 could only complete records that the final join drops (a semi-join
-reduction, Bernstein and Chiu, JACM 1981). The final reducer groups by
-ground border vector, requires a record from every subquery, merges the
-non-border vectors positionally, and projects the query's output pattern.
+reduction, Bernstein and Chiu, JACM 1981).
+
+The final join maps each (sub, ids) to (border vector, (sub, non-border
+vector)), requires a record from every subquery per ground border vector,
+merges the non-border vectors positionally, and projects the query's output
+pattern.
 
 ``run_phases`` is the one driver of all three engines: a chain of MapReduce
-jobs (the engine's phase 1; the completion step, unless phase 1 already
-emits ground border vectors; the final join), each reading exactly the
-previous job's output records. A phase-1 map task may put records straight into its
-job's output with ``Emitter.emit_output``, past the shuffle and the reduce;
-the next job reads them next to the reducer's output. Nothing is sorted
-between jobs: each job's output reaches the next shuffle in emission order,
-and the join's records are returned in it. Every job runs through the
-``run_job`` the engine passes in, its own module's name for it, so whoever
-replaces that name (a tracer, say) sees every job.
+jobs (the engine's phase 1, the completion step when a border node is
+missing, the final join), each reading exactly the previous job's output
+records. A phase-1 map task may put records straight into its job's output
+with ``Emitter.emit_output``, past the shuffle and the reduce; the next job
+reads them next to the reducer's output. Nothing is sorted between jobs:
+each job's output reaches the next shuffle in emission order, and the
+join's records are returned in it. Every job runs through the ``run_job``
+the engine passes in, its own module's name for it, so whoever replaces
+that name (a tracer, say) sees every job.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ from .runtime import Job
 __all__ = [
     "CARTESIAN_CAP",
     "EvalResult",
+    "phase2_map_fn",
     "phase2_expand_fn",
     "reduce2_fn",
     "answers_from_records",
@@ -82,29 +93,47 @@ def checked_data(data, query, decomposition: QueryDecomposition) -> DataDecompos
     return data
 
 
-def _sub_index(key) -> int:
-    return key if isinstance(key, int) else key[0]
+def phase2_map_fn(layout: QueryLayout):
+    """Map function of border completion: a total (sub, ids) as its
+    ("e", ids) record keyed (sub, common-border IDs), and one
+    ("v", pos, id, sub) candidate per missing-border pair (pos, j) whose
+    node it binds, keyed (j, common-border IDs)."""
+    common, missing = layout.common_positions, layout.missing_positions
+
+    def fn(sub_idx, ids, em):
+        cb = tuple([ids[i] for i in common])
+        em.emit((sub_idx, cb), ("e", ids))
+        for pos, j in missing:
+            if ids[pos] != UNBOUND:
+                em.emit((j, cb), ("v", pos, ids[pos], sub_idx))
+
+    return fn
 
 
 def phase2_expand_fn(
     layout: QueryLayout, dictionary: TermDictionary, cap: int = CARTESIAN_CAP
 ):
-    """Reduce function that completes starred border positions.
+    """Reduce function of border completion.
 
-    Keys are either a subquery index or (subquery index, common-border IDs);
-    values are the tagged records described in the module docstring. A
+    A group holds one subquery's totals and the candidates for its missing
+    border positions, under one (subquery, common-border IDs) key. A
     candidate fills its position only once every owner of the position's
-    node has offered it. Emits (ground bnv, (subquery index, nbnv)) pairs.
-    ``dictionary`` decodes the key of a cap message.
+    node has offered it. Emits every total once per way of filling its
+    holes, as (subquery, ids). ``dictionary`` decodes the key of a cap
+    message.
     """
     owners = [
         sum(node in sub.nodes for sub in layout.subqueries)
         for node in layout.border_nodes
     ]
+    holes_of = [
+        [pos for pos, j in layout.missing_positions if j == sub_idx]
+        for sub_idx in range(len(layout.subqueries))
+    ]
 
     def fn(key, values, em):
-        sub_idx = _sub_index(key)
-        embeddings: list[tuple] = []
+        sub_idx, cb = key
+        totals: list[tuple] = []
         candidates: dict[int, list[int]] = {}
         last = None
         offered = None  # the (pos, id) whose sources are being counted
@@ -112,43 +141,31 @@ def phase2_expand_fn(
             if val == last:  # values arrive sorted, so a duplicate is adjacent
                 continue
             last = val
-            tag = val[0]
-            if tag == "e":
-                embeddings.append((val[1], val[2]))
-            elif tag == "v":
+            if val[0] == "e":
+                totals.append(val[1])
+            else:
                 # the distinct sources of one (pos, id) arrive as one run
                 if val[1:3] != offered:
                     offered, sources = val[1:3], 0
                 sources += 1
                 if sources == owners[val[1]]:
                     candidates.setdefault(val[1], []).append(val[2])
-            else:
-                raise ValueError(f"unknown phase-2 record tag {tag!r}")
-        emitted = 0
-        for bnv, nbnv in embeddings:
-            holes = [i for i, v in enumerate(bnv) if v == UNBOUND]
-            pools = []
-            ok = True
-            for i in holes:
-                pool = candidates.get(i)
-                if not pool:
-                    ok = False  # nothing anywhere can ground this position
-                    break
-                pools.append(pool)
-            if not ok:
-                continue
+        holes = holes_of[sub_idx]
+        pools = [candidates.get(i, ()) for i in holes]
+        count = len(totals)
+        for pool in pools:
+            count *= len(pool)
+        if count > cap:
+            shown = (sub_idx, dictionary.decode(cb))
+            raise CartesianCapExceeded(
+                f"border completion for key {shown!r} exceeded {cap} records"
+            )
+        for ids in totals:
+            filled = list(ids)
             for combo in itertools.product(*pools):
-                emitted += 1
-                if emitted > cap:
-                    if not isinstance(key, int):
-                        key = (sub_idx, dictionary.decode(key[1]))
-                    raise CartesianCapExceeded(
-                        f"border completion for key {key!r} exceeded {cap} records"
-                    )
-                filled = list(bnv)
                 for i, v in zip(holes, combo):
                     filled[i] = v
-                em.emit(tuple(filled), (sub_idx, nbnv))
+                em.emit(sub_idx, tuple(filled))
 
     return fn
 
@@ -226,21 +243,30 @@ def run_phases(
     data: DataDecomposition,
     phase1: Job,
     *,
-    complete: bool,
     workers: int,
     cap: int,
     run_job,
 ) -> tuple[list[tuple], list[dict], dict[int, int]]:
-    """Run an engine's phase-1 job, then border completion when ``complete``,
-    then the final join, each through ``run_job``.
+    """Run an engine's phase-1 job, then border completion when a border
+    node is missing from some subquery, then the final join, each through
+    ``run_job``.
 
-    Phase 1 reads one ((subquery, segment), None) record per pair. Its output
-    is the completion step's tagged records when ``complete``, else already
-    the join's (bnv, (subquery, nbnv)) records. Returns the join's records,
-    every job's stats in order, and each subquery's total embeddings as
-    counted in phase 1's output.
+    Phase 1 reads one ((subquery, segment), None) record per pair and
+    outputs one (subquery, ids) record per total embedding. Returns the
+    join's records, every job's stats in order, and each subquery's total
+    embeddings as counted in phase 1's output.
     """
     dictionary = data.dictionary
+
+    def join_map(sub_idx, ids, em):
+        bnv, nbnv = layout.split(ids)
+        em.emit(bnv, (sub_idx, nbnv))
+
+    jobs = []
+    if layout.missing_border:
+        expand = phase2_expand_fn(layout, dictionary, cap)
+        jobs.append(Job("complete-borders", phase2_map_fn(layout), expand))
+    jobs.append(Job("join-answers", join_map, reduce2_fn(layout, dictionary, cap)))
     source = [
         ((i, j), None)
         for i in range(len(layout.subqueries))
@@ -248,17 +274,8 @@ def run_phases(
     ]
     res = run_job(phase1, source, workers=workers)
     counts = dict.fromkeys(range(len(layout.subqueries)), 0)
-    join = Job("join-answers", None, reduce2_fn(layout, dictionary, cap))
-    if complete:
-        expand = phase2_expand_fn(layout, dictionary, cap)
-        jobs = [Job("complete-borders", None, expand), join]
-        for key, val in res.records:
-            if val[0] == "e":
-                counts[_sub_index(key)] += 1
-    else:
-        jobs = [join]
-        for _bnv, (sub_idx, _nbnv) in res.records:
-            counts[sub_idx] += 1
+    for sub_idx, _ in res.records:
+        counts[sub_idx] += 1
     stats = [res.stats]
     records = res.records
     for job in jobs:

@@ -45,7 +45,6 @@ __all__ = [
     "Query",
     "QueryShape",
     "classify_query",
-    "is_subgraph",
     "so_centers",
     "star_centers",
     "QueryDecomposition",
@@ -493,10 +492,6 @@ def classify_query(q: Query) -> frozenset[QueryShape]:
     if _is_path(q):
         shapes.add(QueryShape.PATH)
     return frozenset(shapes)
-
-
-def is_subgraph(q1: Query, q2: Query) -> bool:
-    return q1.triples <= q2.triples
 
 
 @dataclass(frozen=True)

@@ -9,18 +9,16 @@ Works for any query decomposition over any data partition. Three stages:
    as they are to ``totals_from_fragments``, which joins them into the
    subquery's total embeddings one image of its star centre at a time (a
    centre-less subquery from a hand-built plan is joined in one pass through
-   a per-image index of its fragments), then emits each total twice over:
-   once as an ("e", bnv, nbnv) record keyed by its subquery, and once per
-   missing-border pair as a candidate ("v", position, value, subquery)
-   record keyed by the subquery lacking that border node.
-2. Border completion (shared): unbound border positions are filled with the
-   candidate values that every subquery containing the node offered,
-   yielding fully ground border vectors.
+   a per-image index of its fragments), then emits each total as a
+   (subquery, ids) record.
+2. Border completion (shared, when a border node is missing): unbound border
+   positions are filled with the values that every subquery containing the
+   node offered.
 3. Final join (shared): group by border vector, require every subquery,
    merge non-border values, project the output pattern.
 
 ``run_qejpe`` builds the phase-1 job; ``evalcore.run_phases`` runs it and
-the two shared jobs.
+the shared jobs.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from .evalcore import (
     checked_data,
     run_phases,
 )
-from .model import UNBOUND, Query, QueryDecomposition
+from .model import Query, QueryDecomposition
 from .runtime import Job, run_job
 
 __all__ = ["qejpe_map1_records", "qejpe_reduce1_fn", "run_qejpe"]
@@ -56,11 +54,7 @@ def qejpe_reduce1_fn(layout, *, cap: int = CARTESIAN_CAP):
     def fn(key, values, em):
         sub = layout.subqueries[key]
         for ids in totals_from_fragments(sub, values, layout.nodes, cap=cap):
-            bnv, nbnv = layout.split(ids)
-            em.emit(key, ("e", bnv, nbnv))
-            for pos, j in layout.missing_positions:
-                if bnv[pos] != UNBOUND:
-                    em.emit(j, ("v", pos, bnv[pos], key))
+            em.emit(key, ids)
 
     return fn
 
@@ -86,8 +80,7 @@ def run_qejpe(
 
     phase1 = Job("useful-partials", map1, qejpe_reduce1_fn(layout, cap=cartesian_cap))
     records, stats, counts = run_phases(
-        layout, dec_data, phase1,
-        complete=True, workers=workers, cap=cartesian_cap, run_job=run_job,
+        layout, dec_data, phase1, workers=workers, cap=cartesian_cap, run_job=run_job
     )
     return EvalResult(
         algorithm="qejpe",

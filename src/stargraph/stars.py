@@ -14,23 +14,18 @@ image of its central node. The mapper has two parts:
   why the records carry the triple index: every triple must contribute its
   own witness list before a node's candidates are believed.
 - Part 2 handles central images that live entirely inside one segment
-  (neither border nor literal): whole-star embeddings enumerated locally,
-  with ("v", position, value, subquery) candidate values for the subqueries
-  missing a border node. The mapper puts them straight into the stage's
-  output (``emit_output``), past the star-assembly shuffle, so the
-  completion phase reads them next to the reducer's output.
+  (neither border nor literal): whole-star embeddings enumerated locally.
+  The mapper puts them straight into the stage's output (``emit_output``),
+  past the star-assembly shuffle, so the next stage reads them next to the
+  reducer's output.
 
-Images travel as their IDs in the data decomposition's dictionary, an
-embedding as the ID vector over the layout's nodes split into its border and
-non-border part; the mapper tests border membership and literals on the
-terms before encoding, and the reducer writes each assembled star's IDs
-straight into their layout positions.
-
-The reducer, too, offers each assembled star's border values as
-("v", position, value, subquery) candidates for the subqueries missing
-them, once per key. Phases 2 and 3 are the shared completion and final
-join: ``run_stars`` builds the phase-1 job and ``evalcore.run_phases`` runs
-all three.
+Images travel as their IDs in the data decomposition's dictionary; the
+mapper tests border membership and literals on the terms before encoding,
+and the reducer writes each assembled star's IDs straight into their layout
+positions. Both parts output each total as a (subquery, ids) record, the
+ID vector over the layout's nodes. Border completion and the final join are
+the shared ones: ``run_stars`` builds the phase-1 job and
+``evalcore.run_phases`` runs it and the shared jobs.
 """
 
 from __future__ import annotations
@@ -83,8 +78,7 @@ def stars_map1_records(
 
     Returns (part1, part2): part1 records are keyed (subquery, central image)
     and carry ("p", query-triple index, other-endpoint image); part2 records
-    are keyed by subquery and carry the usual "e"/"v" shapes, a "v" record
-    naming ``sub_idx`` as the subquery that offers its value.
+    are the (subquery, ids) totals of the whole stars.
     """
     sub = layout.subqueries[sub_idx]
     center = centers[sub_idx]
@@ -116,13 +110,8 @@ def stars_map1_records(
     code = ids.__getitem__
     for images in enumerate_total(sub, segment, layout.nodes):
         img = images[center_pos]
-        if img in border or img.is_literal:
-            continue
-        bnv, nbnv = layout.split(tuple(map(code, images)))
-        part2.append((sub_idx, ("e", bnv, nbnv)))
-        for pos, j in layout.missing_positions:
-            if bnv[pos] != UNBOUND:
-                part2.append((j, ("v", pos, bnv[pos], sub_idx)))
+        if not (img in border or img.is_literal):
+            part2.append((sub_idx, tuple(map(code, images))))
     return part1, part2
 
 
@@ -171,16 +160,7 @@ def stars_reduce1_fn(layout, centers, dictionary, *, cap: int = CARTESIAN_CAP):
         for combo in itertools.product(*pools):
             for pos, u in zip(slots, combo):
                 vector[pos] = u
-            bnv, nbnv = layout.split(tuple(vector))
-            em.emit(sub_idx, ("e", bnv, nbnv))
-        # candidate values ride along once per key, never per embedding
-        for node, j in layout.missing_border:
-            if node == center:
-                em.emit(j, ("v", layout.node_index[node], img, sub_idx))
-            elif node in sub.nodes:
-                idx = node_order.index(node)
-                for u in pools[idx]:
-                    em.emit(j, ("v", layout.node_index[node], u, sub_idx))
+            em.emit(sub_idx, tuple(vector))
 
     return fn
 
@@ -214,8 +194,7 @@ def run_stars(
         stars_reduce1_fn(layout, centers, dictionary, cap=cartesian_cap),
     )
     records, stats, counts = run_phases(
-        layout, dec_data, phase1,
-        complete=True, workers=workers, cap=cartesian_cap, run_job=run_job,
+        layout, dec_data, phase1, workers=workers, cap=cartesian_cap, run_job=run_job
     )
     return EvalResult(
         algorithm="stars",

@@ -182,26 +182,33 @@ class TestEvalCommand:
 
     def test_stats_shape(self, workdir):
         self.setup_segments(workdir)
-        code = run(
-            "eval", "--data", workdir / "segs", "--query", workdir / "supervisor.q",
-            "--workers", 4, "--out", workdir / "a.tsv",
-            "--stats", workdir / "stats.json",
-        )
-        assert code == 0
-        stats = json.loads((workdir / "stats.json").read_text(encoding="utf-8"))
-        assert stats["algorithm"] == "qejpe"
-        assert stats["workers"] == 4
-        assert stats["answers"] == 2
-        assert [s["stage"] for s in stats["stages"]] == [
-            "useful-partials", "complete-borders", "join-answers"
-        ]
-        for s in stats["stages"]:
-            assert set(s) == {
-                "stage", "recordsIn", "recordsOut", "distinctKeys", "maxGroupSize",
-                "wallMillis",
+        shapes = {
+            # every subquery holds every border node: nothing to complete
+            "naive": (["useful-partials", "join-answers"], 2),
+            "min-res": (["useful-partials", "complete-borders", "join-answers"], 4),
+        }
+        for method, (stages, subqueries) in shapes.items():
+            code = run(
+                "eval", "--data", workdir / "segs",
+                "--query", workdir / "supervisor.q", "--method", method,
+                "--workers", 4, "--out", workdir / "a.tsv",
+                "--stats", workdir / "stats.json",
+            )
+            assert code == 0
+            stats = json.loads((workdir / "stats.json").read_text(encoding="utf-8"))
+            assert stats["algorithm"] == "qejpe"
+            assert stats["workers"] == 4
+            assert stats["answers"] == 2
+            assert [s["stage"] for s in stats["stages"]] == stages
+            for s in stats["stages"]:
+                assert set(s) == {
+                    "stage", "recordsIn", "recordsOut", "distinctKeys",
+                    "maxGroupSize", "wallMillis",
+                }
+            assert set(stats["subqueryEmbeddings"]) == {
+                f"Q{i + 1}" for i in range(subqueries)
             }
-        assert set(stats["subqueryEmbeddings"]) == {"Q1", "Q2"}
-        assert all(n > 0 for n in stats["subqueryEmbeddings"].values())
+            assert all(n > 0 for n in stats["subqueryEmbeddings"].values())
 
     def test_worker_outputs_identical(self, workdir):
         self.setup_segments(workdir)
@@ -310,23 +317,33 @@ class TestEvalInputErrors:
 LIMIT_SITES = {
     "fragment-join": (
         "edge-random",
-        ("--query", "supervisor.q", "--algorithm", "qejpe"),
+        ("--query", "supervisor.q", "--algorithm", "qejpe", "--cartesian-cap", 1),
         "fragment join exceeded 1 intermediate states",
     ),
     "star-assembly": (
         "edge-random",
-        ("--query", "supervisor.q", "--algorithm", "stars", "--method", "naive"),
+        ("--query", "supervisor.q", "--algorithm", "stars", "--method", "naive",
+         "--cartesian-cap", 1),
         "star assembly for key (0, Term(<Article1>)) would produce 9 embeddings",
     ),
     "border-completion": (
         "vertex-hash",
         ("--query", "supervisor.q", "--algorithm", "redundancy",
-         "--method", "min-res"),
+         "--method", "min-res", "--cartesian-cap", 1),
         "border completion for key (0, ()) exceeded 1 records",
+    ),
+    # at cap 2 qejpe's fragment joins pass and its completion trips; the
+    # key is the same (subquery, common border) shape as redundancy's
+    "qejpe-border-completion": (
+        "edge-random",
+        ("--query", "coauthor.q", "--algorithm", "qejpe", "--method", "min-res",
+         "--cartesian-cap", 2),
+        "border completion for key (0, ()) exceeded 2 records",
     ),
     "final-join": (
         "vertex-hash",
-        ("--query", "journal.q", "--algorithm", "redundancy", "--method", "naive"),
+        ("--query", "journal.q", "--algorithm", "redundancy", "--method", "naive",
+         "--cartesian-cap", 1),
         "final join for key () would produce 2 combinations",
     ),
     "search-space": (
@@ -354,7 +371,7 @@ class TestLimitErrors:
             )
             argv = (
                 "eval", "--data", workdir / "segs", args[0], workdir / args[1],
-                *args[2:], "--cartesian-cap", 1,
+                *args[2:],
             )
         capsys.readouterr()
         code = run(*argv)

@@ -19,7 +19,14 @@ or four predicates, whose decompositions leave border nodes missing from
 some subquery, so every engine's answers pass through border completion;
 the instances have answers, so a completion that drops a value some answer
 needs shows as a missing row.
+
+``TestPhase1Contract`` checks what every engine's phase 1 hands the shared
+stages, on the fixture graph and on the completion instances: one
+(subquery, ID tuple over the layout's nodes) record per total embedding,
+and, per subquery, exactly the totals the oracle's enumeration finds.
 """
+
+import importlib
 
 import pytest
 
@@ -293,3 +300,61 @@ class TestCompletionLane:
             if sg.preprocess(dec).missing_border and naive_answers(q, g):
                 both += 1
         assert both >= COMPLETION_INSTANCES // 2
+
+
+# ------------------------------------------------------------ phase-1 contract
+
+
+def check_phase1_contract(engine_name, data, q, dec, monkeypatch):
+    """Run one engine, keeping its phase-1 job's output, and check that the
+    output is one (subquery, ids) record per total embedding, the totals of
+    each subquery being those of ``enumerate_total`` over the whole graph."""
+    module = importlib.import_module(f"stargraph.{engine_name}")
+    outputs = []
+
+    def recording(job, records, **kwargs):
+        outputs.append(sg.runtime.run_job(job, records, **kwargs))
+        return outputs[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "run_job", recording)
+        res = ENGINES[engine_name](data, q, dec)
+    records = outputs[0].records
+    layout = sg.preprocess(dec)
+    for record in records:
+        sub_idx, ids = record
+        assert type(sub_idx) is int and type(ids) is tuple, record
+        assert len(ids) == len(layout.nodes), record
+        assert all(type(i) is int for i in ids), record
+    assert res.stats[0]["recordsOut"] == sum(res.subquery_embeddings.values())
+    if engine_name != "redundancy":
+        # only replicated triples let an engine find a total twice
+        assert len(set(records)) == len(records)
+    code = data.dictionary.ids.__getitem__
+    for i, sub in enumerate(layout.subqueries):
+        want = {
+            tuple(map(code, images))
+            for images in sg.enumerate_total(sub, data.graph, layout.nodes)
+        }
+        assert {ids for k, ids in records if k == i} == want, (engine_name, i)
+
+
+class TestPhase1Contract:
+    @pytest.mark.parametrize("engine_name", sorted(ENGINES))
+    @pytest.mark.parametrize("method", ["max-degree", "min-res"])
+    @pytest.mark.parametrize("query", ["supervisor_query", "coauthor_query"])
+    def test_fixture_cases(self, engine_name, method, query, request, monkeypatch):
+        q = request.getfixturevalue(query)
+        data = request.getfixturevalue(
+            "node_split" if engine_name == "redundancy" else "edge_split"
+        )
+        check_phase1_contract(
+            engine_name, data, q, sg.DECOMPOSERS[method](q), monkeypatch
+        )
+
+    @pytest.mark.parametrize("engine_name, partition_kind", COMPLETION_LANES)
+    def test_completion_instances(self, engine_name, partition_kind, monkeypatch):
+        for k in range(COMPLETION_INSTANCES):
+            g, q, dec, m = completion_instance(k)
+            data = partition_for(partition_kind, g, m, k)
+            check_phase1_contract(engine_name, data, q, dec, monkeypatch)

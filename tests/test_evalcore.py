@@ -27,20 +27,22 @@ LAYOUT = sg.preprocess(
 )
 
 
-def completed(key, values):
-    """The ground border vectors completion emits for ``key``, the values
-    sorted as the shuffle would deliver them."""
+def completed(sub_idx, values):
+    """The filled totals completion emits for subquery ``sub_idx``, the
+    values sorted as the shuffle would deliver them. No border node is in
+    every subquery, so the key's common-border part is empty."""
     em = Emitter()
-    phase2_expand_fn(LAYOUT, TermDictionary([]))(key, sorted(values), em)
-    return [bnv for bnv, _ in em.records]
+    phase2_expand_fn(LAYOUT, TermDictionary([]))((sub_idx, ()), sorted(values), em)
+    assert all(key == sub_idx for key, _ in em.records)
+    return [ids for _, ids in em.records]
 
 
 def embedding(**images):
-    """An ("e", bnv, nbnv) record binding the named border nodes."""
-    bnv = [UNBOUND] * len(LAYOUT.border_nodes)
+    """An ("e", ids) record binding the named border nodes."""
+    ids = [UNBOUND] * len(LAYOUT.nodes)
     for name, value in images.items():
-        bnv[LAYOUT.node_index[sg.variable(name)]] = value
-    return ("e", tuple(bnv), (UNBOUND,) * len(LAYOUT.nonborder_nodes))
+        ids[LAYOUT.node_index[sg.variable(name)]] = value
+    return ("e", tuple(ids))
 
 
 def offer(name, value, src):

@@ -1,16 +1,18 @@
 """Per-stage record counts of every engine, pinned.
 
 Each engine's stats (minus wallMillis) and subquery embedding counts on the
-fixture graph, as the engines produced them when each still wired its own
-run_job chain, before ``evalcore.run_phases`` drove them all. Any change to
-how stages are driven must leave them alone.
+fixture graph. Every phase-1 job outputs one record per total embedding it
+finds, so phase 1's recordsOut is the sum of the subquery embedding counts,
+and the stages after it are the shared ones: border completion, exactly
+when a border node is missing from some subquery, then the final join.
+They are built from the same totals by the same code, so their rows agree
+across the three engines, except that the recordsIn of the stage after
+phase 1 also counts the totals that redundancy finds twice because of
+replicated triples.
 
-Three cells per completing engine moved since: ``complete-borders``
-recordsOut and ``join-answers`` recordsIn and distinctKeys. Completion now
-fills a border hole only with values that every subquery containing the
-node offers, not with any value one of them offers, so it no longer emits
-border vectors that the final join would drop. Phase 1, the join's
-recordsOut and the embedding counts are as they were.
+What must not move under any change to how stages are driven: phase 1's
+recordsIn and distinctKeys (the engines' own shuffles), the join's
+recordsOut (the answers) and the embedding counts.
 """
 
 import pytest
@@ -23,7 +25,6 @@ GOLDEN = {
     ("supervisor", "max-degree", "qejpe"): (
         [
             ("useful-partials", 6, 15, 2),
-            ("complete-borders", 15, 15, 2),
             ("join-answers", 15, 2, 12),
         ],
         {0: 13, 1: 2},
@@ -31,7 +32,6 @@ GOLDEN = {
     ("supervisor", "max-degree", "stars"): (
         [
             ("star-assembly", 6, 15, 3),
-            ("complete-borders", 15, 15, 2),
             ("join-answers", 15, 2, 12),
         ],
         {0: 13, 1: 2},
@@ -45,72 +45,72 @@ GOLDEN = {
     ),
     ("supervisor", "min-res", "qejpe"): (
         [
-            ("useful-partials", 12, 66, 4),
-            ("complete-borders", 66, 32, 4),
+            ("useful-partials", 12, 14, 4),
+            ("complete-borders", 14, 32, 4),
             ("join-answers", 32, 2, 18),
         ],
         {0: 5, 1: 5, 2: 2, 3: 2},
     ),
     ("supervisor", "min-res", "stars"): (
         [
-            ("star-assembly", 12, 54, 7),
-            ("complete-borders", 54, 32, 4),
+            ("star-assembly", 12, 14, 7),
+            ("complete-borders", 14, 32, 4),
             ("join-answers", 32, 2, 18),
         ],
         {0: 5, 1: 5, 2: 2, 3: 2},
     ),
     ("supervisor", "min-res", "redundancy"): (
         [
-            ("segment-totals", 12, 71, 0),
-            ("complete-borders", 71, 32, 4),
+            ("segment-totals", 12, 15, 0),
+            ("complete-borders", 15, 32, 4),
             ("join-answers", 32, 2, 18),
         ],
         {0: 5, 1: 5, 2: 2, 3: 3},
     ),
     ("coauthor", "max-degree", "qejpe"): (
         [
-            ("useful-partials", 9, 25, 3),
-            ("complete-borders", 25, 10, 3),
-            ("join-answers", 10, 1, 8),
+            ("useful-partials", 9, 10, 3),
+            ("complete-borders", 10, 7, 11),
+            ("join-answers", 7, 1, 5),
         ],
         {0: 5, 1: 3, 2: 2},
     ),
     ("coauthor", "max-degree", "stars"): (
         [
-            ("star-assembly", 9, 18, 4),
-            ("complete-borders", 18, 10, 3),
-            ("join-answers", 10, 1, 8),
+            ("star-assembly", 9, 10, 4),
+            ("complete-borders", 10, 7, 11),
+            ("join-answers", 7, 1, 5),
         ],
         {0: 5, 1: 3, 2: 2},
     ),
     ("coauthor", "max-degree", "redundancy"): (
         [
-            ("segment-totals", 9, 27, 0),
-            ("complete-borders", 27, 7, 11),
+            ("segment-totals", 9, 11, 0),
+            ("complete-borders", 11, 7, 11),
             ("join-answers", 7, 1, 5),
         ],
         {0: 5, 1: 3, 2: 3},
     ),
     ("coauthor", "min-res", "qejpe"): (
         [
-            ("useful-partials", 18, 100, 6),
-            ("complete-borders", 100, 25, 6),
+            ("useful-partials", 18, 12, 6),
+            ("complete-borders", 12, 25, 6),
             ("join-answers", 25, 1, 13),
         ],
         {0: 3, 1: 3, 2: 2, 3: 2, 4: 1, 5: 1},
     ),
     ("coauthor", "min-res", "stars"): (
         [
-            ("star-assembly", 18, 94, 9),
-            ("complete-borders", 94, 25, 6),
+            ("star-assembly", 18, 12, 9),
+            ("complete-borders", 12, 25, 6),
             ("join-answers", 25, 1, 13),
         ],
         {0: 3, 1: 3, 2: 2, 3: 2, 4: 1, 5: 1},
     ),
     ("coauthor", "min-res", "redundancy"): (
         [
-            ("segment-totals", 18, 108, 0),
-            ("complete-borders", 108, 25, 6),
+            ("segment-totals", 18, 13, 0),
+            ("complete-borders", 13, 25, 6),
             ("join-answers", 25, 1, 13),
         ],
         {0: 3, 1: 3, 2: 2, 3: 2, 4: 2, 5: 1},
@@ -136,3 +136,18 @@ def test_engine_stats_are_pinned(case, workers, request):
     ]
     assert got == stages
     assert res.subquery_embeddings == embeddings
+
+
+@pytest.mark.parametrize(
+    "query_name, method", sorted({case[:2] for case in GOLDEN}), ids="-".join
+)
+def test_shared_stages_agree_across_engines(query_name, method):
+    rows = set()
+    for engine in ENGINES:
+        stages, embeddings = GOLDEN[(query_name, method, engine)]
+        assert stages[0][2] == sum(embeddings.values())
+        shared = stages[1:]
+        # the first shared stage reads phase 1's output; redundancy's may
+        # repeat a total found in two segments
+        rows.add((shared[0][:1] + shared[0][2:], *shared[1:]))
+    assert len(rows) == 1

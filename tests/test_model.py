@@ -283,11 +283,3 @@ class TestDataDecomposition:
     def test_borders_exclude_literals(self, node_split):
         for border in node_split.borders:
             assert not any(n.is_literal for n in border)
-
-
-class TestSubgraph:
-    def test_is_subgraph(self, bibliography):
-        some = sg.DataGraph(list(bibliography)[:3])
-        assert sg.is_subgraph(some, bibliography)
-        other = sg.DataGraph([sg.DataTriple(sg.iri("zz"), sg.iri("p"), sg.iri("y"))])
-        assert not sg.is_subgraph(other, bibliography)

@@ -9,7 +9,7 @@ from stargraph.errors import (
     NotSoDecomposition,
 )
 from stargraph.redundancy import red_map1_records, run_redundancy
-from stargraph.evalcore import phase2_expand_fn
+from stargraph.evalcore import phase2_expand_fn, phase2_map_fn
 from stargraph.runtime import Emitter
 
 
@@ -17,11 +17,21 @@ def t(token):
     return sg.term_from_token(token)
 
 
+def completion_records(layout, records):
+    """The records evalcore's completion map makes of phase-1 totals."""
+    em = Emitter()
+    fn = phase2_map_fn(layout)
+    for sub_idx, ids in records:
+        fn(sub_idx, ids, em)
+    return em.records
+
+
 def collect(layout, node_split):
     grouped = {}
     for i in range(len(layout.subqueries)):
         for j, seg in enumerate(node_split.segments):
-            for key, val in red_map1_records(layout, i, seg, j, node_split.dictionary):
+            records = red_map1_records(layout, i, seg, j, node_split.dictionary)
+            for key, val in completion_records(layout, records):
                 grouped.setdefault(key, []).append(val)
     return grouped
 
@@ -31,14 +41,10 @@ def decoded_key(split, key):
     return key[0], split.dictionary.decode(key[1])
 
 
-def is_completion_record(record, layout):
-    """Keyed (subquery, common-border values), tagged "e" or "v"."""
-    (sub_idx, cb_key), val = record
-    return (
-        sub_idx in range(len(layout.subqueries))
-        and len(cb_key) == len(layout.common_border)
-        and val[0] in ("e", "v")
-    )
+def is_total(record, layout, sub_idx):
+    """A (subquery, ids) total over the layout's nodes."""
+    key, ids = record
+    return key == sub_idx and len(ids) == len(layout.nodes)
 
 
 class TestMapRecords:
@@ -48,10 +54,8 @@ class TestMapRecords:
         for i in range(3):
             for j, seg in enumerate(node_split.segments):
                 records = red_map1_records(layout, i, seg, j, node_split.dictionary)
-                # this layout has missing border pairs, so every record is
-                # bound for the completion step
-                assert all(is_completion_record(r, layout) for r in records)
-                counts[(i, j)] = sum(1 for _, v in records if v[0] == "e")
+                assert all(is_total(r, layout, i) for r in records)
+                counts[(i, j)] = len(records)
         assert counts == {
             (0, 0): 1, (0, 1): 0, (0, 2): 2,
             (1, 0): 3, (1, 1): 0, (1, 2): 0,
@@ -61,13 +65,19 @@ class TestMapRecords:
     def test_keys_carry_common_border_values(
         self, node_split, coauthor_cover_decomposition
     ):
+        # this layout has missing border pairs, so completion keys each total
+        # by its subquery and the images of the common border
         layout = sg.preprocess(coauthor_cover_decomposition)
         assert layout.common_border == (sg.variable("P1"),)
         records = red_map1_records(
             layout, 1, node_split.segments[0], 0, node_split.dictionary
         )
         e_keys = sorted(
-            {decoded_key(node_split, key) for key, v in records if v[0] == "e"}
+            {
+                decoded_key(node_split, key)
+                for key, v in completion_records(layout, records)
+                if v[0] == "e"
+            }
         )
         assert e_keys == [
             (1, (t("<Person1>"),)),
@@ -81,12 +91,13 @@ class TestMapRecords:
         # the supervision edge Person4 -> Person1 is replicated, so the same
         # third-star total shows up in two segments and dedup happens later
         layout = sg.preprocess(coauthor_cover_decomposition)
+        person4 = node_split.dictionary.ids[t("<Person4>")]
+        p1 = layout.node_index[sg.variable("P1")]
         seen = []
         for j, seg in enumerate(node_split.segments):
-            for key, val in red_map1_records(layout, 2, seg, j, node_split.dictionary):
-                key = decoded_key(node_split, key)
-                if val[0] == "e" and key == (2, (t("<Person4>"),)):
-                    seen.append((j, val))
+            for _, ids in red_map1_records(layout, 2, seg, j, node_split.dictionary):
+                if ids[p1] == person4:
+                    seen.append((j, ids))
         assert len(seen) == 2
         assert seen[0][1] == seen[1][1]
         assert {j for j, _ in seen} == {0, 1}
@@ -102,8 +113,9 @@ class TestMapRecords:
             layout, 0, node_split.segments[0], 0, node_split.dictionary
         )
         assert len(records) == 3
-        for bnv, (sub_idx, nbnv) in records:
+        for sub_idx, ids in records:
             assert sub_idx == 0
+            bnv, _ = layout.split(ids)
             assert len(bnv) == len(layout.border_nodes)
             assert all(v is not None for v in node_split.dictionary.decode(bnv))
 
@@ -113,7 +125,9 @@ class TestCompletion:
         key = (1, (node_split.dictionary.ids[t(person)],))
         em = Emitter()
         phase2_expand_fn(layout, node_split.dictionary)(key, sorted(grouped[key]), em)
-        return sorted(node_split.dictionary.decode(k) for k, _ in em.records)
+        return sorted(
+            node_split.dictionary.decode(layout.split(ids)[0]) for _, ids in em.records
+        )
 
     def test_border_holes_fill_from_candidates(
         self, node_split, coauthor_cover_decomposition

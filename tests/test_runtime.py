@@ -33,39 +33,39 @@ terms = st.builds(
 def stage_records(draw):
     """A term pool and one stage's worth of engine-shaped term records.
 
-    The shapes are those the engines emit into one shuffle: qejpe's "f"
-    fragments, stars' "p" witnesses, the completion step's "e"/"v" records
-    (keyed by subquery, or by subquery and common-border images), and the
-    final join's (border vector, (subquery, non-border vector)). Vectors hold
-    a ``Term | None`` per position; a stage's vectors share their lengths.
+    The shapes are those the engines emit into one shuffle: qejpe's
+    (subquery, (vector, mask)) fragments, stars' "p" witnesses, phase 1's
+    (subquery, vector) totals, the completion step's "e"/"v" records keyed
+    by subquery and common-border images, and the final join's (border
+    vector, (subquery, non-border vector)). Vectors hold a ``Term | None``
+    per position; a stage's vectors share their lengths.
     """
     pool = draw(st.lists(terms, min_size=1, max_size=6, unique=True))
     term = st.sampled_from(pool)
     sub = st.integers(0, 3)
-    n_border, n_other, n_common, n_flags = (draw(st.integers(0, 3)) for _ in range(4))
+    n_nodes, n_border, n_common = (draw(st.integers(0, 3)) for _ in range(3))
 
     def vector(n, ground=False):
         image = term if ground else term | st.none()
         return st.tuples(*[image] * n)
 
-    kind = draw(st.sampled_from(["f", "p", "ev", "join"]))
-    if kind == "f":
-        record = st.tuples(sub, st.tuples(
-            st.just("f"), st.integers(0, 3), vector(n_border), vector(n_other),
-            st.tuples(*[st.booleans()] * n_flags),
-        ))
+    kind = draw(st.sampled_from(["fragment", "p", "total", "ev", "join"]))
+    if kind == "fragment":
+        record = st.tuples(sub, st.tuples(vector(n_nodes), st.integers(1, 7)))
     elif kind == "p":
         record = st.tuples(
             st.tuples(sub, term), st.tuples(st.just("p"), st.integers(0, 5), term)
         )
+    elif kind == "total":
+        record = st.tuples(sub, vector(n_nodes))
     elif kind == "ev":
-        key = sub if draw(st.booleans()) else st.tuples(sub, vector(n_common, True))
-        value = st.tuples(st.just("e"), vector(n_border), vector(n_other)) | st.tuples(
+        key = st.tuples(sub, vector(n_common, True))
+        value = st.tuples(st.just("e"), vector(n_nodes)) | st.tuples(
             st.just("v"), st.integers(0, 3), term, sub
         )
         record = st.tuples(key, value)
     else:
-        record = st.tuples(vector(n_border, True), st.tuples(sub, vector(n_other)))
+        record = st.tuples(vector(n_border, True), st.tuples(sub, vector(n_nodes)))
     return TermDictionary(pool), draw(st.lists(record, max_size=10))
 
 

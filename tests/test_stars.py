@@ -38,9 +38,7 @@ def decoded(split, record):
     terms, decode = split.dictionary.terms, split.dictionary.decode
     if isinstance(key, tuple):  # part 1: ((sub, image), ("p", qidx, image))
         return (key[0], terms[key[1]]), (val[0], val[1], terms[val[2]])
-    if val[0] == "e":
-        return key, ("e", decode(val[1]), decode(val[2]))
-    return key, ("v", val[1], terms[val[2]], val[3])
+    return key, decode(val)  # a total: (sub, ids)
 
 
 class TestMapRecords:
@@ -70,16 +68,12 @@ class TestMapRecords:
             layout, centers, 0, edge_split.segments[0], 0, edge_split.borders[0],
             edge_split.dictionary,
         )
-        keys = [key for key, _ in part2]
-        values = [decoded(edge_split, r)[1] for r in part2]
-        assert keys == [0, 1, 2]
-        assert values[0] == (
-            "e",
-            (t("<Article3>"), t("<Journal2>"), t("<Person4>")),
-            (t('"2008"'), None, None, None),
-        )
-        assert values[1] == ("v", 0, t("<Article3>"), 0)
-        assert values[2] == ("v", 1, t("<Journal2>"), 0)
+        assert [decoded(edge_split, r) for r in part2] == [
+            (0, (
+                t("<Article3>"), t("<Journal2>"), t("<Person4>"),
+                t('"2008"'), None, None, None,
+            )),
+        ]
 
 
 def brute_force_part1(layout, centers, sub_idx, segment, border, dictionary):
@@ -185,9 +179,9 @@ class TestReduce:
             6: {t('"Title1"')},
         }
         records = self.run_key(layout, centers, grouped, key, edge_split)
-        embeddings = [v for k, v in records if v[0] == "e"]
-        assert len(embeddings) == 3
-        assert (2, ("v", 1, t("<Journal1>"), 1)) in records
+        assert len(records) == 3
+        j = layout.node_index[sg.variable("J")]
+        assert {(k, images[j]) for k, images in records} == {(1, t("<Journal1>"))}
 
     def test_variable_center_assembly(self, edge_split, coauthor_cover_decomposition):
         layout = sg.preprocess(coauthor_cover_decomposition)
@@ -196,10 +190,11 @@ class TestReduce:
         records = self.run_key(
             layout, centers, grouped, (0, t("<Article2>")), edge_split
         )
-        embeddings = [v for k, v in records if v[0] == "e"]
-        assert len(embeddings) == 2
-        assert (1, ("v", 0, t("<Article2>"), 0)) in records
-        assert (2, ("v", 1, t("<Journal1>"), 0)) in records
+        assert len(records) == 2
+        a, j = (layout.node_index[sg.variable(n)] for n in ("A", "J"))
+        assert {(k, images[a], images[j]) for k, images in records} == {
+            (0, t("<Article2>"), t("<Journal1>"))
+        }
 
     def test_missing_triple_kills_the_image(
         self, edge_split, coauthor_cover_decomposition
