@@ -8,7 +8,6 @@ dataflows whose answers are bit-identical to a single-machine evaluation.
 from .decompose import (
     DECOMPOSERS,
     DecompositionReport,
-    is_node_cover,
     max_degree_decomposition,
     max_degree_redundancy_decomposition,
     max_degree_reshaping_decomposition,
@@ -66,7 +65,6 @@ from .ntio import (
     read_plan,
     read_segments,
     serialize_graph,
-    serialize_query,
     term_from_token,
     write_plan,
     write_segments,
@@ -111,7 +109,6 @@ __all__ = [
     "load_data",
     "load_query",
     "serialize_graph",
-    "serialize_query",
     "term_from_token",
     "write_segments",
     "read_segments",
@@ -132,7 +129,6 @@ __all__ = [
     "max_degree_redundancy_decomposition",
     "max_degree_reshaping_decomposition",
     "star_decomposition_from_cover",
-    "is_node_cover",
     "validate_decomposition",
     "edge_random_partition",
     "vertex_hash_partition",

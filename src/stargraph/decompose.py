@@ -47,7 +47,6 @@ __all__ = [
     "max_degree_redundancy_decomposition",
     "max_degree_reshaping_decomposition",
     "star_decomposition_from_cover",
-    "is_node_cover",
     "DecompositionReport",
     "validate_decomposition",
     "DECOMPOSERS",
@@ -257,13 +256,6 @@ def max_degree_reshaping_decomposition(q: Query) -> QueryDecomposition:
     )
 
 
-def is_node_cover(q: Query, nodes) -> bool:
-    cover = set(nodes)
-    if any(n.is_literal for n in cover) or not cover <= set(q.nodes):
-        return False
-    return all(t.s in cover or t.o in cover for t in q.triples)
-
-
 def star_decomposition_from_cover(q: Query, cover) -> QueryDecomposition:
     """One star per cover node; incoming triples belong to their object's
     star, outgoing ones to their subject's unless the object is covered too.
@@ -299,7 +291,6 @@ class DecompositionReport:
     all_so: bool
     centers_valid: bool
     max_variables: int
-    shapes: tuple[frozenset[QueryShape], ...]
 
     @property
     def ok(self) -> bool:
@@ -325,7 +316,6 @@ def validate_decomposition(q: Query, dec: QueryDecomposition) -> DecompositionRe
         all_so=all(QueryShape.SO_QUERY in s for s in shapes),
         centers_valid=centers_valid,
         max_variables=max(len(sub.variables) for sub in dec.subqueries),
-        shapes=shapes,
     )
 
 

@@ -49,6 +49,7 @@ from .model import (
 )
 
 __all__ = [
+    "candidates",
     "enumerate_total",
     "enumerate_useful_partial",
     "QueryLayout",
@@ -66,7 +67,7 @@ def _value_of(term: Term, bindings: dict[Term, Term]) -> Term | None:
     return bindings.get(term)
 
 
-def _candidates(
+def candidates(
     g: DataGraph, t: TriplePattern, s_val: Term | None, o_val: Term | None
 ) -> tuple[DataTriple, ...]:
     """t's matches in g with ends s_val/o_val; constant ends come as their value."""
@@ -84,7 +85,7 @@ def _candidates(
 
 def _extended(bindings: dict, t: TriplePattern, inst: DataTriple) -> dict | None:
     """Bindings plus whatever inst pins down; None on conflict. inst comes
-    from ``_candidates``, so it already agrees with t's constants."""
+    from ``candidates``, so it already agrees with t's constants."""
     new = bindings
     for node, img in ((t.s, inst.s), (t.o, inst.o)):
         if node.is_constant:
@@ -120,7 +121,7 @@ def enumerate_total(
         pick = max(remaining, key=lambda i: (bound_count(triples[i], bindings), -i))
         rest = [i for i in remaining if i != pick]
         t = triples[pick]
-        for inst in _candidates(g, t, _value_of(t.s, bindings), _value_of(t.o, bindings)):
+        for inst in candidates(g, t, _value_of(t.s, bindings), _value_of(t.o, bindings)):
             nb = _extended(bindings, t, inst)
             if nb is not None:
                 dfs(rest, nb)
@@ -178,7 +179,7 @@ def enumerate_useful_partial(
         dfs(i + 1, bindings, chosen)
         t = triples[i]
         with_i = chosen | (1 << i)
-        for inst in _candidates(
+        for inst in candidates(
             segment, t, _value_of(t.s, bindings), _value_of(t.o, bindings)
         ):
             nb = _extended(bindings, t, inst)
@@ -222,7 +223,6 @@ class QueryLayout:
 
     dec: QueryDecomposition
     border_nodes: tuple[Term, ...]
-    nonborder_nodes: tuple[Term, ...]
     nodes: tuple[Term, ...]
     triples: tuple[TriplePattern, ...]
     node_index: dict[Term, int]
@@ -277,8 +277,7 @@ def preprocess(dec: QueryDecomposition) -> QueryLayout:
         n for n, count in owners.items() if count > 1 and not n.is_literal
     }
     border_nodes = tuple(sorted(border_all))
-    nonborder_nodes = tuple(sorted(q.nodes - border_all))
-    nodes = border_nodes + nonborder_nodes
+    nodes = border_nodes + tuple(sorted(q.nodes - border_all))
     node_index = {n: i for i, n in enumerate(nodes)}
     missing = []
     for n in border_nodes:
@@ -291,7 +290,6 @@ def preprocess(dec: QueryDecomposition) -> QueryLayout:
     return QueryLayout(
         dec=dec,
         border_nodes=border_nodes,
-        nonborder_nodes=nonborder_nodes,
         nodes=nodes,
         triples=q.canonical,
         node_index=node_index,
@@ -413,8 +411,8 @@ def _join(
             if covered >> i & 1:
                 new_states[state] = None
                 continue
-            candidates = frags if probe is None else probe(i, ids)
-            for fids, fmask in candidates:
+            matches = frags if probe is None else probe(i, ids)
+            for fids, fmask in matches:
                 merged = list(ids)
                 for p in positions:
                     img = fids[p]

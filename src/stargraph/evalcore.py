@@ -33,8 +33,13 @@ reduction, Bernstein and Chiu, JACM 1981).
 
 The final join maps each (sub, ids) to (border vector, (sub, non-border
 vector)), requires a record from every subquery per ground border vector,
-merges the non-border vectors positionally, and projects the query's output
-pattern.
+and projects the query's output pattern, reading each output variable from
+one place: a border variable from the key, any other from the one subquery
+that holds it (a non-literal node held by two subqueries is a border node).
+The output pattern is every variable, and the join dedupes each subquery's
+records, so two records of one subquery under one key differ at a variable
+that subquery alone holds, and no two (key, combination) pairs give the
+same row.
 
 ``run_phases`` is the one driver of all three engines: a chain of MapReduce
 jobs (the engine's phase 1, the completion step when a border node is
@@ -174,10 +179,21 @@ def reduce2_fn(
     layout: QueryLayout, dictionary: TermDictionary, cap: int = CARTESIAN_CAP
 ):
     """Final join: one record per subquery per ground border vector.
+
+    Each output variable is read from one place: a border variable from the
+    key, any other from the non-border vector of the one subquery holding
+    it. Every (key, combination) is therefore a distinct answer row.
     ``dictionary`` decodes the key of a cap message."""
     num_subs = len(layout.subqueries)
     n_border = len(layout.border_nodes)
-    out_positions = [layout.node_index[v] for v in layout.query.output_pattern]
+    sources = []  # per output variable: (0, key position) or (1 + owner, position)
+    for v in layout.query.output_pattern:
+        pos = layout.node_index[v]
+        if pos < n_border:
+            sources.append((0, pos))
+        else:
+            owner = next(j for j, sub in enumerate(layout.subqueries) if v in sub.nodes)
+            sources.append((1 + owner, pos - n_border))
 
     def fn(key, values, em):
         by_sub: dict[int, list[tuple]] = {}
@@ -197,31 +213,8 @@ def reduce2_fn(
                 f"final join for key {dictionary.decode(key)!r} would produce "
                 f"{count} combinations"
             )
-        rows: set[tuple] = set()
-        for combo in itertools.product(*pools):
-            merged = [UNBOUND] * len(layout.nonborder_nodes)
-            consistent = True
-            for nbnv in combo:
-                for i, v in enumerate(nbnv):
-                    if v == UNBOUND:
-                        continue
-                    if merged[i] == UNBOUND:
-                        merged[i] = v
-                    elif merged[i] != v:
-                        consistent = False
-                        break
-                if not consistent:
-                    break
-            if not consistent:
-                continue
-            row = []
-            for pos in out_positions:
-                value = key[pos] if pos < n_border else merged[pos - n_border]
-                assert value != UNBOUND, "output variable left unbound"
-                row.append(value)
-            rows.add(tuple(row))
-        for row in rows:
-            em.emit(row, None)
+        for combo in itertools.product((key,), *pools):
+            em.emit(tuple([combo[s][i] for s, i in sources]), None)
 
     return fn
 

@@ -415,7 +415,6 @@ class Query:
 
 
 class QueryShape(enum.Enum):
-    PATH = "path"
     STAR = "star"
     S_QUERY = "s-query"
     O_QUERY = "o-query"
@@ -442,35 +441,6 @@ def so_centers(q: Query) -> tuple[Term, ...]:
     return tuple(out)
 
 
-def _is_path(q: Query) -> bool:
-    # A directed simple path: unique out-edge per subject, unique in-edge per
-    # object, one source, and a single walk that covers every triple without
-    # revisiting a node.
-    out_by: dict[Term, TriplePattern] = {}
-    in_by: dict[Term, TriplePattern] = {}
-    for t in q.triples:
-        if t.s == t.o:
-            return False
-        if t.s in out_by or t.o in in_by:
-            return False
-        out_by[t.s] = t
-        in_by[t.o] = t
-    sources = [s for s in out_by if s not in in_by]
-    if len(sources) != 1:
-        return False
-    node = sources[0]
-    seen_nodes = {node}
-    count = 0
-    while node in out_by:
-        t = out_by[node]
-        count += 1
-        node = t.o
-        if node in seen_nodes:
-            return False
-        seen_nodes.add(node)
-    return count == len(q.triples)
-
-
 def classify_query(q: Query) -> frozenset[QueryShape]:
     """All shape classes q belongs to.
 
@@ -489,8 +459,6 @@ def classify_query(q: Query) -> frozenset[QueryShape]:
         shapes.add(QueryShape.O_QUERY)
     if so_centers(q):
         shapes.add(QueryShape.SO_QUERY)
-    if _is_path(q):
-        shapes.add(QueryShape.PATH)
     return frozenset(shapes)
 
 

@@ -54,7 +54,6 @@ __all__ = [
     "load_data",
     "load_query",
     "serialize_graph",
-    "serialize_query",
     "write_text",
     "write_segments",
     "read_segments",
@@ -197,10 +196,6 @@ def load_query(path: str | Path) -> Query:
 
 def serialize_graph(g: DataGraph) -> str:
     return "".join(t.token() + "\n" for t in g.canonical)
-
-
-def serialize_query(q: Query) -> str:
-    return "".join(t.token() + "\n" for t in q.canonical)
 
 
 # --------------------------------------------------------------- partitions

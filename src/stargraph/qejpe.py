@@ -15,7 +15,8 @@ Works for any query decomposition over any data partition. Three stages:
    positions are filled with the values that every subquery containing the
    node offered.
 3. Final join (shared): group by border vector, require every subquery,
-   merge non-border values, project the output pattern.
+   project the output pattern, each variable read from the border vector or
+   from the one subquery that holds it.
 
 ``run_qejpe`` builds the phase-1 job; ``evalcore.run_phases`` runs it and
 the shared jobs.

@@ -38,7 +38,7 @@ from .runtime import Job, run_job
 __all__ = ["red_map1_records", "run_redundancy"]
 
 
-def red_map1_records(layout, sub_idx: int, segment, seg_idx: int, dictionary):
+def red_map1_records(layout, sub_idx: int, segment, dictionary):
     """Total embeddings of one subquery inside one segment, as (subquery
     index, ids) records, images as their IDs in ``dictionary``."""
     code = dictionary.ids.__getitem__
@@ -74,7 +74,7 @@ def run_redundancy(
     def map1(key, _value, em):
         i, j = key
         for rec_key, rec_val in red_map1_records(
-            layout, i, dec_data.segments[j], j, dictionary
+            layout, i, dec_data.segments[j], dictionary
         ):
             em.emit(rec_key, rec_val)
 

@@ -96,13 +96,12 @@ ReduceFn = Callable[[object, list, Emitter], None]
 class Job:
     """One map/shuffle/reduce stage.
 
-    map_fn None means identity (records pass straight to the shuffle);
     reduce_fn None means a map-only stage whose output is the map emissions
     themselves.
     """
 
     name: str
-    map_fn: MapFn | None = None
+    map_fn: MapFn
     reduce_fn: ReduceFn | None = None
 
 
@@ -165,19 +164,13 @@ def run_job(job: Job, records: list[tuple], *, workers: int = 1) -> JobResult:
 
     # ---- map: emissions feed the shuffle, or are the output of a map-only
     # stage; bypassed records go straight to the output either way
-    if job.map_fn is None:
-        emissions = records
-        if not shuffled:
-            out.extend(records)
-            per_worker.append(len(records))
-    else:
-        emissions = []
-        for chunk in _chunks(records, workers):
-            em = _run_task(job.map_fn, chunk, Emitter(shuffled), MapFnError, job.name)
-            if shuffled:
-                emissions.extend(em.records)
-            out.extend(em.output)
-            per_worker.append(len(em.output))
+    emissions = []
+    for chunk in _chunks(records, workers):
+        em = _run_task(job.map_fn, chunk, Emitter(shuffled), MapFnError, job.name)
+        if shuffled:
+            emissions.extend(em.records)
+        out.extend(em.output)
+        per_worker.append(len(em.output))
 
     # ---- shuffle and reduce
     distinct_keys = max_group = 0

@@ -6,13 +6,13 @@ image of its central node. The mapper has two parts:
 - Part 1 handles central images that might span segments (border nodes, and
   literals for object-central triples, since literals are never border): it
   emits one record per matching triple, found through the same index lookup
-  as ``enumerate_total`` and keyed by (subquery, central image),
-  carrying the triple's index and the image of its other endpoint. The
-  reducer re-assembles whole stars: it intersects, per non-central node, the
-  candidate lists of that node's triples, and takes the cartesian product
-  over nodes. A star with a repeated neighbor node or a self-loop is exactly
-  why the records carry the triple index: every triple must contribute its
-  own witness list before a node's candidates are believed.
+  as ``enumerate_total``: ((subquery, central image), (query-triple index,
+  image of the triple's other endpoint)). The reducer re-assembles whole
+  stars: it intersects, per non-central node, the candidate lists of that
+  node's triples, and takes the cartesian product over nodes. A star with a
+  repeated neighbor node or a self-loop is exactly why the records carry the
+  triple index: every triple must contribute its own witness list before a
+  node's candidates are believed.
 - Part 2 handles central images that live entirely inside one segment
   (neither border nor literal): whole-star embeddings enumerated locally.
   The mapper puts them straight into the stage's output (``emit_output``),
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 
-from .embedding import _candidates, enumerate_total, preprocess
+from .embedding import candidates, enumerate_total, preprocess
 from .errors import CartesianCapExceeded, NotADecomposition
 from .evalcore import (
     CARTESIAN_CAP,
@@ -70,14 +70,12 @@ def resolve_centers(dec: QueryDecomposition) -> tuple[Term, ...]:
     return tuple(out)
 
 
-def stars_map1_records(
-    layout, centers, sub_idx: int, segment, seg_idx: int, border, dictionary
-):
+def stars_map1_records(layout, centers, sub_idx: int, segment, border, dictionary):
     """Part-1 and part-2 records for one (subquery, segment) pair, images as
     their IDs in ``dictionary``.
 
     Returns (part1, part2): part1 records are keyed (subquery, central image)
-    and carry ("p", query-triple index, other-endpoint image); part2 records
+    and carry (query-triple index, other-endpoint image); part2 records
     are the (subquery, ids) totals of the whole stars.
     """
     sub = layout.subqueries[sub_idx]
@@ -85,24 +83,24 @@ def stars_map1_records(
     ids = dictionary.ids
     part1 = []
     for t, qidx in zip(sub.canonical, layout.to_query[sub_idx]):
-        insts = _candidates(
+        insts = candidates(
             segment, t,
             t.s if t.s.is_constant else None, t.o if t.o.is_constant else None,
         )
         if t.s == center and t.o == center:
             # self-loop: the match itself is the witness, no neighbor image
             part1.extend(
-                ((sub_idx, ids[i.s]), ("p", qidx, ids[i.s]))
+                ((sub_idx, ids[i.s]), (qidx, ids[i.s]))
                 for i in insts if i.s == i.o and i.s in border
             )
         elif t.s == center:
             part1.extend(
-                ((sub_idx, ids[i.s]), ("p", qidx, ids[i.o]))
+                ((sub_idx, ids[i.s]), (qidx, ids[i.o]))
                 for i in insts if i.s in border
             )
         else:  # t.o == center
             part1.extend(
-                ((sub_idx, ids[i.o]), ("p", qidx, ids[i.s]))
+                ((sub_idx, ids[i.o]), (qidx, ids[i.s]))
                 for i in insts if i.o in border or i.o.is_literal
             )
     part2 = []
@@ -125,8 +123,7 @@ def stars_reduce1_fn(layout, centers, dictionary, *, cap: int = CARTESIAN_CAP):
         center = centers[sub_idx]
         positions = layout.to_query[sub_idx]
         witnesses: dict[int, set[int]] = {}
-        for tag, qidx, other in values:
-            assert tag == "p"
+        for qidx, other in values:
             witnesses.setdefault(qidx, set()).add(other)
         # every triple of the star must have matched at least once
         for pos in positions:
@@ -142,7 +139,6 @@ def stars_reduce1_fn(layout, centers, dictionary, *, cap: int = CARTESIAN_CAP):
                     continue
                 lst = witnesses[qidx]
                 pool = set(lst) if pool is None else pool & lst
-            assert pool is not None, "non-central nodes share a triple with the center"
             if not pool:
                 return
             pools.append(pool)
@@ -181,8 +177,7 @@ def run_stars(
     def map1(key, _value, em):
         i, j = key
         part1, part2 = stars_map1_records(
-            layout, centers, i, dec_data.segments[j], j, dec_data.borders[j],
-            dictionary,
+            layout, centers, i, dec_data.segments[j], dec_data.borders[j], dictionary
         )
         for rec_key, rec_val in part1:
             em.emit(rec_key, rec_val)

@@ -4,7 +4,7 @@ import pytest
 
 import stargraph as sg
 from stargraph.errors import NotANodeCover, SearchSpaceTooLarge
-from stargraph.model import QueryShape
+from stargraph.model import QueryShape, classify_query
 
 from conftest import q3
 
@@ -219,12 +219,6 @@ class TestStarFromCover:
         assert len(dec) == 1
         assert dec.centers == (sg.variable("y"),)
 
-    def test_is_node_cover(self, coauthor_query):
-        good = {sg.variable("A"), sg.iri("Article1"), sg.variable("P2")}
-        assert sg.is_node_cover(coauthor_query, good)
-        assert not sg.is_node_cover(coauthor_query, {sg.variable("A")})
-        assert not sg.is_node_cover(coauthor_query, {sg.literal("2008")})
-
 
 class TestReports:
     def test_o_query_subquery_flagged(self, coauthor_query):
@@ -234,7 +228,7 @@ class TestReports:
         )
         report = sg.validate_decomposition(coauthor_query, dec)
         assert not report.all_so
-        assert QueryShape.O_QUERY in report.shapes[2]
+        assert QueryShape.O_QUERY in classify_query(dec.subqueries[2])
 
     def test_bad_center_invalidates(self, supervisor_query):
         sub = sg.Query(supervisor_query.canonical)

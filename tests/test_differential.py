@@ -23,7 +23,8 @@ needs shows as a missing row.
 ``TestPhase1Contract`` checks what every engine's phase 1 hands the shared
 stages, on the fixture graph and on the completion instances: one
 (subquery, ID tuple over the layout's nodes) record per total embedding,
-and, per subquery, exactly the totals the oracle's enumeration finds.
+and, per subquery, exactly the totals the oracle's enumeration finds; and
+that the final join emits each answer row once.
 """
 
 import importlib
@@ -122,7 +123,6 @@ class TestEnginesAgainstOracle:
 
 # ---------------------------------------------------------------- adversarial
 
-ADVERSARIAL_INSTANCES = 36  # 6 per decomposer, each run by 6 lanes x 2 worker counts
 ADVERSARIAL_LANES = [
     ("qejpe", "edge-random"),
     ("qejpe", "edge-import"),
@@ -172,12 +172,18 @@ def _query_node(rng, subject: bool) -> str:
 
 
 # the patterns a query starts from: none, a star around an object that the
-# literal-heavy predicates bind to literals, or the hub's own star
+# literal-heavy predicates bind to literals, the hub's own star, or two
+# stars that share only a literal constant, which the final join never reads
 SEED_PATTERNS = (
     [],
     [("?a", "<p2>", "?l"), ("?b", "<p3>", "?l")],
     [("?h", HUB_PREDICATE, "?x"), ("?h", HUB_PREDICATE, "?y")],
+    [("?a", "<p2>", '"l1"'), ("?b", "<p3>", '"l1"')],
 )
+# the seed pattern of each block of one instance per decomposer
+SEED_OF_BLOCK = (0, 1, 2, 0, 1, 2, 3)
+# each instance is run by 6 lanes x 2 worker counts
+ADVERSARIAL_INSTANCES = len(SEED_OF_BLOCK) * len(DECOMPOSER_NAMES)
 
 
 def adversarial_query(rng, seed):
@@ -218,7 +224,7 @@ def adversarial_instance(k):
     decomposer meets every seed shape."""
     rng = XorShift64Star(0xAD5E + k)
     g = adversarial_graph(rng)
-    q = adversarial_query(rng, SEED_PATTERNS[k // len(DECOMPOSER_NAMES) % 3])
+    q = adversarial_query(rng, SEED_PATTERNS[SEED_OF_BLOCK[k // len(DECOMPOSER_NAMES)]])
     return g, q, 1 + rng.below(4), DECOMPOSER_NAMES[k % len(DECOMPOSER_NAMES)]
 
 
@@ -238,8 +244,10 @@ class TestAdversarialShapes:
                 continue
             assert set(res.answers.rows) == naive_answers(q, g), (
                 f"{engine_name}/{dec_name}/workers={workers} diverged on "
-                f"adversarial instance {k}: {sg.serialize_query(q)!r}"
+                f"adversarial instance {k}: {[t.token() for t in q.canonical]!r}"
             )
+            # the final join emits each answer row once
+            assert res.stats[-1]["recordsOut"] == len(res.answers.rows), k
         assert capped <= 1
 
     def test_matrix_has_empty_and_nonempty_answers(self):
@@ -290,7 +298,7 @@ class TestCompletionLane:
             res = engine(data, q, dec, workers=workers)
             assert set(res.answers.rows) == naive_answers(q, g), (
                 f"{engine_name}/workers={workers} diverged on completion "
-                f"instance {k}: {sg.serialize_query(q)!r}"
+                f"instance {k}: {[t.token() for t in q.canonical]!r}"
             )
 
     def test_instances_complete_borders_and_have_answers(self):
@@ -327,6 +335,10 @@ def check_phase1_contract(engine_name, data, q, dec, monkeypatch):
         assert len(ids) == len(layout.nodes), record
         assert all(type(i) is int for i in ids), record
     assert res.stats[0]["recordsOut"] == sum(res.subquery_embeddings.values())
+    # the final join reads each output variable from one place, so it emits
+    # each answer row once
+    assert res.stats[-1]["stage"] == "join-answers"
+    assert res.stats[-1]["recordsOut"] == len(res.answers.rows)
     if engine_name != "redundancy":
         # only replicated triples let an engine find a total twice
         assert len(set(records)) == len(records)

@@ -29,8 +29,8 @@ def completion_records(layout, records):
 def collect(layout, node_split):
     grouped = {}
     for i in range(len(layout.subqueries)):
-        for j, seg in enumerate(node_split.segments):
-            records = red_map1_records(layout, i, seg, j, node_split.dictionary)
+        for seg in node_split.segments:
+            records = red_map1_records(layout, i, seg, node_split.dictionary)
             for key, val in completion_records(layout, records):
                 grouped.setdefault(key, []).append(val)
     return grouped
@@ -53,7 +53,7 @@ class TestMapRecords:
         counts = {}
         for i in range(3):
             for j, seg in enumerate(node_split.segments):
-                records = red_map1_records(layout, i, seg, j, node_split.dictionary)
+                records = red_map1_records(layout, i, seg, node_split.dictionary)
                 assert all(is_total(r, layout, i) for r in records)
                 counts[(i, j)] = len(records)
         assert counts == {
@@ -70,7 +70,7 @@ class TestMapRecords:
         layout = sg.preprocess(coauthor_cover_decomposition)
         assert layout.common_border == (sg.variable("P1"),)
         records = red_map1_records(
-            layout, 1, node_split.segments[0], 0, node_split.dictionary
+            layout, 1, node_split.segments[0], node_split.dictionary
         )
         e_keys = sorted(
             {
@@ -95,7 +95,7 @@ class TestMapRecords:
         p1 = layout.node_index[sg.variable("P1")]
         seen = []
         for j, seg in enumerate(node_split.segments):
-            for _, ids in red_map1_records(layout, 2, seg, j, node_split.dictionary):
+            for _, ids in red_map1_records(layout, 2, seg, node_split.dictionary):
                 if ids[p1] == person4:
                     seen.append((j, ids))
         assert len(seen) == 2
@@ -110,7 +110,7 @@ class TestMapRecords:
         layout = sg.preprocess(dec)
         assert layout.missing_border == ()
         records = red_map1_records(
-            layout, 0, node_split.segments[0], 0, node_split.dictionary
+            layout, 0, node_split.segments[0], node_split.dictionary
         )
         assert len(records) == 3
         for sub_idx, ids in records:

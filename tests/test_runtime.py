@@ -34,7 +34,8 @@ def stage_records(draw):
     """A term pool and one stage's worth of engine-shaped term records.
 
     The shapes are those the engines emit into one shuffle: qejpe's
-    (subquery, (vector, mask)) fragments, stars' "p" witnesses, phase 1's
+    (subquery, (vector, mask)) fragments, stars' (subquery, centre image)
+    witnesses of (query-triple index, image), phase 1's
     (subquery, vector) totals, the completion step's "e"/"v" records keyed
     by subquery and common-border images, and the final join's (border
     vector, (subquery, non-border vector)). Vectors hold a ``Term | None``
@@ -49,13 +50,11 @@ def stage_records(draw):
         image = term if ground else term | st.none()
         return st.tuples(*[image] * n)
 
-    kind = draw(st.sampled_from(["fragment", "p", "total", "ev", "join"]))
+    kind = draw(st.sampled_from(["fragment", "witness", "total", "ev", "join"]))
     if kind == "fragment":
         record = st.tuples(sub, st.tuples(vector(n_nodes), st.integers(1, 7)))
-    elif kind == "p":
-        record = st.tuples(
-            st.tuples(sub, term), st.tuples(st.just("p"), st.integers(0, 5), term)
-        )
+    elif kind == "witness":
+        record = st.tuples(st.tuples(sub, term), st.tuples(st.integers(0, 5), term))
     elif kind == "total":
         record = st.tuples(sub, vector(n_nodes))
     elif kind == "ev":
@@ -103,6 +102,10 @@ def _cmp(a, b):
     return (a > b) - (a < b)
 
 
+def _identity(key, value, em):
+    em.emit(key, value)
+
+
 def _collect(key, values, em):
     em.emit(key, tuple(values))
 
@@ -133,7 +136,7 @@ class TestShuffleRecordOrder:
         assert list(dictionary.ids.values()) == [*range(len(dictionary.terms)), UNBOUND]
 
     def test_unsupported_type_rejected(self):
-        job = Job("mixed-images", None, _collect)
+        job = Job("mixed-images", _identity, _collect)
         bad_pairs = (((1,), (None,)), ({"a": 1}, {"b": 2}))
         for a, b in bad_pairs:
             with pytest.raises(UnorderableRecords) as exc:
@@ -145,7 +148,7 @@ class TestShuffleRecordOrder:
     def test_bool_and_int_keys_share_a_group(self):
         # a documented limitation: keys group by equality, and 0 == False
         records = [(0, "a"), (False, "b"), (True, "c"), (1, "d")]
-        res = run_job(Job("flags", None, _collect), records)
+        res = run_job(Job("flags", _identity, _collect), records)
         assert res.records == [(0, ("a", "b")), (True, ("c", "d"))]
         assert res.stats["distinctKeys"] == 2
 
@@ -154,7 +157,7 @@ class TestShuffleRecordOrder:
         # sets neither of which holds the other are not ordered; the
         # shuffle hands them to the reducer as they arrived
         one, two = frozenset({1}), frozenset({2})
-        job = Job("sets", None, _collect)
+        job = Job("sets", _identity, _collect)
         assert run_job(job, [(0, two), (0, one)]).records == [(0, (two, one))]
         assert run_job(job, [(0, one), (0, two)]).records == [(0, (one, two))]
 
@@ -184,7 +187,7 @@ class TestShuffleRecordOrder:
         ):
             group = list(group)
             want.append(to_ids((group[0][0], tuple(v for _, v in group)), dictionary))
-        assert run_job(Job("groups", None, _collect), encoded).records == want
+        assert run_job(Job("groups", _identity, _collect), encoded).records == want
 
     @given(terms, terms)
     def test_term_keys_match_reference_and_hold_no_enum_member(self, a, b):
@@ -218,7 +221,7 @@ def _stage_job(i: int, map_kind: str, reduce_kind: str | None, bypass: bool) -> 
     def count(key, values, em):
         em.emit(str(len(values)), key)
 
-    map_fn = {"identity": None, "swap": swap, "fan-out": fan_out}[map_kind]
+    map_fn = {"identity": _identity, "swap": swap, "fan-out": fan_out}[map_kind]
     reduce_fn = {None: None, "collect": collect, "count": count}[reduce_kind]
     return Job(f"stage{i}", map_fn, reduce_fn)
 
@@ -275,15 +278,10 @@ class TestRunJob:
         assert res.stats["distinctKeys"] == 0
         assert res.stats["recordsOut"] == 10
 
-    def test_identity_map(self):
-        recs = [(2, "b"), (1, "a"), (1, "c")]
-        res = run_job(Job("group", None, lambda k, vs, em: em.emit(k, len(vs))), recs)
-        assert res.records == [(1, 2), (2, 1)]
-
     def test_reducer_sees_values_in_sorted_order(self):
         recs = [(0, v) for v in ((3, "a"), (1, "z"), (2, ""), (UNBOUND, "b"), (1, "a"))]
         seen = []
-        run_job(Job("probe", None, lambda k, vs, em: seen.extend(vs)), recs)
+        run_job(Job("probe", _identity, lambda k, vs, em: seen.extend(vs)), recs)
         assert seen == [(UNBOUND, "b"), (1, "a"), (1, "z"), (2, ""), (3, "a")]
 
     def test_stats_keys_exact(self):

@@ -24,8 +24,7 @@ def all_part1(layout, centers, edge_split):
     for i in range(len(layout.subqueries)):
         for j, seg in enumerate(edge_split.segments):
             part1, _ = stars_map1_records(
-                layout, centers, i, seg, j, edge_split.borders[j],
-                edge_split.dictionary,
+                layout, centers, i, seg, edge_split.borders[j], edge_split.dictionary
             )
             for key, val in part1:
                 grouped.setdefault(key, []).append(val)
@@ -36,8 +35,8 @@ def decoded(split, record):
     """A stars record with its IDs decoded to terms."""
     key, val = record
     terms, decode = split.dictionary.terms, split.dictionary.decode
-    if isinstance(key, tuple):  # part 1: ((sub, image), ("p", qidx, image))
-        return (key[0], terms[key[1]]), (val[0], val[1], terms[val[2]])
+    if isinstance(key, tuple):  # part 1: ((sub, image), (qidx, image))
+        return (key[0], terms[key[1]]), (val[0], terms[val[1]])
     return key, decode(val)  # a total: (sub, ids)
 
 
@@ -48,12 +47,12 @@ class TestMapRecords:
         layout = sg.preprocess(coauthor_cover_decomposition)
         centers = resolve_centers(coauthor_cover_decomposition)
         part1, part2 = stars_map1_records(
-            layout, centers, 1, edge_split.segments[0], 0, edge_split.borders[0],
+            layout, centers, 1, edge_split.segments[0], edge_split.borders[0],
             edge_split.dictionary,
         )
         assert [decoded(edge_split, r) for r in part1] == [
-            ((1, t("<Article1>")), ("p", 4, t("<Person4>"))),
-            ((1, t("<Article1>")), ("p", 6, t('"Title1"'))),
+            ((1, t("<Article1>")), (4, t("<Person4>"))),
+            ((1, t("<Article1>")), (6, t('"Title1"'))),
         ]
         assert part2 == []
 
@@ -65,7 +64,7 @@ class TestMapRecords:
         layout = sg.preprocess(coauthor_cover_decomposition)
         centers = resolve_centers(coauthor_cover_decomposition)
         _, part2 = stars_map1_records(
-            layout, centers, 0, edge_split.segments[0], 0, edge_split.borders[0],
+            layout, centers, 0, edge_split.segments[0], edge_split.borders[0],
             edge_split.dictionary,
         )
         assert [decoded(edge_split, r) for r in part2] == [
@@ -89,12 +88,12 @@ def brute_force_part1(layout, centers, sub_idx, segment, border, dictionary):
                 continue
             if t.s == center and t.o == center:
                 if inst.s == inst.o and inst.s in border:
-                    out.append(((sub_idx, ids[inst.s]), ("p", qidx, ids[inst.s])))
+                    out.append(((sub_idx, ids[inst.s]), (qidx, ids[inst.s])))
             elif t.s == center:
                 if inst.s in border:
-                    out.append(((sub_idx, ids[inst.s]), ("p", qidx, ids[inst.o])))
+                    out.append(((sub_idx, ids[inst.s]), (qidx, ids[inst.o])))
             elif inst.o in border or inst.o.is_literal:
-                out.append(((sub_idx, ids[inst.o]), ("p", qidx, ids[inst.s])))
+                out.append(((sub_idx, ids[inst.o]), (qidx, ids[inst.s])))
     return out
 
 
@@ -142,7 +141,7 @@ def test_part1_equals_a_scan_of_the_segment(case):
     found = 0
     for j, seg in enumerate(split.segments):
         part1, _ = stars_map1_records(
-            layout, centers, 0, seg, j, split.borders[j], split.dictionary
+            layout, centers, 0, seg, split.borders[j], split.dictionary
         )
         want = brute_force_part1(
             layout, centers, 0, seg, split.borders[j], split.dictionary
@@ -170,8 +169,7 @@ class TestReduce:
         grouped = all_part1(layout, centers, edge_split)
         key = (1, t("<Article1>"))
         witnesses = {}
-        for tag, qidx, other in grouped[(1, edge_split.dictionary.ids[key[1]])]:
-            assert tag == "p"
+        for qidx, other in grouped[(1, edge_split.dictionary.ids[key[1]])]:
             witnesses.setdefault(qidx, set()).add(edge_split.dictionary.terms[other])
         assert witnesses == {
             4: {t("<Person1>"), t("<Person2>"), t("<Person4>")},
