@@ -25,6 +25,19 @@ it joins them one centre image at a time; only a subquery without a star
 centre (from a hand-built plan) gets a per-image index of its fragments
 instead.
 
+``enumerate_total`` and ``enumerate_useful_partial`` are depth-first
+searches over one step routine. Each query node has a slot in one list,
+which holds its image, None while it is unbound; a constant's slot holds the
+constant. Each triple becomes a step that knows its ends' slots and its
+predicate's index entry in the graph, both looked up once per call. A step
+binds each of its matches in place, calls the rest of the search, and
+unbinds when done, so no binding is ever copied. ``enumerate_useful_partial``
+walks the triples in canonical order, skipping or matching each.
+``enumerate_total`` matches them most-constrained first, in an order fixed
+before the search starts: which ends are bound depends only on which triples
+are matched, so the order a per-node pick would choose is the same in every
+branch.
+
 ``enumerate_total`` and ``enumerate_useful_partial`` return their results in
 the order of their depth-first search, and ``totals_from_fragments`` in the
 order its join reaches them: the shuffle they go to, or ``AnswerSet`` for the
@@ -33,6 +46,7 @@ oracle, sorts them.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,12 +75,6 @@ __all__ = [
 # ------------------------------------------------------------------ matching
 
 
-def _value_of(term: Term, bindings: dict[Term, Term]) -> Term | None:
-    if term.is_constant:
-        return term
-    return bindings.get(term)
-
-
 def candidates(
     g: DataGraph, t: TriplePattern, s_val: Term | None, o_val: Term | None
 ) -> tuple[DataTriple, ...]:
@@ -83,21 +91,71 @@ def candidates(
     return g.by_predicate(t.p)
 
 
-def _extended(bindings: dict, t: TriplePattern, inst: DataTriple) -> dict | None:
-    """Bindings plus whatever inst pins down; None on conflict. inst comes
-    from ``candidates``, so it already agrees with t's constants."""
-    new = bindings
-    for node, img in ((t.s, inst.s), (t.o, inst.o)):
-        if node.is_constant:
-            continue
-        cur = new.get(node)
-        if cur is None:
-            if new is bindings:
-                new = dict(bindings)
-            new[node] = img
-        elif cur != img:
-            return None
-    return dict(new) if new is bindings else new
+def _steps(
+    triples: Iterable[TriplePattern], g: DataGraph, slot: dict[Term, int]
+) -> list[tuple]:
+    """Each triple as a search step: the slots of its subject and object
+    (one slot for a self-loop) and its predicate's index entry in g."""
+    return [(slot[t.s], slot[t.o], *g.predicate_entry(t.p)) for t in triples]
+
+
+def _step(step: tuple, b: list, cont: Callable, *args) -> None:
+    """Bind each match of ``step`` in the slot vector b and call
+    ``cont(*args)`` after each; b is as it was when this returns.
+
+    A bound end narrows the matches to one index list. A literal is never a
+    data subject, so a literal bound to the subject finds no list. With both
+    ends bound, the match is the one triple of the subject's list with that
+    object, if there is one.
+    """
+    s_slot, o_slot, triples, by_subject, by_object = step
+    s = b[s_slot]
+    o = b[o_slot]
+    if s is not None:
+        if o is not None:
+            for t in by_subject.get(s, ()):
+                if t.o is o:
+                    cont(*args)
+                    return
+            return
+        for t in by_subject.get(s, ()):
+            b[o_slot] = t.o
+            cont(*args)
+        b[o_slot] = None
+    elif o is not None:
+        for t in by_object.get(o, ()):
+            b[s_slot] = t.s
+            cont(*args)
+        b[s_slot] = None
+    elif s_slot == o_slot:  # a self-loop matches only the data's self-loops
+        for t in triples:
+            if t.s is t.o:
+                b[s_slot] = t.s
+                cont(*args)
+        b[s_slot] = None
+    else:
+        for t in triples:
+            b[s_slot] = t.s
+            b[o_slot] = t.o
+            cont(*args)
+        b[s_slot] = b[o_slot] = None
+
+
+def _total_order(
+    triples: tuple[TriplePattern, ...], bound: set[Term]
+) -> list[TriplePattern]:
+    """The triples most-constrained first: at each pick, the most ends bound,
+    then the lowest canonical index (``max`` keeps the first of equal keys).
+    ``bound`` starts as the constants, and a picked triple binds both its
+    ends."""
+    remaining = list(triples)
+    order = []
+    while remaining:
+        t = max(remaining, key=lambda t: (t.s in bound) + (t.o in bound))
+        remaining.remove(t)
+        order.append(t)
+        bound.update(t.nodes)
+    return order
 
 
 def enumerate_total(
@@ -105,30 +163,39 @@ def enumerate_total(
 ) -> list[tuple[Term | None, ...]]:
     """All total embeddings of q in g, in the order the search finds them,
     each as the images of ``nodes``: a constant of q maps to itself, and a
-    node not in q to None."""
-    triples = list(q.canonical)
-    n = len(triples)
+    node not in q to None.
+
+    The search matches the triples in one order fixed before it starts,
+    most-constrained first. Every matched triple binds both its ends, so
+    which ends are bound at a search node depends only on which triples are
+    matched above it, not on their images: picking the most-bound triple
+    afresh at every node would pick the same triple in every branch.
+    """
+    constants = q.constants
+    if not constants <= g.nodes:
+        return []  # a total maps each constant to itself inside a match
+    slot: dict[Term, int] = {}
+    b: list[Term | None] = []
+    for node in q.nodes:
+        slot[node] = len(b)
+        b.append(node if node.is_constant else None)
+    steps = _steps(_total_order(q.canonical, set(constants)), g, slot)
+    if not all(step[2] for step in steps):
+        return []  # a predicate g lacks
+    # nodes not in q read the None slot past the end
+    pick = [slot.get(node, len(b)) for node in nodes]
+    b.append(None)
+    image = b.__getitem__
+    n = len(steps)
     results: list[tuple[Term | None, ...]] = []
 
-    def bound_count(t: TriplePattern, bindings) -> int:
-        return sum(1 for x in (t.s, t.o) if _value_of(x, bindings) is not None)
-
-    def dfs(remaining: list[int], bindings: dict):
-        if not remaining:
-            results.append(tuple(map(bindings.get, nodes)))
+    def dfs(k: int):
+        if k == n:
+            results.append(tuple(map(image, pick)))
             return
-        # most-constrained first: prefer patterns with more bound endpoints
-        pick = max(remaining, key=lambda i: (bound_count(triples[i], bindings), -i))
-        rest = [i for i in remaining if i != pick]
-        t = triples[pick]
-        for inst in candidates(g, t, _value_of(t.s, bindings), _value_of(t.o, bindings)):
-            nb = _extended(bindings, t, inst)
-            if nb is not None:
-                dfs(rest, nb)
+        _step(steps[k], b, dfs, k + 1)
 
-    # the search reads constants off the patterns, so binding each to itself
-    # up front only puts it in the results
-    dfs(list(range(n)), {c: c for c in q.constants})
+    dfs(0)
     return results
 
 
@@ -156,8 +223,16 @@ def enumerate_useful_partial(
     triples = sub.canonical
     n = len(triples)
     variables = tuple(sorted(sub.variables))
+    n_vars = len(variables)
     seg_nodes = segment.nodes
     present = tuple(c for c in sorted(sub.constants) if c in seg_nodes)
+    # the variables' slots come first, so a leaf's key is a prefix of b
+    slot = {v: k for k, v in enumerate(variables)}
+    b: list[Term | None] = [None] * n_vars
+    for c in sub.constants:
+        slot[c] = len(b)
+        b.append(c)
+    steps = _steps(triples, segment, slot)
     incident: dict[Term, int] = {}
     for i, t in enumerate(triples):
         for node in t.nodes:
@@ -171,26 +246,20 @@ def enumerate_useful_partial(
     variable_masks = [incident[v] for v in variables]
     leaves: dict[tuple, int] = {}
 
-    def dfs(i: int, bindings: dict, chosen: int):
+    def dfs(i: int, chosen: int):
         if i == n:
-            key = tuple(map(bindings.get, variables))
+            key = tuple(b[:n_vars])
             leaves[key] = leaves.get(key, 0) | chosen
             return
-        dfs(i + 1, bindings, chosen)
-        t = triples[i]
+        dfs(i + 1, chosen)
         with_i = chosen | (1 << i)
-        for inst in candidates(
-            segment, t, _value_of(t.s, bindings), _value_of(t.o, bindings)
-        ):
-            nb = _extended(bindings, t, inst)
-            if nb is not None:
-                dfs(i + 1, nb, with_i)
+        _step(steps[i], b, dfs, i + 1, with_i)
 
-    dfs(0, {}, 0)
+    dfs(0, 0)
     # a leaf key followed by the present constants and None holds every
-    # image; pick says where each of ``nodes`` finds its own
-    slot = {v: k for k, v in enumerate(variables + present)}
-    pick = [slot.get(node, len(slot)) for node in nodes]
+    # image; at says where each of ``nodes`` finds its own
+    at = {v: k for k, v in enumerate(variables + present)}
+    pick = [at.get(node, len(at)) for node in nodes]
     tail = present + (None,)
     out = []
     for key, matched in leaves.items():

@@ -308,9 +308,15 @@ class DataGraph:
         self._index = index
         return index
 
+    def predicate_entry(self, p: Term) -> tuple:
+        """p's index entry ``(triples, by_subject, by_object)``, read-only;
+        every part is empty when the graph has no triple with predicate p."""
+        index = self._index or self._build_index()  # never empty once built
+        return index.get(p, _NO_ENTRY)
+
     def by_predicate(self, p: Term) -> Sequence[DataTriple]:
         """The triples with predicate p, canonical order, read-only."""
-        index = self._index or self._build_index()  # never empty once built
+        index = self._index or self._build_index()
         return index.get(p, _NO_ENTRY)[0]
 
     def by_subject_predicate(self, s: Term, p: Term) -> Sequence[DataTriple]:
