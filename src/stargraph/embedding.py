@@ -21,9 +21,10 @@ int bit mask of the subquery's canonical triples it matched.
 ``totals_from_fragments`` joins (ID vector, mask) fragments of one subquery
 back into its total embeddings, UNBOUND (-1) marking an unbound position.
 Fragments with different images of the subquery's star centre never join, so
-it joins them one centre image at a time; only a subquery without a star
-centre (from a hand-built plan) gets a per-image index of its fragments
-instead.
+it joins them one centre image at a time, and drops an image whose fragments
+together miss a triple before building its per-triple lists; only a subquery
+without a star centre (from a hand-built plan) gets a per-image index of its
+fragments instead.
 
 ``enumerate_total`` and ``enumerate_useful_partial`` are depth-first
 searches over one step routine. Each query node has a slot in one list,
@@ -49,6 +50,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import CartesianCapExceeded
 from .model import (
@@ -260,19 +262,24 @@ def enumerate_useful_partial(
     # image; at says where each of ``nodes`` finds its own
     at = {v: k for k, v in enumerate(variables + present)}
     pick = [at.get(node, len(at)) for node in nodes]
+    if len(pick) > 1:
+        project = itemgetter(*pick)
+    else:  # itemgetter of one index gives the item, not a 1-tuple
+        def project(images):
+            return tuple(images[k] for k in pick)
     tail = present + (None,)
     out = []
     for key, matched in leaves.items():
         if not matched:
             continue
         required = always_required
+        # most images are border nodes, so the border test comes first
         for img, mask in zip(key, variable_masks):
-            if img is not None and not img.is_literal and img not in border:
+            if img is not None and img not in border and not img.is_literal:
                 required |= mask
         if required & ~matched:
             continue
-        images = key + tail
-        out.append((tuple(map(images.__getitem__, pick)), matched))
+        out.append((project(key + tail), matched))
     return out
 
 
@@ -392,10 +399,12 @@ def totals_from_fragments(
     contains the centre), and fragments with different centre images never
     join. The fragments are then split by centre image and each part is
     joined on its own, its candidates for triple i being the part's
-    fragments that matched i. A subquery without a centre, which no
-    decomposer builds but a hand-built plan may, is joined in one pass whose
-    candidates for triple i are looked up by the image of the triple's
-    bound subject or object.
+    fragments that matched i. A part whose masks together miss a triple has
+    no total, so it is dropped before those lists are built, and its
+    fragments never count against ``cap``. A subquery without a centre,
+    which no decomposer builds but a hand-built plan may, is joined in one
+    pass whose candidates for triple i are looked up by the image of the
+    triple's bound subject or object.
 
     ``cap`` bounds the live join states of one part, or of the whole pass
     when there is no centre; beyond it the join raises CartesianCapExceeded.
@@ -417,10 +426,14 @@ def totals_from_fragments(
                 parts[img] = [frag]
             else:
                 part.append(frag)
+        # an image whose fragments miss a triple has no total
+        full = (1 << n) - 1
         for part in parts.values():
-            by_triple = _by_triple(part, n)
-            if all(by_triple):
-                _join(by_triple, None, positions, start, cap, out)
+            covered = 0
+            for _ids, mask in part:
+                covered |= mask
+            if covered == full:
+                _join(_by_triple(part, n), None, positions, start, cap, out)
         return list(out)
 
     by_triple = _by_triple(fragments, n)

@@ -7,10 +7,11 @@ Works for any query decomposition over any data partition. Three stages:
    every layout node's image, UNBOUND where it is unbound, and the bit mask of
    the subquery triples it matched. The reducer hands one subquery's fragments
    as they are to ``totals_from_fragments``, which joins them into the
-   subquery's total embeddings one image of its star centre at a time (a
-   centre-less subquery from a hand-built plan is joined in one pass through
-   a per-image index of its fragments), then emits each total as a
-   (subquery, ids) record.
+   subquery's total embeddings one image of its star centre at a time,
+   skipping an image whose fragments together miss a triple (a centre-less
+   subquery from a hand-built plan is joined in one pass through a per-image
+   index of its fragments), then emits each total as a (subquery, ids)
+   record.
 2. Border completion (shared, when a border node is missing): unbound border
    positions are filled with the values that every subquery containing the
    node offered.

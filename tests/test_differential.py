@@ -20,6 +20,11 @@ some subquery, so every engine's answers pass through border completion;
 the instances have answers, so a completion that drops a value some answer
 needs shows as a missing row.
 
+``TestCentrelessPlans`` runs qejpe on hand-built plans of the same paths
+that have a subquery without a star centre, over random and imported edge
+and node partitions at one and three workers, so those fragments are joined
+through the per-image probe index.
+
 ``TestPhase1Contract`` checks what every engine's phase 1 hands the shared
 stages, on the fixture graph and on the completion instances: one
 (subquery, ID tuple over the layout's nodes) record per total embedding,
@@ -308,6 +313,60 @@ class TestCompletionLane:
             if sg.preprocess(dec).missing_border and naive_answers(q, g):
                 both += 1
         assert both >= COMPLETION_INSTANCES // 2
+
+
+# ---------------------------------------------------- centre-less qejpe plans
+
+CENTRELESS_PARTITIONS = ["edge-random", "edge-import", "vertex-hash", "node-import"]
+
+
+def centreless_plans(q):
+    """Hand-built plans no decomposer makes for a 5-edge path query: its
+    first three edges plus its last two, and its first two plus its last
+    three. The three-edge part has no star centre; the two-edge part is a
+    star at its middle node. (The whole path as one subquery is left out:
+    on the vertex partitions joining its fragments takes up to a minute
+    per instance.)"""
+    path = sorted(q.canonical, key=lambda t: t.s.token())  # ?x0 -> ... -> ?x5
+    return {
+        split: sg.QueryDecomposition(q, subs, (None,) * len(subs), method="hand-built")
+        for split, subs in (
+            ("three-plus-two", (sg.Query(path[:3]), sg.Query(path[3:]))),
+            ("two-plus-three", (sg.Query(path[:2]), sg.Query(path[2:]))),
+        )
+    }
+
+
+class TestCentrelessPlans:
+    """qejpe on hand-built plans with a centre-less subquery, whose
+    fragments ``totals_from_fragments`` joins through its per-image probe
+    index, over the completion instances' graphs and paths."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("partition_kind", CENTRELESS_PARTITIONS)
+    def test_lane(self, partition_kind, workers):
+        for k in range(COMPLETION_INSTANCES):
+            g, q, _, m = completion_instance(k)
+            data = partition_for(partition_kind, g, m, k)
+            want = naive_answers(q, g)
+            for split, dec in centreless_plans(q).items():
+                res = sg.run_qejpe(data, q, dec, workers=workers)
+                assert set(res.answers.rows) == want, (
+                    f"qejpe/{partition_kind}/{split}/workers={workers} diverged "
+                    f"on completion instance {k}: "
+                    f"{[t.token() for t in q.canonical]!r}"
+                )
+                assert res.stats[-1]["recordsOut"] == len(res.answers.rows), k
+
+    def test_plans_have_centreless_subqueries_and_answers(self):
+        answered = 0
+        for k in range(COMPLETION_INSTANCES):
+            g, q, _, _ = completion_instance(k)
+            for dec in centreless_plans(q).values():
+                centres = [sg.star_centers(sub) for sub in dec.subqueries]
+                assert sorted(map(len, centres)) == [0, 1], k
+            answered += bool(naive_answers(q, g))
+        assert answered >= COMPLETION_INSTANCES // 2
 
 
 # ------------------------------------------------------------ phase-1 contract

@@ -408,6 +408,37 @@ class TestUsefulPartials:
         assert reference_is_useful(e, nodes, sub, g, on_border)
         assert dict(enumerate_useful_partial(sub, g, on_border, nodes))[e] == 0b01
 
+    def test_closure_rule_exempts_literals_and_border_nodes(self):
+        # ?Y has two incident triples and only <p> matches here: bound to a
+        # literal it stays useful, bound to a non-border IRI it is dropped
+        # until that IRI is on the border
+        sub = sg.Query([q3("?X", "<p>", "?Y"), q3("?Z", "<q>", "?Y")])
+        nodes = nodes_of(sub)
+        p_only = mask_of({sub.canonical.index(q3("?X", "<p>", "?Y"))})
+        for y, useful_off_border in ((sg.literal("l"), True), (sg.iri("c"), False)):
+            g = sg.DataGraph([DataTriple(sg.iri("a"), sg.iri("p"), y)])
+            e = images_over(nodes, {sg.variable("X"): sg.iri("a"), sg.variable("Y"): y})
+            for border in (frozenset(), frozenset({y})):
+                useful = useful_off_border or y in border
+                assert reference_is_useful(e, nodes, sub, g, border) == useful
+                want = [(e, p_only)] if useful else []
+                assert enumerate_useful_partial(sub, g, border, nodes) == want
+
+    def test_one_node_layout_gives_one_tuples(self):
+        # ?x <p> ?x has a one-node layout, the case where a projection by
+        # itemgetter would return bare terms instead of 1-tuples
+        q = sg.Query([q3("?x", "<p>", "?x")])
+        g = sg.DataGraph([d3("<a>", "<p>", "<a>"), d3("<a>", "<p>", "<b>")])
+        layout = sg.preprocess(sg.naive_decomposition(q))
+        assert layout.nodes == (sg.variable("x"),)
+        assert enumerate_useful_partial(q, g, frozenset(), layout.nodes) == [
+            ((sg.iri("a"),), 0b1)
+        ]
+        data = sg.edge_random_partition(g, 2, seed=1)
+        res = sg.run_qejpe(data, q, sg.naive_decomposition(q))
+        assert res.answers == sg.oracle_answers(q, g)
+        assert res.answers.rows
+
     def test_matched_set_includes_triples_a_path_skipped(self):
         # the search reaches {X->a, Y->b} first by skipping <p> and matching
         # <q>; <p> matches under those bindings too, so it must be reported
@@ -639,6 +670,23 @@ class TestTotalsFromFragments:
             sg.CartesianCapExceeded, match="fragment join exceeded 1 intermediate states"
         ):
             totals_from_fragments(sub, frags, nodes, cap=1)
+
+    def test_centre_image_missing_a_triple_is_dropped_before_the_join(self):
+        # centre 1's fragments all miss triple 1: there are more of them than
+        # cap, yet the image yields no total and raises nothing, because it
+        # is dropped before its join; centre 2 has one full fragment and
+        # centre 3 two that cover both triples only together
+        sub = sg.Query([q3("?C", "<p>", "?X"), q3("?C", "<q>", "?Y")])
+        assert sg.star_centers(sub) == (sg.variable("C"),)
+        nodes = tuple(sg.variable(v) for v in "CXY")
+        missing = [((1, x, UNBOUND), 0b01) for x in (5, 6, 7)]
+        full = ((2, 5, 6), 0b11)
+        halves = [((3, 5, UNBOUND), 0b01), ((3, UNBOUND, 6), 0b10)]
+        frags = missing + [full] + halves
+        assert totals_from_fragments(sub, frags, nodes, cap=1) == [(2, 5, 6), (3, 5, 6)]
+        # once another fragment completes centre 1's cover, its join exceeds cap
+        with pytest.raises(sg.CartesianCapExceeded):
+            totals_from_fragments(sub, missing + [((1, 5, 8), 0b10)], nodes, cap=1)
 
     def test_unbound_positions_fill_and_foreign_nodes_stay_unbound(self):
         # each fragment leaves the other's leaf UNBOUND; ?F is not in sub
