@@ -26,6 +26,7 @@ unless the object is itself in the cover.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import NotANodeCover, SearchSpaceTooLarge
@@ -169,14 +170,19 @@ def _pick_largest(entries, size_of):
     return best
 
 
-def max_degree_decomposition(q: Query) -> QueryDecomposition:
+def _greedy_max_degree(
+    q: Query, method: str, extras: Callable[[Term], set[TriplePattern]]
+) -> QueryDecomposition:
+    """Greedily pick the star covering the most uncovered triples and emit
+    its uncovered part plus ``extras`` of its centre, which never count as
+    covered."""
     entries = _outgoing_entries(q)
     covered: set[TriplePattern] = set()
     subs: list[Query] = []
     centers: list[Term] = []
     while entries:
         n, star = _pick_largest(entries, lambda e: len(e[1]))
-        subs.append(Query(star))
+        subs.append(Query(star | extras(n)))
         centers.append(n)
         covered |= star
         entries = [
@@ -186,33 +192,24 @@ def max_degree_decomposition(q: Query) -> QueryDecomposition:
             for s2 in [s - covered]
             if any(t.s == m for t in s2)
         ]
-    return QueryDecomposition(q, tuple(subs), tuple(centers), "max-degree")
+    return QueryDecomposition(q, tuple(subs), tuple(centers), method)
+
+
+def max_degree_decomposition(q: Query) -> QueryDecomposition:
+    return _greedy_max_degree(q, "max-degree", lambda n: set())
 
 
 def max_degree_redundancy_decomposition(q: Query) -> QueryDecomposition:
-    entries = _outgoing_entries(q)
-    covered: set[TriplePattern] = set()
-    subs: list[Query] = []
-    centers: list[Term] = []
-    while entries:
-        n, star = _pick_largest(entries, lambda e: len(e[1]))
-        extra = {
+    # the triples incident to the centre whose far end is constant; they
+    # stay someone else's job
+    def constant_ended(n: Term) -> set[TriplePattern]:
+        return {
             t
             for t in q.incident(n)
-            if t not in star
-            and ((t.s == n and not t.o.is_variable) or (t.o == n and not t.s.is_variable))
+            if (t.s == n and not t.o.is_variable) or (t.o == n and not t.s.is_variable)
         }
-        subs.append(Query(star | extra))
-        centers.append(n)
-        covered |= star  # the redundant extras stay someone else's job
-        entries = [
-            (m, s2)
-            for m, s in entries
-            if m != n
-            for s2 in [s - covered]
-            if any(t.s == m for t in s2)
-        ]
-    return QueryDecomposition(q, tuple(subs), tuple(centers), "max-degree-redundancy")
+
+    return _greedy_max_degree(q, "max-degree-redundancy", constant_ended)
 
 
 def max_degree_reshaping_decomposition(q: Query) -> QueryDecomposition:

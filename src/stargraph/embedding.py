@@ -21,10 +21,15 @@ int bit mask of the subquery's canonical triples it matched.
 ``totals_from_fragments`` joins (ID vector, mask) fragments of one subquery
 back into its total embeddings, UNBOUND (-1) marking an unbound position.
 Fragments with different images of the subquery's star centre never join, so
-it joins them one centre image at a time, and drops an image whose fragments
-together miss a triple before building its per-triple lists; only a subquery
-without a star centre (from a hand-built plan) gets a per-image index of its
-fragments instead.
+it joins them one centre image at a time with ``join_centre_image``, and
+drops an image whose fragments together miss a triple before that join;
+only a subquery without a star centre (from a hand-built plan) gets a
+per-image index of its fragments instead. Where triples share a far node
+(the endpoint that is not the centre), ``join_centre_image`` first drops
+the fragments whose image there another of those triples never matched,
+and looks the later triples' candidates up by that image. The stars
+engine's reducer calls ``join_centre_image`` too, on the one-triple
+fragments it builds from a central image's witnesses.
 
 ``enumerate_total`` and ``enumerate_useful_partial`` are depth-first
 searches over one step routine. Each query node has a slot in one list,
@@ -71,6 +76,7 @@ __all__ = [
     "QueryLayout",
     "preprocess",
     "totals_from_fragments",
+    "join_centre_image",
 ]
 
 
@@ -300,7 +306,6 @@ class QueryLayout:
     dec: QueryDecomposition
     border_nodes: tuple[Term, ...]
     nodes: tuple[Term, ...]
-    triples: tuple[TriplePattern, ...]
     node_index: dict[Term, int]
     missing_border: tuple[tuple[Term, int], ...]
     common_border: tuple[Term, ...]
@@ -317,16 +322,6 @@ class QueryLayout:
         """A vector over ``nodes`` as its border and its non-border part."""
         k = len(self.border_nodes)
         return vector[:k], vector[k:]
-
-    # computed on first use, so the redundancy engine, which never reads
-    # them, does not pay for them on every query
-    @cached_property
-    def to_query(self) -> tuple[tuple[int, ...], ...]:
-        """Per subquery, the query triple index of each canonical position."""
-        pos = {t: i for i, t in enumerate(self.triples)}
-        return tuple(
-            tuple(map(pos.__getitem__, sub.canonical)) for sub in self.subqueries
-        )
 
     # border nodes come first in the node order, so a border node's position
     # indexes the border vector too
@@ -367,7 +362,6 @@ def preprocess(dec: QueryDecomposition) -> QueryLayout:
         dec=dec,
         border_nodes=border_nodes,
         nodes=nodes,
-        triples=q.canonical,
         node_index=node_index,
         missing_border=tuple(missing),
         common_border=common,
@@ -398,9 +392,9 @@ def totals_from_fragments(
     When sub has a star centre, every fragment binds it (each matched triple
     contains the centre), and fragments with different centre images never
     join. The fragments are then split by centre image and each part is
-    joined on its own, its candidates for triple i being the part's
-    fragments that matched i. A part whose masks together miss a triple has
-    no total, so it is dropped before those lists are built, and its
+    joined on its own by ``join_centre_image``, its candidates for triple i
+    being the part's fragments that matched i. A part whose masks together
+    miss a triple has no total, so it is dropped before that join, and its
     fragments never count against ``cap``. A subquery without a centre,
     which no decomposer builds but a hand-built plan may, is joined in one
     pass whose candidates for triple i are looked up by the image of the
@@ -413,11 +407,12 @@ def totals_from_fragments(
     index = {node: p for p, node in enumerate(nodes)}
     positions = [index[node] for node in sub.nodes]
     start = ((UNBOUND,) * len(nodes), 0)
-    out: dict = {}
     centres = star_centers(sub)
     if centres:
         # a variable centre splits the fragments; a constant one cannot
-        centre = index[next((c for c in centres if not c.is_constant), centres[0])]
+        hub = next((c for c in centres if not c.is_constant), centres[0])
+        centre = index[hub]
+        far = [index[t.o if t.s == hub else t.s] for t in sub.canonical]
         parts: dict[int, list] = {}
         for frag in fragments:
             img = frag[0][centre]
@@ -428,13 +423,14 @@ def totals_from_fragments(
                 part.append(frag)
         # an image whose fragments miss a triple has no total
         full = (1 << n) - 1
+        out: list[tuple[int, ...]] = []
         for part in parts.values():
             covered = 0
             for _ids, mask in part:
                 covered |= mask
             if covered == full:
-                _join(_by_triple(part, n), None, positions, start, cap, out)
-        return list(out)
+                out += join_centre_image(part, far, positions, start, cap)
+        return out
 
     by_triple = _by_triple(fragments, n)
     if not all(by_triple):
@@ -462,8 +458,65 @@ def totals_from_fragments(
             return by_object[i].get(ids[o_pos], ())
         return by_triple[i]
 
-    _join(by_triple, probe, positions, start, cap, out)
-    return list(out)
+    return _join(by_triple, probe, positions, start, cap)
+
+
+def join_centre_image(
+    fragments: list[tuple[tuple[int, ...], int]], far: list[int],
+    positions: list[int], start: tuple, cap: int | None,
+) -> list[tuple[int, ...]]:
+    """The totals that the fragments of one star-centre image join into.
+
+    Each fragment is (ids, mask) over one subquery's canonical triples, and
+    every one binds the same centre image. ``far`` holds each triple's far
+    end: the ID-vector position of its endpoint that is not the centre (the
+    centre's own for a self-loop). ``positions`` are the subquery's nodes'
+    positions in the ID vectors, and ``start`` is the empty join state (all
+    UNBOUND, mask 0). The join extends each state, triple by triple in
+    canonical order, with the fragments that matched that triple; beyond
+    ``cap`` live states it raises CartesianCapExceeded.
+
+    Where several triples share a far node, a total's image there is one
+    that each of them matched, so a fragment listed under one of them with
+    any other image there is dropped first (a semi-join). Each later triple
+    of the group then looks its candidates up by that image, which every
+    state binds since it covers the group's first triple. For one-triple
+    fragments, as the stars engine's reducer builds them, every state then
+    extends to a total, so the live states never outnumber the totals.
+
+    Both ``totals_from_fragments`` and the stars engine's reducer call it
+    once per centre image, after checking that the image's masks cover
+    every triple.
+    """
+    n = len(far)
+    by_triple = _by_triple(fragments, n)
+    if len(set(far)) == n:
+        return _join(by_triple, None, positions, start, cap)
+    groups: dict[int, list[int]] = {}
+    for i, p in enumerate(far):
+        groups.setdefault(p, []).append(i)
+    lookup: dict[int, dict] = {}
+    for p, group in groups.items():
+        if len(group) < 2:
+            continue
+        common = set.intersection(
+            *({frag[0][p] for frag in by_triple[i]} for i in group)
+        )
+        if not common:
+            return []
+        for i in group:
+            by_triple[i] = [frag for frag in by_triple[i] if frag[0][p] in common]
+        for i in group[1:]:
+            idx: dict = {}
+            for frag in by_triple[i]:
+                idx.setdefault(frag[0][p], []).append(frag)
+            lookup[i] = idx
+
+    def probe(i: int, ids: tuple[int, ...]) -> list:
+        idx = lookup.get(i)
+        return by_triple[i] if idx is None else idx.get(ids[far[i]], ())
+
+    return _join(by_triple, probe, positions, start, cap)
 
 
 def _by_triple(fragments: list, n: int) -> list[list]:
@@ -479,10 +532,10 @@ def _by_triple(fragments: list, n: int) -> list[list]:
 
 def _join(
     by_triple: list[list], probe, positions: list[int], start: tuple,
-    cap: int | None, out: dict,
-) -> None:
+    cap: int | None,
+) -> list[tuple[int, ...]]:
     """The state join over one set of per-triple candidate lists, from the
-    state ``start``; adds each total it reaches to out. Two ID vectors join
+    state ``start``; returns each total it reaches once. Two ID vectors join
     when they agree at every one of ``positions`` that both bind.
     ``probe(i, ids)``, when given, narrows the candidates for triple i."""
     states = [start]
@@ -515,7 +568,7 @@ def _join(
                             )
         states = new_states
         if not states:
-            return
-    # every state left covers all triples: step i covered triple i
-    for ids, _covered in states:
-        out[ids] = None
+            return []
+    # every state left covers all triples (step i covered triple i), so no
+    # two share their ids
+    return [ids for ids, _covered in states]

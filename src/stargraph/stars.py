@@ -6,13 +6,17 @@ image of its central node. The mapper has two parts:
 - Part 1 handles central images that might span segments (border nodes, and
   literals for object-central triples, since literals are never border): it
   emits one record per matching triple, found through the same index lookup
-  as ``enumerate_total``: ((subquery, central image), (query-triple index,
-  image of the triple's other endpoint)). The reducer re-assembles whole
-  stars: it intersects, per non-central node, the candidate lists of that
-  node's triples, and takes the cartesian product over nodes. A star with a
-  repeated neighbor node or a self-loop is exactly why the records carry the
-  triple index: every triple must contribute its own witness list before a
-  node's candidates are believed.
+  as ``enumerate_total``: ((subquery, central image), (k, image of the
+  triple's other endpoint)), k being the triple's canonical position in the
+  subquery. Such a witness is a useful partial embedding of one triple, so
+  the reducer turns each into the fragment (ids, 1 << k), which binds the
+  central image and the far end, and joins a key's fragments with
+  ``join_centre_image``, the per-image join qejpe's reducer runs too. A
+  repeated neighbor node or a self-loop needs no code here: the join
+  requires every triple's own fragment, fragments agree where they share a
+  node, and for a neighbor node shared by several triples the join first
+  keeps only the images that each of them witnessed, so the live join
+  states, which the cap counts, never outnumber the key's totals.
 - Part 2 handles central images that live entirely inside one segment
   (neither border nor literal): whole-star embeddings enumerated locally.
   The mapper puts them straight into the stage's output (``emit_output``),
@@ -20,20 +24,17 @@ image of its central node. The mapper has two parts:
   reducer's output.
 
 Images travel as their IDs in the data decomposition's dictionary; the
-mapper tests border membership and literals on the terms before encoding,
-and the reducer writes each assembled star's IDs straight into their layout
-positions. Both parts output each total as a (subquery, ids) record, the
-ID vector over the layout's nodes. Border completion and the final join are
-the shared ones: ``run_stars`` builds the phase-1 job and
+mapper tests border membership and literals on the terms before encoding.
+Both parts output each total as a (subquery, ids) record, the ID vector
+over the layout's nodes. Border completion and the final join are the
+shared ones: ``run_stars`` builds the phase-1 job and
 ``evalcore.run_phases`` runs it and the shared jobs.
 """
 
 from __future__ import annotations
 
-import itertools
-
-from .embedding import candidates, enumerate_total, preprocess
-from .errors import CartesianCapExceeded, NotADecomposition
+from .embedding import candidates, enumerate_total, join_centre_image, preprocess
+from .errors import NotADecomposition
 from .evalcore import (
     CARTESIAN_CAP,
     EvalResult,
@@ -75,14 +76,15 @@ def stars_map1_records(layout, centers, sub_idx: int, segment, border, dictionar
     their IDs in ``dictionary``.
 
     Returns (part1, part2): part1 records are keyed (subquery, central image)
-    and carry (query-triple index, other-endpoint image); part2 records
-    are the (subquery, ids) totals of the whole stars.
+    and carry (k, other-endpoint image), k the matched triple's canonical
+    position in the subquery; part2 records are the (subquery, ids) totals
+    of the whole stars.
     """
     sub = layout.subqueries[sub_idx]
     center = centers[sub_idx]
     ids = dictionary.ids
     part1 = []
-    for t, qidx in zip(sub.canonical, layout.to_query[sub_idx]):
+    for k, t in enumerate(sub.canonical):
         insts = candidates(
             segment, t,
             t.s if t.s.is_constant else None, t.o if t.o.is_constant else None,
@@ -90,17 +92,17 @@ def stars_map1_records(layout, centers, sub_idx: int, segment, border, dictionar
         if t.s == center and t.o == center:
             # self-loop: the match itself is the witness, no neighbor image
             part1.extend(
-                ((sub_idx, ids[i.s]), (qidx, ids[i.s]))
+                ((sub_idx, ids[i.s]), (k, ids[i.s]))
                 for i in insts if i.s == i.o and i.s in border
             )
         elif t.s == center:
             part1.extend(
-                ((sub_idx, ids[i.s]), (qidx, ids[i.o]))
+                ((sub_idx, ids[i.s]), (k, ids[i.o]))
                 for i in insts if i.s in border
             )
         else:  # t.o == center
             part1.extend(
-                ((sub_idx, ids[i.o]), (qidx, ids[i.s]))
+                ((sub_idx, ids[i.o]), (k, ids[i.s]))
                 for i in insts if i.o in border or i.o.is_literal
             )
     part2 = []
@@ -113,50 +115,39 @@ def stars_map1_records(layout, centers, sub_idx: int, segment, border, dictionar
     return part1, part2
 
 
-def stars_reduce1_fn(layout, centers, dictionary, *, cap: int = CARTESIAN_CAP):
-    """Star assembly over IDs; ``dictionary`` decodes the key of a cap
-    message."""
+def stars_reduce1_fn(layout, centers, *, cap: int = CARTESIAN_CAP):
+    """Star assembly over IDs: each witness (k, other) of a key becomes the
+    one-triple fragment that binds the central image and triple k's far end,
+    and ``join_centre_image`` joins the key's fragments. A key whose
+    witnesses miss a triple is skipped before any fragment is built."""
+    index = layout.node_index
+    blank = [UNBOUND] * len(layout.nodes)
+    start = (tuple(blank), 0)
+    setups = []
+    for sub, center in zip(layout.subqueries, centers):
+        # a self-loop's far end is the centre itself
+        far = [index[t.o if t.s == center else t.s] for t in sub.canonical]
+        positions = [index[node] for node in sub.nodes]
+        setups.append((index[center], far, (1 << len(far)) - 1, positions))
 
     def fn(key, values, em):
         sub_idx, img = key
-        sub = layout.subqueries[sub_idx]
-        center = centers[sub_idx]
-        positions = layout.to_query[sub_idx]
-        witnesses: dict[int, set[int]] = {}
-        for qidx, other in values:
-            witnesses.setdefault(qidx, set()).add(other)
-        # every triple of the star must have matched at least once
-        for pos in positions:
-            if not witnesses.get(pos):
-                return
-        # per non-central node, intersect the witness lists of its triples
-        node_order = [n for n in sorted(sub.nodes) if n != center]
-        pools: list[set[int]] = []
-        for node in node_order:
-            pool: set[int] | None = None
-            for t, qidx in zip(sub.canonical, positions):
-                if node not in t.nodes or (t.s == center and t.o == center):
-                    continue
-                lst = witnesses[qidx]
-                pool = set(lst) if pool is None else pool & lst
-            if not pool:
-                return
-            pools.append(pool)
-        count = 1
-        for pool in pools:
-            count *= len(pool)
-        if count > cap:
-            shown = (sub_idx, dictionary.terms[img])
-            raise CartesianCapExceeded(
-                f"star assembly for key {shown!r} would produce {count} embeddings"
-            )
-        vector = [UNBOUND] * len(layout.nodes)
-        vector[layout.node_index[center]] = img
-        slots = [layout.node_index[node] for node in node_order]
-        for combo in itertools.product(*pools):
-            for pos, u in zip(slots, combo):
-                vector[pos] = u
-            em.emit(sub_idx, tuple(vector))
+        centre, far, full, positions = setups[sub_idx]
+        # replicated triples send the same witness from several segments
+        witnesses = dict.fromkeys(values)
+        covered = 0
+        for k, _other in witnesses:
+            covered |= 1 << k
+        if covered != full:
+            return
+        fragments = []
+        for k, other in witnesses:
+            ids = blank.copy()
+            ids[centre] = img
+            ids[far[k]] = other
+            fragments.append((tuple(ids), 1 << k))
+        for ids in join_centre_image(fragments, far, positions, start, cap):
+            em.emit(sub_idx, ids)
 
     return fn
 
@@ -185,8 +176,7 @@ def run_stars(
             em.emit_output(rec_key, rec_val)
 
     phase1 = Job(
-        "star-assembly", map1,
-        stars_reduce1_fn(layout, centers, dictionary, cap=cartesian_cap),
+        "star-assembly", map1, stars_reduce1_fn(layout, centers, cap=cartesian_cap)
     )
     records, stats, counts = run_phases(
         layout, dec_data, phase1, workers=workers, cap=cartesian_cap, run_job=run_job

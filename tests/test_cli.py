@@ -324,7 +324,7 @@ LIMIT_SITES = {
         "edge-random",
         ("--query", "supervisor.q", "--algorithm", "stars", "--method", "naive",
          "--cartesian-cap", 1),
-        "star assembly for key (0, Term(<Article1>)) would produce 9 embeddings",
+        "fragment join exceeded 1 intermediate states",
     ),
     "border-completion": (
         "vertex-hash",

@@ -524,8 +524,9 @@ class TestLayout:
             (sg.variable("P1"), 1),
             (sg.variable("P2"), 0),
         )
-        for sub, fwd in zip(layout.subqueries, layout.to_query):
-            assert tuple(layout.triples[q] for q in fwd) == sub.canonical
+        index = {t: i for i, t in enumerate(layout.query.canonical)}
+        for sub in layout.subqueries:
+            assert all(t in index for t in sub.canonical)
 
     def test_border_sets_exclude_literals(self, coauthor_cover_decomposition):
         layout = sg.preprocess(coauthor_cover_decomposition)
@@ -687,6 +688,27 @@ class TestTotalsFromFragments:
         # once another fragment completes centre 1's cover, its join exceeds cap
         with pytest.raises(sg.CartesianCapExceeded):
             totals_from_fragments(sub, missing + [((1, 5, 8), 0b10)], nodes, cap=1)
+
+    def test_shared_far_node_drops_unmatched_images_before_the_join(self):
+        # <p> and <q> both reach ?X; only X images 10 and 11 are matched by
+        # both, 11 through one fragment of both triples, so the ten <p>
+        # fragments with other images never become states and cap 2 holds
+        sub = sg.Query(
+            [q3("?C", "<p>", "?X"), q3("?C", "<q>", "?X"), q3("?C", "<r>", "?Y")]
+        )
+        nodes = tuple(sg.variable(v) for v in "CXY")
+        p_only = [((1, x, UNBOUND), 0b001) for x in (10, *range(12, 22))]
+        frags = p_only + [
+            ((1, 10, UNBOUND), 0b010),
+            ((1, 11, UNBOUND), 0b011),
+            ((1, UNBOUND, 5), 0b100),
+        ]
+        assert totals_from_fragments(sub, frags, nodes, cap=2) == [
+            (1, 10, 5), (1, 11, 5)
+        ]
+        # without <q>'s image 10 only the two-triple fragment joins
+        del frags[len(p_only)]
+        assert totals_from_fragments(sub, frags, nodes, cap=1) == [(1, 11, 5)]
 
     def test_unbound_positions_fill_and_foreign_nodes_stay_unbound(self):
         # each fragment leaves the other's leaf UNBOUND; ?F is not in sub

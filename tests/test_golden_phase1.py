@@ -6,7 +6,7 @@ coauthor cover split over the edge partition, the records
 to terms, exactly as the exhaustive search with a re-validated candidate
 list produced them. One line per record: the border vector, the non-border
 vector (``-`` for unbound) and one match flag per query triple, read off the
-record's subquery-level mask through ``layout.to_query``.
+record's subquery-level mask through each canonical triple's query index.
 """
 
 import pytest
@@ -100,13 +100,14 @@ def _rendered(layout, split, i, j):
         layout, i, split.segments[j], split.borders[j], split.dictionary
     )
     records.sort()
-    positions = layout.to_query[i]
+    query_index = {t: q for q, t in enumerate(layout.query.canonical)}
+    positions = [query_index[t] for t in layout.subqueries[i].canonical]
     lines = []
     for key, (ids, mask) in records:
         assert key == i
         bnv, nbnv = layout.split(ids)
         hit = {positions[k] for k in range(len(positions)) if mask >> k & 1}
-        flags = "".join("1" if q in hit else "0" for q in range(len(layout.triples)))
+        flags = "".join("1" if q in hit else "0" for q in range(len(query_index)))
         lines.append(f"{_cells(split, bnv)} | {_cells(split, nbnv)} | {flags}")
     return lines
 

@@ -1,9 +1,16 @@
 """Star-at-a-time evaluation with border witnesses."""
 
+import itertools
+from unittest import mock
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import stargraph as sg
+from stargraph.embedding import join_centre_image
 from stargraph.errors import NotADecomposition
+from stargraph.model import UNBOUND
 from stargraph.runtime import Emitter
 from stargraph.stars import (
     resolve_centers,
@@ -35,7 +42,7 @@ def decoded(split, record):
     """A stars record with its IDs decoded to terms."""
     key, val = record
     terms, decode = split.dictionary.terms, split.dictionary.decode
-    if isinstance(key, tuple):  # part 1: ((sub, image), (qidx, image))
+    if isinstance(key, tuple):  # part 1: ((sub, image), (k, image))
         return (key[0], terms[key[1]]), (val[0], terms[val[1]])
     return key, decode(val)  # a total: (sub, ids)
 
@@ -51,8 +58,8 @@ class TestMapRecords:
             edge_split.dictionary,
         )
         assert [decoded(edge_split, r) for r in part1] == [
-            ((1, t("<Article1>")), (4, t("<Person4>"))),
-            ((1, t("<Article1>")), (6, t('"Title1"'))),
+            ((1, t("<Article1>")), (0, t("<Person4>"))),
+            ((1, t("<Article1>")), (2, t('"Title1"'))),
         ]
         assert part2 == []
 
@@ -79,7 +86,7 @@ def brute_force_part1(layout, centers, sub_idx, segment, border, dictionary):
     """Part 1 by scanning every segment triple against every star triple."""
     sub, center, ids = layout.subqueries[sub_idx], centers[sub_idx], dictionary.ids
     out = []
-    for t, qidx in zip(sub.canonical, layout.to_query[sub_idx]):
+    for k, t in enumerate(sub.canonical):
         for inst in segment.triples:
             if inst.p != t.p or any(
                 end.is_constant and end != img
@@ -88,12 +95,12 @@ def brute_force_part1(layout, centers, sub_idx, segment, border, dictionary):
                 continue
             if t.s == center and t.o == center:
                 if inst.s == inst.o and inst.s in border:
-                    out.append(((sub_idx, ids[inst.s]), (qidx, ids[inst.s])))
+                    out.append(((sub_idx, ids[inst.s]), (k, ids[inst.s])))
             elif t.s == center:
                 if inst.s in border:
-                    out.append(((sub_idx, ids[inst.s]), (qidx, ids[inst.o])))
+                    out.append(((sub_idx, ids[inst.s]), (k, ids[inst.o])))
             elif inst.o in border or inst.o.is_literal:
-                out.append(((sub_idx, ids[inst.o]), (qidx, ids[inst.s])))
+                out.append(((sub_idx, ids[inst.o]), (k, ids[inst.s])))
     return out
 
 
@@ -157,7 +164,7 @@ class TestReduce:
         sub_idx, img = key
         key = (sub_idx, split.dictionary.ids[img])
         em = Emitter()
-        fn = stars_reduce1_fn(layout, centers, split.dictionary)
+        fn = stars_reduce1_fn(layout, centers)
         fn(key, sorted(grouped.get(key, [])), em)
         return [decoded(split, r) for r in em.records]
 
@@ -169,12 +176,12 @@ class TestReduce:
         grouped = all_part1(layout, centers, edge_split)
         key = (1, t("<Article1>"))
         witnesses = {}
-        for qidx, other in grouped[(1, edge_split.dictionary.ids[key[1]])]:
-            witnesses.setdefault(qidx, set()).add(edge_split.dictionary.terms[other])
+        for k, other in grouped[(1, edge_split.dictionary.ids[key[1]])]:
+            witnesses.setdefault(k, set()).add(edge_split.dictionary.terms[other])
         assert witnesses == {
-            4: {t("<Person1>"), t("<Person2>"), t("<Person4>")},
-            5: {t("<Journal1>")},
-            6: {t('"Title1"')},
+            0: {t("<Person1>"), t("<Person2>"), t("<Person4>")},
+            1: {t("<Journal1>")},
+            2: {t('"Title1"')},
         }
         records = self.run_key(layout, centers, grouped, key, edge_split)
         assert len(records) == 3
@@ -208,6 +215,155 @@ class TestReduce:
         assert self.run_key(
             layout, centers, grouped, (2, t("<Person4>")), edge_split
         ) == []
+
+
+def reference_reduce1(layout, centers, key, values):
+    """The totals of one part-1 key by witness intersection: per non-central
+    node, the intersection of the far-end witnesses of its triples, then
+    their cartesian product. A self-loop only has to be witnessed."""
+    sub_idx, img = key
+    sub, center = layout.subqueries[sub_idx], centers[sub_idx]
+    witnesses = {}
+    for k, other in values:
+        witnesses.setdefault(k, set()).add(other)
+    if any(k not in witnesses for k in range(len(sub.canonical))):
+        return set()
+    node_order = [n for n in sorted(sub.nodes) if n != center]
+    pools = []
+    for node in node_order:
+        pool = None
+        for k, t in enumerate(sub.canonical):
+            if node in t.nodes and not (t.s == center and t.o == center):
+                pool = witnesses[k] if pool is None else pool & witnesses[k]
+        if not pool:
+            return set()
+        pools.append(pool)
+    vector = [UNBOUND] * len(layout.nodes)
+    vector[layout.node_index[center]] = img
+    slots = [layout.node_index[node] for node in node_order]
+    totals = set()
+    for combo in itertools.product(*pools):
+        for pos, u in zip(slots, combo):
+            vector[pos] = u
+        totals.add(tuple(vector))
+    return totals
+
+
+@st.composite
+def star_keys(draw):
+    """A star (centre token, triple tokens) and one part-1 key's witnesses:
+    the central image's ID and (k, far-end ID) pairs over a few IDs, so
+    witnesses repeat as replicated triples make them. A self-loop's witness
+    is the central image itself, as part 1 emits it."""
+    centre = draw(st.sampled_from(["?c", "<c>", '"c"']))
+    triples = set()
+    for _ in range(draw(st.integers(1, 4))):
+        p = draw(st.sampled_from(["<p>", "<q>"]))
+        # a literal is never a subject, so a literal centre only has in-triples
+        shapes = ["in"] if centre == '"c"' else ["out", "in", "loop"]
+        shape = draw(st.sampled_from(shapes))
+        if shape == "loop":
+            triples.add((centre, p, centre))
+        elif shape == "out":
+            far = draw(st.sampled_from(["?x", "?y", "<k>", '"v"']))
+            triples.add((centre, p, far))
+        else:
+            triples.add((draw(st.sampled_from(["?x", "?y", "<k>"])), p, centre))
+    img = draw(st.integers(0, 3))
+    witness = st.tuples(st.integers(0, len(triples) - 1), st.integers(0, 3))
+    values = draw(st.lists(witness, max_size=12))
+    return centre, sorted(triples), img, values
+
+
+def star_layout(centre, triples):
+    """A layout of the star as subquery 0 beside a second, disjoint star,
+    so the vectors have positions the first star leaves unbound."""
+    star = sg.Query([q3(*tr) for tr in triples])
+    other = sg.Query([q3("?z", "<r>", "?w")])
+    q = sg.Query(star.triples | other.triples)
+    dec = sg.QueryDecomposition(q, (star, other), (t(centre), t("?z")), "handmade")
+    return sg.preprocess(dec), resolve_centers(dec)
+
+
+def self_loops_witness_the_centre(layout, centers, img, values):
+    sub, center = layout.subqueries[0], centers[0]
+    loops = {
+        k for k, tr in enumerate(sub.canonical) if tr.s == center and tr.o == center
+    }
+    return [(k, img if k in loops else other) for k, other in values]
+
+
+class TestReduceAgainstReference:
+    @given(star_keys())
+    # a centre self-loop beside a far end
+    @example(("?c", [("?c", "<p>", "?c"), ("?c", "<q>", "?x")], 1,
+              [(0, 1), (1, 2), (1, 3)]))
+    # a non-central node shared by an out- and an in-triple
+    @example(("?c", [("?c", "<p>", "?x"), ("?x", "<q>", "?c")], 0,
+              [(0, 1), (0, 2), (1, 2), (1, 3)]))
+    # constant far ends, one of them a literal
+    @example(("?c", [("?c", "<p>", "<k>"), ("?c", "<q>", '"v"')], 0,
+              [(0, 2), (1, 3)]))
+    # a literal centre
+    @example(('"c"', [("<k>", "<q>", '"c"'), ("?x", "<p>", '"c"')], 2,
+              [(0, 1), (1, 0), (1, 3)]))
+    # the same witnesses twice, as a vertex-hash partition replicates them
+    @example(("?c", [("?c", "<p>", "?x"), ("?c", "<q>", "?y")], 0,
+              [(0, 1), (1, 2), (0, 1), (1, 2), (1, 3)]))
+    # a triple without a witness
+    @example(("?c", [("?c", "<p>", "?x"), ("?c", "<q>", "?y")], 0,
+              [(0, 1), (0, 2), (0, 3)]))
+    def test_totals_equal_the_witness_intersection(self, case):
+        centre, triples, img, values = case
+        layout, centers = star_layout(centre, triples)
+        values = self_loops_witness_the_centre(layout, centers, img, values)
+        n = len(layout.subqueries[0].canonical)
+        full = (1 << n) - 1
+        joined = []
+
+        def spy(fragments, *args):
+            joined.append(fragments)
+            return join_centre_image(fragments, *args)
+
+        em = Emitter()
+        with mock.patch("stargraph.stars.join_centre_image", spy):
+            stars_reduce1_fn(layout, centers)((0, img), values, em)
+        want = reference_reduce1(layout, centers, (0, img), values)
+        assert [key for key, _ in em.records] == [0] * len(em.records)
+        assert {ids for _, ids in em.records} == want
+        assert len(em.records) == len(want)
+        # the join sees each distinct witness once, and only for a key whose
+        # witnesses cover every triple
+        for fragments in joined:
+            assert len(set(fragments)) == len(fragments) == len(set(values))
+            covered = 0
+            for _ids, mask in fragments:
+                covered |= mask
+            assert covered == full
+        assert len(joined) == int({k for k, _ in values} == set(range(n)))
+        # the witness-intersection reducer raised when its product, the
+        # number of totals, exceeded the cap; so does the join
+        stars_reduce1_fn(layout, centers, cap=len(want))((0, img), values, Emitter())
+        if want:
+            with pytest.raises(sg.CartesianCapExceeded):
+                stars_reduce1_fn(layout, centers, cap=len(want) - 1)(
+                    (0, img), values, Emitter()
+                )
+
+    def test_shared_node_star_under_the_cap_answers(self):
+        # ?x's witnesses for <a> and <c> meet in one image: two totals, while
+        # joining <a> and <b> before <c> filters them would hold 4 x 2 states
+        triples = [("?c", "<a>", "?x"), ("?c", "<b>", "?y"), ("?c", "<c>", "?x")]
+        layout, centers = star_layout("?c", triples)
+        assert [tr.p for tr in layout.subqueries[0].canonical] == [
+            t("<a>"), t("<b>"), t("<c>")
+        ]
+        values = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (2, 2)]
+        want = reference_reduce1(layout, centers, (0, 5), values)
+        assert len(want) == 2
+        em = Emitter()
+        stars_reduce1_fn(layout, centers, cap=2)((0, 5), values, em)
+        assert {ids for _, ids in em.records} == want
 
 
 class TestRunStars:
