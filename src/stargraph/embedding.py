@@ -20,16 +20,18 @@ int bit mask of the subquery's canonical triples it matched.
 
 ``totals_from_fragments`` joins (ID vector, mask) fragments of one subquery
 back into its total embeddings, UNBOUND (-1) marking an unbound position.
-Fragments with different images of the subquery's star centre never join, so
-it joins them one centre image at a time with ``join_centre_image``, and
-drops an image whose fragments together miss a triple before that join;
-only a subquery without a star centre (from a hand-built plan) gets a
-per-image index of its fragments instead. Where triples share a far node
-(the endpoint that is not the centre), ``join_centre_image`` first drops
-the fragments whose image there another of those triples never matched,
-and looks the later triples' candidates up by that image. The stars
-engine's reducer calls ``join_centre_image`` too, on the one-triple
-fragments it builds from a central image's witnesses.
+At one image of a star's centre, the star's totals are the product, over
+its far nodes (the endpoints that are not the centre), of the far images
+that every triple through the node witnessed; ``star_totals`` builds that
+product. Every combination is a total, because a witnessed far image comes
+from a data triple at that centre image. Every total is a combination,
+because by the closure rule each of its triples is matched by some useful
+partial that carries the same centre image. ``totals_from_fragments`` splits
+the fragments by centre image, drops an image whose fragments together miss
+a triple, and reads each triple's witnesses off the rest; the stars
+engine's reducer reads them off its part-1 witnesses. Only a subquery
+without a star centre (from a hand-built plan) is joined over join states,
+through a per-image index of its fragments.
 
 ``enumerate_total`` and ``enumerate_useful_partial`` are depth-first
 searches over one step routine. Each query node has a slot in one list,
@@ -46,7 +48,7 @@ branch.
 
 ``enumerate_total`` and ``enumerate_useful_partial`` return their results in
 the order of their depth-first search, and ``totals_from_fragments`` in the
-order its join reaches them: the shuffle they go to, or ``AnswerSet`` for the
+order it builds them: the shuffle they go to, or ``AnswerSet`` for the
 oracle, sorts them.
 """
 
@@ -55,6 +57,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from operator import itemgetter
 
 from .errors import CartesianCapExceeded
@@ -76,7 +79,7 @@ __all__ = [
     "QueryLayout",
     "preprocess",
     "totals_from_fragments",
-    "join_centre_image",
+    "star_totals",
 ]
 
 
@@ -383,30 +386,30 @@ def totals_from_fragments(
     A fragment is (ids, mask): the ID of each of ``nodes``' images, UNBOUND
     where the fragment leaves a node unbound, and the bit mask of the
     subquery triples it matched. ``nodes`` lists every node of sub, and each
-    total comes back as an ID tuple over it. A join state is (ids, covered
-    mask). The search walks the subquery's triples in canonical order and
-    extends each state with fragments that match the first uncovered triple,
-    so every join step makes progress and disconnected subqueries fall out
-    of the same loop.
+    total comes back as an ID tuple over it.
 
     When sub has a star centre, every fragment binds it (each matched triple
-    contains the centre), and fragments with different centre images never
-    join. The fragments are then split by centre image and each part is
-    joined on its own by ``join_centre_image``, its candidates for triple i
-    being the part's fragments that matched i. A part whose masks together
-    miss a triple has no total, so it is dropped before that join, and its
-    fragments never count against ``cap``. A subquery without a centre,
-    which no decomposer builds but a hand-built plan may, is joined in one
-    pass whose candidates for triple i are looked up by the image of the
-    triple's bound subject or object.
+    contains the centre), and a total's fragments all bind its centre image.
+    The fragments are split by centre image. A part whose masks together
+    miss a triple has no total and is dropped; for every other part,
+    ``star_totals`` takes the far-end images its fragments witnessed for
+    each triple, a fragment that matched triple i binding both of its ends.
+    Their product is exactly the image's totals. Each combination is a total,
+    since every witnessed far image comes from a data triple at that centre
+    image. Each total is one combination, since by the closure rule every
+    triple of a total is matched by some useful partial that binds the same
+    centre image. ``cap`` bounds the totals of one part.
 
-    ``cap`` bounds the live join states of one part, or of the whole pass
-    when there is no centre; beyond it the join raises CartesianCapExceeded.
+    A subquery without a centre, which no decomposer builds but a hand-built
+    plan may, is joined in one pass over join states (ids, covered mask).
+    The pass walks the triples in canonical order and extends each state with
+    the fragments that matched the first uncovered triple, looked up by the
+    image of the triple's bound subject or object, so every step makes
+    progress and disconnected subqueries fall out of the same loop. ``cap``
+    then bounds the live join states of the pass.
     """
     n = len(sub.canonical)
     index = {node: p for p, node in enumerate(nodes)}
-    positions = [index[node] for node in sub.nodes]
-    start = ((UNBOUND,) * len(nodes), 0)
     centres = star_centers(sub)
     if centres:
         # a variable centre splits the fragments; a constant one cannot
@@ -421,18 +424,27 @@ def totals_from_fragments(
                 parts[img] = [frag]
             else:
                 part.append(frag)
-        # an image whose fragments miss a triple has no total
         full = (1 << n) - 1
         out: list[tuple[int, ...]] = []
-        for part in parts.values():
+        for img, part in parts.items():
             covered = 0
             for _ids, mask in part:
                 covered |= mask
-            if covered == full:
-                out += join_centre_image(part, far, positions, start, cap)
+            if covered != full:
+                continue
+            witnessed: list[set] = [set() for _ in far]
+            for ids, mask in part:
+                for i, p in enumerate(far):
+                    if mask >> i & 1:
+                        witnessed[i].add(ids[p])
+            out += star_totals(img, witnessed, centre, far, len(nodes), cap)
         return out
 
-    by_triple = _by_triple(fragments, n)
+    by_triple: list[list] = [[] for _ in range(n)]
+    for frag in fragments:
+        for i in range(n):
+            if frag[1] >> i & 1:
+                by_triple[i].append(frag)
     if not all(by_triple):
         return []
     # A fragment listed under triple i matched that triple, so it binds both
@@ -449,104 +461,21 @@ def totals_from_fragments(
             oidx.setdefault(frag[0][o_pos], []).append(frag)
         by_subject.append(sidx)
         by_object.append(oidx)
-
-    def probe(i: int, ids: tuple[int, ...]) -> list:
-        s_pos, o_pos = endpoints[i]
-        if ids[s_pos] != UNBOUND:
-            return by_subject[i].get(ids[s_pos], ())
-        if ids[o_pos] != UNBOUND:
-            return by_object[i].get(ids[o_pos], ())
-        return by_triple[i]
-
-    return _join(by_triple, probe, positions, start, cap)
-
-
-def join_centre_image(
-    fragments: list[tuple[tuple[int, ...], int]], far: list[int],
-    positions: list[int], start: tuple, cap: int | None,
-) -> list[tuple[int, ...]]:
-    """The totals that the fragments of one star-centre image join into.
-
-    Each fragment is (ids, mask) over one subquery's canonical triples, and
-    every one binds the same centre image. ``far`` holds each triple's far
-    end: the ID-vector position of its endpoint that is not the centre (the
-    centre's own for a self-loop). ``positions`` are the subquery's nodes'
-    positions in the ID vectors, and ``start`` is the empty join state (all
-    UNBOUND, mask 0). The join extends each state, triple by triple in
-    canonical order, with the fragments that matched that triple; beyond
-    ``cap`` live states it raises CartesianCapExceeded.
-
-    Where several triples share a far node, a total's image there is one
-    that each of them matched, so a fragment listed under one of them with
-    any other image there is dropped first (a semi-join). Each later triple
-    of the group then looks its candidates up by that image, which every
-    state binds since it covers the group's first triple. For one-triple
-    fragments, as the stars engine's reducer builds them, every state then
-    extends to a total, so the live states never outnumber the totals.
-
-    Both ``totals_from_fragments`` and the stars engine's reducer call it
-    once per centre image, after checking that the image's masks cover
-    every triple.
-    """
-    n = len(far)
-    by_triple = _by_triple(fragments, n)
-    if len(set(far)) == n:
-        return _join(by_triple, None, positions, start, cap)
-    groups: dict[int, list[int]] = {}
-    for i, p in enumerate(far):
-        groups.setdefault(p, []).append(i)
-    lookup: dict[int, dict] = {}
-    for p, group in groups.items():
-        if len(group) < 2:
-            continue
-        common = set.intersection(
-            *({frag[0][p] for frag in by_triple[i]} for i in group)
-        )
-        if not common:
-            return []
-        for i in group:
-            by_triple[i] = [frag for frag in by_triple[i] if frag[0][p] in common]
-        for i in group[1:]:
-            idx: dict = {}
-            for frag in by_triple[i]:
-                idx.setdefault(frag[0][p], []).append(frag)
-            lookup[i] = idx
-
-    def probe(i: int, ids: tuple[int, ...]) -> list:
-        idx = lookup.get(i)
-        return by_triple[i] if idx is None else idx.get(ids[far[i]], ())
-
-    return _join(by_triple, probe, positions, start, cap)
-
-
-def _by_triple(fragments: list, n: int) -> list[list]:
-    """The fragments listed under each subquery triple they matched."""
-    by_triple: list[list] = [[] for _ in range(n)]
-    for frag in fragments:
-        mask = frag[1]
-        for i in range(n):
-            if mask >> i & 1:
-                by_triple[i].append(frag)
-    return by_triple
-
-
-def _join(
-    by_triple: list[list], probe, positions: list[int], start: tuple,
-    cap: int | None,
-) -> list[tuple[int, ...]]:
-    """The state join over one set of per-triple candidate lists, from the
-    state ``start``; returns each total it reaches once. Two ID vectors join
-    when they agree at every one of ``positions`` that both bind.
-    ``probe(i, ids)``, when given, narrows the candidates for triple i."""
-    states = [start]
-    for i, frags in enumerate(by_triple):
+    positions = [index[node] for node in sub.nodes]
+    states = [((UNBOUND,) * len(nodes), 0)]
+    for i, (s_pos, o_pos) in enumerate(endpoints):
         new_states: dict = {}
         for state in states:
             ids, covered = state
             if covered >> i & 1:
                 new_states[state] = None
                 continue
-            matches = frags if probe is None else probe(i, ids)
+            if ids[s_pos] != UNBOUND:
+                matches = by_subject[i].get(ids[s_pos], ())
+            elif ids[o_pos] != UNBOUND:
+                matches = by_object[i].get(ids[o_pos], ())
+            else:
+                matches = by_triple[i]
             for fids, fmask in matches:
                 merged = list(ids)
                 for p in positions:
@@ -572,3 +501,42 @@ def _join(
     # every state left covers all triples (step i covered triple i), so no
     # two share their ids
     return [ids for ids, _covered in states]
+
+
+def star_totals(
+    img: int, witnessed: list[set], centre: int, far: list[int], width: int,
+    cap: int | None,
+) -> list[tuple[int, ...]]:
+    """The total embeddings of a star at one image of its centre.
+
+    ``witnessed`` holds, for each of the star's canonical triples, the IDs
+    of the far-end images it matched at centre image ``img``; ``far`` holds
+    each triple's far end, the position of its endpoint that is not the
+    centre (``centre``, the centre's own position, for a self-loop). A
+    node's pool is the intersection of the sets of the triples that reach
+    it, the centre's starting as ``{img}``, and the totals are the product
+    of the pools, each as an ID tuple of ``width`` positions, UNBOUND
+    outside the star. Beyond ``cap`` totals it raises CartesianCapExceeded.
+
+    Both ``totals_from_fragments`` and the stars engine's reducer call it
+    once per centre image whose witnesses cover every triple.
+    """
+    pools: dict[int, set] = {centre: {img}}
+    for p, seen in zip(far, witnessed):
+        pool = pools.get(p)
+        pools[p] = seen if pool is None else pool & seen
+    count = 1
+    for pool in pools.values():
+        count *= len(pool)
+    if cap is not None and count > cap:
+        raise CartesianCapExceeded(
+            f"star join exceeded {cap} embeddings for one centre image"
+        )
+    slots = tuple(pools)
+    ids = [UNBOUND] * width
+    out = []
+    for combo in product(*pools.values()):
+        for p, v in zip(slots, combo):
+            ids[p] = v
+        out.append(tuple(ids))
+    return out

@@ -93,10 +93,6 @@ class Term:
         return self.kind is TermKind.LITERAL
 
     @property
-    def is_iri(self) -> bool:
-        return self.kind is TermKind.IRI
-
-    @property
     def is_constant(self) -> bool:
         return self.kind is not TermKind.VARIABLE
 

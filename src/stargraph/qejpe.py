@@ -6,12 +6,17 @@ Works for any query decomposition over any data partition. Three stages:
    embeddings and ships each as a (subquery, (ids, mask)) record: the ID of
    every layout node's image, UNBOUND where it is unbound, and the bit mask of
    the subquery triples it matched. The reducer hands one subquery's fragments
-   as they are to ``totals_from_fragments``, which joins them into the
-   subquery's total embeddings one image of its star centre at a time,
-   skipping an image whose fragments together miss a triple (a centre-less
-   subquery from a hand-built plan is joined in one pass through a per-image
-   index of its fragments), then emits each total as a (subquery, ids)
-   record.
+   as they are to ``totals_from_fragments``. It splits them by the image of
+   the subquery's star centre and skips an image whose fragments together
+   miss a triple. For every other image, the totals are the product, over
+   the far nodes (the endpoints that are not the centre), of the images
+   that every triple through the node witnessed, the same product the stars engine's reducer builds. That is
+   sound because each witness is a data triple at the centre image, and
+   complete because, by the closure rule, every triple of a total is matched
+   by some useful partial that carries the same centre image. (A
+   centre-less subquery from a hand-built plan is joined in one pass through
+   a per-image index of its fragments.) Each total is emitted as a
+   (subquery, ids) record.
 2. Border completion (shared, when a border node is missing): unbound border
    positions are filled with the values that every subquery containing the
    node offered.

@@ -8,15 +8,15 @@ image of its central node. The mapper has two parts:
   emits one record per matching triple, found through the same index lookup
   as ``enumerate_total``: ((subquery, central image), (k, image of the
   triple's other endpoint)), k being the triple's canonical position in the
-  subquery. Such a witness is a useful partial embedding of one triple, so
-  the reducer turns each into the fragment (ids, 1 << k), which binds the
-  central image and the far end, and joins a key's fragments with
-  ``join_centre_image``, the per-image join qejpe's reducer runs too. A
-  repeated neighbor node or a self-loop needs no code here: the join
-  requires every triple's own fragment, fragments agree where they share a
-  node, and for a neighbor node shared by several triples the join first
-  keeps only the images that each of them witnessed, so the live join
-  states, which the cap counts, never outnumber the key's totals.
+  subquery. A key whose witnesses cover every triple has as totals the
+  product ``star_totals`` builds, over the non-central nodes, of the images
+  that every triple through the node witnessed; qejpe's reducer builds the
+  same product from its fragments. Every combination is a total, since each
+  witness is a data triple at the central image, and every total is one,
+  since each of its triples lies in some segment and is witnessed there. A
+  repeated neighbor node needs no code here: its pool is the intersection of
+  its triples' witnesses. Nor does a self-loop, whose witness is the central
+  image itself and meets the centre's pool of that one image.
 - Part 2 handles central images that live entirely inside one segment
   (neither border nor literal): whole-star embeddings enumerated locally.
   The mapper puts them straight into the stage's output (``emit_output``),
@@ -33,7 +33,7 @@ shared ones: ``run_stars`` builds the phase-1 job and
 
 from __future__ import annotations
 
-from .embedding import candidates, enumerate_total, join_centre_image, preprocess
+from .embedding import candidates, enumerate_total, preprocess, star_totals
 from .errors import NotADecomposition
 from .evalcore import (
     CARTESIAN_CAP,
@@ -43,7 +43,6 @@ from .evalcore import (
     run_phases,
 )
 from .model import (
-    UNBOUND,
     Query,
     QueryDecomposition,
     Term,
@@ -116,37 +115,30 @@ def stars_map1_records(layout, centers, sub_idx: int, segment, border, dictionar
 
 
 def stars_reduce1_fn(layout, centers, *, cap: int = CARTESIAN_CAP):
-    """Star assembly over IDs: each witness (k, other) of a key becomes the
-    one-triple fragment that binds the central image and triple k's far end,
-    and ``join_centre_image`` joins the key's fragments. A key whose
-    witnesses miss a triple is skipped before any fragment is built."""
+    """Star assembly over IDs: a key whose witnesses (k, other) cover every
+    triple has as totals the product ``star_totals`` takes over the far-end
+    images each triple witnessed; any other key has none, and is skipped
+    before a set is built."""
     index = layout.node_index
-    blank = [UNBOUND] * len(layout.nodes)
-    start = (tuple(blank), 0)
+    width = len(layout.nodes)
     setups = []
     for sub, center in zip(layout.subqueries, centers):
         # a self-loop's far end is the centre itself
         far = [index[t.o if t.s == center else t.s] for t in sub.canonical]
-        positions = [index[node] for node in sub.nodes]
-        setups.append((index[center], far, (1 << len(far)) - 1, positions))
+        setups.append((index[center], far, (1 << len(far)) - 1))
 
     def fn(key, values, em):
         sub_idx, img = key
-        centre, far, full, positions = setups[sub_idx]
-        # replicated triples send the same witness from several segments
-        witnesses = dict.fromkeys(values)
+        centre, far, full = setups[sub_idx]
         covered = 0
-        for k, _other in witnesses:
+        for k, _other in values:
             covered |= 1 << k
         if covered != full:
             return
-        fragments = []
-        for k, other in witnesses:
-            ids = blank.copy()
-            ids[centre] = img
-            ids[far[k]] = other
-            fragments.append((tuple(ids), 1 << k))
-        for ids in join_centre_image(fragments, far, positions, start, cap):
+        witnessed: list[set] = [set() for _ in far]
+        for k, other in values:
+            witnessed[k].add(other)
+        for ids in star_totals(img, witnessed, centre, far, width, cap):
             em.emit(sub_idx, ids)
 
     return fn

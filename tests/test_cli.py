@@ -318,13 +318,13 @@ LIMIT_SITES = {
     "fragment-join": (
         "edge-random",
         ("--query", "supervisor.q", "--algorithm", "qejpe", "--cartesian-cap", 1),
-        "fragment join exceeded 1 intermediate states",
+        "star join exceeded 1 embeddings for one centre image",
     ),
     "star-assembly": (
         "edge-random",
         ("--query", "supervisor.q", "--algorithm", "stars", "--method", "naive",
          "--cartesian-cap", 1),
-        "fragment join exceeded 1 intermediate states",
+        "star join exceeded 1 embeddings for one centre image",
     ),
     "border-completion": (
         "vertex-hash",

@@ -5,6 +5,8 @@ order the caller gives, None (or UNBOUND, for the ID vectors the fragment
 join reads) where a node is unbound; these tests pass that order explicitly.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -628,11 +630,20 @@ class TestTotalsFromFragments:
             (extended, sg.edge_random_partition(extended, 3, seed=5)),
         ]
         nodes = nodes_of(sub)
+        stars = sg.star_centers(sub)
         for graph, data in cases:
             got = joined_totals(sub, data, nodes)
             want = sg.enumerate_total(sub, graph, nodes)
             assert len(got) == len(set(got))
             assert set(got) == set(want)
+            if stars and want:
+                # a star's cap bounds the totals of one image of its centre
+                hub = next((c for c in stars if not c.is_constant), stars[0])
+                at = nodes.index(hub)
+                largest = max(Counter(total[at] for total in want).values())
+                assert len(joined_totals(sub, data, nodes, cap=largest)) == len(want)
+                with pytest.raises(sg.CartesianCapExceeded):
+                    joined_totals(sub, data, nodes, cap=largest - 1)
         # the extended graph gives every shape some totals
         assert want
 
@@ -654,9 +665,9 @@ class TestTotalsFromFragments:
             sub, [first, other_centre, same_centre], nodes
         ) == [first[0]]
 
-    def test_cap_counts_states_per_centre_image(self):
-        # one live state per centre image stays under cap 1; two states for
-        # one image exceed it
+    def test_cap_counts_totals_per_centre_image(self):
+        # one total per centre image stays under cap 1; two totals for one
+        # image exceed it
         sub = sg.Query([q3("?C", "<p>", "?X"), q3("?C", "<q>", "?Y")])
         assert sg.star_centers(sub) == (sg.variable("C"),)
         nodes = tuple(sg.variable(v) for v in "CXY")
@@ -668,7 +679,8 @@ class TestTotalsFromFragments:
         assert len(totals_from_fragments(sub, frags, nodes, cap=1)) == 2
         frags.append(frag(1, 6))
         with pytest.raises(
-            sg.CartesianCapExceeded, match="fragment join exceeded 1 intermediate states"
+            sg.CartesianCapExceeded,
+            match="star join exceeded 1 embeddings for one centre image",
         ):
             totals_from_fragments(sub, frags, nodes, cap=1)
 

@@ -132,6 +132,21 @@ class TestRunQejpe:
                 supervisor_decomposition,
                 cartesian_cap=1,
             )
+        # <a> and <c> share ?x, overlapping in 10 of their 20 objects each,
+        # beside 5 <b> objects: the one centre image has 50 totals, so cap 50
+        # answers and cap 49 trips
+        lines = [f"<c0> <a> <x{i}> ." for i in range(20)]
+        lines += [f"<c0> <c> <x{i}> ." for i in range(10, 30)]
+        lines += [f"<c0> <b> <y{i}> ." for i in range(5)]
+        graph = sg.parse_data("\n".join(lines) + "\n")
+        data = sg.edge_random_partition(graph, 8, seed=1)
+        q = sg.parse_query("?c <a> ?x .\n?c <b> ?y .\n?c <c> ?x .")
+        dec = sg.naive_decomposition(q)
+        want = sg.oracle_answers(q, graph)
+        assert len(want.rows) == 50
+        assert run_qejpe(data, q, dec, cartesian_cap=50).answers == want
+        with pytest.raises(sg.CartesianCapExceeded):
+            run_qejpe(data, q, dec, cartesian_cap=49)
 
     def test_boolean_query(self, bibliography, edge_split):
         q = sg.Query([q3("<Article1>", "<publishedIn>", "<Journal1>")])

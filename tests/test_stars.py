@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import stargraph as sg
-from stargraph.embedding import join_centre_image
+from stargraph.embedding import star_totals
 from stargraph.errors import NotADecomposition
 from stargraph.model import UNBOUND
 from stargraph.runtime import Emitter
@@ -318,31 +318,28 @@ class TestReduceAgainstReference:
         layout, centers = star_layout(centre, triples)
         values = self_loops_witness_the_centre(layout, centers, img, values)
         n = len(layout.subqueries[0].canonical)
-        full = (1 << n) - 1
         joined = []
 
-        def spy(fragments, *args):
-            joined.append(fragments)
-            return join_centre_image(fragments, *args)
+        def spy(img, witnessed, *args):
+            joined.append(witnessed)
+            return star_totals(img, witnessed, *args)
 
         em = Emitter()
-        with mock.patch("stargraph.stars.join_centre_image", spy):
+        with mock.patch("stargraph.stars.star_totals", spy):
             stars_reduce1_fn(layout, centers)((0, img), values, em)
         want = reference_reduce1(layout, centers, (0, img), values)
         assert [key for key, _ in em.records] == [0] * len(em.records)
         assert {ids for _, ids in em.records} == want
         assert len(em.records) == len(want)
-        # the join sees each distinct witness once, and only for a key whose
-        # witnesses cover every triple
-        for fragments in joined:
-            assert len(set(fragments)) == len(fragments) == len(set(values))
-            covered = 0
-            for _ids, mask in fragments:
-                covered |= mask
-            assert covered == full
+        # the product is reached only for a key whose witnesses cover every
+        # triple, with each triple's distinct witnesses
         assert len(joined) == int({k for k, _ in values} == set(range(n)))
+        for witnessed in joined:
+            assert witnessed == [
+                {other for k, other in values if k == i} for i in range(n)
+            ]
         # the witness-intersection reducer raised when its product, the
-        # number of totals, exceeded the cap; so does the join
+        # number of totals, exceeded the cap; so does star_totals
         stars_reduce1_fn(layout, centers, cap=len(want))((0, img), values, Emitter())
         if want:
             with pytest.raises(sg.CartesianCapExceeded):
