@@ -1,6 +1,6 @@
 """Evaluation by joining useful partial embeddings (the general algorithm).
 
-Works for any query decomposition over any data partition. Three stages:
+Works for any query decomposition over any data partition. Two stages:
 
 1. For every (subquery, segment) pair the mapper enumerates the useful partial
    embeddings and ships each as a (subquery, (ids, mask)) record: the ID of
@@ -10,22 +10,19 @@ Works for any query decomposition over any data partition. Three stages:
    the subquery's star centre and skips an image whose fragments together
    miss a triple. For every other image, the totals are the product, over
    the far nodes (the endpoints that are not the centre), of the images
-   that every triple through the node witnessed, the same product the stars engine's reducer builds. That is
-   sound because each witness is a data triple at the centre image, and
-   complete because, by the closure rule, every triple of a total is matched
-   by some useful partial that carries the same centre image. (A
-   centre-less subquery from a hand-built plan is joined in one pass through
-   a per-image index of its fragments.) Each total is emitted as a
-   (subquery, ids) record.
-2. Border completion (shared, when a border node is missing): unbound border
-   positions are filled with the values that every subquery containing the
-   node offered.
-3. Final join (shared): group by border vector, require every subquery,
-   project the output pattern, each variable read from the border vector or
-   from the one subquery that holds it.
+   that every triple through the node witnessed, the same product the stars
+   engine's reducer builds. That is sound because each witness is a data
+   triple at the centre image, and complete because, by the closure rule,
+   every triple of a total is matched by some useful partial that carries
+   the same centre image. (A centre-less subquery from a hand-built plan is
+   the join of the (subject, object) pairs its fragments witnessed for each
+   triple.) Each total is emitted as a (subquery, ids) record.
+2. Final join (shared): group the totals by their common-border IDs, join
+   the subqueries inside each group over the positions they share, and
+   project the output pattern, each variable read from one place.
 
 ``run_qejpe`` builds the phase-1 job; ``evalcore.run_phases`` runs it and
-the shared jobs.
+the shared join.
 """
 
 from __future__ import annotations

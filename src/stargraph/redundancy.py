@@ -13,7 +13,8 @@ a half phases:
   (subquery, ids) record, images as their IDs in the data decomposition's
   dictionary. Replication means the same embedding can be found in several
   segments; the next stage's reducer dedups.
-- Completion and final join are the shared phase-2/phase-3 code.
+- The final join is the shared one, which joins the subqueries' totals
+  inside each group of common-border IDs.
 
 ``run_redundancy`` checks the data and the decomposition as every engine
 does (``evalcore.checked_data``), then the two conditions above, and hands

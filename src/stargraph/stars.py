@@ -26,9 +26,8 @@ image of its central node. The mapper has two parts:
 Images travel as their IDs in the data decomposition's dictionary; the
 mapper tests border membership and literals on the terms before encoding.
 Both parts output each total as a (subquery, ids) record, the ID vector
-over the layout's nodes. Border completion and the final join are the
-shared ones: ``run_stars`` builds the phase-1 job and
-``evalcore.run_phases`` runs it and the shared jobs.
+over the layout's nodes. The final join is the shared one: ``run_stars``
+builds the phase-1 job and ``evalcore.run_phases`` runs it and the join.
 """
 
 from __future__ import annotations

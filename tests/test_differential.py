@@ -16,14 +16,17 @@ redundancy on hashed and imported node partitions.
 
 ``TestCompletionLane`` runs all-variable 5-edge paths over graphs of three
 or four predicates, whose decompositions leave border nodes missing from
-some subquery, so every engine's answers pass through border completion;
-the instances have answers, so a completion that drops a value some answer
-needs shows as a missing row.
+some subquery, so every engine's final join completes border values a
+subquery lacks from the others' totals; the instances have answers, so a
+join that drops a value some answer needs shows as a missing row.
+``TestChainLane`` runs the same paths under ``naive`` and ``min-res``, which
+split them into one-edge stars with an empty common border, so all of a
+run's totals meet in one join group.
 
 ``TestCentrelessPlans`` runs qejpe on hand-built plans of the same paths
 that have a subquery without a star centre, over random and imported edge
-and node partitions at one and three workers, so those fragments are joined
-through the per-image probe index.
+and node partitions at one and three workers, so the (subject, object)
+pairs those fragments witnessed for each triple are joined into totals.
 
 ``TestPhase1Contract`` checks what every engine's phase 1 hands the shared
 stages, on the fixture graph and on the completion instances: one
@@ -315,32 +318,68 @@ class TestCompletionLane:
         assert both >= COMPLETION_INSTANCES // 2
 
 
+# ------------------------------------------------------------- chain plans
+
+CHAIN_METHODS = ["naive", "min-res"]
+
+
+class TestChainLane:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("method", CHAIN_METHODS)
+    @pytest.mark.parametrize("engine_name, partition_kind", COMPLETION_LANES)
+    def test_lane(self, engine_name, partition_kind, method, workers):
+        engine = ENGINES[engine_name]
+        for k in range(COMPLETION_INSTANCES):
+            g, q, _, m = completion_instance(k)
+            data = partition_for(partition_kind, g, m, k)
+            res = engine(data, q, sg.DECOMPOSERS[method](q), workers=workers)
+            assert set(res.answers.rows) == naive_answers(q, g), (
+                f"{engine_name}/{method}/workers={workers} diverged on "
+                f"completion instance {k}: {[t.token() for t in q.canonical]!r}"
+            )
+            assert res.stats[-1]["recordsOut"] == len(res.answers.rows), k
+
+    def test_plans_have_an_empty_common_border_and_answers(self):
+        answered = 0
+        for k in range(COMPLETION_INSTANCES):
+            g, q, _, _ = completion_instance(k)
+            for method in CHAIN_METHODS:
+                layout = sg.preprocess(sg.DECOMPOSERS[method](q))
+                assert layout.missing_border and layout.common_border == (), k
+            answered += bool(naive_answers(q, g))
+        assert answered >= COMPLETION_INSTANCES // 2
+
+
 # ---------------------------------------------------- centre-less qejpe plans
 
 CENTRELESS_PARTITIONS = ["edge-random", "edge-import", "vertex-hash", "node-import"]
 
 
-def centreless_plans(q):
+def centreless_plans(q, whole):
     """Hand-built plans no decomposer makes for a 5-edge path query: its
-    first three edges plus its last two, and its first two plus its last
-    three. The three-edge part has no star centre; the two-edge part is a
-    star at its middle node. (The whole path as one subquery is left out:
-    on the vertex partitions joining its fragments takes up to a minute
-    per instance.)"""
+    first three edges plus its last two, its first two plus its last three,
+    and, when ``whole``, the whole path as one subquery. The three-edge part
+    has no star centre; the two-edge part is a star at its middle node. (The
+    whole path runs on the edge partitions only: on the node partitions it
+    ships 50k to 600k fragments and takes 0.2 to 5.6 s per instance.)"""
     path = sorted(q.canonical, key=lambda t: t.s.token())  # ?x0 -> ... -> ?x5
+    splits = [
+        ("three-plus-two", (sg.Query(path[:3]), sg.Query(path[3:]))),
+        ("two-plus-three", (sg.Query(path[:2]), sg.Query(path[2:]))),
+    ]
+    if whole:
+        splits.append(("whole-path", (sg.Query(path),)))
     return {
         split: sg.QueryDecomposition(q, subs, (None,) * len(subs), method="hand-built")
-        for split, subs in (
-            ("three-plus-two", (sg.Query(path[:3]), sg.Query(path[3:]))),
-            ("two-plus-three", (sg.Query(path[:2]), sg.Query(path[2:]))),
-        )
+        for split, subs in splits
     }
 
 
 class TestCentrelessPlans:
-    """qejpe on hand-built plans with a centre-less subquery, whose
-    fragments ``totals_from_fragments`` joins through its per-image probe
-    index, over the completion instances' graphs and paths."""
+    """qejpe on hand-built plans with a centre-less subquery, whose totals
+    ``totals_from_fragments`` joins from the (subject, object) pairs its
+    fragments witnessed for each triple, over the completion instances'
+    graphs and paths."""
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("partition_kind", CENTRELESS_PARTITIONS)
@@ -349,7 +388,8 @@ class TestCentrelessPlans:
             g, q, _, m = completion_instance(k)
             data = partition_for(partition_kind, g, m, k)
             want = naive_answers(q, g)
-            for split, dec in centreless_plans(q).items():
+            plans = centreless_plans(q, whole=partition_kind.startswith("edge"))
+            for split, dec in plans.items():
                 res = sg.run_qejpe(data, q, dec, workers=workers)
                 assert set(res.answers.rows) == want, (
                     f"qejpe/{partition_kind}/{split}/workers={workers} diverged "
@@ -362,11 +402,22 @@ class TestCentrelessPlans:
         answered = 0
         for k in range(COMPLETION_INSTANCES):
             g, q, _, _ = completion_instance(k)
-            for dec in centreless_plans(q).values():
+            for split, dec in centreless_plans(q, whole=True).items():
                 centres = [sg.star_centers(sub) for sub in dec.subqueries]
-                assert sorted(map(len, centres)) == [0, 1], k
+                want = [0] if split == "whole-path" else [0, 1]
+                assert sorted(map(len, centres)) == want, (k, split)
             answered += bool(naive_answers(q, g))
         assert answered >= COMPLETION_INSTANCES // 2
+
+    def test_whole_path_answers_under_a_small_cap(self):
+        # the whole path's 52k fragments give 45 answers through a join
+        # that keeps under a hundred rows live, so cap 1000 holds
+        g, q, _, m = completion_instance(2)
+        data = partition_for("edge-random", g, m, 2)
+        dec = centreless_plans(q, whole=True)["whole-path"]
+        res = sg.run_qejpe(data, q, dec, cartesian_cap=1000)
+        assert set(res.answers.rows) == naive_answers(q, g)
+        assert len(res.answers.rows) == 45
 
 
 # ------------------------------------------------------------ phase-1 contract

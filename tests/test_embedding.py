@@ -539,7 +539,7 @@ class TestLayout:
             (sg.variable("J"), 2),
         )
 
-    def test_nodes_put_the_border_first_and_split_cuts_there(
+    def test_nodes_put_the_border_first(
         self, supervisor_decomposition, coauthor_cover_decomposition
     ):
         for dec in (supervisor_decomposition, coauthor_cover_decomposition):
@@ -549,7 +549,6 @@ class TestLayout:
             rest = dec.query.nodes - set(layout.border_nodes)
             assert layout.nodes[k:] == tuple(sorted(rest))
             assert set(layout.nodes) == dec.query.nodes
-            assert layout.split(layout.nodes) == (layout.border_nodes, layout.nodes[k:])
             for node, pos in layout.node_index.items():
                 assert layout.nodes[pos] == node
 

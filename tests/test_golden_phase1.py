@@ -102,10 +102,11 @@ def _rendered(layout, split, i, j):
     records.sort()
     query_index = {t: q for q, t in enumerate(layout.query.canonical)}
     positions = [query_index[t] for t in layout.subqueries[i].canonical]
+    k = len(layout.border_nodes)
     lines = []
     for key, (ids, mask) in records:
         assert key == i
-        bnv, nbnv = layout.split(ids)
+        bnv, nbnv = ids[:k], ids[k:]
         hit = {positions[k] for k in range(len(positions)) if mask >> k & 1}
         flags = "".join("1" if q in hit else "0" for q in range(len(query_index)))
         lines.append(f"{_cells(split, bnv)} | {_cells(split, nbnv)} | {flags}")

@@ -3,12 +3,11 @@
 Each engine's stats (minus wallMillis) and subquery embedding counts on the
 fixture graph. Every phase-1 job outputs one record per total embedding it
 finds, so phase 1's recordsOut is the sum of the subquery embedding counts,
-and the stages after it are the shared ones: border completion, exactly
-when a border node is missing from some subquery, then the final join.
-They are built from the same totals by the same code, so their rows agree
-across the three engines, except that the recordsIn of the stage after
-phase 1 also counts the totals that redundancy finds twice because of
-replicated triples.
+and the stage after it is the shared final join, which keys each total by
+its common-border IDs and joins the subqueries inside each group. Its rows
+agree across the three engines, built as they are from the same totals by
+the same code, except that its recordsIn also counts the totals that
+redundancy finds twice because of replicated triples.
 
 What must not move under any change to how stages are driven: phase 1's
 recordsIn and distinctKeys (the engines' own shuffles), the join's
@@ -46,72 +45,63 @@ GOLDEN = {
     ("supervisor", "min-res", "qejpe"): (
         [
             ("useful-partials", 12, 14, 4),
-            ("complete-borders", 14, 32, 4),
-            ("join-answers", 32, 2, 18),
+            ("join-answers", 14, 2, 1),
         ],
         {0: 5, 1: 5, 2: 2, 3: 2},
     ),
     ("supervisor", "min-res", "stars"): (
         [
             ("star-assembly", 12, 14, 7),
-            ("complete-borders", 14, 32, 4),
-            ("join-answers", 32, 2, 18),
+            ("join-answers", 14, 2, 1),
         ],
         {0: 5, 1: 5, 2: 2, 3: 2},
     ),
     ("supervisor", "min-res", "redundancy"): (
         [
             ("segment-totals", 12, 15, 0),
-            ("complete-borders", 15, 32, 4),
-            ("join-answers", 32, 2, 18),
+            ("join-answers", 15, 2, 1),
         ],
         {0: 5, 1: 5, 2: 2, 3: 3},
     ),
     ("coauthor", "max-degree", "qejpe"): (
         [
             ("useful-partials", 9, 10, 3),
-            ("complete-borders", 10, 7, 11),
-            ("join-answers", 7, 1, 5),
+            ("join-answers", 10, 1, 4),
         ],
         {0: 5, 1: 3, 2: 2},
     ),
     ("coauthor", "max-degree", "stars"): (
         [
             ("star-assembly", 9, 10, 4),
-            ("complete-borders", 10, 7, 11),
-            ("join-answers", 7, 1, 5),
+            ("join-answers", 10, 1, 4),
         ],
         {0: 5, 1: 3, 2: 2},
     ),
     ("coauthor", "max-degree", "redundancy"): (
         [
             ("segment-totals", 9, 11, 0),
-            ("complete-borders", 11, 7, 11),
-            ("join-answers", 7, 1, 5),
+            ("join-answers", 11, 1, 4),
         ],
         {0: 5, 1: 3, 2: 3},
     ),
     ("coauthor", "min-res", "qejpe"): (
         [
             ("useful-partials", 18, 12, 6),
-            ("complete-borders", 12, 25, 6),
-            ("join-answers", 25, 1, 13),
+            ("join-answers", 12, 1, 1),
         ],
         {0: 3, 1: 3, 2: 2, 3: 2, 4: 1, 5: 1},
     ),
     ("coauthor", "min-res", "stars"): (
         [
             ("star-assembly", 18, 12, 9),
-            ("complete-borders", 12, 25, 6),
-            ("join-answers", 25, 1, 13),
+            ("join-answers", 12, 1, 1),
         ],
         {0: 3, 1: 3, 2: 2, 3: 2, 4: 1, 5: 1},
     ),
     ("coauthor", "min-res", "redundancy"): (
         [
             ("segment-totals", 18, 13, 0),
-            ("complete-borders", 13, 25, 6),
-            ("join-answers", 25, 1, 13),
+            ("join-answers", 13, 1, 1),
         ],
         {0: 3, 1: 3, 2: 2, 3: 2, 4: 2, 5: 1},
     ),

@@ -69,9 +69,7 @@ class TestRunQejpe:
         assert res.algorithm == "qejpe"
         assert res.answers == sg.oracle_answers(supervisor_query, bibliography)
         assert res.subquery_embeddings == {0: 5, 1: 5, 2: 2}
-        assert [s["stage"] for s in res.stats] == [
-            "useful-partials", "complete-borders", "join-answers"
-        ]
+        assert [s["stage"] for s in res.stats] == ["useful-partials", "join-answers"]
         assert all(s["recordsIn"] > 0 for s in res.stats)
 
     def test_answer_rows(self, edge_split, supervisor_query, supervisor_decomposition):

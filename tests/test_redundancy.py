@@ -9,7 +9,7 @@ from stargraph.errors import (
     NotSoDecomposition,
 )
 from stargraph.redundancy import red_map1_records, run_redundancy
-from stargraph.evalcore import phase2_expand_fn, phase2_map_fn
+from stargraph.evalcore import join_job
 from stargraph.runtime import Emitter
 
 
@@ -17,10 +17,10 @@ def t(token):
     return sg.term_from_token(token)
 
 
-def completion_records(layout, records):
-    """The records evalcore's completion map makes of phase-1 totals."""
+def join_records(layout, records):
+    """The records evalcore's final join maps phase-1 totals to."""
     em = Emitter()
-    fn = phase2_map_fn(layout)
+    fn = join_job(layout).map_fn
     for sub_idx, ids in records:
         fn(sub_idx, ids, em)
     return em.records
@@ -31,14 +31,9 @@ def collect(layout, node_split):
     for i in range(len(layout.subqueries)):
         for seg in node_split.segments:
             records = red_map1_records(layout, i, seg, node_split.dictionary)
-            for key, val in completion_records(layout, records):
+            for key, val in join_records(layout, records):
                 grouped.setdefault(key, []).append(val)
     return grouped
-
-
-def decoded_key(split, key):
-    """A completion key (subquery, common-border IDs) with its IDs decoded."""
-    return key[0], split.dictionary.decode(key[1])
 
 
 def is_total(record, layout, sub_idx):
@@ -65,24 +60,17 @@ class TestMapRecords:
     def test_keys_carry_common_border_values(
         self, node_split, coauthor_cover_decomposition
     ):
-        # this layout has missing border pairs, so completion keys each total
-        # by its subquery and the images of the common border
+        # this layout has missing border pairs, so the final join keys each
+        # total by the images of the common border alone
         layout = sg.preprocess(coauthor_cover_decomposition)
         assert layout.common_border == (sg.variable("P1"),)
         records = red_map1_records(
             layout, 1, node_split.segments[0], node_split.dictionary
         )
-        e_keys = sorted(
-            {
-                decoded_key(node_split, key)
-                for key, v in completion_records(layout, records)
-                if v[0] == "e"
-            }
-        )
-        assert e_keys == [
-            (1, (t("<Person1>"),)),
-            (1, (t("<Person2>"),)),
-            (1, (t("<Person4>"),)),
+        joined = join_records(layout, records)
+        assert all(sub_idx == 1 for _, (sub_idx, _ids) in joined)
+        assert sorted({node_split.dictionary.decode(key) for key, _ in joined}) == [
+            (t("<Person1>"),), (t("<Person2>"),), (t("<Person4>"),),
         ]
 
     def test_replication_duplicates_a_total(
@@ -104,7 +92,7 @@ class TestMapRecords:
 
     def test_ground_borders_route_straight_to_the_join(self, bibliography, node_split):
         # a decomposition whose single subquery holds every border node has
-        # nothing to complete, so records skip the completion stage
+        # every border image bound in every total
         q = sg.parse_query("?A <hasAuthor> ?P .\n?A <title> ?T .\n")
         dec = sg.naive_decomposition(q)
         layout = sg.preprocess(dec)
@@ -115,29 +103,34 @@ class TestMapRecords:
         assert len(records) == 3
         for sub_idx, ids in records:
             assert sub_idx == 0
-            bnv, _ = layout.split(ids)
+            bnv = ids[: len(layout.border_nodes)]
             assert len(bnv) == len(layout.border_nodes)
             assert all(v is not None for v in node_split.dictionary.decode(bnv))
 
 
 class TestCompletion:
+    """Border values a subquery lacks are completed inside the final join's
+    group of their common-border images, from the other subqueries' totals."""
+
     def fill(self, node_split, layout, grouped, person):
-        key = (1, (node_split.dictionary.ids[t(person)],))
+        key = (node_split.dictionary.ids[t(person)],)
         em = Emitter()
-        phase2_expand_fn(layout, node_split.dictionary)(key, sorted(grouped[key]), em)
-        return sorted(
-            node_split.dictionary.decode(layout.split(ids)[0]) for _, ids in em.records
-        )
+        join_job(layout).reduce_fn(key, sorted(grouped[key]), em)
+        return sorted(node_split.dictionary.decode(row) for row, _ in em.records)
 
     def test_border_holes_fill_from_candidates(
-        self, node_split, coauthor_cover_decomposition
+        self, node_split, coauthor_query, coauthor_cover_decomposition
     ):
         # ?A is missing from subquery 1 and held by subqueries 0 and 2, and
         # both offer Article2 with ?P1 = Person2
         layout = sg.preprocess(coauthor_cover_decomposition)
         grouped = collect(layout, node_split)
+        assert coauthor_query.output_pattern == tuple(
+            map(sg.variable, ("A", "P1", "P2", "J", "T"))
+        )
         assert self.fill(node_split, layout, grouped, "<Person2>") == [
-            (t("<Article2>"), t("<Journal1>"), t("<Person2>")),
+            (t("<Article2>"), t("<Person2>"), t("<Person3>"), t("<Journal1>"),
+             t('"Title1"')),
         ]
 
     def test_a_value_one_owner_lacks_fills_nothing(
@@ -227,15 +220,13 @@ class TestRunRedundancy:
     def test_stage_names(self, node_split, coauthor_query):
         dec = sg.max_degree_decomposition(coauthor_query)
         res = run_redundancy(node_split, coauthor_query, dec)
-        assert [s["stage"] for s in res.stats] == [
-            "segment-totals", "complete-borders", "join-answers"
-        ]
+        assert [s["stage"] for s in res.stats] == ["segment-totals", "join-answers"]
 
-    def test_completion_stage_skipped_without_missing_borders(
+    def test_single_star_joins_in_one_stage_after_phase_1(
         self, bibliography, node_split, journal_article_query
     ):
-        # a single-star decomposition shares no nodes between subqueries, so
-        # every record is ground and the completion shuffle never runs
+        # a single-star decomposition has no border node, so every total
+        # meets in the join's one group of key ()
         dec = sg.naive_decomposition(journal_article_query)
         assert len(dec) == 1
         res = run_redundancy(node_split, journal_article_query, dec)

@@ -36,35 +36,28 @@ def stage_records(draw):
     The shapes are those the engines emit into one shuffle: qejpe's
     (subquery, (vector, mask)) fragments, stars' (subquery, centre image)
     witnesses of (query-triple index, image), phase 1's
-    (subquery, vector) totals, the completion step's "e"/"v" records keyed
-    by subquery and common-border images, and the final join's (border
-    vector, (subquery, non-border vector)). Vectors hold a ``Term | None``
-    per position; a stage's vectors share their lengths.
+    (subquery, vector) totals, and the final join's (common-border vector,
+    (subquery, the rest of the vector)). Vectors hold a ``Term | None`` per
+    position; a stage's vectors share their lengths.
     """
     pool = draw(st.lists(terms, min_size=1, max_size=6, unique=True))
     term = st.sampled_from(pool)
     sub = st.integers(0, 3)
-    n_nodes, n_border, n_common = (draw(st.integers(0, 3)) for _ in range(3))
+    n_nodes, n_common = (draw(st.integers(0, 3)) for _ in range(2))
 
     def vector(n, ground=False):
         image = term if ground else term | st.none()
         return st.tuples(*[image] * n)
 
-    kind = draw(st.sampled_from(["fragment", "witness", "total", "ev", "join"]))
+    kind = draw(st.sampled_from(["fragment", "witness", "total", "join"]))
     if kind == "fragment":
         record = st.tuples(sub, st.tuples(vector(n_nodes), st.integers(1, 7)))
     elif kind == "witness":
         record = st.tuples(st.tuples(sub, term), st.tuples(st.integers(0, 5), term))
     elif kind == "total":
         record = st.tuples(sub, vector(n_nodes))
-    elif kind == "ev":
-        key = st.tuples(sub, vector(n_common, True))
-        value = st.tuples(st.just("e"), vector(n_nodes)) | st.tuples(
-            st.just("v"), st.integers(0, 3), term, sub
-        )
-        record = st.tuples(key, value)
     else:
-        record = st.tuples(vector(n_border, True), st.tuples(sub, vector(n_nodes)))
+        record = st.tuples(vector(n_common, True), st.tuples(sub, vector(n_nodes)))
     return TermDictionary(pool), draw(st.lists(record, max_size=10))
 
 
