@@ -159,17 +159,6 @@ def _outgoing_entries(q: Query) -> list[tuple[Term, set[TriplePattern]]]:
     ]
 
 
-def _pick_largest(entries, size_of):
-    best = None
-    best_size = -1
-    for entry in entries:
-        size = size_of(entry)
-        if size > best_size:
-            best = entry
-            best_size = size
-    return best
-
-
 def _greedy_max_degree(
     q: Query, method: str, extras: Callable[[Term], set[TriplePattern]]
 ) -> QueryDecomposition:
@@ -181,7 +170,7 @@ def _greedy_max_degree(
     subs: list[Query] = []
     centers: list[Term] = []
     while entries:
-        n, star = _pick_largest(entries, lambda e: len(e[1]))
+        n, star = max(entries, key=lambda e: len(e[1]))
         subs.append(Query(star | extras(n)))
         centers.append(n)
         covered |= star
@@ -222,7 +211,7 @@ def max_degree_reshaping_decomposition(q: Query) -> QueryDecomposition:
         entries = [(m, s) for m, s in entries if s - covered]
         if not entries:
             break
-        n, star = _pick_largest(entries, lambda e: len(e[1] - covered))
+        n, star = max(entries, key=lambda e: len(e[1] - covered))
         uncovered = star - covered
         if any(t.s == n for t in uncovered):
             part = uncovered

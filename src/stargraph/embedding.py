@@ -23,18 +23,26 @@ on the positions they share. The final join runs it over the subqueries'
 totals in each group, and ``totals_from_fragments`` over the triples a
 centre-less subquery's fragments witnessed.
 
+A layout fixes each subquery's star once, with ``star_of``, in
+``QueryLayout.stars``: the position of its centre, each canonical triple's
+far end (the endpoint that is not the centre) and the projection of a
+combination of images to an ID tuple over the layout. The centre is the
+decomposition's recorded one when it is a star centre of the subquery, else
+the first so-centre, else the first star centre; no other code picks one.
+
 ``totals_from_fragments`` joins (ID vector, mask) fragments of one subquery
 back into its total embeddings, UNBOUND (-1) marking an unbound position.
 At one image of a star's centre, the star's totals are the product, over
-its far nodes (the endpoints that are not the centre), of the far images
-that every triple through the node witnessed; ``star_totals`` builds that
-product. Every combination is a total, because a witnessed far image comes
-from a data triple at that centre image. Every total is a combination,
-because by the closure rule each of its triples is matched by some useful
-partial that carries the same centre image. ``totals_from_fragments`` splits
-the fragments by centre image, drops an image whose fragments together miss
-a triple, and reads each triple's witnesses off the rest; the stars
-engine's reducer reads them off its part-1 witnesses. Only a subquery
+its far nodes, of the far images that every triple through the node
+witnessed; ``star_totals`` builds that product and projects each
+combination. Every combination is a total, because a witnessed far image
+comes from a data triple at that centre image. Every total is a
+combination, because by the closure rule each of its triples is matched by
+some useful partial that carries the same centre image.
+``totals_from_fragments`` splits the fragments by the image of the layout
+star's centre, drops an image whose fragments together miss a triple, and
+reads each triple's witnesses off the rest; the stars engine's reducer
+reads them off its part-1 witnesses, at the same centre. Only a subquery
 without a star centre (from a hand-built plan) is the ``plan_join`` of the
 (subject, object) pairs its fragments witnessed for each triple.
 
@@ -61,9 +69,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import CartesianCapExceeded
 from .model import (
@@ -74,6 +83,7 @@ from .model import (
     QueryDecomposition,
     Term,
     TriplePattern,
+    so_centers,
     star_centers,
 )
 
@@ -296,6 +306,46 @@ def enumerate_useful_partial(
 # ---------------------------------------------------------------- preprocess
 
 
+class Star(NamedTuple):
+    """A subquery's star over the positions of a node order: its centre's
+    position, each canonical triple's far end (the position of its endpoint
+    that is not the centre, the centre's own for a self-loop), and the one
+    projection of a row of the pools' product, followed by UNBOUND, to an ID
+    tuple over the whole order. The pools are the centre's, then each far
+    end's in order of first appearance."""
+
+    centre: int
+    far: tuple[int, ...]
+    project: Callable[[tuple], tuple]
+
+
+def star_of(
+    sub: Query, nodes: tuple[Term, ...], recorded: Term | None = None
+) -> Star | None:
+    """sub's star over ``nodes``, None when sub has no star centre.
+
+    This is the one place a subquery's centre is decided: the ``recorded``
+    centre when it is a star centre of sub, else the canonically first
+    so-centre, else the canonically first star centre. Every fragment and
+    every witness of the subquery binds its centre, whichever it is, because
+    each of sub's triples holds it.
+    """
+    centres = star_centers(sub)
+    if not centres:
+        return None
+    if recorded not in centres:
+        so = so_centers(sub)
+        recorded = so[0] if so else centres[0]
+    at = nodes.index
+    centre = at(recorded)
+    far = tuple([at(t.o if t.s == recorded else t.s) for t in sub.canonical])
+    pools = dict.fromkeys((centre, *far))
+    pick = [len(pools)] * len(nodes)  # a node outside the star reads UNBOUND
+    for k, p in enumerate(pools):
+        pick[p] = k
+    return Star(centre, far, tuple_getter(pick))
+
+
 @dataclass(frozen=True)
 class QueryLayout:
     """Fixed enumerations and masks shared by all evaluation phases.
@@ -321,6 +371,17 @@ class QueryLayout:
     @property
     def subqueries(self) -> tuple[Query, ...]:
         return self.dec.subqueries
+
+    @cached_property
+    def stars(self) -> tuple[Star | None, ...]:
+        """Each subquery's ``star_of`` over ``nodes`` at its recorded centre:
+        the one star both qejpe's fragment join and stars' reducer read.
+        Built on first read and kept, since the redundancy engine reads none
+        (about 4 microseconds a subquery on a 2-vCPU host, CPython 3.11)."""
+        return tuple(
+            star_of(sub, self.nodes, c)
+            for sub, c in zip(self.subqueries, self.dec.centers)
+        )
 
 
 def preprocess(dec: QueryDecomposition) -> QueryLayout:
@@ -455,6 +516,7 @@ def totals_from_fragments(
     sub: Query,
     fragments: list[tuple[tuple[int, ...], int]],
     nodes: tuple[Term, ...],
+    star: Star | None,
     *,
     cap: int | None = None,
 ) -> list[tuple[int, ...]]:
@@ -463,7 +525,8 @@ def totals_from_fragments(
     A fragment is (ids, mask): the ID of each of ``nodes``' images, UNBOUND
     where the fragment leaves a node unbound, and the bit mask of the
     subquery triples it matched. ``nodes`` lists every node of sub, and each
-    total comes back as an ID tuple over it.
+    total comes back as an ID tuple over it. ``star`` is sub's
+    ``star_of`` over ``nodes``, as a layout's ``stars`` holds it.
 
     When sub has a star centre, every fragment binds it (each matched triple
     contains the centre), and a total's fragments all bind its centre image.
@@ -488,14 +551,8 @@ def totals_from_fragments(
     partial and every triple of the total is witnessed. ``cap`` then bounds
     the live rows of that join.
     """
-    n = len(sub.canonical)
-    index = {node: p for p, node in enumerate(nodes)}
-    centres = star_centers(sub)
-    if centres:
-        # a variable centre splits the fragments; a constant one cannot
-        hub = next((c for c in centres if not c.is_constant), centres[0])
-        centre = index[hub]
-        far = [index[t.o if t.s == hub else t.s] for t in sub.canonical]
+    if star is not None:
+        centre, far, _ = star
         parts: dict[int, list] = {}
         for frag in fragments:
             img = frag[0][centre]
@@ -504,7 +561,7 @@ def totals_from_fragments(
                 parts[img] = [frag]
             else:
                 part.append(frag)
-        full = (1 << n) - 1
+        full = (1 << len(far)) - 1
         out: list[tuple[int, ...]] = []
         for img, part in parts.items():
             covered = 0
@@ -517,9 +574,10 @@ def totals_from_fragments(
                 for i, p in enumerate(far):
                     if mask >> i & 1:
                         witnessed[i].add(ids[p])
-            out += star_totals(img, witnessed, centre, far, len(nodes), cap)
+            out += star_totals(img, witnessed, star, cap)
         return out
 
+    index = {node: p for p, node in enumerate(nodes)}
     ends = [(index[t.s], index[t.o]) for t in sub.canonical]
     pairs: list[set] = [set() for _ in ends]
     for ids, mask in fragments:
@@ -531,23 +589,22 @@ def totals_from_fragments(
 
 
 def star_totals(
-    img: int, witnessed: list[set], centre: int, far: list[int], width: int,
-    cap: int | None,
+    img: int, witnessed: list[set], star: Star, cap: int | None
 ) -> list[tuple[int, ...]]:
     """The total embeddings of a star at one image of its centre.
 
     ``witnessed`` holds, for each of the star's canonical triples, the IDs
-    of the far-end images it matched at centre image ``img``; ``far`` holds
-    each triple's far end, the position of its endpoint that is not the
-    centre (``centre``, the centre's own position, for a self-loop). A
-    node's pool is the intersection of the sets of the triples that reach
-    it, the centre's starting as ``{img}``, and the totals are the product
-    of the pools, each as an ID tuple of ``width`` positions, UNBOUND
-    outside the star. Beyond ``cap`` totals it raises CartesianCapExceeded.
+    of the far-end images it matched at centre image ``img``. A node's pool
+    is the intersection of the sets of the triples that reach it, the
+    centre's starting as ``{img}``, and the totals are the product of the
+    pools, each projected by ``star.project`` to an ID tuple over the
+    layout, UNBOUND outside the star. Beyond ``cap`` totals it raises
+    CartesianCapExceeded.
 
     Both ``totals_from_fragments`` and the stars engine's reducer call it
     once per centre image whose witnesses cover every triple.
     """
+    centre, far, project = star
     pools: dict[int, set] = {centre: {img}}
     for p, seen in zip(far, witnessed):
         pool = pools.get(p)
@@ -559,11 +616,4 @@ def star_totals(
         raise CartesianCapExceeded(
             f"star join exceeded {cap} embeddings for one centre image"
         )
-    slots = tuple(pools)
-    ids = [UNBOUND] * width
-    out = []
-    for combo in product(*pools.values()):
-        for p, v in zip(slots, combo):
-            ids[p] = v
-        out.append(tuple(ids))
-    return out
+    return list(map(project, product(*pools.values(), (UNBOUND,))))

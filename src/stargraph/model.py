@@ -347,7 +347,7 @@ class DataGraph:
 class Query:
     """An immutable basic graph pattern."""
 
-    __slots__ = ("triples", "_canonical", "_nodes", "_variables")
+    __slots__ = ("triples", "_canonical", "_nodes", "_variables", "_output_pattern")
 
     def __init__(self, triples: Iterable[TriplePattern]):
         ts = frozenset(triples)
@@ -357,6 +357,7 @@ class Query:
         self._canonical: tuple[TriplePattern, ...] | None = None
         self._nodes: frozenset[Term] | None = None
         self._variables: frozenset[Term] | None = None
+        self._output_pattern: tuple[Term, ...] | None = None
 
     @property
     def canonical(self) -> tuple[TriplePattern, ...]:
@@ -387,12 +388,14 @@ class Query:
     @property
     def output_pattern(self) -> tuple[Term, ...]:
         """Variables in order of first appearance over canonical triples."""
-        seen: list[Term] = []
-        for t in self.canonical:
-            for n in (t.s, t.o):
-                if n.is_variable and n not in seen:
-                    seen.append(n)
-        return tuple(seen)
+        if self._output_pattern is None:
+            seen: list[Term] = []
+            for t in self.canonical:
+                for n in (t.s, t.o):
+                    if n.is_variable and n not in seen:
+                        seen.append(n)
+            self._output_pattern = tuple(seen)
+        return self._output_pattern
 
     def incident(self, node: Term) -> tuple[TriplePattern, ...]:
         return tuple(t for t in self.canonical if node in (t.s, t.o))

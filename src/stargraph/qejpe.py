@@ -6,17 +6,19 @@ Works for any query decomposition over any data partition. Two stages:
    embeddings and ships each as a (subquery, (ids, mask)) record: the ID of
    every layout node's image, UNBOUND where it is unbound, and the bit mask of
    the subquery triples it matched. The reducer hands one subquery's fragments
-   as they are to ``totals_from_fragments``. It splits them by the image of
-   the subquery's star centre and skips an image whose fragments together
-   miss a triple. For every other image, the totals are the product, over
-   the far nodes (the endpoints that are not the centre), of the images
-   that every triple through the node witnessed, the same product the stars
-   engine's reducer builds. That is sound because each witness is a data
-   triple at the centre image, and complete because, by the closure rule,
-   every triple of a total is matched by some useful partial that carries
-   the same centre image. (A centre-less subquery from a hand-built plan is
-   the join of the (subject, object) pairs its fragments witnessed for each
-   triple.) Each total is emitted as a (subquery, ids) record.
+   as they are to ``totals_from_fragments``, with the subquery's layout
+   star (``QueryLayout.stars``). It splits them by the image of that star's
+   centre, the one the stars engine assembles around too, and skips an
+   image whose fragments together miss a triple. For every other image,
+   the totals are the product, over the far nodes (the endpoints that are
+   not the centre), of the images that every triple through the node
+   witnessed, the same product the stars engine's reducer builds. That is
+   sound because each witness is a data triple at the centre image, and
+   complete because, by the closure rule, every triple of a total is
+   matched by some useful partial that carries the same centre image. (A
+   centre-less subquery from a hand-built plan is the join of the
+   (subject, object) pairs its fragments witnessed for each triple.) Each
+   total is emitted as a (subquery, ids) record.
 2. Final join (shared): group the totals by their common-border IDs, join
    the subqueries inside each group over the positions they share, and
    project the output pattern, each variable read from one place.
@@ -55,9 +57,11 @@ def qejpe_map1_records(layout, sub_idx: int, segment, border, dictionary):
 
 
 def qejpe_reduce1_fn(layout, *, cap: int = CARTESIAN_CAP):
+    stars = layout.stars
+
     def fn(key, values, em):
-        sub = layout.subqueries[key]
-        for ids in totals_from_fragments(sub, values, layout.nodes, cap=cap):
+        sub, star = layout.subqueries[key], stars[key]
+        for ids in totals_from_fragments(sub, values, layout.nodes, star, cap=cap):
             em.emit(key, ids)
 
     return fn

@@ -23,6 +23,11 @@ image of its central node. The mapper has two parts:
   past the star-assembly shuffle, so the next stage reads them next to the
   reducer's output.
 
+The central node of each subquery is its layout star's (``QueryLayout.stars``,
+decided once by ``embedding.star_of``), the same centre whose images qejpe
+splits its fragments by. ``run_stars`` rejects a decomposition with a
+subquery that has no star centre before any job runs.
+
 Images travel as their IDs in the data decomposition's dictionary; the
 mapper tests border membership and literals on the terms before encoding.
 Both parts output each total as a (subquery, ids) record, the ID vector
@@ -41,35 +46,13 @@ from .evalcore import (
     checked_data,
     run_phases,
 )
-from .model import (
-    Query,
-    QueryDecomposition,
-    Term,
-    so_centers,
-    star_centers,
-)
+from .model import Query, QueryDecomposition
 from .runtime import Job, run_job
 
-__all__ = ["resolve_centers", "stars_map1_records", "stars_reduce1_fn", "run_stars"]
+__all__ = ["stars_map1_records", "stars_reduce1_fn", "run_stars"]
 
 
-def resolve_centers(dec: QueryDecomposition) -> tuple[Term, ...]:
-    """A valid central node per subquery: the recorded one when valid, else
-    the canonically first so-center, else the canonically first star center."""
-    out = []
-    for sub, recorded in zip(dec.subqueries, dec.centers):
-        stars = star_centers(sub)
-        if not stars:
-            raise NotADecomposition("stars evaluation needs star-shaped subqueries")
-        if recorded is not None and recorded in stars:
-            out.append(recorded)
-            continue
-        so = so_centers(sub)
-        out.append(so[0] if so else stars[0])
-    return tuple(out)
-
-
-def stars_map1_records(layout, centers, sub_idx: int, segment, border, dictionary):
+def stars_map1_records(layout, sub_idx: int, segment, border, dictionary):
     """Part-1 and part-2 records for one (subquery, segment) pair, images as
     their IDs in ``dictionary``.
 
@@ -79,7 +62,8 @@ def stars_map1_records(layout, centers, sub_idx: int, segment, border, dictionar
     of the whole stars.
     """
     sub = layout.subqueries[sub_idx]
-    center = centers[sub_idx]
+    center_pos = layout.stars[sub_idx].centre
+    center = layout.nodes[center_pos]
     ids = dictionary.ids
     part1 = []
     for k, t in enumerate(sub.canonical):
@@ -104,7 +88,6 @@ def stars_map1_records(layout, centers, sub_idx: int, segment, border, dictionar
                 for i in insts if i.o in border or i.o.is_literal
             )
     part2 = []
-    center_pos = layout.node_index[center]
     code = ids.__getitem__
     for images in enumerate_total(sub, segment, layout.nodes):
         img = images[center_pos]
@@ -113,31 +96,26 @@ def stars_map1_records(layout, centers, sub_idx: int, segment, border, dictionar
     return part1, part2
 
 
-def stars_reduce1_fn(layout, centers, *, cap: int = CARTESIAN_CAP):
+def stars_reduce1_fn(layout, *, cap: int = CARTESIAN_CAP):
     """Star assembly over IDs: a key whose witnesses (k, other) cover every
     triple has as totals the product ``star_totals`` takes over the far-end
-    images each triple witnessed; any other key has none, and is skipped
-    before a set is built."""
-    index = layout.node_index
-    width = len(layout.nodes)
-    setups = []
-    for sub, center in zip(layout.subqueries, centers):
-        # a self-loop's far end is the centre itself
-        far = [index[t.o if t.s == center else t.s] for t in sub.canonical]
-        setups.append((index[center], far, (1 << len(far)) - 1))
+    images each triple witnessed, at the subquery's layout star; any other
+    key has none, and is skipped before a set is built."""
+    stars = layout.stars
+    fulls = [(1 << len(star.far)) - 1 for star in stars]
 
     def fn(key, values, em):
         sub_idx, img = key
-        centre, far, full = setups[sub_idx]
         covered = 0
         for k, _other in values:
             covered |= 1 << k
-        if covered != full:
+        if covered != fulls[sub_idx]:
             return
-        witnessed: list[set] = [set() for _ in far]
+        star = stars[sub_idx]
+        witnessed: list[set] = [set() for _ in star.far]
         for k, other in values:
             witnessed[k].add(other)
-        for ids in star_totals(img, witnessed, centre, far, width, cap):
+        for ids in star_totals(img, witnessed, star, cap):
             em.emit(sub_idx, ids)
 
     return fn
@@ -153,22 +131,21 @@ def run_stars(
 ) -> EvalResult:
     dec_data = checked_data(data, query, decomposition)
     layout = preprocess(decomposition)
-    centers = resolve_centers(decomposition)
+    if None in layout.stars:
+        raise NotADecomposition("stars evaluation needs star-shaped subqueries")
     dictionary = dec_data.dictionary
 
     def map1(key, _value, em):
         i, j = key
         part1, part2 = stars_map1_records(
-            layout, centers, i, dec_data.segments[j], dec_data.borders[j], dictionary
+            layout, i, dec_data.segments[j], dec_data.borders[j], dictionary
         )
         for rec_key, rec_val in part1:
             em.emit(rec_key, rec_val)
         for rec_key, rec_val in part2:
             em.emit_output(rec_key, rec_val)
 
-    phase1 = Job(
-        "star-assembly", map1, stars_reduce1_fn(layout, centers, cap=cartesian_cap)
-    )
+    phase1 = Job("star-assembly", map1, stars_reduce1_fn(layout, cap=cartesian_cap))
     records, stats, counts = run_phases(
         layout, dec_data, phase1, workers=workers, cap=cartesian_cap, run_job=run_job
     )

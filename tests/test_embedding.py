@@ -15,6 +15,7 @@ import stargraph as sg
 from stargraph.embedding import (
     candidates,
     enumerate_useful_partial,
+    star_of,
     totals_from_fragments,
 )
 from stargraph.model import UNBOUND, DataTriple
@@ -566,7 +567,8 @@ def fragments_of(sub, data, nodes):
 
 def joined_totals(sub, data, nodes, **kwargs):
     """totals_from_fragments over sub's fragments, decoded to terms."""
-    totals = totals_from_fragments(sub, fragments_of(sub, data, nodes), nodes, **kwargs)
+    frags = fragments_of(sub, data, nodes)
+    totals = totals_from_fragments(sub, frags, nodes, star_of(sub, nodes), **kwargs)
     return [data.dictionary.decode(ids) for ids in totals]
 
 
@@ -589,6 +591,8 @@ JOIN_SHAPES = {
         ("<Article1>",),
     ),
     "self-loop-at-centre": ("?A <cites> ?A .\n?A <hasAuthor> ?P .", ("?A",)),
+    # one node: the star's projection reads a single position
+    "self-loop-alone": ("?A <cites> ?A .", ("?A",)),
     "repeated-neighbour": (
         "?A <hasAuthor> ?P .\n?A <reviewedBy> ?P .\n?A <title> ?T .",
         ("?A",),
@@ -629,16 +633,15 @@ class TestTotalsFromFragments:
             (extended, sg.edge_random_partition(extended, 3, seed=5)),
         ]
         nodes = nodes_of(sub)
-        stars = sg.star_centers(sub)
+        star = star_of(sub, nodes)
         for graph, data in cases:
             got = joined_totals(sub, data, nodes)
             want = sg.enumerate_total(sub, graph, nodes)
             assert len(got) == len(set(got))
             assert set(got) == set(want)
-            if stars and want:
+            if star is not None and want:
                 # a star's cap bounds the totals of one image of its centre
-                hub = next((c for c in stars if not c.is_constant), stars[0])
-                at = nodes.index(hub)
+                at = star.centre
                 largest = max(Counter(total[at] for total in want).values())
                 assert len(joined_totals(sub, data, nodes, cap=largest)) == len(want)
                 with pytest.raises(sg.CartesianCapExceeded):
@@ -653,15 +656,16 @@ class TestTotalsFromFragments:
         )
         assert sg.star_centers(sub) == (sg.variable("C"),)
         nodes = (sg.variable("C"), sg.variable("X"), sg.iri("k"))
+        star = star_of(sub, nodes)
 
         def frag(centre, matched):
             return (centre, 7, 9), mask_of(matched)
 
         first, other_centre = frag(1, {0, 2}), frag(2, {1})
-        assert totals_from_fragments(sub, [first, other_centre], nodes) == []
+        assert totals_from_fragments(sub, [first, other_centre], nodes, star) == []
         same_centre = frag(1, {1})
         assert totals_from_fragments(
-            sub, [first, other_centre, same_centre], nodes
+            sub, [first, other_centre, same_centre], nodes, star
         ) == [first[0]]
 
     def test_cap_counts_totals_per_centre_image(self):
@@ -670,18 +674,19 @@ class TestTotalsFromFragments:
         sub = sg.Query([q3("?C", "<p>", "?X"), q3("?C", "<q>", "?Y")])
         assert sg.star_centers(sub) == (sg.variable("C"),)
         nodes = tuple(sg.variable(v) for v in "CXY")
+        star = star_of(sub, nodes)
 
         def frag(centre, x_image):
             return (centre, x_image, 100), 0b11
 
         frags = [frag(1, 5), frag(2, 5)]
-        assert len(totals_from_fragments(sub, frags, nodes, cap=1)) == 2
+        assert len(totals_from_fragments(sub, frags, nodes, star, cap=1)) == 2
         frags.append(frag(1, 6))
         with pytest.raises(
             sg.CartesianCapExceeded,
             match="star join exceeded 1 embeddings for one centre image",
         ):
-            totals_from_fragments(sub, frags, nodes, cap=1)
+            totals_from_fragments(sub, frags, nodes, star, cap=1)
 
     def test_centre_image_missing_a_triple_is_dropped_before_the_join(self):
         # centre 1's fragments all miss triple 1: there are more of them than
@@ -691,14 +696,18 @@ class TestTotalsFromFragments:
         sub = sg.Query([q3("?C", "<p>", "?X"), q3("?C", "<q>", "?Y")])
         assert sg.star_centers(sub) == (sg.variable("C"),)
         nodes = tuple(sg.variable(v) for v in "CXY")
+        star = star_of(sub, nodes)
         missing = [((1, x, UNBOUND), 0b01) for x in (5, 6, 7)]
         full = ((2, 5, 6), 0b11)
         halves = [((3, 5, UNBOUND), 0b01), ((3, UNBOUND, 6), 0b10)]
         frags = missing + [full] + halves
-        assert totals_from_fragments(sub, frags, nodes, cap=1) == [(2, 5, 6), (3, 5, 6)]
+        assert totals_from_fragments(sub, frags, nodes, star, cap=1) == [
+            (2, 5, 6), (3, 5, 6)
+        ]
         # once another fragment completes centre 1's cover, its join exceeds cap
+        frags = missing + [((1, 5, 8), 0b10)]
         with pytest.raises(sg.CartesianCapExceeded):
-            totals_from_fragments(sub, missing + [((1, 5, 8), 0b10)], nodes, cap=1)
+            totals_from_fragments(sub, frags, nodes, star, cap=1)
 
     def test_shared_far_node_drops_unmatched_images_before_the_join(self):
         # <p> and <q> both reach ?X; only X images 10 and 11 are matched by
@@ -708,29 +717,30 @@ class TestTotalsFromFragments:
             [q3("?C", "<p>", "?X"), q3("?C", "<q>", "?X"), q3("?C", "<r>", "?Y")]
         )
         nodes = tuple(sg.variable(v) for v in "CXY")
+        star = star_of(sub, nodes)
         p_only = [((1, x, UNBOUND), 0b001) for x in (10, *range(12, 22))]
         frags = p_only + [
             ((1, 10, UNBOUND), 0b010),
             ((1, 11, UNBOUND), 0b011),
             ((1, UNBOUND, 5), 0b100),
         ]
-        assert totals_from_fragments(sub, frags, nodes, cap=2) == [
+        assert totals_from_fragments(sub, frags, nodes, star, cap=2) == [
             (1, 10, 5), (1, 11, 5)
         ]
         # without <q>'s image 10 only the two-triple fragment joins
         del frags[len(p_only)]
-        assert totals_from_fragments(sub, frags, nodes, cap=1) == [(1, 11, 5)]
+        assert totals_from_fragments(sub, frags, nodes, star, cap=1) == [(1, 11, 5)]
 
     def test_unbound_positions_fill_and_foreign_nodes_stay_unbound(self):
         # each fragment leaves the other's leaf UNBOUND; ?F is not in sub
         sub = sg.Query([q3("?C", "<p>", "?X"), q3("?C", "<q>", "?Y")])
         nodes = tuple(sg.variable(v) for v in "YFCX")
+        star = star_of(sub, nodes)
         x_side = ((UNBOUND, UNBOUND, 1, 5), 0b01)
         y_side = ((6, UNBOUND, 1, UNBOUND), 0b10)
         clash = ((6, UNBOUND, 1, 8), 0b10)
-        assert totals_from_fragments(sub, [x_side, y_side, clash], nodes) == [
-            (6, UNBOUND, 1, 5)
-        ]
+        frags = [x_side, y_side, clash]
+        assert totals_from_fragments(sub, frags, nodes, star) == [(6, UNBOUND, 1, 5)]
 
 
 _ENDS = ("constant", "bound", "free")

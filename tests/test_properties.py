@@ -33,7 +33,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import stargraph as sg
-from stargraph.embedding import enumerate_useful_partial, totals_from_fragments
+from stargraph.embedding import (
+    enumerate_useful_partial,
+    star_of,
+    totals_from_fragments,
+)
 
 DECOMPOSERS = sorted(sg.DECOMPOSERS)
 
@@ -137,7 +141,7 @@ def totals_of(sub, data, nodes):
     ]
     return {
         data.dictionary.decode(ids)
-        for ids in totals_from_fragments(sub, frags, nodes)
+        for ids in totals_from_fragments(sub, frags, nodes, star_of(sub, nodes))
     }
 
 

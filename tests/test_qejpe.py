@@ -210,3 +210,34 @@ class TestHandBuiltPathPlans:
         assert want.rows
         res = run_qejpe(data, q, dec, workers=workers)
         assert res.answers.to_tsv() == want.to_tsv()
+
+
+class TestConstantCentre:
+    """qejpe and stars cap the totals of one image of the same centre, the
+    one the layout records. min-res makes ``<a> <p> ?x`` a singleton
+    centred on ``<a>``, so its N totals share one centre image, while the
+    final join, grouped by ``?x``, holds one row per group."""
+
+    N = 6
+
+    def instance(self):
+        g = sg.parse_data(
+            "".join(f"<a> <p> <b{i}> .\n<c> <q> <b{i}> .\n" for i in range(self.N))
+        )
+        q = sg.parse_query("<a> <p> ?x .\n<c> <q> ?x .\n")
+        dec = sg.min_res_decomposition(q)
+        assert dec.centers == (sg.iri("a"), sg.iri("c"))
+        return g, q, dec, sg.edge_random_partition(g, 3, seed=1)
+
+    @pytest.mark.parametrize("engine", [sg.run_qejpe, sg.run_stars])
+    def test_cap_counts_the_totals_of_the_constant_centre(self, engine):
+        g, q, dec, data = self.instance()
+        cap = self.N - 1
+        with pytest.raises(
+            sg.CartesianCapExceeded,
+            match=f"star join exceeded {cap} embeddings for one centre image",
+        ):
+            engine(data, q, dec, cartesian_cap=cap)
+        res = engine(data, q, dec, cartesian_cap=self.N)
+        assert res.answers.to_tsv() == sg.oracle_answers(q, g).to_tsv()
+        assert len(res.answers.rows) == self.N

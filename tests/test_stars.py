@@ -12,12 +12,7 @@ from stargraph.embedding import star_totals
 from stargraph.errors import NotADecomposition
 from stargraph.model import UNBOUND
 from stargraph.runtime import Emitter
-from stargraph.stars import (
-    resolve_centers,
-    run_stars,
-    stars_map1_records,
-    stars_reduce1_fn,
-)
+from stargraph.stars import run_stars, stars_map1_records, stars_reduce1_fn
 
 from conftest import q3
 
@@ -26,12 +21,17 @@ def t(token):
     return sg.term_from_token(token)
 
 
-def all_part1(layout, centers, edge_split):
+def centre_of(layout, sub_idx):
+    """The node at the centre of the subquery's layout star."""
+    return layout.nodes[layout.stars[sub_idx].centre]
+
+
+def all_part1(layout, edge_split):
     grouped = {}
     for i in range(len(layout.subqueries)):
         for j, seg in enumerate(edge_split.segments):
             part1, _ = stars_map1_records(
-                layout, centers, i, seg, edge_split.borders[j], edge_split.dictionary
+                layout, i, seg, edge_split.borders[j], edge_split.dictionary
             )
             for key, val in part1:
                 grouped.setdefault(key, []).append(val)
@@ -52,9 +52,8 @@ class TestMapRecords:
         self, edge_split, coauthor_cover_decomposition
     ):
         layout = sg.preprocess(coauthor_cover_decomposition)
-        centers = resolve_centers(coauthor_cover_decomposition)
         part1, part2 = stars_map1_records(
-            layout, centers, 1, edge_split.segments[0], edge_split.borders[0],
+            layout, 1, edge_split.segments[0], edge_split.borders[0],
             edge_split.dictionary,
         )
         assert [decoded(edge_split, r) for r in part1] == [
@@ -69,9 +68,8 @@ class TestMapRecords:
         # Article3's star lives entirely inside segment 0 and its image is
         # off-border there, so it travels on the whole-star side
         layout = sg.preprocess(coauthor_cover_decomposition)
-        centers = resolve_centers(coauthor_cover_decomposition)
         _, part2 = stars_map1_records(
-            layout, centers, 0, edge_split.segments[0], edge_split.borders[0],
+            layout, 0, edge_split.segments[0], edge_split.borders[0],
             edge_split.dictionary,
         )
         assert [decoded(edge_split, r) for r in part2] == [
@@ -82,9 +80,10 @@ class TestMapRecords:
         ]
 
 
-def brute_force_part1(layout, centers, sub_idx, segment, border, dictionary):
+def brute_force_part1(layout, sub_idx, segment, border, dictionary):
     """Part 1 by scanning every segment triple against every star triple."""
-    sub, center, ids = layout.subqueries[sub_idx], centers[sub_idx], dictionary.ids
+    sub, center = layout.subqueries[sub_idx], centre_of(layout, sub_idx)
+    ids = dictionary.ids
     out = []
     for k, t in enumerate(sub.canonical):
         for inst in segment.triples:
@@ -143,15 +142,14 @@ def test_part1_equals_a_scan_of_the_segment(case):
     q = sg.Query([q3(*t) for t in star])
     dec = sg.QueryDecomposition(q, (q,), (t(centre),), "handmade")
     layout = sg.preprocess(dec)
-    centers = resolve_centers(dec)
-    assert centers == (t(centre),)
+    assert centre_of(layout, 0) == t(centre)
     found = 0
     for j, seg in enumerate(split.segments):
         part1, _ = stars_map1_records(
-            layout, centers, 0, seg, split.borders[j], split.dictionary
+            layout, 0, seg, split.borders[j], split.dictionary
         )
         want = brute_force_part1(
-            layout, centers, 0, seg, split.borders[j], split.dictionary
+            layout, 0, seg, split.borders[j], split.dictionary
         )
         assert sorted(part1) == sorted(want)
         found += len(part1)
@@ -159,12 +157,12 @@ def test_part1_equals_a_scan_of_the_segment(case):
 
 
 class TestReduce:
-    def run_key(self, layout, centers, grouped, key, split):
+    def run_key(self, layout, grouped, key, split):
         """The reducer's records for a (subquery, central term) key, decoded."""
         sub_idx, img = key
         key = (sub_idx, split.dictionary.ids[img])
         em = Emitter()
-        fn = stars_reduce1_fn(layout, centers)
+        fn = stars_reduce1_fn(layout)
         fn(key, sorted(grouped.get(key, [])), em)
         return [decoded(split, r) for r in em.records]
 
@@ -172,8 +170,7 @@ class TestReduce:
         self, edge_split, coauthor_cover_decomposition
     ):
         layout = sg.preprocess(coauthor_cover_decomposition)
-        centers = resolve_centers(coauthor_cover_decomposition)
-        grouped = all_part1(layout, centers, edge_split)
+        grouped = all_part1(layout, edge_split)
         key = (1, t("<Article1>"))
         witnesses = {}
         for k, other in grouped[(1, edge_split.dictionary.ids[key[1]])]:
@@ -183,18 +180,15 @@ class TestReduce:
             1: {t("<Journal1>")},
             2: {t('"Title1"')},
         }
-        records = self.run_key(layout, centers, grouped, key, edge_split)
+        records = self.run_key(layout, grouped, key, edge_split)
         assert len(records) == 3
         j = layout.node_index[sg.variable("J")]
         assert {(k, images[j]) for k, images in records} == {(1, t("<Journal1>"))}
 
     def test_variable_center_assembly(self, edge_split, coauthor_cover_decomposition):
         layout = sg.preprocess(coauthor_cover_decomposition)
-        centers = resolve_centers(coauthor_cover_decomposition)
-        grouped = all_part1(layout, centers, edge_split)
-        records = self.run_key(
-            layout, centers, grouped, (0, t("<Article2>")), edge_split
-        )
+        grouped = all_part1(layout, edge_split)
+        records = self.run_key(layout, grouped, (0, t("<Article2>")), edge_split)
         assert len(records) == 2
         a, j = (layout.node_index[sg.variable(n)] for n in ("A", "J"))
         assert {(k, images[a], images[j]) for k, images in records} == {
@@ -205,24 +199,19 @@ class TestReduce:
         self, edge_split, coauthor_cover_decomposition
     ):
         layout = sg.preprocess(coauthor_cover_decomposition)
-        centers = resolve_centers(coauthor_cover_decomposition)
-        grouped = all_part1(layout, centers, edge_split)
+        grouped = all_part1(layout, edge_split)
         # Article1 never matches the year triple of the first star
-        assert self.run_key(
-            layout, centers, grouped, (0, t("<Article1>")), edge_split
-        ) == []
+        assert self.run_key(layout, grouped, (0, t("<Article1>")), edge_split) == []
         # Person4 collects hasAuthor witnesses but no supervision pair
-        assert self.run_key(
-            layout, centers, grouped, (2, t("<Person4>")), edge_split
-        ) == []
+        assert self.run_key(layout, grouped, (2, t("<Person4>")), edge_split) == []
 
 
-def reference_reduce1(layout, centers, key, values):
+def reference_reduce1(layout, key, values):
     """The totals of one part-1 key by witness intersection: per non-central
     node, the intersection of the far-end witnesses of its triples, then
     their cartesian product. A self-loop only has to be witnessed."""
     sub_idx, img = key
-    sub, center = layout.subqueries[sub_idx], centers[sub_idx]
+    sub, center = layout.subqueries[sub_idx], centre_of(layout, sub_idx)
     witnesses = {}
     for k, other in values:
         witnesses.setdefault(k, set()).add(other)
@@ -282,11 +271,11 @@ def star_layout(centre, triples):
     other = sg.Query([q3("?z", "<r>", "?w")])
     q = sg.Query(star.triples | other.triples)
     dec = sg.QueryDecomposition(q, (star, other), (t(centre), t("?z")), "handmade")
-    return sg.preprocess(dec), resolve_centers(dec)
+    return sg.preprocess(dec)
 
 
-def self_loops_witness_the_centre(layout, centers, img, values):
-    sub, center = layout.subqueries[0], centers[0]
+def self_loops_witness_the_centre(layout, img, values):
+    sub, center = layout.subqueries[0], centre_of(layout, 0)
     loops = {
         k for k, tr in enumerate(sub.canonical) if tr.s == center and tr.o == center
     }
@@ -315,8 +304,8 @@ class TestReduceAgainstReference:
               [(0, 1), (0, 2), (0, 3)]))
     def test_totals_equal_the_witness_intersection(self, case):
         centre, triples, img, values = case
-        layout, centers = star_layout(centre, triples)
-        values = self_loops_witness_the_centre(layout, centers, img, values)
+        layout = star_layout(centre, triples)
+        values = self_loops_witness_the_centre(layout, img, values)
         n = len(layout.subqueries[0].canonical)
         joined = []
 
@@ -326,8 +315,8 @@ class TestReduceAgainstReference:
 
         em = Emitter()
         with mock.patch("stargraph.stars.star_totals", spy):
-            stars_reduce1_fn(layout, centers)((0, img), values, em)
-        want = reference_reduce1(layout, centers, (0, img), values)
+            stars_reduce1_fn(layout)((0, img), values, em)
+        want = reference_reduce1(layout, (0, img), values)
         assert [key for key, _ in em.records] == [0] * len(em.records)
         assert {ids for _, ids in em.records} == want
         assert len(em.records) == len(want)
@@ -340,10 +329,10 @@ class TestReduceAgainstReference:
             ]
         # the witness-intersection reducer raised when its product, the
         # number of totals, exceeded the cap; so does star_totals
-        stars_reduce1_fn(layout, centers, cap=len(want))((0, img), values, Emitter())
+        stars_reduce1_fn(layout, cap=len(want))((0, img), values, Emitter())
         if want:
             with pytest.raises(sg.CartesianCapExceeded):
-                stars_reduce1_fn(layout, centers, cap=len(want) - 1)(
+                stars_reduce1_fn(layout, cap=len(want) - 1)(
                     (0, img), values, Emitter()
                 )
 
@@ -351,15 +340,15 @@ class TestReduceAgainstReference:
         # ?x's witnesses for <a> and <c> meet in one image: two totals, while
         # joining <a> and <b> before <c> filters them would hold 4 x 2 states
         triples = [("?c", "<a>", "?x"), ("?c", "<b>", "?y"), ("?c", "<c>", "?x")]
-        layout, centers = star_layout("?c", triples)
+        layout = star_layout("?c", triples)
         assert [tr.p for tr in layout.subqueries[0].canonical] == [
             t("<a>"), t("<b>"), t("<c>")
         ]
         values = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (2, 2)]
-        want = reference_reduce1(layout, centers, (0, 5), values)
+        want = reference_reduce1(layout, (0, 5), values)
         assert len(want) == 2
         em = Emitter()
-        stars_reduce1_fn(layout, centers, cap=2)((0, 5), values, em)
+        stars_reduce1_fn(layout, cap=2)((0, 5), values, em)
         assert {ids for _, ids in em.records} == want
 
 
@@ -437,9 +426,13 @@ class TestRunStars:
             run_stars(edge_split, supervisor_query, coauthor_cover_decomposition)
 
 
-class TestResolveCenters:
+class TestLayoutStars:
+    """``preprocess`` decides each subquery's centre once, in its layout's
+    stars, for both engines that read one."""
+
     def test_recorded_centers_win(self, coauthor_cover_decomposition):
-        assert resolve_centers(coauthor_cover_decomposition) == (
+        layout = sg.preprocess(coauthor_cover_decomposition)
+        assert tuple(centre_of(layout, i) for i in range(3)) == (
             sg.variable("A"),
             sg.iri("Article1"),
             sg.variable("P2"),
@@ -448,19 +441,25 @@ class TestResolveCenters:
     def test_invalid_recorded_center_falls_back(self):
         q = sg.Query([q3("?x", "<p>", "?y"), q3("?z", "<p>", "?y")])
         dec = sg.QueryDecomposition(q, (q,), (sg.variable("x"),), "handmade")
-        assert resolve_centers(dec) == (sg.variable("y"),)
+        assert centre_of(sg.preprocess(dec), 0) == sg.variable("y")
 
     def test_so_center_preferred_over_plain_star_center(self):
         # both endpoints center the single triple; the subject keeps the
         # star outgoing so it wins the fallback
         q = sg.Query([q3("?x", "<p>", "?y")])
         dec = sg.QueryDecomposition(q, (q,), (None,), "handmade")
-        assert resolve_centers(dec) == (sg.variable("x"),)
+        assert centre_of(sg.preprocess(dec), 0) == sg.variable("x")
 
-    def test_non_star_subquery_rejected(self):
+    def test_non_star_subquery_rejected(self, edge_split):
         path = sg.Query(
             [q3("?a", "<p>", "?b"), q3("?b", "<p>", "?c"), q3("?c", "<p>", "?d")]
         )
         dec = sg.QueryDecomposition(path, (path,), (None,), "handmade")
-        with pytest.raises(NotADecomposition):
-            resolve_centers(dec)
+        assert sg.preprocess(dec).stars == (None,)
+        # rejected before any job runs
+        with mock.patch("stargraph.stars.run_job", side_effect=AssertionError):
+            with pytest.raises(
+                NotADecomposition,
+                match="stars evaluation needs star-shaped subqueries",
+            ):
+                run_stars(edge_split, path, dec)
