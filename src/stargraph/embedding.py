@@ -110,11 +110,12 @@ def candidates(
     if s_val is not None and o_val is not None:
         inst = DataTriple(s_val, t.p, o_val)
         return (inst,) if inst in g else ()
+    triples, by_s, by_o = g.predicate_entry(t.p)
     if s_val is not None:
-        return g.by_subject_predicate(s_val, t.p)
+        return by_s.get(s_val, ())
     if o_val is not None:
-        return g.by_object_predicate(o_val, t.p)
-    return g.by_predicate(t.p)
+        return by_o.get(o_val, ())
+    return triples
 
 
 def _steps(

@@ -52,7 +52,6 @@ name (a tracer, say) sees every job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 
 from .errors import NotADecomposition
@@ -95,36 +94,27 @@ def checked_data(data, query, decomposition: QueryDecomposition) -> DataDecompos
 def join_job(layout: QueryLayout, cap: int = CARTESIAN_CAP) -> Job:
     """The final join, as the ``join-answers`` job.
 
-    Its map keys each total (sub, ids) by the IDs of the common border. When
-    the common border is a prefix of the node order, as it is whenever no
-    border node is missing, one slice cuts the key and the record carries
-    the rest of the vector; otherwise the record carries all of it. Its
-    reduce drops a group that lacks some subquery and joins the rest with
-    the one ``plan_join`` plan of this layout: the key as a one-row relation
-    over the common border, then each subquery's totals over the positions
-    of its variables outside the common border. ``cap`` bounds the live rows
-    of one group's join.
+    Its map keys each total (sub, ids) by the IDs of the common border and
+    ships the whole ID vector. Its reduce drops a group that lacks some
+    subquery and joins the rest with the one ``plan_join`` plan of this
+    layout: the key as a one-row relation over the common border, then each
+    subquery's totals over the positions of its variables outside the
+    common border. ``cap`` bounds the live rows of one group's join.
     """
     index = layout.node_index
     common = tuple([index[n] for n in layout.common_border])
-    if common == tuple(range(len(common))):
-        off = len(common)
-        cut = itemgetter(slice(off))
-    else:
-        off, cut = 0, tuple_getter(common)
+    cut = tuple_getter(common)
     nodes = layout.nodes
     schemas = [common]
     for sub in layout.subqueries:
         own = sub.variables.difference(layout.common_border)
-        schemas.append(
-            tuple([p if nodes[p] in own else None for p in range(off, len(nodes))])
-        )
+        schemas.append(tuple([p if n in own else None for p, n in enumerate(nodes)]))
     out = tuple([index[v] for v in layout.query.output_pattern])
     join = plan_join(tuple(schemas), out)
     num_subs = len(layout.subqueries)
 
     def join_map(sub_idx, ids, em):
-        em.emit(cut(ids), (sub_idx, ids[off:]))
+        em.emit(cut(ids), (sub_idx, ids))
 
     def join_reduce(key, values, em):
         by_sub: dict[int, list[tuple]] = {}

@@ -6,13 +6,21 @@ pickling and copying come back to that same object, and terms therefore compare
 and hash by identity. Triples, tuples and sets of terms hash without touching
 the lexical forms.
 
+As in the paper, a data graph and a basic graph pattern are both sets of
+triples. A ``DataTriple`` is a ``TriplePattern`` that also holds no variable,
+and ``DataGraph`` and ``Query`` share one base for what a set of triples
+does: the empty-input check, the canonical order, the node set, membership,
+length, iteration, equality and hashing. Each triple's constructor checks the
+positions of its terms; the parser relies on those checks alone.
+
 Everything downstream (partitioning, decomposition, evaluation) relies on the
 canonical orders defined here: terms sort by (lexical form, kind), triples by
-their per-position term keys, and a graph's ``TermDictionary`` numbers its
-nodes in term order. Iteration over graphs and queries always follows that
-order, which is what makes runs reproducible regardless of hash seeds or
-worker counts. A ``DataGraph``'s match index keeps it too: each lookup
-returns its triples in canonical order, as a read-only sequence.
+``TriplePattern.key``, their per-position term keys in one flat tuple, and a
+graph's ``TermDictionary`` numbers its nodes in term order. Iteration over
+graphs and queries always follows that order, which is what makes runs
+reproducible regardless of hash seeds or worker counts. A ``DataGraph``'s
+match index keeps it too: each lookup returns its triples in canonical
+order, as a read-only sequence.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .errors import (
     LiteralSubject,
     MalformedLine,
     NotADecomposition,
+    ParseError,
     VariableInData,
     VariablePredicate,
 )
@@ -142,37 +151,14 @@ def variable(name: str) -> Term:
 
 
 @dataclass(frozen=True, slots=True)
-class DataTriple:
-    """A ground triple: IRI subject, IRI predicate, IRI or literal object."""
-
-    s: Term
-    p: Term
-    o: Term
-
-    def __post_init__(self):
-        if self.s.is_literal:
-            raise LiteralSubject("literal in subject position")
-        if self.s.is_variable or self.o.is_variable:
-            raise VariableInData("variable in a data triple")
-        if self.p.is_variable:
-            raise VariablePredicate("variable in predicate position")
-        if self.p.is_literal:
-            raise MalformedLine("literal in predicate position")
-
-    @property
-    def key(self):
-        return (self.s.key, self.p.key, self.o.key)
-
-    def token(self) -> str:
-        return f"{self.s.token()} {self.p.token()} {self.o.token()} ."
-
-    def __repr__(self) -> str:
-        return f"DataTriple({self.token()})"
-
-
-@dataclass(frozen=True, slots=True)
 class TriplePattern:
-    """A query triple: subject/object may be variables, predicate may not."""
+    """A query triple: subject/object may be variables, predicate may not.
+
+    ``key`` is the canonical order's sort key: the (lexical form, kind) of
+    the subject, predicate and object, flattened to six fields. Each term
+    key has two fields, so it orders triples as the nested per-position term
+    keys do, and builds one tuple, not four.
+    """
 
     s: Term
     p: Term
@@ -187,8 +173,11 @@ class TriplePattern:
             raise MalformedLine("literal in predicate position")
 
     @property
-    def key(self):
-        return (self.s.key, self.p.key, self.o.key)
+    def key(self) -> tuple:
+        s, p, o = self.s, self.p, self.o
+        return (
+            s.lexical, s.kind._value_, p.lexical, p.kind._value_, o.lexical, o.kind._value_
+        )
 
     @property
     def nodes(self) -> tuple[Term, ...]:
@@ -200,27 +189,84 @@ class TriplePattern:
     def token(self) -> str:
         return f"{self.s.token()} {self.p.token()} {self.o.token()} ."
 
-    def ground(self, s: Term, o: Term) -> DataTriple:
-        return DataTriple(s, self.p, o)
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.token()})"
+
+
+@dataclass(frozen=True, slots=True, repr=False)
+class DataTriple(TriplePattern):
+    """A ground triple: IRI subject, IRI predicate, IRI or literal object.
+
+    It never equals the ``TriplePattern`` of the same terms."""
+
+    def __post_init__(self):
+        # the decorator replaces the class, so zero-argument super() fails here
+        TriplePattern.__post_init__(self)
+        if self.s.is_variable or self.o.is_variable:
+            raise VariableInData("variable in a data triple")
+
+
+class _TripleSet:
+    """An immutable, non-empty set of triples, iterated in canonical order.
+
+    A subclass names the error and message for empty input in ``_empty``
+    and the noun its repr counts in ``_noun``. Sets of different subclasses
+    are never equal.
+    """
+
+    __slots__ = ("triples", "_canonical", "_nodes")
+    _empty: tuple[type[ParseError], str]
+    _noun: str
+
+    def __init__(self, triples: Iterable[TriplePattern]):
+        ts = frozenset(triples)
+        if not ts:
+            error, message = self._empty
+            raise error(message)
+        self.triples = ts
+        self._canonical: tuple | None = None
+        self._nodes: frozenset[Term] | None = None
+
+    @property
+    def canonical(self) -> tuple:
+        if self._canonical is None:
+            self._canonical = tuple(sorted(self.triples, key=TriplePattern.key.fget))
+        return self._canonical
+
+    @property
+    def nodes(self) -> frozenset[Term]:
+        if self._nodes is None:
+            ns = set()
+            for t in self.triples:
+                ns.add(t.s)
+                ns.add(t.o)
+            self._nodes = frozenset(ns)
+        return self._nodes
+
+    def __contains__(self, t: TriplePattern) -> bool:
+        return t in self.triples
+
+    def __len__(self) -> int:
+        return len(self.triples)
+
+    def __iter__(self) -> Iterator:
+        return iter(self.canonical)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.triples == other.triples
+
+    def __hash__(self) -> int:
+        return hash(self.triples)
 
     def __repr__(self) -> str:
-        return f"TriplePattern({self.token()})"
-
-
-def _flat_key(t: DataTriple | TriplePattern) -> tuple:
-    """``t.key`` flattened to six fields. Each term key has two fields, so
-    both order triples alike, and the flat one builds one tuple, not four."""
-    s, p, o = t.s, t.p, t.o
-    return (
-        s.lexical, s.kind._value_, p.lexical, p.kind._value_, o.lexical, o.kind._value_
-    )
+        return f"{type(self).__name__}({len(self.triples)} {self._noun})"
 
 
 # the index entry of a predicate the graph does not have
 _NO_ENTRY: tuple = ((), {}, {})
 
 
-class DataGraph:
+class DataGraph(_TripleSet):
     """An immutable set of data triples with a lazy match index.
 
     ``canonical`` lists the triples in canonical order. A graph built from
@@ -232,20 +278,18 @@ class DataGraph:
     ``(triples, by_subject, by_object)``, the list of p's triples and, under
     it, one list per subject and one per object, so no (s, p) or (o, p) pair
     needs a key of its own. The first lookup builds all of it in one pass
-    over ``canonical``, so every list is in canonical order. The lookups hand
-    out those lists themselves: read-only sequences that callers must not
-    change.
+    over ``canonical``, so every list is in canonical order.
+    ``predicate_entry(p)`` is the one lookup: it hands out p's entry itself,
+    and ``by_predicate(p)`` its triples. Every part is a read-only sequence
+    or mapping that callers must not change.
     """
 
-    __slots__ = ("triples", "_canonical", "_nodes", "_index", "_dictionary")
+    __slots__ = ("_index", "_dictionary")
+    _empty = (EmptyGraph, "a data graph needs at least one triple")
+    _noun = "triples"
 
     def __init__(self, triples: Iterable[DataTriple]):
-        ts = frozenset(triples)
-        if not ts:
-            raise EmptyGraph("a data graph needs at least one triple")
-        self.triples = ts
-        self._canonical: tuple[DataTriple, ...] | None = None
-        self._nodes: frozenset[Term] | None = None
+        super().__init__(triples)
         self._index: dict[Term, tuple] | None = None
         self._dictionary: TermDictionary | None = None
 
@@ -258,22 +302,6 @@ class DataGraph:
         g = cls(canonical)
         g._canonical = tuple(canonical)
         return g
-
-    @property
-    def canonical(self) -> tuple[DataTriple, ...]:
-        if self._canonical is None:
-            self._canonical = tuple(sorted(self.triples, key=_flat_key))
-        return self._canonical
-
-    @property
-    def nodes(self) -> frozenset[Term]:
-        if self._nodes is None:
-            ns = set()
-            for t in self.triples:
-                ns.add(t.s)
-                ns.add(t.o)
-            self._nodes = frozenset(ns)
-        return self._nodes
 
     @property
     def dictionary(self) -> TermDictionary:
@@ -312,68 +340,20 @@ class DataGraph:
 
     def by_predicate(self, p: Term) -> Sequence[DataTriple]:
         """The triples with predicate p, canonical order, read-only."""
-        index = self._index or self._build_index()
-        return index.get(p, _NO_ENTRY)[0]
-
-    def by_subject_predicate(self, s: Term, p: Term) -> Sequence[DataTriple]:
-        """The triples (s, p, *), canonical order, read-only."""
-        index = self._index or self._build_index()
-        return index.get(p, _NO_ENTRY)[1].get(s, ())
-
-    def by_object_predicate(self, o: Term, p: Term) -> Sequence[DataTriple]:
-        """The triples (*, p, o), canonical order, read-only."""
-        index = self._index or self._build_index()
-        return index.get(p, _NO_ENTRY)[2].get(o, ())
-
-    def __contains__(self, t: DataTriple) -> bool:
-        return t in self.triples
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-    def __iter__(self) -> Iterator[DataTriple]:
-        return iter(self.canonical)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DataGraph) and self.triples == other.triples
-
-    def __hash__(self) -> int:
-        return hash(self.triples)
-
-    def __repr__(self) -> str:
-        return f"DataGraph({len(self.triples)} triples)"
+        return self.predicate_entry(p)[0]
 
 
-class Query:
+class Query(_TripleSet):
     """An immutable basic graph pattern."""
 
-    __slots__ = ("triples", "_canonical", "_nodes", "_variables", "_output_pattern")
+    __slots__ = ("_variables", "_output_pattern")
+    _empty = (EmptyQuery, "a query needs at least one triple pattern")
+    _noun = "patterns"
 
     def __init__(self, triples: Iterable[TriplePattern]):
-        ts = frozenset(triples)
-        if not ts:
-            raise EmptyQuery("a query needs at least one triple pattern")
-        self.triples = ts
-        self._canonical: tuple[TriplePattern, ...] | None = None
-        self._nodes: frozenset[Term] | None = None
+        super().__init__(triples)
         self._variables: frozenset[Term] | None = None
         self._output_pattern: tuple[Term, ...] | None = None
-
-    @property
-    def canonical(self) -> tuple[TriplePattern, ...]:
-        if self._canonical is None:
-            self._canonical = tuple(sorted(self.triples, key=_flat_key))
-        return self._canonical
-
-    @property
-    def nodes(self) -> frozenset[Term]:
-        if self._nodes is None:
-            ns = set()
-            for t in self.triples:
-                ns.add(t.s)
-                ns.add(t.o)
-            self._nodes = frozenset(ns)
-        return self._nodes
 
     @property
     def variables(self) -> frozenset[Term]:
@@ -399,24 +379,6 @@ class Query:
 
     def incident(self, node: Term) -> tuple[TriplePattern, ...]:
         return tuple(t for t in self.canonical if node in (t.s, t.o))
-
-    def __contains__(self, t: TriplePattern) -> bool:
-        return t in self.triples
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-    def __iter__(self) -> Iterator[TriplePattern]:
-        return iter(self.canonical)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Query) and self.triples == other.triples
-
-    def __hash__(self) -> int:
-        return hash(self.triples)
-
-    def __repr__(self) -> str:
-        return f"Query({len(self.triples)} patterns)"
 
 
 class QueryShape(enum.Enum):

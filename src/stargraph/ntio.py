@@ -26,24 +26,23 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import (
-    LiteralSubject,
     MalformedLine,
     NotADecomposition,
     NotAPartition,
     ParseError,
     UnwritableOutput,
-    VariableInData,
-    VariablePredicate,
 )
 from .model import (
     DataDecomposition,
     DataGraph,
     DataTriple,
     Query,
+    QueryDecomposition,
     Term,
     TriplePattern,
     iri,
     literal,
+    star_centers,
     variable,
 )
 
@@ -112,23 +111,18 @@ def _matched_term(tok: str, line: int) -> Term:
 
 
 def _parse_line(text: str, line: int, *, as_query: bool):
+    """The triple on ``line``. The triple's constructor checks its terms'
+    positions; its error comes back with the line number."""
     m = _LINE_RE.match(text)
     if not m:
         raise MalformedLine(f"does not match the triple grammar: {text.strip()!r}", line)
     s = _matched_term(m.group("s"), line)
     p = _matched_term(m.group("p"), line)
     o = _matched_term(m.group("o"), line)
-    if s.is_literal:
-        raise LiteralSubject("literal in subject position", line)
-    if p.is_variable:
-        raise VariablePredicate("variable in predicate position", line)
-    if p.is_literal:
-        raise MalformedLine("literal in predicate position", line)
-    if as_query:
-        return TriplePattern(s, p, o)
-    if s.is_variable or o.is_variable:
-        raise VariableInData("variable in a data triple", line)
-    return DataTriple(s, p, o)
+    try:
+        return TriplePattern(s, p, o) if as_query else DataTriple(s, p, o)
+    except ParseError as exc:
+        raise type(exc)(str(exc), line) from None
 
 
 def _iter_triple_lines(text: str):
@@ -403,10 +397,10 @@ def _query_from_tokens(tokens, what: str) -> Query:
 def read_plan(source: str | Path | dict, query: Query | None = None):
     """Load a plan written by write_plan.
 
-    When ``query`` is given, the plan must decompose exactly that query.
+    When ``query`` is given, the plan must decompose exactly that query. A
+    subquery's center, when given, must be a star centre of it: a node that
+    every one of its triples holds.
     """
-    from .model import QueryDecomposition
-
     doc = source if isinstance(source, dict) else _read_json(source)
     if not isinstance(doc, dict):
         raise ParseError("a plan must be a JSON object")
@@ -423,7 +417,12 @@ def read_plan(source: str | Path | dict, query: Query | None = None):
         c = entry.get("center")
         if c is not None and not isinstance(c, str):
             raise ParseError(f"plan subquery {i} center must be a term token")
-        centers.append(term_from_token(c) if c is not None else None)
+        center = term_from_token(c) if c is not None else None
+        if center is not None and center not in star_centers(subqueries[-1]):
+            raise NotADecomposition(
+                f"plan subquery {i}: center {center.token()} is not a star centre"
+            )
+        centers.append(center)
     return QueryDecomposition(
         query=plan_query,
         subqueries=tuple(subqueries),

@@ -313,6 +313,27 @@ class TestEvalInputErrors:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_plan_center_outside_its_subquery_is_semantic(self, workdir, capsys):
+        run(
+            "partition", workdir / "graph.nt", "-m", 3, "--seed", 7,
+            "--out", workdir / "segs",
+        )
+        triples = ["?a <p1> ?b .", "?b <p2> ?c ."]
+        (workdir / "chain.q").write_text("\n".join(triples) + "\n", encoding="utf-8")
+        plan = {
+            "query": triples,
+            "subqueries": [{"center": '"lit"', "triples": triples}],
+        }
+        (workdir / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
+        capsys.readouterr()
+        code = run(
+            "eval", "--data", workdir / "segs", "--query", workdir / "chain.q",
+            "--plan", workdir / "plan.json",
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == 'error: plan subquery 1: center "lit" is not a star centre\n'
+
 
 # (partition method or None, command arguments after the partition, message)
 LIMIT_SITES = {

@@ -105,14 +105,23 @@ class TestTriples:
         with pytest.raises(VariableInData):
             sg.DataTriple(sg.variable("s"), sg.iri("p"), sg.iri("o"))
 
+    def test_data_triple_never_equals_the_pattern_of_its_terms(self):
+        terms = (sg.iri("a"), sg.iri("p"), sg.literal("v"))
+        data, pattern = sg.DataTriple(*terms), sg.TriplePattern(*terms)
+        assert data != pattern and pattern != data
+        assert data == sg.DataTriple(*terms)
+        assert len({data, pattern}) == 2
+
+    def test_data_triple_survives_pickle(self):
+        t = sg.DataTriple(sg.iri("a"), sg.iri("p"), sg.literal("v"))
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and type(back) is sg.DataTriple
+        assert back.s is t.s and back.o is t.o
+        assert repr(back) == 'DataTriple(<a> <p> "v" .)'
+
     def test_self_loop_pattern_has_one_node(self):
         pat = q3("?x", "<p>", "?x")
         assert pat.nodes == (sg.variable("x"),)
-
-    def test_pattern_ground(self):
-        pat = q3("?x", "<p>", '"v"')
-        t = pat.ground(sg.iri("a"), sg.literal("v"))
-        assert t == sg.DataTriple(sg.iri("a"), sg.iri("p"), sg.literal("v"))
 
 
 class TestDataGraph:
@@ -120,12 +129,28 @@ class TestDataGraph:
         with pytest.raises(EmptyGraph):
             sg.DataGraph([])
 
+    def test_empty_graph_message(self):
+        with pytest.raises(EmptyGraph, match="^a data graph needs at least one triple$"):
+            sg.DataGraph(iter(()))
+
+    def test_repr_counts_triples(self, bibliography):
+        assert repr(bibliography) == "DataGraph(15 triples)"
+
+    def test_never_equals_a_query(self):
+        g = sg.DataGraph([sg.DataTriple(sg.iri("a"), sg.iri("p"), sg.iri("b"))])
+        q = sg.Query([q3("<a>", "<p>", "<b>")])
+        assert g != q and q != g
+        assert sg.DataGraph(g.triples) == g and sg.Query(q.triples) == q
+
     def test_canonical_order_is_subject_predicate_object(self, bibliography):
         keys = [(t.s.key, t.p.key, t.o.key) for t in bibliography.canonical]
         assert keys == sorted(keys)
 
     @given(st.data())
     def test_canonical_order_equals_nested_key_order(self, data):
+        def nested_key(t):
+            return (t.s.key, t.p.key, t.o.key)
+
         # lexical forms that are prefixes of each other and shared by all
         # three kinds, so the kind field and tuple length both get tested
         lexicals = st.sampled_from(["", "a", "ab", "b"])
@@ -136,7 +161,7 @@ class TestDataGraph:
             st.lists(st.builds(sg.DataTriple, iris, iris, objects), min_size=1)
         )
         g = sg.DataGraph(triples)
-        assert list(g.canonical) == sorted(g.triples, key=lambda t: t.key)
+        assert list(g.canonical) == sorted(g.triples, key=nested_key)
         patterns = data.draw(
             st.lists(
                 st.builds(sg.TriplePattern, nodes, iris, st.one_of(objects, nodes)),
@@ -144,7 +169,7 @@ class TestDataGraph:
             )
         )
         q = sg.Query(patterns)
-        assert list(q.canonical) == sorted(q.triples, key=lambda t: t.key)
+        assert list(q.canonical) == sorted(q.triples, key=nested_key)
 
     def test_nodes_exclude_nothing_and_literals_are_flagged(self, bibliography):
         assert sg.literal("2008") in bibliography.nodes
@@ -162,6 +187,22 @@ class TestQuery:
     def test_empty_query_rejected(self):
         with pytest.raises(EmptyQuery):
             sg.Query([])
+
+    def test_empty_query_message(self):
+        with pytest.raises(
+            EmptyQuery, match="^a query needs at least one triple pattern$"
+        ):
+            sg.Query(iter(()))
+
+    def test_repr_counts_patterns(self, supervisor_query):
+        assert repr(supervisor_query) == "Query(5 patterns)"
+
+    def test_equal_sets_are_equal_and_hash_alike(self, supervisor_query):
+        again = sg.Query(reversed(list(supervisor_query)))
+        assert again == supervisor_query
+        assert hash(again) == hash(supervisor_query)
+        assert list(again) == list(supervisor_query.canonical)
+        assert len(again) == 5 and supervisor_query.canonical[0] in again
 
     def test_output_pattern_orders_variables_by_first_appearance(
         self, supervisor_query

@@ -38,6 +38,37 @@ class TestParseErrors:
         with pytest.raises(MalformedLine):
             sg.parse_data('<a> "p" <b> .\n')
 
+    @pytest.mark.parametrize(
+        "parse, text, error, message",
+        [
+            (sg.parse_data, '"lit" <p> <b> .', LiteralSubject, "literal in subject"),
+            (sg.parse_query, "?s ?p <b> .", VariablePredicate, "variable in predicate"),
+            (sg.parse_data, '<a> "p" <b> .', MalformedLine, "literal in predicate"),
+            (sg.parse_data, "<a> <p> ?x .", VariableInData, "variable in a data"),
+        ],
+    )
+    def test_triple_constructor_errors_carry_the_line(self, parse, text, error, message):
+        with pytest.raises(error) as err:
+            parse(text + "\n")
+        assert err.value.line == 1
+        assert str(err.value).startswith(f"line 1: {message}")
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('"lit" ?p ?o .', LiteralSubject),
+            ('?s ?p "p" .', VariablePredicate),
+            ('?s "p" ?o .', MalformedLine),
+        ],
+    )
+    def test_several_faults_report_the_first_in_precedence(self, text, error):
+        # literal subject, then variable predicate, then literal predicate,
+        # then a variable in data
+        with pytest.raises(error) as err:
+            sg.parse_data("<a> <p> <b> .\n" + text + "\n")
+        assert type(err.value) is error
+        assert err.value.line == 2
+
     def test_variable_in_data(self):
         with pytest.raises(VariableInData):
             sg.parse_data("<a> <p> ?x .\n")

@@ -16,7 +16,7 @@ from stargraph.errors import (
     UnknownNode,
     UnknownTriple,
 )
-from stargraph.model import UNBOUND, TermDictionary, _flat_key
+from stargraph.model import UNBOUND, TermDictionary
 
 from conftest import EDGE_BLOCKS
 
@@ -250,14 +250,15 @@ def _assert_ordered_and_indexed(g):
     """g keeps canonical order, and each lookup is the matching filter of
     it, in order, for present and absent keys alike."""
     canonical = g.canonical
-    assert canonical == tuple(sorted(g.triples, key=_flat_key))
+    assert canonical == tuple(sorted(g.triples, key=lambda t: t.key))
     for p in _PREDICATES + [_ABSENT]:
         assert list(g.by_predicate(p)) == [t for t in canonical if t.p is p]
+        _, by_subject, by_object = g.predicate_entry(p)
         for n in _IRIS + _LITERALS + [_ABSENT]:
-            assert list(g.by_subject_predicate(n, p)) == [
+            assert list(by_subject.get(n, ())) == [
                 t for t in canonical if t.s is n and t.p is p
             ]
-            assert list(g.by_object_predicate(n, p)) == [
+            assert list(by_object.get(n, ())) == [
                 t for t in canonical if t.o is n and t.p is p
             ]
 
