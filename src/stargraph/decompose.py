@@ -54,14 +54,24 @@ __all__ = [
 ]
 
 
+def _outgoing_entries(q: Query) -> list[tuple[Term, set[TriplePattern]]]:
+    """(node, incident triples) for each node with an outgoing triple, in
+    term order."""
+    return [
+        (n, set(q.incident(n)))
+        for n in sorted(q.nodes)
+        if any(t.s == n for t in q.triples)
+    ]
+
+
 def naive_decomposition(q: Query) -> QueryDecomposition:
-    subs = []
-    centers = []
-    for n in sorted(q.nodes):
-        if any(t.s == n for t in q.triples):
-            subs.append(Query(q.incident(n)))
-            centers.append(n)
-    return QueryDecomposition(q, tuple(subs), tuple(centers), "naive")
+    entries = _outgoing_entries(q)
+    return QueryDecomposition(
+        q,
+        tuple(Query(star) for _, star in entries),
+        tuple(n for n, _ in entries),
+        "naive",
+    )
 
 
 def min_res_decomposition(q: Query) -> QueryDecomposition:
@@ -149,14 +159,6 @@ def min_subquery_decomposition(q: Query, *, guard: int = 16) -> QueryDecompositi
                     "min-subquery",
                 )
     raise AssertionError("naive stars always cover the query")
-
-
-def _outgoing_entries(q: Query) -> list[tuple[Term, set[TriplePattern]]]:
-    return [
-        (n, set(q.incident(n)))
-        for n in sorted(q.nodes)
-        if any(t.s == n for t in q.triples)
-    ]
 
 
 def _greedy_max_degree(

@@ -83,6 +83,7 @@ from .model import (
     QueryDecomposition,
     Term,
     TriplePattern,
+    border_of,
     so_centers,
     star_centers,
 )
@@ -388,14 +389,7 @@ class QueryLayout:
 def preprocess(dec: QueryDecomposition) -> QueryLayout:
     q = dec.query
     subs = dec.subqueries
-    owners: dict[Term, int] = {}
-    for sub in subs:
-        for n in sub.nodes:
-            owners[n] = owners.get(n, 0) + 1
-    # a border node is a non-literal node shared by two or more subqueries
-    border_all = {
-        n for n, count in owners.items() if count > 1 and not n.is_literal
-    }
+    border_all = border_of(sub.nodes for sub in subs)
     border_nodes = tuple(sorted(border_all))
     nodes = border_nodes + tuple(sorted(q.nodes - border_all))
     node_index = {n: i for i, n in enumerate(nodes)}

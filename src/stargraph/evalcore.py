@@ -52,11 +52,10 @@ name (a tracer, say) sees every job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import NotADecomposition
 from .model import DataDecomposition, QueryDecomposition, TermDictionary
-from .ntio import AnswerSet, read_segments
+from .ntio import AnswerSet
 from .embedding import QueryLayout, plan_join, tuple_getter
 from .runtime import Job
 
@@ -82,10 +81,7 @@ class EvalResult:
 
 
 def checked_data(data, query, decomposition: QueryDecomposition) -> DataDecomposition:
-    """``data`` as a data decomposition (read from its manifest when it is a
-    path), once ``decomposition`` is known to belong to ``query``."""
-    if not isinstance(data, DataDecomposition):
-        data = read_segments(Path(data))
+    """``data``, once ``decomposition`` is known to belong to ``query``."""
     if query is not None and decomposition.query != query:
         raise NotADecomposition("decomposition does not belong to this query")
     return data

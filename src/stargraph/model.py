@@ -57,6 +57,7 @@ __all__ = [
     "so_centers",
     "star_centers",
     "QueryDecomposition",
+    "border_of",
     "UNBOUND",
     "TermDictionary",
     "DataDecomposition",
@@ -457,17 +458,16 @@ class QueryDecomposition:
         return len(self.subqueries)
 
 
-def _compute_borders(node_sets: list[frozenset[Term]]) -> tuple[frozenset[Term], ...]:
-    owner_count: dict[Term, int] = {}
+def border_of(node_sets: Iterable[frozenset[Term]]) -> frozenset[Term]:
+    """The border nodes of a decomposition, given the node sets of its
+    parts (segments or subqueries): the non-literal nodes that two or more
+    parts hold."""
+    seen: set[Term] = set()
+    shared: set[Term] = set()
     for ns in node_sets:
-        for n in ns:
-            owner_count[n] = owner_count.get(n, 0) + 1
-    out = []
-    for ns in node_sets:
-        out.append(
-            frozenset(n for n in ns if owner_count[n] > 1 and not n.is_literal)
-        )
-    return tuple(out)
+        shared |= seen & ns
+        seen |= ns
+    return frozenset(n for n in shared if not n.is_literal)
 
 
 UNBOUND = -1
@@ -502,9 +502,14 @@ class TermDictionary:
 class DataDecomposition:
     """Segments of a data graph plus the border bookkeeping evaluation needs.
 
-    For s-decompositions (segments induced by a partition of the non-literal
-    nodes) ``node_blocks`` holds that node partition and ``replicated`` the
+    ``borders[i]`` holds segment i's border nodes, those of ``border_of``
+    over all segments. For s-decompositions (segments induced by a
+    partition of the non-literal nodes, as ``partition.s_decompose`` builds
+    them) ``node_blocks`` holds that node partition and ``replicated`` the
     per-segment replicated node sets; both are None for edge partitions.
+    Segment i's replicated nodes are its border minus its own block: a node
+    of another block reaches segment i only through a triple that its own
+    block's segment holds too, so it is a non-literal node of two segments.
     """
 
     graph: DataGraph
@@ -523,18 +528,14 @@ class DataDecomposition:
             union |= seg.triples
         if union != self.graph.triples:
             raise NotADecomposition("segments do not union to the graph")
-        borders = _compute_borders([s.nodes for s in self.segments])
+        shared = border_of(s.nodes for s in self.segments)
+        borders = tuple(s.nodes & shared for s in self.segments)
         object.__setattr__(self, "borders", borders)
         repl = None
         if self.node_blocks is not None:
             if len(self.node_blocks) != len(self.segments):
                 raise NotADecomposition("node blocks and segments differ in length")
-            repl = tuple(
-                frozenset(
-                    n for n in seg.nodes if not n.is_literal and n not in block
-                )
-                for seg, block in zip(self.segments, self.node_blocks)
-            )
+            repl = tuple(map(frozenset.difference, borders, self.node_blocks))
         object.__setattr__(self, "replicated", repl)
 
     @property

@@ -6,14 +6,20 @@ Data and query files use one triple per line, N-Triples style:
     ?A <title> ?T .
 
 IRIs are angle-bracketed, literals double-quoted (escapes: \\" and \\\\ only),
-variables start with '?'. Full-line comments start with '#'. Serialization is
-canonical: sorted, deduplicated, newline-terminated, so parse(serialize(x))
-is the identity on every graph and query.
+variables start with '?'. ``_TERM`` is the one grammar of a term token: a
+triple line's three terms, a token of an answers file, a node file or a
+node assignment, and a plan's centre all parse by it, and a token it does
+not match whole is a MalformedLine. ``_content_lines`` is the one line loop
+of data, query, node and assignment files: it skips blank lines and
+full-line comments, which start with '#'. Serialization is canonical:
+sorted, deduplicated, newline-terminated, so parse(serialize(x)) is the
+identity on every graph and query.
 
 A partition directory holds segment-NN.nt files, one .border file per segment
 (border node tokens, one per line), a .repl file per segment when the split
 was node-based (replicated node tokens; present but possibly empty), and a
-manifest.json with {method, seed, segments, created}.
+manifest.json with {method, seed, segments, created}. ``read_segments``
+checks both kinds of node file against the segments.
 """
 
 from __future__ import annotations
@@ -65,43 +71,33 @@ _TERM = r'<[^<>\s]*>|\?[A-Za-z_]\w*|"(?:[^"\\\n]|\\.)*"'
 _LINE_RE = re.compile(
     rf"\s*(?P<s>{_TERM})\s+(?P<p>{_TERM})\s+(?P<o>{_TERM})\s*\.\s*$"
 )
-_VAR_RE = re.compile(r"\?[A-Za-z_]\w*$")
+_TERM_RE = re.compile(_TERM)
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
 def _unescape_literal(body: str, line: int | None) -> str:
-    out = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            if i + 1 >= len(body) or body[i + 1] not in ('"', "\\"):
-                raise MalformedLine("bad escape in literal", line)
-            out.append(body[i + 1])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """A literal's lexical form. The grammar pairs every backslash in
+    ``body`` with the one character after it; only \\" and \\\\ are escapes."""
+
+    def unescape(m: re.Match) -> str:
+        if m[1] not in '"\\':
+            raise MalformedLine("bad escape in literal", line)
+        return m[1]
+
+    return _ESCAPE_RE.sub(unescape, body)
 
 
 def term_from_token(tok: str, line: int | None = None) -> Term:
-    """Parse a single term token."""
-    if tok.startswith("<") and tok.endswith(">") and "\n" not in tok:
-        body = tok[1:-1]
-        if "<" in body or ">" in body or any(c.isspace() for c in body):
-            raise MalformedLine(f"bad IRI token {tok!r}", line)
-        return iri(body)
-    if tok.startswith('"') and tok.endswith('"') and len(tok) >= 2:
-        return literal(_unescape_literal(tok[1:-1], line))
-    if _VAR_RE.match(tok):
-        return variable(tok[1:])
-    raise MalformedLine(f"bad term token {tok!r}", line)
+    """Parse a single term token, by the grammar of a triple line's terms."""
+    if not _TERM_RE.fullmatch(tok):
+        raise MalformedLine(f"bad term token {tok!r}", line)
+    return _matched_term(tok, line)
 
 
-def _matched_term(tok: str, line: int) -> Term:
-    """A token that _TERM matched. Its shape is checked already: an IRI body
-    holds no angle bracket and nothing ``str.isspace`` accepts, because
-    ``\\s`` matches exactly those code points."""
+def _matched_term(tok: str, line: int | None) -> Term:
+    """A token that _TERM matched whole. Its shape is checked already: an
+    IRI body holds no angle bracket and nothing ``str.isspace`` accepts,
+    because ``\\s`` matches exactly those code points."""
     first = tok[0]
     if first == "<":
         return iri(tok[1:-1])
@@ -125,7 +121,9 @@ def _parse_line(text: str, line: int, *, as_query: bool):
         raise type(exc)(str(exc), line) from None
 
 
-def _iter_triple_lines(text: str):
+def _content_lines(text: str):
+    """Each (line number, line) of ``text`` that is neither blank nor a
+    ``#`` comment."""
     for idx, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -135,14 +133,14 @@ def _iter_triple_lines(text: str):
 
 def parse_data(text: str) -> DataGraph:
     triples = [
-        _parse_line(raw, idx, as_query=False) for idx, raw in _iter_triple_lines(text)
+        _parse_line(raw, idx, as_query=False) for idx, raw in _content_lines(text)
     ]
     return DataGraph(triples)
 
 
 def parse_query(text: str) -> Query:
     patterns = [
-        _parse_line(raw, idx, as_query=True) for idx, raw in _iter_triple_lines(text)
+        _parse_line(raw, idx, as_query=True) for idx, raw in _content_lines(text)
     ]
     return Query(patterns)
 
@@ -231,13 +229,10 @@ def write_segments(dec: DataDecomposition, outdir: str | Path) -> None:
 
 
 def _read_node_file(path: Path) -> frozenset[Term]:
-    terms = set()
-    for idx, raw in enumerate(_read_text(path).splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        terms.add(term_from_token(stripped, idx))
-    return frozenset(terms)
+    return frozenset(
+        term_from_token(raw.strip(), idx)
+        for idx, raw in _content_lines(_read_text(path))
+    )
 
 
 def read_segments(indir: str | Path) -> DataDecomposition:
@@ -245,6 +240,9 @@ def read_segments(indir: str | Path) -> DataDecomposition:
 
     Border files are recomputed from the segments and cross-checked against
     the stored ones; a mismatch means the directory was edited by hand.
+    With .repl files, segment i's block is its non-literal nodes outside
+    its .repl file, and the blocks must induce the segments exactly as
+    ``partition.s_decompose`` builds them.
     """
     src = Path(indir)
     manifest_path = src / "manifest.json"
@@ -273,19 +271,24 @@ def read_segments(indir: str | Path) -> DataDecomposition:
     union = set()
     for seg in segments:
         union |= seg.triples
-    node_blocks = None
-    if repl_sets is not None:
-        node_blocks = tuple(
+    graph = DataGraph(union)
+    method = str(manifest.get("method", "unknown"))
+    seed = manifest.get("seed")
+    if repl_sets is None:
+        dec = DataDecomposition(graph, tuple(segments), method, seed)
+    else:
+        from .partition import s_decompose  # partition imports this module
+
+        blocks = [
             frozenset(n for n in seg.nodes if not n.is_literal) - repl
             for seg, repl in zip(segments, repl_sets)
-        )
-    dec = DataDecomposition(
-        graph=DataGraph(union),
-        segments=tuple(segments),
-        method=str(manifest.get("method", "unknown")),
-        seed=manifest.get("seed"),
-        node_blocks=node_blocks,
-    )
+        ]
+        try:
+            dec = s_decompose(graph, blocks, method=method, seed=seed)
+        except NotAPartition as exc:
+            raise NotAPartition(f"stored .repl files: {exc}") from None
+        if list(dec.segments) != segments:
+            raise NotAPartition("stored .repl files do not induce the segments")
     if list(dec.borders) != stored_borders:
         raise NotAPartition("stored .border files disagree with segment contents")
     return dec

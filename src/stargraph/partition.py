@@ -31,7 +31,7 @@ from .errors import (
     UnknownTriple,
 )
 from .model import DataGraph, DataDecomposition, DataTriple, Term
-from .ntio import _LINE_RE, _parse_line, _read_text, term_from_token
+from .ntio import _LINE_RE, _content_lines, _parse_line, _read_text, term_from_token
 from .rng import MASK64, XorShift64Star, _splitmix64, fnv1a64
 
 __all__ = [
@@ -202,10 +202,7 @@ def from_edge_assignment(
 
 
 def _assignment_lines(path: Path):
-    for idx, raw in enumerate(_read_text(path).splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for idx, raw in _content_lines(_read_text(path)):
         if "\t" not in raw:
             raise MalformedLine("expected <entry><TAB><block id>", idx)
         left, _, right = raw.rpartition("\t")

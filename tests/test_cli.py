@@ -334,6 +334,23 @@ class TestEvalInputErrors:
         assert code == 3
         assert err == 'error: plan subquery 1: center "lit" is not a star centre\n'
 
+    def test_repl_files_beside_an_edge_partition_are_semantic(self, workdir, capsys):
+        run(
+            "partition", workdir / "graph.nt", "-m", 3, "--seed", 7,
+            "--out", workdir / "segs",
+        )
+        for nt in (workdir / "segs").glob("segment-*.nt"):
+            nt.with_suffix(".repl").write_text("", encoding="utf-8")
+        capsys.readouterr()
+        code = run(
+            "eval", "--data", workdir / "segs", "--query", workdir / "supervisor.q"
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: stored .repl files: node ")
+        assert err.endswith(" appears in two blocks\n")
+        assert err.count("\n") == 1
+
 
 # (partition method or None, command arguments after the partition, message)
 LIMIT_SITES = {

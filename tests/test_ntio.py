@@ -87,8 +87,12 @@ class TestParseErrors:
 
 
 BAD_IRI_TOKENS = ["<a b>", "<a\tb>", "<a\u3000b>", "<a\x85b>", "<a<b>", "<a>b>"]
+# a literal whose body holds an unescaped quote
+BAD_LITERAL_TOKEN = '"a"b"'
+# tokens with a newline, which a line or a row never hands over whole
+BAD_WHOLE_TOKENS = ["?s\n", '"a\nb"']
 
-BAD_IRI_ENTRY_POINTS = {
+TOKEN_ENTRY_POINTS = {
     "term_from_token": sg.term_from_token,
     "parse_data": lambda tok: sg.parse_data(f"{tok} <p> <o> .\n"),
     "parse_query": lambda tok: sg.parse_query(f"?s <p> {tok} .\n"),
@@ -104,12 +108,22 @@ BAD_IRI_ENTRY_POINTS = {
     ),
 }
 
+BAD_TOKEN_CASES = [
+    (entry, token)
+    for token in [*BAD_IRI_TOKENS, BAD_LITERAL_TOKEN]
+    for entry in sorted(TOKEN_ENTRY_POINTS)
+] + [
+    (entry, token)
+    for token in BAD_WHOLE_TOKENS
+    for entry in ["plan_center", "term_from_token"]
+]
 
-@pytest.mark.parametrize("token", BAD_IRI_TOKENS)
-@pytest.mark.parametrize("entry", sorted(BAD_IRI_ENTRY_POINTS))
+
+@pytest.mark.parametrize("entry, token", BAD_TOKEN_CASES)
 def test_bad_iri_token_is_malformed_from_every_entry_point(entry, token):
-    with pytest.raises(MalformedLine):
-        BAD_IRI_ENTRY_POINTS[entry](token)
+    with pytest.raises(MalformedLine) as err:
+        TOKEN_ENTRY_POINTS[entry](token)
+    assert "\n" not in str(err.value)
 
 
 class TestRoundTrips:
@@ -188,6 +202,29 @@ class TestSegmentsOnDisk:
         sg.write_segments(edge_split, tmp_path)
         (tmp_path / "segment-00.border").write_text("<Article2>\n")
         with pytest.raises(NotAPartition):
+            sg.read_segments(tmp_path)
+
+    def test_empty_repl_files_beside_an_edge_partition_are_rejected(
+        self, edge_split, tmp_path
+    ):
+        sg.write_segments(edge_split, tmp_path)
+        for nt in tmp_path.glob("segment-*.nt"):
+            nt.with_suffix(".repl").write_text("")
+        with pytest.raises(NotAPartition) as err:
+            sg.read_segments(tmp_path)
+        assert "\n" not in str(err.value)
+
+    def test_node_moved_between_repl_files_is_rejected(self, node_split, tmp_path):
+        sg.write_segments(node_split, tmp_path)
+        # a node of block 0 that segment 1 replicates now claims block 1
+        node = min(node_split.replicated[1] & node_split.node_blocks[0])
+        for name, repl in [
+            ("segment-00.repl", node_split.replicated[0] | {node}),
+            ("segment-01.repl", node_split.replicated[1] - {node}),
+        ]:
+            text = "".join(n.token() + "\n" for n in sorted(repl))
+            (tmp_path / name).write_text(text)
+        with pytest.raises(NotAPartition, match="do not induce the segments"):
             sg.read_segments(tmp_path)
 
     def test_missing_manifest_is_a_parse_error(self, tmp_path):
