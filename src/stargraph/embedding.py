@@ -50,14 +50,23 @@ without a star centre (from a hand-built plan) is the ``plan_join`` of the
 searches over one step routine. Each query node has a slot in one list,
 which holds its image, None while it is unbound; a constant's slot holds the
 constant. Each triple becomes a step that knows its ends' slots and its
-predicate's index entry in the graph, both looked up once per call. A step
-binds each of its matches in place, calls the rest of the search, and
-unbinds when done, so no binding is ever copied. ``enumerate_useful_partial``
-walks the triples in canonical order, skipping or matching each.
-``enumerate_total`` matches them most-constrained first, in an order fixed
-before the search starts: which ends are bound depends only on which triples
-are matched, so the order a per-node pick would choose is the same in every
-branch.
+predicate's index entry in the graph. A step binds each of its matches in
+place, calls the rest of the search, and unbinds when done, so no binding is
+ever copied. ``enumerate_useful_partial`` walks the triples in canonical
+order, skipping or matching each. ``enumerate_total`` matches them
+most-constrained first, in an order fixed before the search starts: which
+ends are bound depends only on which triples are matched, so the order a
+per-node pick would choose is the same in every branch.
+
+Each search is planned once per (query, node order) and the plan is kept
+(``functools.lru_cache``, as ``plan_join`` keeps its plans), because the
+engines run one search per (subquery, segment) pair. The plan holds the
+slot template, the steps' slots and predicates, their order, the
+projection onto the node order and, for useful partials, each node's mask
+of incident triples. A run against one graph checks the constants, looks
+up each step's index entry and searches; for useful partials it also reads
+which constants the segment holds and which of those the closure rule
+binds, since that depends on the segment and its border.
 
 ``enumerate_total`` and ``enumerate_useful_partial`` return their results in
 the order of their depth-first search, and ``totals_from_fragments`` in the
@@ -119,14 +128,6 @@ def candidates(
     return triples
 
 
-def _steps(
-    triples: Iterable[TriplePattern], g: DataGraph, slot: dict[Term, int]
-) -> list[tuple]:
-    """Each triple as a search step: the slots of its subject and object
-    (one slot for a self-loop) and its predicate's index entry in g."""
-    return [(slot[t.s], slot[t.o], *g.predicate_entry(t.p)) for t in triples]
-
-
 def _step(step: tuple, b: list, cont: Callable, *args) -> None:
     """Bind each match of ``step`` in the slot vector b and call
     ``cont(*args)`` after each; b is as it was when this returns.
@@ -186,6 +187,29 @@ def _total_order(
     return order
 
 
+def _slots(nodes: tuple[Term, ...], triples: Iterable[TriplePattern]) -> tuple:
+    """Each of ``nodes``' slot, the slot vector's template (a constant's slot
+    holds the constant, a variable's None) and each triple as a planned step:
+    the slots of its subject and object (one slot for a self-loop) and its
+    predicate."""
+    slot = {node: k for k, node in enumerate(nodes)}
+    template = [None if node.is_variable else node for node in nodes]
+    return slot, template, tuple([(slot[t.s], slot[t.o], t.p) for t in triples])
+
+
+@lru_cache(maxsize=1024)
+def _total_plan(q: Query, nodes: tuple[Term, ...]) -> tuple:
+    """What ``enumerate_total`` fixes before it looks at a graph: q's
+    constants, the slot template (a trailing None slot for the nodes not in
+    q), the steps most-constrained first, and each of ``nodes``' slot."""
+    constants = q.constants
+    order = _total_order(q.canonical, set(constants))
+    slot, template, steps = _slots(tuple(q.nodes), order)
+    pick = tuple([slot.get(node, len(template)) for node in nodes])
+    template.append(None)
+    return constants, tuple(template), steps, pick
+
+
 def enumerate_total(
     q: Query, g: DataGraph, nodes: tuple[Term, ...]
 ) -> list[tuple[Term | None, ...]]:
@@ -199,20 +223,17 @@ def enumerate_total(
     matched above it, not on their images: picking the most-bound triple
     afresh at every node would pick the same triple in every branch.
     """
-    constants = q.constants
+    constants, template, plan_steps, pick = _total_plan(q, nodes)
     if not constants <= g.nodes:
         return []  # a total maps each constant to itself inside a match
-    slot: dict[Term, int] = {}
-    b: list[Term | None] = []
-    for node in q.nodes:
-        slot[node] = len(b)
-        b.append(node if node.is_constant else None)
-    steps = _steps(_total_order(q.canonical, set(constants)), g, slot)
-    if not all(step[2] for step in steps):
-        return []  # a predicate g lacks
-    # nodes not in q read the None slot past the end
-    pick = [slot.get(node, len(b)) for node in nodes]
-    b.append(None)
+    entry = g.predicate_entry
+    steps = []
+    for s_slot, o_slot, p in plan_steps:
+        found = entry(p)
+        if not found[0]:
+            return []  # a predicate g lacks
+        steps.append((s_slot, o_slot, *found))
+    b = list(template)
     image = b.__getitem__
     n = len(steps)
     results: list[tuple[Term | None, ...]] = []
@@ -225,6 +246,31 @@ def enumerate_total(
 
     dfs(0)
     return results
+
+
+@lru_cache(maxsize=1024)
+def _useful_plan(sub: Query, nodes: tuple[Term, ...]) -> tuple:
+    """What ``enumerate_useful_partial`` fixes before it looks at a segment:
+    the variables and then the constants, each sorted, which give the slot
+    template and a leaf's key (the variables' slots); the steps in canonical
+    order; each variable's and constant's mask of incident triples; and the
+    projection of a key followed by the constants' tail and None onto
+    ``nodes``."""
+    triples = sub.canonical
+    variables = tuple(sorted(sub.variables))
+    constants = tuple(sorted(sub.constants))
+    order = variables + constants
+    slot, template, steps = _slots(order, triples)
+    incident = [0] * len(order)
+    for i, t in enumerate(triples):
+        for node in t.nodes:
+            incident[slot[node]] |= 1 << i
+    pick = [slot.get(node, len(order)) for node in nodes]
+    n_vars = len(variables)
+    return (
+        constants, tuple(template), steps, n_vars,
+        tuple(incident[:n_vars]), tuple(incident[n_vars:]), tuple_getter(pick),
+    )
 
 
 def enumerate_useful_partial(
@@ -248,30 +294,25 @@ def enumerate_useful_partial(
     without changing them. Only non-triviality and the closure rule are left
     to check.
     """
-    triples = sub.canonical
-    n = len(triples)
-    variables = tuple(sorted(sub.variables))
-    n_vars = len(variables)
+    constants, template, plan_steps, n_vars, variable_masks, constant_masks, project = (
+        _useful_plan(sub, nodes)
+    )
+    # a predicate the segment lacks has no matches: its step is only skipped
+    entry = segment.predicate_entry
+    steps = [(s_slot, o_slot, *entry(p)) for s_slot, o_slot, p in plan_steps]
+    # a constant the segment lacks is left unbound: its image in the tail
+    # that follows a leaf's key is None, as is the last, read by the nodes
+    # not in sub
     seg_nodes = segment.nodes
-    present = tuple(c for c in sorted(sub.constants) if c in seg_nodes)
-    # the variables' slots come first, so a leaf's key is a prefix of b
-    slot = {v: k for k, v in enumerate(variables)}
-    b: list[Term | None] = [None] * n_vars
-    for c in sub.constants:
-        slot[c] = len(b)
-        b.append(c)
-    steps = _steps(triples, segment, slot)
-    incident: dict[Term, int] = {}
-    for i, t in enumerate(triples):
-        for node in t.nodes:
-            incident[node] = incident.get(node, 0) | (1 << i)
+    tail = tuple([c if c in seg_nodes else None for c in constants]) + (None,)
     # nodes mapped outside the border and the literals must have every
     # incident triple matched here, since no other segment can complete them
     always_required = 0
-    for c in present:
-        if not c.is_literal and c not in border:
-            always_required |= incident[c]
-    variable_masks = [incident[v] for v in variables]
+    for img, mask in zip(tail, constant_masks):
+        if img is not None and img not in border and not img.is_literal:
+            always_required |= mask
+    n = len(steps)
+    b = list(template)
     leaves: dict[tuple, int] = {}
 
     def dfs(i: int, chosen: int):
@@ -284,12 +325,6 @@ def enumerate_useful_partial(
         _step(steps[i], b, dfs, i + 1, with_i)
 
     dfs(0, 0)
-    # a leaf key followed by the present constants and None holds every
-    # image; at says where each of ``nodes`` finds its own
-    at = {v: k for k, v in enumerate(variables + present)}
-    pick = [at.get(node, len(at)) for node in nodes]
-    project = tuple_getter(pick)
-    tail = present + (None,)
     out = []
     for key, matched in leaves.items():
         if not matched:

@@ -125,6 +125,8 @@ class Term:
 
 
 _interned: dict[tuple[TermKind, str], Term] = {}
+# term order as a sort key built in C, faster than Term.__lt__ in sorted()
+_term_order = attrgetter("lexical", "kind")
 
 
 def _make(kind: TermKind, lexical: str) -> Term:
@@ -347,7 +349,7 @@ class DataGraph(_TripleSet):
 class Query(_TripleSet):
     """An immutable basic graph pattern."""
 
-    __slots__ = ("_variables", "_output_pattern")
+    __slots__ = ("_variables", "_output_pattern", "_star_centers")
     _empty = (EmptyQuery, "a query needs at least one triple pattern")
     _noun = "patterns"
 
@@ -355,6 +357,7 @@ class Query(_TripleSet):
         super().__init__(triples)
         self._variables: frozenset[Term] | None = None
         self._output_pattern: tuple[Term, ...] | None = None
+        self._star_centers: tuple[Term, ...] | None = None
 
     @property
     def variables(self) -> frozenset[Term]:
@@ -390,14 +393,17 @@ class QueryShape(enum.Enum):
 
 
 def star_centers(q: Query) -> tuple[Term, ...]:
-    """Nodes that appear in every triple of q, canonical order."""
-    centers = None
-    for t in q.triples:
-        here = set(t.nodes)
-        centers = here if centers is None else centers & here
-        if not centers:
-            return ()
-    return tuple(sorted(centers))
+    """Nodes that appear in every triple of q, canonical order; computed on
+    the first call and kept in q."""
+    if q._star_centers is None:
+        centers = None
+        for t in q.triples:
+            here = set(t.nodes)
+            centers = here if centers is None else centers & here
+            if not centers:
+                break
+        q._star_centers = tuple(sorted(centers, key=_term_order))
+    return q._star_centers
 
 
 def so_centers(q: Query) -> tuple[Term, ...]:
@@ -487,7 +493,7 @@ class TermDictionary:
 
     def __init__(self, nodes: Iterable[Term]):
         self.terms: tuple[Term, ...] = tuple(
-            sorted(nodes, key=attrgetter("lexical", "kind"))
+            sorted(nodes, key=_term_order)
         )
         self.ids: dict[Term | None, int] = {t: i for i, t in enumerate(self.terms)}
         self.ids[None] = UNBOUND

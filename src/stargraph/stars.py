@@ -88,6 +88,8 @@ def stars_map1_records(layout, sub_idx: int, segment, border, dictionary):
                 for i in insts if i.o in border or i.o.is_literal
             )
     part2 = []
+    if center.is_constant and (center in border or center.is_literal):
+        return part1, part2  # every total has this one image, which part 1 owns
     code = ids.__getitem__
     for images in enumerate_total(sub, segment, layout.nodes):
         img = images[center_pos]

@@ -514,6 +514,52 @@ class TestUsefulPartialsAgainstReference:
                     assert set(got) == set(want)
 
 
+class TestPlanMemo:
+    """Both searches plan once per (query, node order) and keep the plan;
+    only the run looks at the graph, so a kept plan must serve any node
+    order, graph and border it was not built with."""
+
+    def test_each_node_order_gets_its_own_projection(self):
+        # useful partials: TestUsefulPartials.test_images_follow_the_given_node_order
+        q, g, _border = _FIXED_ORDER_CASE
+        nodes = nodes_of(q)
+        totals = sg.enumerate_total(q, g, nodes)
+        assert totals
+        assert sg.enumerate_total(q, g, nodes[::-1]) == [t[::-1] for t in totals]
+
+    def test_one_plan_serves_every_segment_and_border(
+        self, edge_split, supervisor_decomposition
+    ):
+        nodes = sg.preprocess(supervisor_decomposition).nodes
+        for sub in supervisor_decomposition.subqueries:
+            for seg in edge_split.segments:
+                for border in (frozenset(), *edge_split.borders):
+                    want = reference_useful_partials(sub, seg, border, nodes)
+                    got = enumerate_useful_partial(sub, seg, border, nodes)
+                    assert set(got) == set(want)
+
+    def test_equal_queries_give_equal_results(self, bibliography, supervisor_query):
+        twin = sg.Query(supervisor_query.canonical)
+        assert twin == supervisor_query and twin is not supervisor_query
+        nodes = supervisor_query.output_pattern
+        assert sg.enumerate_total(twin, bibliography, nodes) == sg.enumerate_total(
+            supervisor_query, bibliography, nodes
+        )
+        border = frozenset(bibliography.nodes)
+        assert enumerate_useful_partial(
+            twin, bibliography, border, nodes
+        ) == enumerate_useful_partial(supervisor_query, bibliography, border, nodes)
+
+    def test_a_graph_without_a_predicate_gives_no_totals(self):
+        q, g, _border = _FIXED_ORDER_CASE
+        nodes = nodes_of(q)
+        assert sg.enumerate_total(q, g, nodes)  # the plan is kept from here on
+        lacks_q = sg.DataGraph(t for t in g if t.p != sg.iri("q"))
+        assert sg.enumerate_total(q, lacks_q, nodes) == []
+        lacks_a = sg.DataGraph([d3("<c>", "<p>", "<e>"), d3("<e>", "<q>", "<b>")])
+        assert sg.enumerate_total(q, lacks_a, nodes) == []
+
+
 class TestLayout:
     def test_fixture_layout(self, supervisor_decomposition):
         layout = sg.preprocess(supervisor_decomposition)

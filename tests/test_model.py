@@ -266,6 +266,13 @@ class TestShapes:
     def test_supervisor_query_is_no_star(self, supervisor_query):
         assert sg.star_centers(supervisor_query) == ()
 
+    def test_star_centers_in_term_order_and_kept(self):
+        q = sg.Query([q3("<a>", "<p>", '"a"')])
+        centers = sg.star_centers(q)
+        assert centers == (sg.iri("a"), sg.literal("a"))
+        assert centers == tuple(sorted(q.nodes))
+        assert sg.star_centers(q) is centers
+
 
 class TestQueryDecomposition:
     def test_union_must_equal_query(self, supervisor_query):

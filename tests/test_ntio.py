@@ -324,6 +324,20 @@ class TestAnswerSet:
         assert ans.to_tsv() == "\n"
         assert len(sg.AnswerSet.from_tsv(ans.to_tsv())) == 0
 
+    def test_header_token_must_be_a_variable(self):
+        with pytest.raises(MalformedLine, match=r"^line 1: header token <a> is not a variable$"):
+            sg.AnswerSet.from_tsv("<a>\n<b>\n")
+        with pytest.raises(MalformedLine, match=r"^line 1: "):
+            sg.AnswerSet.from_tsv('?x\t"a"\n<b>\t"c"\n')
+
+    def test_row_of_the_wrong_width_is_a_malformed_line(self):
+        with pytest.raises(MalformedLine, match=r"^line 3: row has 2 values for 1 variables$"):
+            sg.AnswerSet.from_tsv("?x\n<a>\n<b>\t<c>\n")
+        with pytest.raises(MalformedLine, match=r"^line 2: "):
+            sg.AnswerSet.from_tsv("?x\t?y\n<a>\n")
+        with pytest.raises(MalformedLine, match=r"^line 2: "):
+            sg.AnswerSet.from_tsv("\n<a>\n")
+
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
             sg.AnswerSet([sg.variable("x")], [(sg.iri("a"), sg.iri("b"))])
