@@ -37,6 +37,7 @@ from .errors import (
     LiteralSubject,
     MalformedLine,
     NotADecomposition,
+    NotAPartition,
     ParseError,
     VariableInData,
     VariablePredicate,
@@ -58,6 +59,7 @@ __all__ = [
     "star_centers",
     "QueryDecomposition",
     "border_of",
+    "block_index",
     "UNBOUND",
     "TermDictionary",
     "DataDecomposition",
@@ -476,6 +478,60 @@ def border_of(node_sets: Iterable[frozenset[Term]]) -> frozenset[Term]:
     return frozenset(n for n in shared if not n.is_literal)
 
 
+def block_index(graph: DataGraph, blocks) -> dict[Term, int]:
+    """Each non-literal node of ``graph`` mapped to the index of its block.
+
+    ``blocks``, a sequence of node sets, must partition exactly the graph's
+    non-literal nodes: every block non-empty, no literal, no node in two
+    blocks, no node the graph lacks and none left uncovered. Anything else
+    raises NotAPartition naming the first offending node.
+    """
+    if not blocks or any(not b for b in blocks):
+        raise NotAPartition("node blocks must be non-empty")
+    expected = {n for n in graph.nodes if not n.is_literal}
+    block_of: dict[Term, int] = {}
+    for i, b in enumerate(blocks):
+        for n in b:
+            if n.is_literal:
+                raise NotAPartition(f"literal {n.token()} cannot be in a node block")
+            if n in block_of:
+                raise NotAPartition(f"node {n.token()} appears in two blocks")
+            block_of[n] = i
+    if block_of.keys() != expected:
+        missing = sorted(expected - block_of.keys())
+        extra = sorted(block_of.keys() - expected)
+        if extra:
+            raise NotAPartition(f"block node {extra[0].token()} is not in the graph")
+        raise NotAPartition(f"node {missing[0].token()} is not covered by any block")
+    return block_of
+
+
+def _induces(
+    block_of: dict[Term, int], graph: DataGraph, segments: Sequence[DataGraph]
+) -> bool:
+    """Whether segment i holds exactly the graph's triples with an endpoint
+    in block i, ``block_of`` being ``block_index`` of the blocks.
+
+    Every segment triple must be a graph triple with an endpoint in its
+    segment's block. A graph triple belongs to the segment of each block its
+    ends lie in, one or two, so it counts 2 in one block (or with a literal
+    object) and 1 in each of two; the counts add up to twice the graph's
+    size exactly when no segment lacks a triple it should hold.
+    """
+    triples = graph.triples
+    shares = 0
+    for i, seg in enumerate(segments):
+        if not seg.triples <= triples:
+            return False
+        for t in seg.triples:
+            a = block_of[t.s]
+            b = block_of.get(t.o, a)  # no block holds a literal
+            if a != i and b != i:
+                return False
+            shares += 2 if a == b else 1
+    return shares == 2 * len(triples)
+
+
 UNBOUND = -1
 
 
@@ -509,10 +565,14 @@ class DataDecomposition:
     """Segments of a data graph plus the border bookkeeping evaluation needs.
 
     ``borders[i]`` holds segment i's border nodes, those of ``border_of``
-    over all segments. For s-decompositions (segments induced by a
-    partition of the non-literal nodes, as ``partition.s_decompose`` builds
-    them) ``node_blocks`` holds that node partition and ``replicated`` the
+    over all segments. For s-decompositions ``node_blocks`` holds a
+    partition of the graph's non-literal nodes and ``replicated`` the
     per-segment replicated node sets; both are None for edge partitions.
+    The constructor checks any blocks it is given: they must partition the
+    nodes (``block_index``) and segment i must hold exactly the triples with
+    an endpoint in block i, so that each node's whole star sits in its own
+    block's segment. Wrong blocks raise NotAPartition; without blocks the
+    segments must union to the graph.
     Segment i's replicated nodes are its border minus its own block: a node
     of another block reaches segment i only through a triple that its own
     block's segment holds too, so it is a non-literal node of two segments.
@@ -529,18 +589,23 @@ class DataDecomposition:
     def __post_init__(self):
         if not self.segments:
             raise NotADecomposition("a data decomposition needs segments")
-        union = set()
-        for seg in self.segments:
-            union |= seg.triples
-        if union != self.graph.triples:
-            raise NotADecomposition("segments do not union to the graph")
+        if self.node_blocks is None:
+            union = set()
+            for seg in self.segments:
+                union |= seg.triples
+            if union != self.graph.triples:
+                raise NotADecomposition("segments do not union to the graph")
+        else:
+            if len(self.node_blocks) != len(self.segments):
+                raise NotADecomposition("node blocks and segments differ in length")
+            block_of = block_index(self.graph, self.node_blocks)
+            if not _induces(block_of, self.graph, self.segments):
+                raise NotAPartition("node blocks do not induce the segments")
         shared = border_of(s.nodes for s in self.segments)
         borders = tuple(s.nodes & shared for s in self.segments)
         object.__setattr__(self, "borders", borders)
         repl = None
         if self.node_blocks is not None:
-            if len(self.node_blocks) != len(self.segments):
-                raise NotADecomposition("node blocks and segments differ in length")
             repl = tuple(map(frozenset.difference, borders, self.node_blocks))
         object.__setattr__(self, "replicated", repl)
 

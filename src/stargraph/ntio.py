@@ -19,7 +19,10 @@ A partition directory holds segment-NN.nt files, one .border file per segment
 (border node tokens, one per line), a .repl file per segment when the split
 was node-based (replicated node tokens; present but possibly empty), and a
 manifest.json with {method, seed, segments, created}. ``read_segments``
-checks both kinds of node file against the segments.
+accepts exactly the manifest's segment files and checks both kinds of node
+file against the segments: the .border files against the recomputed
+borders, the .repl files against ``replicated`` after the
+``DataDecomposition`` constructor has checked the blocks they imply.
 """
 
 from __future__ import annotations
@@ -238,11 +241,14 @@ def _read_node_file(path: Path) -> frozenset[Term]:
 def read_segments(indir: str | Path) -> DataDecomposition:
     """Load a partition directory back into a DataDecomposition.
 
-    Border files are recomputed from the segments and cross-checked against
-    the stored ones; a mismatch means the directory was edited by hand.
-    With .repl files, segment i's block is its non-literal nodes outside
-    its .repl file, and the blocks must induce the segments exactly as
-    ``partition.s_decompose`` builds them.
+    The directory's ``segment-*.nt`` files must be exactly the manifest's
+    segments. Border files are recomputed from the segments and
+    cross-checked against the stored ones; a mismatch means the directory
+    was edited by hand. With .repl files, segment i's block is its
+    non-literal nodes outside its .repl file; the ``DataDecomposition``
+    constructor checks that the blocks partition the nodes and induce the
+    segments, and each .repl file must then equal its segment's
+    ``replicated`` nodes.
     """
     src = Path(indir)
     manifest_path = src / "manifest.json"
@@ -254,13 +260,16 @@ def read_segments(indir: str | Path) -> DataDecomposition:
     m = manifest["segments"]
     if m < 1:
         raise ParseError(f"{manifest_path}: 'segments' must be a positive integer")
+    stems = [_segment_stem(i, m) for i in range(m)]
+    extra = sorted({p.stem for p in src.glob("segment-*.nt")} - set(stems))
+    if extra:
+        raise ParseError(f"extra segment file {extra[0]}.nt (manifest: {m} segments)")
     segments = []
     stored_borders = []
     repl_sets: list[frozenset[Term]] | None = [] if any(
         src.glob("segment-*.repl")
     ) else None
-    for i in range(m):
-        stem = _segment_stem(i, m)
+    for stem in stems:
         nt = src / f"{stem}.nt"
         if not nt.is_file():
             raise ParseError(f"missing segment file {nt.name}")
@@ -271,24 +280,21 @@ def read_segments(indir: str | Path) -> DataDecomposition:
     union = set()
     for seg in segments:
         union |= seg.triples
-    graph = DataGraph(union)
-    method = str(manifest.get("method", "unknown"))
-    seed = manifest.get("seed")
-    if repl_sets is None:
-        dec = DataDecomposition(graph, tuple(segments), method, seed)
-    else:
-        from .partition import s_decompose  # partition imports this module
-
-        blocks = [
+    blocks = None
+    if repl_sets is not None:
+        blocks = tuple(
             frozenset(n for n in seg.nodes if not n.is_literal) - repl
             for seg, repl in zip(segments, repl_sets)
-        ]
-        try:
-            dec = s_decompose(graph, blocks, method=method, seed=seed)
-        except NotAPartition as exc:
-            raise NotAPartition(f"stored .repl files: {exc}") from None
-        if list(dec.segments) != segments:
-            raise NotAPartition("stored .repl files do not induce the segments")
+        )
+    method = str(manifest.get("method", "unknown"))
+    try:
+        dec = DataDecomposition(
+            DataGraph(union), tuple(segments), method, manifest.get("seed"), blocks
+        )
+    except NotAPartition as exc:
+        raise NotAPartition(f"stored .repl files: {exc}") from None
+    if repl_sets is not None and list(dec.replicated) != repl_sets:
+        raise NotAPartition("stored .repl files disagree with the replicated nodes")
     if list(dec.borders) != stored_borders:
         raise NotAPartition("stored .border files disagree with segment contents")
     return dec

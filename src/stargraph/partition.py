@@ -30,7 +30,7 @@ from .errors import (
     UnknownNode,
     UnknownTriple,
 )
-from .model import DataGraph, DataDecomposition, DataTriple, Term
+from .model import DataGraph, DataDecomposition, DataTriple, Term, block_index
 from .ntio import _LINE_RE, _content_lines, _parse_line, _read_text, term_from_token
 from .rng import MASK64, XorShift64Star, _splitmix64, fnv1a64
 
@@ -127,27 +127,14 @@ def s_decompose(
     """Build the s-decomposition induced by a partition of the node set.
 
     ``node_blocks`` must partition exactly the non-literal nodes of the
-    graph. Segment i gets every triple with an endpoint in block i, so
-    cross-block triples are replicated.
+    graph, as ``model.block_index`` checks. Segment i gets every triple with
+    an endpoint in block i, so cross-block triples are replicated; the
+    ``DataDecomposition`` constructor checks the result.
     """
     blocks = [frozenset(b) for b in node_blocks]
-    if not blocks or any(not b for b in blocks):
-        raise NotAPartition("node blocks must be non-empty")
-    expected = {n for n in g.nodes if not n.is_literal}
-    block_of: dict[Term, int] = {}
-    for i, b in enumerate(blocks):
-        for n in b:
-            if n.is_literal:
-                raise NotAPartition(f"literal {n.token()} cannot be in a node block")
-            if n in block_of:
-                raise NotAPartition(f"node {n.token()} appears in two blocks")
-            block_of[n] = i
-    if block_of.keys() != expected:
-        missing = sorted(expected - block_of.keys())
-        extra = sorted(block_of.keys() - expected)
-        if extra:
-            raise NotAPartition(f"block node {extra[0].token()} is not in the graph")
-        raise NotAPartition(f"node {missing[0].token()} is not covered by any block")
+    # checked before routing: a block of nodes the graph lacks would route
+    # no triple, and its empty segment would raise EmptyGraph instead
+    block_of = block_index(g, blocks)
     segments: list[list[DataTriple]] = [[] for _ in blocks]
     for t in g.canonical:
         i = block_of[t.s]

@@ -334,6 +334,31 @@ class TestEvalInputErrors:
         assert code == 3
         assert err == 'error: plan subquery 1: center "lit" is not a star centre\n'
 
+    def test_segment_file_beyond_the_manifest_is_a_parse_error(self, workdir, capsys):
+        (workdir / "three.nt").write_text(
+            "<a> <p> <b> .\n<c> <p> <d> .\n<e> <p> <f> .\n", encoding="utf-8"
+        )
+        (workdir / "edges.tsv").write_text(
+            "<a> <p> <b> .\t0\n<c> <p> <d> .\t1\n<e> <p> <f> .\t2\n",
+            encoding="utf-8",
+        )
+        (workdir / "edge.q").write_text("?x <p> ?y .\n", encoding="utf-8")
+        run(
+            "partition", workdir / "three.nt", "--method", "import",
+            "--assign", workdir / "edges.tsv", "--out", workdir / "segs",
+        )
+        manifest = workdir / "segs" / "manifest.json"
+        data = json.loads(manifest.read_text(encoding="utf-8"))
+        manifest.write_text(json.dumps(dict(data, segments=2)), encoding="utf-8")
+        capsys.readouterr()
+        code = run("eval", "--data", workdir / "segs", "--query", workdir / "edge.q")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: extra segment file segment-02.nt (manifest: 2 segments)\n"
+        )
+
     def test_repl_files_beside_an_edge_partition_are_semantic(self, workdir, capsys):
         run(
             "partition", workdir / "graph.nt", "-m", 3, "--seed", 7,

@@ -35,6 +35,7 @@ and, per subquery, exactly the totals the oracle's enumeration finds; and
 that the final join emits each answer row once.
 """
 
+import dataclasses
 import importlib
 
 import pytest
@@ -418,6 +419,74 @@ class TestCentrelessPlans:
         res = sg.run_qejpe(data, q, dec, cartesian_cap=1000)
         assert set(res.answers.rows) == naive_answers(q, g)
         assert len(res.answers.rows) == 45
+
+
+# ------------------------------------------------------- literal star centres
+
+# the adversarial instances grown from SEED_PATTERNS[1], whose ?l the
+# literal-heavy predicates bind mostly to literals
+LITERAL_CENTRE_INSTANCES = [
+    k for k in range(ADVERSARIAL_INSTANCES)
+    if SEED_OF_BLOCK[k // len(DECOMPOSER_NAMES)] == 1
+]
+
+
+def literal_centre_plan(q):
+    """The star plan of a cover holding ?l and the subject of each triple
+    that no earlier cover node holds. No decomposer centres a star on an
+    object-only node such as ?l."""
+    cover = {sg.variable("l")}
+    for t in q.canonical:
+        if t.s not in cover and t.o not in cover:
+            cover.add(t.s)
+    return sg.star_decomposition_from_cover(q, cover)
+
+
+class TestLiteralCentreStars:
+    """qejpe and stars on plans whose star centre ?l binds literals, which
+    stars' part 1 keys by the literal's ID however the graph is split."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("partition_kind", CENTRELESS_PARTITIONS)
+    @pytest.mark.parametrize("engine_name", ["qejpe", "stars"])
+    def test_lane(self, engine_name, partition_kind, workers):
+        for k in LITERAL_CENTRE_INSTANCES:
+            g, q, m, _ = adversarial_instance(k)
+            data = partition_for(partition_kind, g, m, k)
+            res = ENGINES[engine_name](data, q, literal_centre_plan(q), workers=workers)
+            assert set(res.answers.rows) == naive_answers(q, g), (
+                f"{engine_name}/{partition_kind}/workers={workers} diverged on "
+                f"adversarial instance {k}: {[t.token() for t in q.canonical]!r}"
+            )
+            assert res.stats[-1]["recordsOut"] == len(res.answers.rows), k
+
+    @pytest.mark.parametrize("partition_kind", CENTRELESS_PARTITIONS)
+    def test_star_assembly_reads_literal_keys(self, partition_kind, monkeypatch):
+        grouped = []
+
+        def recording(job, records, **kwargs):
+            if job.name == "star-assembly":
+                reduce_fn = job.reduce_fn
+
+                def spy(key, values, em):
+                    grouped.append((key, len(values)))
+                    reduce_fn(key, values, em)
+
+                job = dataclasses.replace(job, reduce_fn=spy)
+            return sg.runtime.run_job(job, records, **kwargs)
+
+        monkeypatch.setattr(sg.stars, "run_job", recording)
+        literal_records = 0
+        for k in LITERAL_CENTRE_INSTANCES:
+            g, q, m, _ = adversarial_instance(k)
+            data = partition_for(partition_kind, g, m, k)
+            grouped.clear()
+            sg.run_stars(data, q, literal_centre_plan(q))
+            terms = data.dictionary.terms
+            literal_records += sum(
+                n for (_sub, img), n in grouped if terms[img].is_literal
+            )
+        assert literal_records > 0
 
 
 # ------------------------------------------------------------ phase-1 contract

@@ -13,12 +13,17 @@ from stargraph.errors import (
     EmptyQuery,
     LiteralSubject,
     NotADecomposition,
+    NotAPartition,
     VariableInData,
     VariablePredicate,
 )
 from stargraph.model import QueryShape, Term, TermKind, classify_query
 
-from conftest import q3
+from conftest import NODE_BLOCKS, q3
+
+
+def triples(line):
+    return list(sg.parse_data(line + "\n"))
 
 
 def terms():
@@ -323,3 +328,49 @@ class TestDataDecomposition:
     def test_borders_exclude_literals(self, node_split):
         for border in node_split.borders:
             assert not any(n.is_literal for n in border)
+
+    def test_blocks_that_do_not_induce_the_segments_are_rejected(
+        self, bibliography, edge_split
+    ):
+        # an edge split's segments paired with node blocks used to answer
+        # wrongly: segment i need not hold the stars of block i
+        blocks = tuple(
+            frozenset(map(sg.ntio.term_from_token, blk)) for blk in NODE_BLOCKS
+        )
+        with pytest.raises(NotAPartition, match="do not induce the segments"):
+            sg.DataDecomposition(
+                bibliography, edge_split.segments, "hand", None, blocks
+            )
+
+    @pytest.mark.parametrize(
+        "edit_segment_0",
+        [
+            lambda ts: ts[1:],
+            # both ends of the added triple lie in block 1, none in block 0
+            lambda ts: ts + triples("<Person2> <hasSupervisor> <Person3> ."),
+            # <Article1> lies in block 0, but the graph lacks the triple
+            lambda ts: ts + triples("<Article1> <hasAuthor> <Person3> ."),
+        ],
+        ids=["missing triple", "triple outside the block", "triple not in the graph"],
+    )
+    def test_edited_segment_is_rejected(self, node_split, edit_segment_0):
+        segs = list(node_split.segments)
+        segs[0] = sg.DataGraph(edit_segment_0(list(segs[0])))
+        with pytest.raises(NotAPartition, match="do not induce the segments"):
+            sg.DataDecomposition(
+                node_split.graph, tuple(segs), "hand", None, node_split.node_blocks
+            )
+
+    def test_swapped_blocks_are_rejected(self, node_split):
+        b = node_split.node_blocks
+        with pytest.raises(NotAPartition, match="do not induce the segments"):
+            sg.DataDecomposition(
+                node_split.graph, node_split.segments, "hand", None, (b[1], b[0], b[2])
+            )
+
+    def test_node_blocks_of_the_wrong_length_are_rejected(self, node_split):
+        with pytest.raises(NotADecomposition, match="differ in length"):
+            sg.DataDecomposition(
+                node_split.graph, node_split.segments, "hand", None,
+                node_split.node_blocks[:2],
+            )

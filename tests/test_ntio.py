@@ -227,6 +227,29 @@ class TestSegmentsOnDisk:
         with pytest.raises(NotAPartition, match="do not induce the segments"):
             sg.read_segments(tmp_path)
 
+    @pytest.mark.parametrize("segment, token", [(0, "<zzz>"), (1, '"lit"')])
+    def test_repl_file_naming_a_node_it_does_not_replicate_is_rejected(
+        self, node_split, tmp_path, segment, token
+    ):
+        # a node outside the segment leaves its block as it was, so only the
+        # comparison with ``replicated`` sees the edit
+        sg.write_segments(node_split, tmp_path)
+        repl = tmp_path / f"segment-{segment:02d}.repl"
+        repl.write_text(repl.read_text() + token + "\n")
+        with pytest.raises(NotAPartition, match="disagree with the replicated nodes"):
+            sg.read_segments(tmp_path)
+
+    def test_segment_file_beyond_the_manifest_is_a_parse_error(self, tmp_path):
+        g = sg.parse_data("<a> <p> <b> .\n<c> <p> <d> .\n<e> <p> <f> .\n")
+        sg.write_segments(
+            sg.from_edge_assignment(g, {t: i for i, t in enumerate(g)}), tmp_path
+        )
+        manifest = tmp_path / "manifest.json"
+        data = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps(dict(data, segments=2)))
+        with pytest.raises(ParseError, match="extra segment file segment-02.nt"):
+            sg.read_segments(tmp_path)
+
     def test_missing_manifest_is_a_parse_error(self, tmp_path):
         with pytest.raises(ParseError):
             sg.read_segments(tmp_path)
