@@ -33,10 +33,9 @@ from .errors import NotANodeCover, SearchSpaceTooLarge
 from .model import (
     Query,
     QueryDecomposition,
-    QueryShape,
     Term,
     TriplePattern,
-    classify_query,
+    so_centers,
     star_centers,
 )
 
@@ -292,7 +291,6 @@ def validate_decomposition(q: Query, dec: QueryDecomposition) -> DecompositionRe
         union |= sub.triples
         total += len(sub)
     is_dec = union == q.triples and len(dec.subqueries) > 0
-    shapes = tuple(classify_query(sub) for sub in dec.subqueries)
     centers_valid = all(
         c is None or c in star_centers(sub)
         for sub, c in zip(dec.subqueries, dec.centers)
@@ -300,8 +298,8 @@ def validate_decomposition(q: Query, dec: QueryDecomposition) -> DecompositionRe
     return DecompositionReport(
         is_decomposition=is_dec,
         non_redundant=total == len(q),
-        all_stars=all(QueryShape.STAR in s for s in shapes),
-        all_so=all(QueryShape.SO_QUERY in s for s in shapes),
+        all_stars=all(map(star_centers, dec.subqueries)),
+        all_so=all(map(so_centers, dec.subqueries)),
         centers_valid=centers_valid,
         max_variables=max(len(sub.variables) for sub in dec.subqueries),
     )

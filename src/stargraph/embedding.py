@@ -47,26 +47,39 @@ without a star centre (from a hand-built plan) is the ``plan_join`` of the
 (subject, object) pairs its fragments witnessed for each triple.
 
 ``enumerate_total`` and ``enumerate_useful_partial`` are depth-first
-searches over one step routine. Each query node has a slot in one list,
-which holds its image, None while it is unbound; a constant's slot holds the
+searches over a slot vector. Each query node has a slot in one list, which
+holds its image, None while it is unbound; a constant's slot holds the
 constant. Each triple becomes a step that knows its ends' slots and its
-predicate's index entry in the graph. A step binds each of its matches in
-place, calls the rest of the search, and unbinds when done, so no binding is
-ever copied. ``enumerate_useful_partial`` walks the triples in canonical
-order, skipping or matching each. ``enumerate_total`` matches them
-most-constrained first, in an order fixed before the search starts: which
-ends are bound depends only on which triples are matched, so the order a
-per-node pick would choose is the same in every branch.
+predicate. A step binds each of its matches in place, calls the rest of the
+search, and unbinds when done, so no binding is ever copied.
+``enumerate_useful_partial`` walks the triples in canonical order, skipping
+or matching each. ``enumerate_total`` matches them most-constrained first,
+in an order fixed before the search starts: which ends are bound depends
+only on which triples are matched, so the order a per-node pick would
+choose is the same in every branch, and so is which of its ends each step
+finds bound.
 
 Each search is planned once per (query, node order) and the plan is kept
 (``functools.lru_cache``, as ``plan_join`` keeps its plans), because the
 engines run one search per (subquery, segment) pair. The plan holds the
-slot template, the steps' slots and predicates, their order, the
-projection onto the node order and, for useful partials, each node's mask
-of incident triples. A run against one graph checks the constants, looks
-up each step's index entry and searches; for useful partials it also reads
-which constants the segment holds and which of those the closure rule
-binds, since that depends on the segment and its border.
+slot template, the steps' slots and predicates, their order, for totals
+which ends of each step are bound, the projection onto the node order and,
+for useful partials, each step's bit and each node's mask of incident
+triples. A run binds each live step to the graph's index entry for its
+predicate as one closure, last step first, so that each closure calls the
+next one directly and the last calls the leaf that records a result: what a
+step does at a match is decided once per run, not at every match
+(data-centric query compilation, Neumann, VLDB 2011). A total step runs the
+one case its bound ends select: a membership test, the subject's list, the
+object's list, a scan, or a scan for self-loops. A useful-partial step
+skips first and then tests which ends are bound, since that depends on
+which earlier steps matched. A step is live unless the graph lacks its
+predicate or a constant end has no list under it. A step that is not makes
+``enumerate_total`` return no totals, and is left out of
+``enumerate_useful_partial``'s chain, where it could only be skipped. A
+useful-partial run also reads which constants the segment holds and which
+of those the closure rule binds, since that depends on the segment and its
+border.
 
 ``enumerate_total`` and ``enumerate_useful_partial`` return their results in
 the order of their depth-first search, and ``totals_from_fragments`` in the
@@ -128,46 +141,140 @@ def candidates(
     return triples
 
 
-def _step(step: tuple, b: list, cont: Callable, *args) -> None:
-    """Bind each match of ``step`` in the slot vector b and call
-    ``cont(*args)`` after each; b is as it was when this returns.
-
-    A bound end narrows the matches to one index list. A literal is never a
-    data subject, so a literal bound to the subject finds no list. With both
-    ends bound, the match is the one triple of the subject's list with that
-    object, if there is one.
-    """
-    s_slot, o_slot, triples, by_subject, by_object = step
+def _live(s_slot: int, o_slot: int, entry: tuple, b: list) -> bool:
+    """Whether a step with ends at these slots can match anything under its
+    predicate's index entry: the graph has the predicate, and each constant
+    end (set in b, still the slot template) has a list under it. A literal
+    is never a data subject, so a literal subject has none."""
+    triples, by_subject, by_object = entry
     s = b[s_slot]
     o = b[o_slot]
-    if s is not None:
-        if o is not None:
-            for t in by_subject.get(s, ()):
+    return bool(triples) and (s is None or s in by_subject) and (
+        o is None or o in by_object
+    )
+
+
+def _total_step(step: tuple, entry: tuple, b: list, nxt: Callable) -> Callable | None:
+    """One planned step of ``enumerate_total`` bound to its predicate's
+    index entry: a closure that binds each match in the slot vector b, calls
+    ``nxt()`` after each and leaves b as it found it; None when the step is
+    not ``_live``.
+
+    The plan fixes which ends are bound, so the closure runs one case. A
+    bound end narrows the matches to one index list. With both ends bound,
+    the match is the one triple of the subject's list with that object, if
+    there is one.
+
+    A closure gets what it reads as default arguments, which its caller
+    never passes: they are read as fast locals, and binding them builds one
+    tuple where closing over them would build one cell per name.
+    """
+    s_slot, o_slot, _p, s_bound, o_bound = step
+    if not _live(s_slot, o_slot, entry, b):
+        return None
+    triples, by_subject, by_object = entry
+    if s_bound and o_bound:
+
+        def run(b=b, nxt=nxt, s_slot=s_slot, o_slot=o_slot, by_subject=by_subject):
+            o = b[o_slot]
+            for t in by_subject.get(b[s_slot], ()):
                 if t.o is o:
-                    cont(*args)
+                    nxt()
                     return
-            return
-        for t in by_subject.get(s, ()):
-            b[o_slot] = t.o
-            cont(*args)
-        b[o_slot] = None
-    elif o is not None:
-        for t in by_object.get(o, ()):
-            b[s_slot] = t.s
-            cont(*args)
-        b[s_slot] = None
-    elif s_slot == o_slot:  # a self-loop matches only the data's self-loops
-        for t in triples:
-            if t.s is t.o:
+
+    elif s_bound:
+
+        def run(b=b, nxt=nxt, s_slot=s_slot, o_slot=o_slot, by_subject=by_subject):
+            for t in by_subject.get(b[s_slot], ()):
+                b[o_slot] = t.o
+                nxt()
+            b[o_slot] = None
+
+    elif o_bound:
+
+        def run(b=b, nxt=nxt, s_slot=s_slot, o_slot=o_slot, by_object=by_object):
+            for t in by_object.get(b[o_slot], ()):
                 b[s_slot] = t.s
-                cont(*args)
-        b[s_slot] = None
+                nxt()
+            b[s_slot] = None
+
+    elif s_slot == o_slot:  # a self-loop matches only the data's self-loops
+
+        def run(b=b, nxt=nxt, s_slot=s_slot, triples=triples):
+            for t in triples:
+                if t.s is t.o:
+                    b[s_slot] = t.s
+                    nxt()
+            b[s_slot] = None
+
     else:
-        for t in triples:
-            b[s_slot] = t.s
-            b[o_slot] = t.o
-            cont(*args)
-        b[s_slot] = b[o_slot] = None
+
+        def run(b=b, nxt=nxt, s_slot=s_slot, o_slot=o_slot, triples=triples):
+            for t in triples:
+                b[s_slot] = t.s
+                b[o_slot] = t.o
+                nxt()
+            b[s_slot] = b[o_slot] = None
+
+    return run
+
+
+def _useful_step(step: tuple, entry: tuple, b: list, nxt: Callable) -> Callable | None:
+    """One planned step of ``enumerate_useful_partial`` bound to its
+    predicate's index entry: a closure that takes the mask matched so far,
+    calls ``nxt`` with it once to skip the step, then binds each match in
+    the slot vector b and calls ``nxt`` with the step's bit added after
+    each, leaving b as it found it; None when the step is not ``_live``,
+    since it could only be skipped.
+
+    Which variable ends are bound depends on which earlier steps matched,
+    so the closure tests them at each call and then runs the case of
+    ``_total_step`` they select. It gets what it reads as default
+    arguments, as those closures do.
+    """
+    s_slot, o_slot, _p, bit = step
+    if not _live(s_slot, o_slot, entry, b):
+        return None
+    triples, by_subject, by_object = entry
+
+    def run(
+        chosen: int, b=b, nxt=nxt, s_slot=s_slot, o_slot=o_slot, bit=bit,
+        triples=triples, by_subject=by_subject, by_object=by_object,
+    ):
+        nxt(chosen)
+        chosen |= bit
+        s = b[s_slot]
+        o = b[o_slot]
+        if s is not None:
+            if o is not None:
+                for t in by_subject.get(s, ()):
+                    if t.o is o:
+                        nxt(chosen)
+                        return
+                return
+            for t in by_subject.get(s, ()):
+                b[o_slot] = t.o
+                nxt(chosen)
+            b[o_slot] = None
+        elif o is not None:
+            for t in by_object.get(o, ()):
+                b[s_slot] = t.s
+                nxt(chosen)
+            b[s_slot] = None
+        elif s_slot == o_slot:
+            for t in triples:
+                if t.s is t.o:
+                    b[s_slot] = t.s
+                    nxt(chosen)
+            b[s_slot] = None
+        else:
+            for t in triples:
+                b[s_slot] = t.s
+                b[o_slot] = t.o
+                nxt(chosen)
+            b[s_slot] = b[o_slot] = None
+
+    return run
 
 
 def _total_order(
@@ -201,13 +308,20 @@ def _slots(nodes: tuple[Term, ...], triples: Iterable[TriplePattern]) -> tuple:
 def _total_plan(q: Query, nodes: tuple[Term, ...]) -> tuple:
     """What ``enumerate_total`` fixes before it looks at a graph: q's
     constants, the slot template (a trailing None slot for the nodes not in
-    q), the steps most-constrained first, and each of ``nodes``' slot."""
+    q), the steps most-constrained first, each with whether its subject and
+    its object are bound when it runs, and the projection of the slot
+    vector onto ``nodes``."""
     constants = q.constants
     order = _total_order(q.canonical, set(constants))
     slot, template, steps = _slots(tuple(q.nodes), order)
-    pick = tuple([slot.get(node, len(template)) for node in nodes])
+    bound = {slot[c] for c in constants}
+    planned = []
+    for s_slot, o_slot, p in steps:
+        planned.append((s_slot, o_slot, p, s_slot in bound, o_slot in bound))
+        bound.update((s_slot, o_slot))
+    project = tuple_getter([slot.get(node, len(template)) for node in nodes])
     template.append(None)
-    return constants, tuple(template), steps, pick
+    return constants, tuple(template), tuple(planned), project
 
 
 def enumerate_total(
@@ -221,30 +335,24 @@ def enumerate_total(
     most-constrained first. Every matched triple binds both its ends, so
     which ends are bound at a search node depends only on which triples are
     matched above it, not on their images: picking the most-bound triple
-    afresh at every node would pick the same triple in every branch.
+    afresh at every node would pick the same triple in every branch, and
+    each step's case is fixed with the order.
     """
-    constants, template, plan_steps, pick = _total_plan(q, nodes)
+    constants, template, plan_steps, project = _total_plan(q, nodes)
     if not constants <= g.nodes:
         return []  # a total maps each constant to itself inside a match
     entry = g.predicate_entry
-    steps = []
-    for s_slot, o_slot, p in plan_steps:
-        found = entry(p)
-        if not found[0]:
-            return []  # a predicate g lacks
-        steps.append((s_slot, o_slot, *found))
     b = list(template)
-    image = b.__getitem__
-    n = len(steps)
     results: list[tuple[Term | None, ...]] = []
 
-    def dfs(k: int):
-        if k == n:
-            results.append(tuple(map(image, pick)))
-            return
-        _step(steps[k], b, dfs, k + 1)
+    def run(append=results.append, project=project, b=b):
+        append(project(b))
 
-    dfs(0)
+    for step in reversed(plan_steps):
+        run = _total_step(step, entry(step[2]), b, run)
+        if run is None:
+            return []  # a step with no match leaves no total
+    run()
     return results
 
 
@@ -253,9 +361,9 @@ def _useful_plan(sub: Query, nodes: tuple[Term, ...]) -> tuple:
     """What ``enumerate_useful_partial`` fixes before it looks at a segment:
     the variables and then the constants, each sorted, which give the slot
     template and a leaf's key (the variables' slots); the steps in canonical
-    order; each variable's and constant's mask of incident triples; and the
-    projection of a key followed by the constants' tail and None onto
-    ``nodes``."""
+    order, each with its bit in a matched mask; each variable's and
+    constant's mask of incident triples; and the projection of a key
+    followed by the constants' tail and None onto ``nodes``."""
     triples = sub.canonical
     variables = tuple(sorted(sub.variables))
     constants = tuple(sorted(sub.constants))
@@ -268,7 +376,8 @@ def _useful_plan(sub: Query, nodes: tuple[Term, ...]) -> tuple:
     pick = [slot.get(node, len(order)) for node in nodes]
     n_vars = len(variables)
     return (
-        constants, tuple(template), steps, n_vars,
+        constants, tuple(template),
+        tuple([(*step, 1 << i) for i, step in enumerate(steps)]), n_vars,
         tuple(incident[:n_vars]), tuple(incident[n_vars:]), tuple_getter(pick),
     )
 
@@ -297,9 +406,21 @@ def enumerate_useful_partial(
     constants, template, plan_steps, n_vars, variable_masks, constant_masks, project = (
         _useful_plan(sub, nodes)
     )
-    # a predicate the segment lacks has no matches: its step is only skipped
     entry = segment.predicate_entry
-    steps = [(s_slot, o_slot, *entry(p)) for s_slot, o_slot, p in plan_steps]
+    b = list(template)
+    leaves: dict[tuple, int] = {}
+
+    def leaf(chosen: int, b=b, n_vars=n_vars, leaves=leaves):
+        key = tuple(b[:n_vars])
+        leaves[key] = leaves.get(key, 0) | chosen
+
+    run = leaf
+    for step in reversed(plan_steps):
+        # a step with no match could only be skipped, so it is left out
+        run = _useful_step(step, entry(step[2]), b, run) or run
+    if run is leaf:
+        return []  # every leaf would match nothing
+    run(0)
     # a constant the segment lacks is left unbound: its image in the tail
     # that follows a leaf's key is None, as is the last, read by the nodes
     # not in sub
@@ -311,20 +432,6 @@ def enumerate_useful_partial(
     for img, mask in zip(tail, constant_masks):
         if img is not None and img not in border and not img.is_literal:
             always_required |= mask
-    n = len(steps)
-    b = list(template)
-    leaves: dict[tuple, int] = {}
-
-    def dfs(i: int, chosen: int):
-        if i == n:
-            key = tuple(b[:n_vars])
-            leaves[key] = leaves.get(key, 0) | chosen
-            return
-        dfs(i + 1, chosen)
-        with_i = chosen | (1 << i)
-        _step(steps[i], b, dfs, i + 1, with_i)
-
-    dfs(0, 0)
     out = []
     for key, matched in leaves.items():
         if not matched:

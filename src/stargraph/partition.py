@@ -94,8 +94,10 @@ def vertex_hash_partition(g: DataGraph, m: int, seed: int = 0) -> DataDecomposit
 
     Empty blocks are repaired deterministically: while one exists, the
     largest block (ties to the lowest index) donates its highest-hash node.
+    The blocks are built here, so the triples are routed by their own index
+    and the ``DataDecomposition`` constructor checks them once.
     """
-    nodes = sorted(n for n in g.nodes if not n.is_literal)
+    nodes = [n for n in g.nodes if not n.is_literal]
     if m < 1:
         raise TooManySegments("need at least one segment")
     if m > len(nodes):
@@ -103,18 +105,35 @@ def vertex_hash_partition(g: DataGraph, m: int, seed: int = 0) -> DataDecomposit
             f"cannot spread {len(nodes)} non-literal nodes over {m} blocks"
         )
     hashes = {n: _node_hash(n, seed) for n in nodes}
+    block_of = {n: h % m for n, h in hashes.items()}
     blocks: list[set[Term]] = [set() for _ in range(m)]
-    for n in nodes:
-        blocks[hashes[n] % m].add(n)
+    for n, i in block_of.items():
+        blocks[i].add(n)
     while not all(blocks):
         donor = max(range(m), key=lambda i: (len(blocks[i]), -i))
         target = next(i for i in range(m) if not blocks[i])
         moved = max(blocks[donor], key=lambda n: (hashes[n], n.key))
         blocks[donor].remove(moved)
         blocks[target].add(moved)
-    return s_decompose(
-        g, [frozenset(b) for b in blocks], method="vertex-hash", seed=seed
+        block_of[moved] = target
+    return _decomposition(
+        g, _route(g, block_of, m), method="vertex-hash", seed=seed,
+        node_blocks=tuple(map(frozenset, blocks)),
     )
+
+
+def _route(g: DataGraph, block_of: dict[Term, int], m: int) -> list[list[DataTriple]]:
+    """The m segments that ``block_of``, each non-literal node's block,
+    induces: segment i gets every triple with an endpoint in block i, in
+    one pass over ``g.canonical``."""
+    segments: list[list[DataTriple]] = [[] for _ in range(m)]
+    for t in g.canonical:
+        i = block_of[t.s]
+        segments[i].append(t)
+        j = block_of.get(t.o)  # None for a literal, which no block holds
+        if j is not None and j != i:
+            segments[j].append(t)
+    return segments
 
 
 def s_decompose(
@@ -135,15 +154,9 @@ def s_decompose(
     # checked before routing: a block of nodes the graph lacks would route
     # no triple, and its empty segment would raise EmptyGraph instead
     block_of = block_index(g, blocks)
-    segments: list[list[DataTriple]] = [[] for _ in blocks]
-    for t in g.canonical:
-        i = block_of[t.s]
-        segments[i].append(t)
-        j = block_of.get(t.o)  # None for a literal, which no block holds
-        if j is not None and j != i:
-            segments[j].append(t)
     return _decomposition(
-        g, segments, method=method, seed=seed, node_blocks=tuple(blocks)
+        g, _route(g, block_of, len(blocks)), method=method, seed=seed,
+        node_blocks=tuple(blocks),
     )
 
 

@@ -66,7 +66,10 @@ def stars_map1_records(layout, sub_idx: int, segment, border, dictionary):
     center = layout.nodes[center_pos]
     ids = dictionary.ids
     part1 = []
-    for k, t in enumerate(sub.canonical):
+    # every triple holds the centre, so a constant centre the segment lacks
+    # leaves no witness
+    lacks_centre = center.is_constant and center not in segment.nodes
+    for k, t in enumerate(() if lacks_centre else sub.canonical):
         insts = candidates(
             segment, t,
             t.s if t.s.is_constant else None, t.o if t.o.is_constant else None,

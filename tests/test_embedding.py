@@ -13,14 +13,22 @@ from hypothesis import strategies as st
 
 import stargraph as sg
 from stargraph.embedding import (
+    _slots,
+    _total_order,
     candidates,
     enumerate_useful_partial,
     star_of,
     totals_from_fragments,
+    tuple_getter,
 )
 from stargraph.model import UNBOUND, DataTriple
 
 from conftest import BIBLIOGRAPHY, q3
+from test_differential import (
+    ADVERSARIAL_INSTANCES,
+    adversarial_instance,
+    partition_for,
+)
 
 
 def images_over(nodes, bindings):
@@ -183,6 +191,155 @@ def reference_useful_partials(
 
     dfs(0, {})
     return list(results.values())
+
+
+# The order reference for both searches: enumerate_total and
+# enumerate_useful_partial as they stood when every step went through one
+# step routine that tested both ends of its step at each match, kept
+# verbatim apart from the names, the plans' lru_cache, and the plans, which
+# are the functions that were kept then. The searches now bind each step to
+# its index lists once per run and must return the same lists in the same
+# order.
+def _step(step: tuple, b: list, cont, *args) -> None:
+    """Bind each match of ``step`` in the slot vector b and call
+    ``cont(*args)`` after each; b is as it was when this returns.
+
+    A bound end narrows the matches to one index list. A literal is never a
+    data subject, so a literal bound to the subject finds no list. With both
+    ends bound, the match is the one triple of the subject's list with that
+    object, if there is one.
+    """
+    s_slot, o_slot, triples, by_subject, by_object = step
+    s = b[s_slot]
+    o = b[o_slot]
+    if s is not None:
+        if o is not None:
+            for t in by_subject.get(s, ()):
+                if t.o is o:
+                    cont(*args)
+                    return
+            return
+        for t in by_subject.get(s, ()):
+            b[o_slot] = t.o
+            cont(*args)
+        b[o_slot] = None
+    elif o is not None:
+        for t in by_object.get(o, ()):
+            b[s_slot] = t.s
+            cont(*args)
+        b[s_slot] = None
+    elif s_slot == o_slot:  # a self-loop matches only the data's self-loops
+        for t in triples:
+            if t.s is t.o:
+                b[s_slot] = t.s
+                cont(*args)
+        b[s_slot] = None
+    else:
+        for t in triples:
+            b[s_slot] = t.s
+            b[o_slot] = t.o
+            cont(*args)
+        b[s_slot] = b[o_slot] = None
+
+
+def _step_total_plan(q, nodes) -> tuple:
+    constants = q.constants
+    order = _total_order(q.canonical, set(constants))
+    slot, template, steps = _slots(tuple(q.nodes), order)
+    pick = tuple([slot.get(node, len(template)) for node in nodes])
+    template.append(None)
+    return constants, tuple(template), steps, pick
+
+
+def step_totals(q, g, nodes) -> list:
+    constants, template, plan_steps, pick = _step_total_plan(q, nodes)
+    if not constants <= g.nodes:
+        return []  # a total maps each constant to itself inside a match
+    entry = g.predicate_entry
+    steps = []
+    for s_slot, o_slot, p in plan_steps:
+        found = entry(p)
+        if not found[0]:
+            return []  # a predicate g lacks
+        steps.append((s_slot, o_slot, *found))
+    b = list(template)
+    image = b.__getitem__
+    n = len(steps)
+    results = []
+
+    def dfs(k: int):
+        if k == n:
+            results.append(tuple(map(image, pick)))
+            return
+        _step(steps[k], b, dfs, k + 1)
+
+    dfs(0)
+    return results
+
+
+def _step_useful_plan(sub, nodes) -> tuple:
+    triples = sub.canonical
+    variables = tuple(sorted(sub.variables))
+    constants = tuple(sorted(sub.constants))
+    order = variables + constants
+    slot, template, steps = _slots(order, triples)
+    incident = [0] * len(order)
+    for i, t in enumerate(triples):
+        for node in t.nodes:
+            incident[slot[node]] |= 1 << i
+    pick = [slot.get(node, len(order)) for node in nodes]
+    n_vars = len(variables)
+    return (
+        constants, tuple(template), steps, n_vars,
+        tuple(incident[:n_vars]), tuple(incident[n_vars:]), tuple_getter(pick),
+    )
+
+
+def step_useful_partials(sub, segment, border, nodes) -> list:
+    constants, template, plan_steps, n_vars, variable_masks, constant_masks, project = (
+        _step_useful_plan(sub, nodes)
+    )
+    # a predicate the segment lacks has no matches: its step is only skipped
+    entry = segment.predicate_entry
+    steps = [(s_slot, o_slot, *entry(p)) for s_slot, o_slot, p in plan_steps]
+    # a constant the segment lacks is left unbound: its image in the tail
+    # that follows a leaf's key is None, as is the last, read by the nodes
+    # not in sub
+    seg_nodes = segment.nodes
+    tail = tuple([c if c in seg_nodes else None for c in constants]) + (None,)
+    # nodes mapped outside the border and the literals must have every
+    # incident triple matched here, since no other segment can complete them
+    always_required = 0
+    for img, mask in zip(tail, constant_masks):
+        if img is not None and img not in border and not img.is_literal:
+            always_required |= mask
+    n = len(steps)
+    b = list(template)
+    leaves: dict[tuple, int] = {}
+
+    def dfs(i: int, chosen: int):
+        if i == n:
+            key = tuple(b[:n_vars])
+            leaves[key] = leaves.get(key, 0) | chosen
+            return
+        dfs(i + 1, chosen)
+        with_i = chosen | (1 << i)
+        _step(steps[i], b, dfs, i + 1, with_i)
+
+    dfs(0, 0)
+    out = []
+    for key, matched in leaves.items():
+        if not matched:
+            continue
+        required = always_required
+        # most images are border nodes, so the border test comes first
+        for img, mask in zip(key, variable_masks):
+            if img is not None and img not in border and not img.is_literal:
+                required |= mask
+        if required & ~matched:
+            continue
+        out.append((project(key + tail), matched))
+    return out
 
 
 def reference_is_useful(
@@ -501,6 +658,7 @@ class TestUsefulPartialsAgainstReference:
         want = reference_useful_partials(sub, segment, border, nodes)
         assert len(got) == len(set(got))
         assert set(got) == set(want)
+        assert got == step_useful_partials(sub, segment, border, nodes)
 
     def test_fixture_pairs_match_the_reference(
         self, edge_split, supervisor_decomposition, coauthor_cover_decomposition
@@ -558,6 +716,117 @@ class TestPlanMemo:
         assert sg.enumerate_total(q, lacks_q, nodes) == []
         lacks_a = sg.DataGraph([d3("<c>", "<p>", "<e>"), d3("<e>", "<q>", "<b>")])
         assert sg.enumerate_total(q, lacks_a, nodes) == []
+
+
+def lacks_a_list(sub, g) -> bool:
+    """Whether some triple of sub has no list in g: g lacks its predicate,
+    or one of its constant ends has no subject or object list under it."""
+    for t in sub.canonical:
+        triples, by_subject, by_object = g.predicate_entry(t.p)
+        if not triples:
+            return True
+        if t.s.is_constant and t.s not in by_subject:
+            return True
+        if t.o.is_constant and t.o not in by_object:
+            return True
+    return False
+
+
+class TestBoundSteps:
+    """Each search binds its planned steps to the graph's index lists once
+    per run; it must return the list the one-routine search returned, in
+    the same order."""
+
+    @pytest.mark.parametrize(
+        "partition_kind", ["edge-random", "edge-import", "vertex-hash", "node-import"]
+    )
+    def test_adversarial_instances_give_the_step_routine_lists(self, partition_kind):
+        pairs = lacking = 0
+        for k in range(ADVERSARIAL_INSTANCES):
+            g, q, m, dec_name = adversarial_instance(k)
+            assert sg.enumerate_total(q, g, q.output_pattern) == step_totals(
+                q, g, q.output_pattern
+            ), k
+            data = partition_for(partition_kind, g, m, k)
+            layout = sg.preprocess(sg.DECOMPOSERS[dec_name](q))
+            nodes = layout.nodes
+            for sub in layout.subqueries:
+                for seg, border in zip(data.segments, data.borders):
+                    pairs += 1
+                    lacking += lacks_a_list(sub, seg)
+                    assert sg.enumerate_total(sub, seg, nodes) == step_totals(
+                        sub, seg, nodes
+                    ), k
+                    assert enumerate_useful_partial(
+                        sub, seg, border, nodes
+                    ) == step_useful_partials(sub, seg, border, nodes), k
+        # both kinds of pair occur: steps that are left out, and none
+        assert 0 < lacking < pairs
+
+    def test_useful_partials_with_no_step_left_are_empty(self):
+        g = sg.DataGraph([d3("<a>", "<p>", "<b>"), d3("<b>", "<q>", "<a>")])
+        for sub in (
+            sg.Query([q3("?x", "<r>", "?y")]),  # a predicate g lacks
+            sg.Query([q3("<b>", "<p>", "?y")]),  # <b> has no <p> subject list
+            sg.Query([q3("?x", "<q>", "<b>")]),  # nor a <q> object list
+            # every step is left out, though each alone has nodes in g
+            sg.Query([q3("?x", "<r>", "?y"), q3("<a>", "<q>", "?y")]),
+        ):
+            assert lacks_a_list(sub, g)
+            for border in (frozenset(), frozenset(g.nodes)):
+                assert enumerate_useful_partial(sub, g, border, nodes_of(sub)) == []
+
+    def test_a_left_out_step_leaves_the_others_matched(self):
+        g = sg.DataGraph([d3("<a>", "<p>", "<b>")])
+        sub = sg.Query([q3("?x", "<p>", "?y"), q3("?x", "<r>", "?y")])
+        nodes = nodes_of(sub)
+        e = images_over(nodes, {sg.variable("x"): sg.iri("a"), sg.variable("y"): sg.iri("b")})
+        assert enumerate_useful_partial(sub, g, frozenset(g.nodes), nodes) == [(e, 0b01)]
+
+    def test_a_constant_end_without_a_list_gives_no_totals(self):
+        # every constant is a node of g, so only the missing list stops it
+        g = sg.DataGraph(
+            [d3("<a>", "<p>", "<b>"), d3("<b>", "<p>", "<c>"), d3("<c>", "<q>", '"l"')]
+        )
+        for q in (
+            sg.Query([q3("?x", "<p>", "<a>")]),  # <a> is no <p> object
+            sg.Query([q3("<c>", "<p>", "?y")]),  # <c> is no <p> subject
+            sg.Query([q3("?x", "<p>", "?y"), q3("?y", "<q>", "<b>")]),
+        ):
+            assert q.constants <= g.nodes
+            assert sg.enumerate_total(q, g, nodes_of(q)) == []
+
+    def test_self_loops_in_both_searches(self):
+        g = sg.DataGraph(
+            [
+                d3("<a>", "<p>", "<a>"), d3("<a>", "<p>", "<b>"),
+                d3("<b>", "<p>", "<b>"), d3("<b>", "<m>", "<c>"),
+                d3("<c>", "<m>", "<a>"),
+            ]
+        )
+        x, y = sg.variable("x"), sg.variable("y")
+        a, b, c = sg.iri("a"), sg.iri("b"), sg.iri("c")
+        loop = sg.Query([q3("?x", "<p>", "?x")])
+        # an unbound self-loop scans the predicate's self-loops
+        assert sg.enumerate_total(loop, g, (x,)) == [(a,), (b,)]
+        assert enumerate_useful_partial(loop, g, frozenset(), (x,)) == [
+            ((a,), 0b1), ((b,), 0b1)
+        ]
+        # ?x <m> ?y comes first in both searches, so the self-loop then runs
+        # with ?x bound: it finds <b>'s loop and no loop at <c>
+        bound = sg.Query([q3("?x", "<m>", "?y"), q3("?x", "<p>", "?x")])
+        assert sg.enumerate_total(bound, g, (x, y)) == [(b, c)]
+        assert enumerate_useful_partial(bound, g, frozenset({b, c}), (x, y)) == [
+            ((b, None), 0b10), ((b, c), 0b11), ((c, a), 0b01)
+        ]
+        for q in (loop, bound):
+            for border in (frozenset(), frozenset({b, c})):
+                assert enumerate_useful_partial(
+                    q, g, border, nodes_of(q)
+                ) == step_useful_partials(q, g, border, nodes_of(q))
+            assert sg.enumerate_total(q, g, nodes_of(q)) == step_totals(
+                q, g, nodes_of(q)
+            )
 
 
 class TestLayout:

@@ -94,6 +94,22 @@ class TestVertexHash:
         with pytest.raises(TooManySegments):
             sg.vertex_hash_partition(bibliography, 100, seed=0)
 
+    def test_blocks_are_checked_once(self, bibliography, monkeypatch):
+        # the blocks are built here, so only the DataDecomposition
+        # constructor checks them
+        calls = []
+        for module in (sg.model, sg.partition):
+            checked = module.block_index
+
+            def counting(*args, _checked=checked):
+                calls.append(args)
+                return _checked(*args)
+
+            monkeypatch.setattr(module, "block_index", counting)
+        dec = sg.vertex_hash_partition(bibliography, 3, seed=2)
+        assert len(calls) == 1
+        assert sg.s_decompose(bibliography, dec.node_blocks).segments == dec.segments
+
 
 class TestSDecompose:
     def test_replicates_cross_block_triples(self, node_split, bibliography):

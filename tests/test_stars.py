@@ -80,6 +80,32 @@ class TestMapRecords:
         ]
 
 
+    def test_constant_centre_the_segment_lacks_gives_no_records(self):
+        # every triple of the star holds <c>, so segment 1, which lacks it,
+        # has no witness: part 1 looks up no triple, and part 2 still runs
+        # its one enumerate_total, which finds nothing
+        g = sg.parse_data("<c> <p> <a> .\n<c> <q> <b> .\n<d> <p> <e> .\n")
+        data = sg.from_edge_assignment(
+            g, {"<c> <p> <a> .": 0, "<c> <q> <b> .": 0, "<d> <p> <e> .": 1}
+        )
+        q = sg.Query([q3("<c>", "<p>", "?y"), q3("<c>", "<q>", "?z")])
+        layout = sg.preprocess(sg.naive_decomposition(q))
+        assert centre_of(layout, 0) == t("<c>")
+        assert t("<c>") not in data.segments[1].nodes
+        with mock.patch(
+            "stargraph.stars.candidates", side_effect=AssertionError
+        ), mock.patch(
+            "stargraph.stars.enumerate_total", wraps=sg.enumerate_total
+        ) as totals:
+            assert stars_map1_records(
+                layout, 0, data.segments[1], data.borders[1], data.dictionary
+            ) == ([], [])
+        assert totals.call_count == 1
+        assert run_stars(data, q, sg.naive_decomposition(q)).answers == (
+            sg.oracle_answers(q, g)
+        )
+
+
 def brute_force_part1(layout, sub_idx, segment, border, dictionary):
     """Part 1 by scanning every segment triple against every star triple."""
     sub, center = layout.subqueries[sub_idx], centre_of(layout, sub_idx)
