@@ -12,10 +12,15 @@ matched inside the segment (otherwise no other segment can ever complete it).
 Every primitive takes the order of the nodes it reports, ``nodes``, and
 returns each embedding as the tuple of their images: the oracle asks for
 the output pattern, the engines for their layout's node order (border nodes
-first). ``enumerate_total`` and ``enumerate_useful_partial`` give terms, None
-for a node they leave unbound; the engines encode them to IDs in the data
-decomposition's ``TermDictionary``. A useful partial comes with the int bit
-mask of the subquery's canonical triples it matched.
+first). ``enumerate_total`` gives terms, None for a node it leaves unbound;
+the engines encode them to IDs in the data decomposition's
+``TermDictionary``. ``enumerate_useful_partial`` gives qejpe's shuffle value
+as it is, one flat int tuple per fragment, built once: the ID of each
+node's image, UNBOUND (-1) for a node it leaves unbound, then the int bit
+mask of the subquery's canonical triples the fragment matched. It keys
+each leaf by the IDs of its variables' images and applies the closure rule
+to the segment's interior, the IDs of its non-literal nodes outside its
+border (``DataDecomposition.interiors``).
 
 ``plan_join`` is the one join of relations over layout positions: each
 relation a list of ID rows whose columns hold given positions, hash-joined
@@ -30,8 +35,9 @@ combination of images to an ID tuple over the layout. The centre is the
 decomposition's recorded one when it is a star centre of the subquery, else
 the first so-centre, else the first star centre; no other code picks one.
 
-``totals_from_fragments`` joins (ID vector, mask) fragments of one subquery
-back into its total embeddings, UNBOUND (-1) marking an unbound position.
+``totals_from_fragments`` joins those flat fragments of one subquery back
+into its total embeddings, reading each image at its position and the mask
+last.
 At one image of a star's centre, the star's totals are the product, over
 its far nodes, of the far images that every triple through the node
 witnessed; ``star_totals`` builds that product and projects each
@@ -79,7 +85,9 @@ predicate or a constant end has no list under it. A step that is not makes
 ``enumerate_useful_partial``'s chain, where it could only be skipped. A
 useful-partial run also reads which constants the segment holds and which
 of those the closure rule binds, since that depends on the segment and its
-border.
+interior. The closure rule tests a leaf's key against the interior as one
+set operation, and only a key that holds an interior image goes through
+the per-variable masks: on an edge partition most images are border nodes.
 
 ``enumerate_total`` and ``enumerate_useful_partial`` return their results in
 the order of their depth-first search, and ``totals_from_fragments`` in the
@@ -104,6 +112,7 @@ from .model import (
     Query,
     QueryDecomposition,
     Term,
+    TermDictionary,
     TriplePattern,
     border_of,
     so_centers,
@@ -363,7 +372,8 @@ def _useful_plan(sub: Query, nodes: tuple[Term, ...]) -> tuple:
     template and a leaf's key (the variables' slots); the steps in canonical
     order, each with its bit in a matched mask; each variable's and
     constant's mask of incident triples; and the projection of a key
-    followed by the constants' tail and None onto ``nodes``."""
+    followed by the constants' tail, UNBOUND and the mask onto the images
+    of ``nodes`` and the mask."""
     triples = sub.canonical
     variables = tuple(sorted(sub.variables))
     constants = tuple(sorted(sub.constants))
@@ -374,6 +384,7 @@ def _useful_plan(sub: Query, nodes: tuple[Term, ...]) -> tuple:
         for node in t.nodes:
             incident[slot[node]] |= 1 << i
     pick = [slot.get(node, len(order)) for node in nodes]
+    pick.append(len(order) + 1)
     n_vars = len(variables)
     return (
         constants, tuple(template),
@@ -383,25 +394,32 @@ def _useful_plan(sub: Query, nodes: tuple[Term, ...]) -> tuple:
 
 
 def enumerate_useful_partial(
-    sub: Query, segment: DataGraph, border: frozenset[Term], nodes: tuple[Term, ...]
-) -> list[tuple[tuple[Term | None, ...], int]]:
+    sub: Query,
+    segment: DataGraph,
+    interior: frozenset[int],
+    nodes: tuple[Term, ...],
+    dictionary: TermDictionary,
+) -> list[tuple[int, ...]]:
     """All useful partial embeddings of sub against one segment.
 
-    Returns (images, matched) pairs: the images of ``nodes``, None for a
-    node left unbound or not in sub, and the bit mask of the subquery's
-    canonical triples matched (bit i for triple i). The pairs come in the
-    order the search first reaches them, which is deterministic but not
-    sorted: the shuffle that receives them sorts them anyway.
+    Returns one flat tuple of ints per fragment: the ID in ``dictionary``
+    of each of ``nodes``' images, UNBOUND for a node left unbound or not in
+    sub, and last the bit mask of the subquery's canonical triples matched
+    (bit i for triple i). ``interior`` holds the IDs of the segment's
+    interior nodes (``DataDecomposition.interiors``), the images the closure
+    rule applies to. The fragments come in the order the search first
+    reaches them, which is deterministic but not sorted: the shuffle that
+    receives them sorts them anyway.
 
     The search walks the canonical triples and either skips each one or
     matches it to a segment triple that agrees with the bindings so far, so
     every bound variable is witnessed by a matched triple, and the constants
-    present in the segment are added at the end. A leaf is keyed by its
-    variable images. Its matched set is the union of the triples chosen on
-    all the paths that reach it. That is every triple matched under the
-    leaf's bindings, because such a triple can be chosen at its own step
-    without changing them. Only non-triviality and the closure rule are left
-    to check.
+    present in the segment are added at the end. A leaf is keyed by the IDs
+    of its variable images. Its matched set is the union of the triples
+    chosen on all the paths that reach it. That is every triple matched
+    under the leaf's bindings, because such a triple can be chosen at its
+    own step without changing them. Only non-triviality and the closure
+    rule are left to check.
     """
     constants, template, plan_steps, n_vars, variable_masks, constant_masks, project = (
         _useful_plan(sub, nodes)
@@ -410,8 +428,10 @@ def enumerate_useful_partial(
     b = list(template)
     leaves: dict[tuple, int] = {}
 
-    def leaf(chosen: int, b=b, n_vars=n_vars, leaves=leaves):
-        key = tuple(b[:n_vars])
+    def leaf(
+        chosen: int, b=b, n_vars=n_vars, leaves=leaves, code=dictionary.ids.__getitem__
+    ):
+        key = tuple(map(code, b[:n_vars]))
         leaves[key] = leaves.get(key, 0) | chosen
 
     run = leaf
@@ -422,28 +442,31 @@ def enumerate_useful_partial(
         return []  # every leaf would match nothing
     run(0)
     # a constant the segment lacks is left unbound: its image in the tail
-    # that follows a leaf's key is None, as is the last, read by the nodes
-    # not in sub
+    # that follows a leaf's key is UNBOUND, as is the next, read by the
+    # nodes not in sub
     seg_nodes = segment.nodes
-    tail = tuple([c if c in seg_nodes else None for c in constants]) + (None,)
-    # nodes mapped outside the border and the literals must have every
-    # incident triple matched here, since no other segment can complete them
+    ids = dictionary.ids
+    tail = tuple([ids[c] if c in seg_nodes else UNBOUND for c in constants])
+    # interior images must have every incident triple matched here, since
+    # no other segment can complete them
     always_required = 0
     for img, mask in zip(tail, constant_masks):
-        if img is not None and img not in border and not img.is_literal:
+        if img in interior:
             always_required |= mask
+    tail += (UNBOUND,)
     out = []
     for key, matched in leaves.items():
         if not matched:
             continue
         required = always_required
-        # most images are border nodes, so the border test comes first
-        for img, mask in zip(key, variable_masks):
-            if img is not None and img not in border and not img.is_literal:
-                required |= mask
+        # most images are border nodes, so most keys skip the masked loop
+        if not interior.isdisjoint(key):
+            for img, mask in zip(key, variable_masks):
+                if img in interior:
+                    required |= mask
         if required & ~matched:
             continue
-        out.append((project(key + tail), matched))
+        out.append(project(key + tail + (matched,)))
     return out
 
 
@@ -463,6 +486,7 @@ class Star(NamedTuple):
     project: Callable[[tuple], tuple]
 
 
+@lru_cache(maxsize=1024)
 def star_of(
     sub: Query, nodes: tuple[Term, ...], recorded: Term | None = None
 ) -> Star | None:
@@ -473,6 +497,11 @@ def star_of(
     so-centre, else the canonically first star centre. Every fragment and
     every witness of the subquery binds its centre, whichever it is, because
     each of sub's triples holds it.
+
+    A star depends on its arguments alone, so each is kept for the next
+    layout with the same ones, as the search plans are: every evaluation
+    builds a new layout, and building the star took about 4 microseconds a
+    subquery on a 2-vCPU host with CPython 3.11.
     """
     centres = star_centers(sub)
     if not centres:
@@ -520,8 +549,7 @@ class QueryLayout:
     def stars(self) -> tuple[Star | None, ...]:
         """Each subquery's ``star_of`` over ``nodes`` at its recorded centre:
         the one star both qejpe's fragment join and stars' reducer read.
-        Built on first read and kept, since the redundancy engine reads none
-        (about 4 microseconds a subquery on a 2-vCPU host, CPython 3.11)."""
+        Read on first use and kept, since the redundancy engine reads none."""
         return tuple(
             star_of(sub, self.nodes, c)
             for sub, c in zip(self.subqueries, self.dec.centers)
@@ -651,7 +679,7 @@ def plan_join(
 
 def totals_from_fragments(
     sub: Query,
-    fragments: list[tuple[tuple[int, ...], int]],
+    fragments: list[tuple[int, ...]],
     nodes: tuple[Term, ...],
     star: Star | None,
     *,
@@ -659,11 +687,12 @@ def totals_from_fragments(
 ) -> list[tuple[int, ...]]:
     """Join useful partial fragments into the total embeddings of sub.
 
-    A fragment is (ids, mask): the ID of each of ``nodes``' images, UNBOUND
-    where the fragment leaves a node unbound, and the bit mask of the
-    subquery triples it matched. ``nodes`` lists every node of sub, and each
-    total comes back as an ID tuple over it. ``star`` is sub's
-    ``star_of`` over ``nodes``, as a layout's ``stars`` holds it.
+    A fragment is a flat tuple of ints, as ``enumerate_useful_partial``
+    returns it: the ID of each of ``nodes``' images, UNBOUND where the
+    fragment leaves a node unbound, then the bit mask of the subquery
+    triples it matched. ``nodes`` lists every node of sub, and each total
+    comes back as an ID tuple over it. ``star`` is sub's ``star_of`` over
+    ``nodes``, as a layout's ``stars`` holds it.
 
     When sub has a star centre, every fragment binds it (each matched triple
     contains the centre), and a total's fragments all bind its centre image.
@@ -692,7 +721,7 @@ def totals_from_fragments(
         centre, far, _ = star
         parts: dict[int, list] = {}
         for frag in fragments:
-            img = frag[0][centre]
+            img = frag[centre]
             part = parts.get(img)
             if part is None:
                 parts[img] = [frag]
@@ -702,25 +731,27 @@ def totals_from_fragments(
         out: list[tuple[int, ...]] = []
         for img, part in parts.items():
             covered = 0
-            for _ids, mask in part:
-                covered |= mask
+            for frag in part:
+                covered |= frag[-1]
             if covered != full:
                 continue
             witnessed: list[set] = [set() for _ in far]
-            for ids, mask in part:
+            for frag in part:
+                mask = frag[-1]
                 for i, p in enumerate(far):
                     if mask >> i & 1:
-                        witnessed[i].add(ids[p])
+                        witnessed[i].add(frag[p])
             out += star_totals(img, witnessed, star, cap)
         return out
 
     index = {node: p for p, node in enumerate(nodes)}
     ends = [(index[t.s], index[t.o]) for t in sub.canonical]
     pairs: list[set] = [set() for _ in ends]
-    for ids, mask in fragments:
+    for frag in fragments:
+        mask = frag[-1]
         for k, (s, o) in enumerate(ends):
             if mask >> k & 1:
-                pairs[k].add((ids[s], ids[o]) if s != o else (ids[s],))
+                pairs[k].add((frag[s], frag[o]) if s != o else (frag[s],))
     schemas = tuple([(s, o) if s != o else (s,) for s, o in ends])
     return plan_join(schemas, tuple(range(len(nodes))))(pairs, cap)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import total_ordering
+from functools import cached_property, total_ordering
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -554,11 +554,6 @@ class TermDictionary:
         self.ids: dict[Term | None, int] = {t: i for i, t in enumerate(self.terms)}
         self.ids[None] = UNBOUND
 
-    def decode(self, ids: Iterable[int]) -> tuple[Term | None, ...]:
-        """The terms of a vector of IDs, None for UNBOUND."""
-        terms = self.terms
-        return tuple(None if i == UNBOUND else terms[i] for i in ids)
-
 
 @dataclass(frozen=True)
 class DataDecomposition:
@@ -576,6 +571,8 @@ class DataDecomposition:
     Segment i's replicated nodes are its border minus its own block: a node
     of another block reaches segment i only through a triple that its own
     block's segment holds too, so it is a non-literal node of two segments.
+    ``interiors[i]`` holds the dictionary IDs of segment i's non-literal
+    nodes outside its border, read by qejpe's closure rule.
     """
 
     graph: DataGraph
@@ -618,6 +615,18 @@ class DataDecomposition:
         """The graph's dictionary, whose IDs the engines ship in place of
         terms. Every image a record carries is a graph node."""
         return self.graph.dictionary
+
+    @cached_property
+    def interiors(self) -> tuple[frozenset[int], ...]:
+        """Per segment, the IDs of its interior nodes: the non-literal nodes
+        outside its border. No other segment holds an interior node, so
+        every triple at one lies in its segment. Built on first read and
+        kept, as ``dictionary`` is, so set-up does not pay for them."""
+        ids = self.dictionary.ids
+        return tuple(
+            frozenset([ids[n] for n in seg.nodes - border if not n.is_literal])
+            for seg, border in zip(self.segments, self.borders)
+        )
 
     def __len__(self) -> int:
         return len(self.segments)

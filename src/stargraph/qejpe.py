@@ -3,11 +3,16 @@
 Works for any query decomposition over any data partition. Two stages:
 
 1. For every (subquery, segment) pair the mapper enumerates the useful partial
-   embeddings and ships each as a (subquery, (ids, mask)) record: the ID of
-   every layout node's image, UNBOUND where it is unbound, and the bit mask of
-   the subquery triples it matched. The reducer hands one subquery's fragments
-   as they are to ``totals_from_fragments``, with the subquery's layout
-   star (``QueryLayout.stars``). It splits them by the image of that star's
+   embeddings and ships each as a (subquery, fragment) record. The fragment
+   is one flat int tuple, which ``enumerate_useful_partial`` builds once and
+   the mapper ships as it is: the ID of every layout node's image, UNBOUND
+   where it is unbound, then the bit mask of the subquery triples it matched.
+   The search applies the closure rule to the segment's interior
+   (``DataDecomposition.interiors``, built on the first run and kept). The
+   flat tuple sorts as the (ids, mask) pair it spells out would, since every
+   fragment has one ID per layout node. The reducer hands one subquery's
+   fragments as they are to ``totals_from_fragments``, with the subquery's
+   layout star (``QueryLayout.stars``). It splits them by the image of that star's
    centre, the one the stars engine assembles around too, and skips an
    image whose fragments together miss a triple. For every other image,
    the totals are the product, over the far nodes (the endpoints that are
@@ -43,15 +48,15 @@ from .runtime import Job, run_job
 __all__ = ["qejpe_map1_records", "qejpe_reduce1_fn", "run_qejpe"]
 
 
-def qejpe_map1_records(layout, sub_idx: int, segment, border, dictionary):
+def qejpe_map1_records(layout, sub_idx: int, segment, interior, dictionary):
     """Useful partial fragments of one subquery against one segment, as
-    (subquery index, (ids, mask)) shuffle records, images as their IDs in
-    ``dictionary``. Pure, for direct testing."""
-    code = dictionary.ids.__getitem__
+    (subquery index, fragment) shuffle records, each fragment the flat ID
+    tuple ``enumerate_useful_partial`` builds with ``dictionary`` and the
+    segment's ``interior``. Pure, for direct testing."""
     return [
-        (sub_idx, (tuple(map(code, images)), matched))
-        for images, matched in enumerate_useful_partial(
-            layout.subqueries[sub_idx], segment, border, layout.nodes
+        (sub_idx, frag)
+        for frag in enumerate_useful_partial(
+            layout.subqueries[sub_idx], segment, interior, layout.nodes, dictionary
         )
     ]
 
@@ -78,11 +83,12 @@ def run_qejpe(
     dec_data = checked_data(data, query, decomposition)
     layout = preprocess(decomposition)
     dictionary = dec_data.dictionary
+    interiors = dec_data.interiors
 
     def map1(key, _value, em):
         i, j = key
         for rec_key, rec_val in qejpe_map1_records(
-            layout, i, dec_data.segments[j], dec_data.borders[j], dictionary
+            layout, i, dec_data.segments[j], interiors[j], dictionary
         ):
             em.emit(rec_key, rec_val)
 

@@ -1,9 +1,12 @@
 """Shared fixtures: a small bibliography graph, three queries over it, and
-the frozen partitions and decompositions the golden tests rely on."""
+the frozen partitions and decompositions the golden tests rely on; and the
+helpers that read the engines' ID vectors back as terms."""
 
 import pytest
 
 import stargraph as sg
+from stargraph.embedding import enumerate_useful_partial
+from stargraph.model import UNBOUND
 
 BIBLIOGRAPHY = """\
 <Article1> <hasAuthor> <Person1> .
@@ -74,6 +77,34 @@ NODE_BLOCKS = (
     ("<Person1>", "<Person2>", "<Person3>"),
     ("<Article2>", "<Journal1>"),
 )
+
+
+def decode(dictionary, ids):
+    """The terms of a vector of IDs in ``dictionary``, None for UNBOUND."""
+    terms = dictionary.terms
+    return tuple(None if i == UNBOUND else terms[i] for i in ids)
+
+
+def interior_of(segment, border, dictionary):
+    """The IDs of segment's non-literal nodes outside ``border``: the images
+    the closure rule applies to, as ``DataDecomposition.interiors`` holds
+    them for each segment of a partition."""
+    ids = dictionary.ids
+    return frozenset(ids[n] for n in segment.nodes - border if not n.is_literal)
+
+
+def term_partials(sub, segment, border, nodes, dictionary=None):
+    """``enumerate_useful_partial`` of sub against segment, whose border is
+    ``border``, each flat fragment decoded to an (images, mask) pair, None
+    for an unbound image, in the order the search returned them.
+    ``dictionary`` defaults to the segment's own."""
+    dictionary = dictionary or segment.dictionary
+    interior = interior_of(segment, border, dictionary)
+    frags = enumerate_useful_partial(sub, segment, interior, nodes, dictionary)
+    for frag in frags:  # one int per node, then the mask
+        assert type(frag) is tuple and len(frag) == len(nodes) + 1
+        assert all(type(v) is int for v in frag)
+    return [(decode(dictionary, frag[:-1]), frag[-1]) for frag in frags]
 
 
 def q3(s, p, o):

@@ -22,8 +22,9 @@ from stargraph.embedding import (
     tuple_getter,
 )
 from stargraph.model import UNBOUND, DataTriple
+from stargraph.qejpe import qejpe_map1_records
 
-from conftest import BIBLIOGRAPHY, q3
+from conftest import BIBLIOGRAPHY, decode, interior_of, q3, term_partials
 from test_differential import (
     ADVERSARIAL_INSTANCES,
     adversarial_instance,
@@ -495,7 +496,7 @@ class TestUsefulPartials:
         counts = {}
         for i, sub in enumerate(layout.subqueries):
             for j, seg in enumerate(edge_split.segments):
-                frags = enumerate_useful_partial(
+                frags = term_partials(
                     sub, seg, edge_split.borders[j], layout.nodes
                 )
                 counts[(i, j)] = len(frags)
@@ -510,7 +511,7 @@ class TestUsefulPartials:
         # triple, so the star survives there only as a half-matched partial
         layout = sg.preprocess(supervisor_decomposition)
         sub = layout.subqueries[1]
-        frags = enumerate_useful_partial(
+        frags = term_partials(
             sub, edge_split.segments[0], edge_split.borders[0], layout.nodes
         )
         witness = images_over(
@@ -530,7 +531,7 @@ class TestUsefulPartials:
             n = len(sub.canonical)
             for j, seg in enumerate(edge_split.segments):
                 border = edge_split.borders[j]
-                for e, matched in enumerate_useful_partial(
+                for e, matched in term_partials(
                     sub, seg, border, layout.nodes
                 ):
                     assert 0 < matched < 1 << n
@@ -547,7 +548,7 @@ class TestUsefulPartials:
         )
         for sub in layout.subqueries:
             for j, seg in enumerate(edge_split.segments):
-                for e, matched in enumerate_useful_partial(
+                for e, matched in term_partials(
                     sub, seg, edge_split.borders[j], layout.nodes
                 ):
                     assert any(v is not None for v in e) and matched
@@ -562,11 +563,11 @@ class TestUsefulPartials:
             nodes, {sg.variable("X"): sg.iri("a"), sg.variable("Y"): sg.iri("b")}
         )
         assert not reference_is_useful(e, nodes, sub, g, frozenset())
-        assert e not in dict(enumerate_useful_partial(sub, g, frozenset(), nodes))
+        assert e not in dict(term_partials(sub, g, frozenset(), nodes))
         # once the image sits on the border the closure requirement lifts
         on_border = frozenset({sg.iri("a")})
         assert reference_is_useful(e, nodes, sub, g, on_border)
-        assert dict(enumerate_useful_partial(sub, g, on_border, nodes))[e] == 0b01
+        assert dict(term_partials(sub, g, on_border, nodes))[e] == 0b01
 
     def test_closure_rule_exempts_literals_and_border_nodes(self):
         # ?Y has two incident triples and only <p> matches here: bound to a
@@ -582,7 +583,7 @@ class TestUsefulPartials:
                 useful = useful_off_border or y in border
                 assert reference_is_useful(e, nodes, sub, g, border) == useful
                 want = [(e, p_only)] if useful else []
-                assert enumerate_useful_partial(sub, g, border, nodes) == want
+                assert term_partials(sub, g, border, nodes) == want
 
     def test_one_node_layout_gives_one_tuples(self):
         # ?x <p> ?x has a one-node layout, the case where a projection by
@@ -591,7 +592,7 @@ class TestUsefulPartials:
         g = sg.DataGraph([d3("<a>", "<p>", "<a>"), d3("<a>", "<p>", "<b>")])
         layout = sg.preprocess(sg.naive_decomposition(q))
         assert layout.nodes == (sg.variable("x"),)
-        assert enumerate_useful_partial(q, g, frozenset(), layout.nodes) == [
+        assert term_partials(q, g, frozenset(), layout.nodes) == [
             ((sg.iri("a"),), 0b1)
         ]
         data = sg.edge_random_partition(g, 2, seed=1)
@@ -608,7 +609,7 @@ class TestUsefulPartials:
         e = images_over(
             nodes, {sg.variable("X"): sg.iri("a"), sg.variable("Y"): sg.iri("b")}
         )
-        assert enumerate_useful_partial(sub, g, frozenset(), nodes) == [(e, 0b11)]
+        assert term_partials(sub, g, frozenset(), nodes) == [(e, 0b11)]
 
     def test_all_constant_triple_is_matched_without_bindings(self):
         # <a> <p> <b> binds nothing, so the leaf with no variable bound is
@@ -618,8 +619,8 @@ class TestUsefulPartials:
         nodes = nodes_of(sub)
         consts = {sg.iri("a"): sg.iri("a"), sg.iri("b"): sg.iri("b")}
         whole = images_over(nodes, {**consts, sg.variable("Y"): sg.iri("c")})
-        assert enumerate_useful_partial(sub, g, frozenset(), nodes) == [(whole, 0b11)]
-        on_border = enumerate_useful_partial(sub, g, frozenset({sg.iri("a")}), nodes)
+        assert term_partials(sub, g, frozenset(), nodes) == [(whole, 0b11)]
+        on_border = term_partials(sub, g, frozenset({sg.iri("a")}), nodes)
         assert on_border == [(images_over(nodes, consts), 0b01), (whole, 0b11)]
         # with <b> missing from the segment the constant triple cannot match,
         # and <b> is left unbound
@@ -627,8 +628,8 @@ class TestUsefulPartials:
         partial = images_over(
             nodes, {sg.iri("a"): sg.iri("a"), sg.variable("Y"): sg.iri("c")}
         )
-        assert enumerate_useful_partial(sub, g2, frozenset(), nodes) == []
-        assert enumerate_useful_partial(sub, g2, frozenset({sg.iri("a")}), nodes) == [
+        assert term_partials(sub, g2, frozenset(), nodes) == []
+        assert term_partials(sub, g2, frozenset({sg.iri("a")}), nodes) == [
             (partial, 0b10)
         ]
 
@@ -640,11 +641,11 @@ class TestUsefulPartials:
             for seg, border in zip(edge_split.segments, edge_split.borders):
                 want = [
                     ((None,) + images[::-1], matched)
-                    for images, matched in enumerate_useful_partial(
+                    for images, matched in term_partials(
                         sub, seg, border, layout.nodes
                     )
                 ]
-                assert enumerate_useful_partial(sub, seg, border, flipped) == want
+                assert term_partials(sub, seg, border, flipped) == want
 
 
 class TestUsefulPartialsAgainstReference:
@@ -654,7 +655,7 @@ class TestUsefulPartialsAgainstReference:
     def test_same_pairs_as_the_reference(self, case):
         sub, segment, border = case
         nodes = nodes_of(sub)
-        got = enumerate_useful_partial(sub, segment, border, nodes)
+        got = term_partials(sub, segment, border, nodes)
         want = reference_useful_partials(sub, segment, border, nodes)
         assert len(got) == len(set(got))
         assert set(got) == set(want)
@@ -667,7 +668,7 @@ class TestUsefulPartialsAgainstReference:
             nodes = sg.preprocess(dec).nodes
             for sub in dec.subqueries:
                 for seg, border in zip(edge_split.segments, edge_split.borders):
-                    got = enumerate_useful_partial(sub, seg, border, nodes)
+                    got = term_partials(sub, seg, border, nodes)
                     want = reference_useful_partials(sub, seg, border, nodes)
                     assert set(got) == set(want)
 
@@ -693,7 +694,7 @@ class TestPlanMemo:
             for seg in edge_split.segments:
                 for border in (frozenset(), *edge_split.borders):
                     want = reference_useful_partials(sub, seg, border, nodes)
-                    got = enumerate_useful_partial(sub, seg, border, nodes)
+                    got = term_partials(sub, seg, border, nodes)
                     assert set(got) == set(want)
 
     def test_equal_queries_give_equal_results(self, bibliography, supervisor_query):
@@ -704,9 +705,9 @@ class TestPlanMemo:
             supervisor_query, bibliography, nodes
         )
         border = frozenset(bibliography.nodes)
-        assert enumerate_useful_partial(
+        assert term_partials(
             twin, bibliography, border, nodes
-        ) == enumerate_useful_partial(supervisor_query, bibliography, border, nodes)
+        ) == term_partials(supervisor_query, bibliography, border, nodes)
 
     def test_a_graph_without_a_predicate_gives_no_totals(self):
         q, g, _border = _FIXED_ORDER_CASE
@@ -751,15 +752,21 @@ class TestBoundSteps:
             layout = sg.preprocess(sg.DECOMPOSERS[dec_name](q))
             nodes = layout.nodes
             for sub in layout.subqueries:
-                for seg, border in zip(data.segments, data.borders):
+                for seg, border, interior in zip(
+                    data.segments, data.borders, data.interiors
+                ):
                     pairs += 1
                     lacking += lacks_a_list(sub, seg)
                     assert sg.enumerate_total(sub, seg, nodes) == step_totals(
                         sub, seg, nodes
                     ), k
-                    assert enumerate_useful_partial(
-                        sub, seg, border, nodes
-                    ) == step_useful_partials(sub, seg, border, nodes), k
+                    # the engines' fragments, decoded
+                    frags = enumerate_useful_partial(
+                        sub, seg, interior, nodes, data.dictionary
+                    )
+                    assert [
+                        (decode(data.dictionary, f[:-1]), f[-1]) for f in frags
+                    ] == step_useful_partials(sub, seg, border, nodes), k
         # both kinds of pair occur: steps that are left out, and none
         assert 0 < lacking < pairs
 
@@ -774,14 +781,14 @@ class TestBoundSteps:
         ):
             assert lacks_a_list(sub, g)
             for border in (frozenset(), frozenset(g.nodes)):
-                assert enumerate_useful_partial(sub, g, border, nodes_of(sub)) == []
+                assert term_partials(sub, g, border, nodes_of(sub)) == []
 
     def test_a_left_out_step_leaves_the_others_matched(self):
         g = sg.DataGraph([d3("<a>", "<p>", "<b>")])
         sub = sg.Query([q3("?x", "<p>", "?y"), q3("?x", "<r>", "?y")])
         nodes = nodes_of(sub)
         e = images_over(nodes, {sg.variable("x"): sg.iri("a"), sg.variable("y"): sg.iri("b")})
-        assert enumerate_useful_partial(sub, g, frozenset(g.nodes), nodes) == [(e, 0b01)]
+        assert term_partials(sub, g, frozenset(g.nodes), nodes) == [(e, 0b01)]
 
     def test_a_constant_end_without_a_list_gives_no_totals(self):
         # every constant is a node of g, so only the missing list stops it
@@ -809,24 +816,142 @@ class TestBoundSteps:
         loop = sg.Query([q3("?x", "<p>", "?x")])
         # an unbound self-loop scans the predicate's self-loops
         assert sg.enumerate_total(loop, g, (x,)) == [(a,), (b,)]
-        assert enumerate_useful_partial(loop, g, frozenset(), (x,)) == [
+        assert term_partials(loop, g, frozenset(), (x,)) == [
             ((a,), 0b1), ((b,), 0b1)
         ]
         # ?x <m> ?y comes first in both searches, so the self-loop then runs
         # with ?x bound: it finds <b>'s loop and no loop at <c>
         bound = sg.Query([q3("?x", "<m>", "?y"), q3("?x", "<p>", "?x")])
         assert sg.enumerate_total(bound, g, (x, y)) == [(b, c)]
-        assert enumerate_useful_partial(bound, g, frozenset({b, c}), (x, y)) == [
+        assert term_partials(bound, g, frozenset({b, c}), (x, y)) == [
             ((b, None), 0b10), ((b, c), 0b11), ((c, a), 0b01)
         ]
         for q in (loop, bound):
             for border in (frozenset(), frozenset({b, c})):
-                assert enumerate_useful_partial(
+                assert term_partials(
                     q, g, border, nodes_of(q)
                 ) == step_useful_partials(q, g, border, nodes_of(q))
             assert sg.enumerate_total(q, g, nodes_of(q)) == step_totals(
                 q, g, nodes_of(q)
             )
+
+
+class TestFlatFragments:
+    """``enumerate_useful_partial`` returns each fragment as one flat tuple:
+    the ID of every node's image, UNBOUND where unbound, then the mask. The
+    closure rule reads the segment's interior IDs; these cases pin the
+    images it must let through."""
+
+    def test_a_literal_image_is_exempt(self):
+        # ?Y has two incident triples; each segment holds only one of them
+        # at the literal, which no interior holds
+        g = sg.parse_data('<a> <p> "l" .\n<c> <q> "l" .\n')
+        data = sg.from_edge_assignment(g, {t: i for i, t in enumerate(g.canonical)})
+        sub = sg.Query([q3("?X", "<p>", "?Y"), q3("?Z", "<q>", "?Y")])
+        nodes = nodes_of(sub)
+        ids = data.dictionary.ids
+        a, c, lit = ids[sg.iri("a")], ids[sg.iri("c")], ids[sg.literal("l")]
+        assert data.borders == (frozenset(), frozenset())
+        assert data.interiors == (frozenset({a}), frozenset({c}))
+        got = [
+            enumerate_useful_partial(sub, seg, interior, nodes, data.dictionary)
+            for seg, interior in zip(data.segments, data.interiors)
+        ]
+        assert got == [[(a, lit, UNBOUND, 0b01)], [(UNBOUND, lit, c, 0b10)]]
+        totals = totals_from_fragments(sub, got[0] + got[1], nodes, star_of(sub, nodes))
+        assert [decode(data.dictionary, ids) for ids in totals] == sg.enumerate_total(
+            sub, g, nodes
+        )
+
+    def test_a_constant_the_segment_lacks_is_unbound(self):
+        # segment 0 lacks <k> and segment 1 lacks <a>: each leaves it
+        # UNBOUND and requires only the triples at the constant it holds
+        g = sg.parse_data("<a> <p> <b> .\n<k> <q> <b> .\n")
+        data = sg.from_edge_assignment(g, {t: i for i, t in enumerate(g.canonical)})
+        sub = sg.Query([q3("<a>", "<p>", "?Y"), q3("<k>", "<q>", "?Y")])
+        nodes = (sg.variable("Y"), sg.iri("a"), sg.iri("k"))
+        ids = data.dictionary.ids
+        a, b, k = ids[sg.iri("a")], ids[sg.iri("b")], ids[sg.iri("k")]
+        assert data.interiors == (frozenset({a}), frozenset({k}))
+        got = [
+            enumerate_useful_partial(sub, seg, interior, nodes, data.dictionary)
+            for seg, interior in zip(data.segments, data.interiors)
+        ]
+        assert got == [[(b, a, UNBOUND, 0b01)], [(b, UNBOUND, k, 0b10)]]
+        assert totals_from_fragments(
+            sub, got[0] + got[1], nodes, star_of(sub, nodes)
+        ) == [(b, a, k)]
+        # with <a> interior but its triple unmatched under the leaf, no leaf
+        # of segment 0 survives
+        assert enumerate_useful_partial(
+            sg.Query([q3("<a>", "<r>", "?Y"), q3("<a>", "<p>", "?Y")]),
+            data.segments[0], data.interiors[0], nodes, data.dictionary,
+        ) == []
+
+    def test_an_unbound_variable_is_never_interior(self):
+        # ?Z stays unbound; ?X's image is interior only off the border, and
+        # then its unmatched <q> triple drops the leaf
+        g = sg.parse_data("<a> <p> <b> .\n")
+        sub = sg.Query([q3("?X", "<p>", "?Y"), q3("?X", "<q>", "?Z")])
+        nodes = nodes_of(sub)
+        ids = g.dictionary.ids
+        a, b = ids[sg.iri("a")], ids[sg.iri("b")]
+        assert UNBOUND not in interior_of(g, frozenset(), g.dictionary)
+        on_border = interior_of(g, frozenset({sg.iri("a")}), g.dictionary)
+        assert on_border == {b}
+        assert enumerate_useful_partial(sub, g, on_border, nodes, g.dictionary) == [
+            (a, b, UNBOUND, 0b01)
+        ]
+        everything = interior_of(g, frozenset(), g.dictionary)
+        assert enumerate_useful_partial(sub, g, everything, nodes, g.dictionary) == []
+
+    def test_fragments_are_the_shuffle_records_and_sort_as_pairs(
+        self, edge_split, coauthor_cover_decomposition
+    ):
+        layout = sg.preprocess(coauthor_cover_decomposition)
+        seen = 0
+        for i, sub in enumerate(layout.subqueries):
+            for j, seg in enumerate(edge_split.segments):
+                frags = enumerate_useful_partial(
+                    sub, seg, edge_split.interiors[j], layout.nodes,
+                    edge_split.dictionary,
+                )
+                assert qejpe_map1_records(
+                    layout, i, seg, edge_split.interiors[j], edge_split.dictionary
+                ) == [(i, f) for f in frags]
+                pairs = sorted((f[:-1], f[-1]) for f in frags)
+                assert [(*ids, mask) for ids, mask in pairs] == sorted(frags)
+                seen += len(frags)
+        assert seen
+
+
+class TestStarMemo:
+    def test_equal_decompositions_share_their_stars(
+        self, bibliography, edge_split, supervisor_query, supervisor_decomposition
+    ):
+        dec = supervisor_decomposition
+        twin = sg.QueryDecomposition(
+            sg.Query(supervisor_query.canonical),
+            tuple(sg.Query(sub.canonical) for sub in dec.subqueries),
+            dec.centers,
+            dec.method,
+        )
+        assert twin == dec and twin is not dec
+        assert twin.subqueries[0] is not dec.subqueries[0]
+        layout, twin_layout = sg.preprocess(dec), sg.preprocess(twin)
+        assert all(star is not None for star in layout.stars)
+        for star, twin_star in zip(layout.stars, twin_layout.stars):
+            assert twin_star is star
+        # each kept star is the one a fresh build gives
+        for sub, centre, star in zip(dec.subqueries, dec.centers, layout.stars):
+            fresh = star_of.__wrapped__(sub, layout.nodes, centre)
+            assert (fresh.centre, fresh.far) == (star.centre, star.far)
+            row = tuple(range(100, 101 + len(layout.nodes)))  # pools, then UNBOUND
+            assert fresh.project(row) == star.project(row)
+        want = sg.oracle_answers(supervisor_query, bibliography)
+        for engine in (sg.run_qejpe, sg.run_stars):
+            assert engine(edge_split, supervisor_query, twin).answers == want
+            assert engine(edge_split, supervisor_query, dec).answers == want
 
 
 class TestLayout:
@@ -870,13 +995,12 @@ class TestLayout:
 
 
 def fragments_of(sub, data, nodes):
-    """Every useful partial of sub in every segment, as join input: images
-    as their IDs in the data decomposition's dictionary."""
-    code = data.dictionary.ids.__getitem__
+    """Every useful partial of sub in every segment, as join input: flat
+    fragments over the data decomposition's dictionary."""
     return [
-        (tuple(map(code, images)), matched)
-        for seg, border in zip(data.segments, data.borders)
-        for images, matched in enumerate_useful_partial(sub, seg, border, nodes)
+        frag
+        for seg, interior in zip(data.segments, data.interiors)
+        for frag in enumerate_useful_partial(sub, seg, interior, nodes, data.dictionary)
     ]
 
 
@@ -884,7 +1008,7 @@ def joined_totals(sub, data, nodes, **kwargs):
     """totals_from_fragments over sub's fragments, decoded to terms."""
     frags = fragments_of(sub, data, nodes)
     totals = totals_from_fragments(sub, frags, nodes, star_of(sub, nodes), **kwargs)
-    return [data.dictionary.decode(ids) for ids in totals]
+    return [decode(data.dictionary, ids) for ids in totals]
 
 
 # The bibliography plus self-loops and a second predicate between articles
@@ -974,14 +1098,14 @@ class TestTotalsFromFragments:
         star = star_of(sub, nodes)
 
         def frag(centre, matched):
-            return (centre, 7, 9), mask_of(matched)
+            return (centre, 7, 9, mask_of(matched))
 
         first, other_centre = frag(1, {0, 2}), frag(2, {1})
         assert totals_from_fragments(sub, [first, other_centre], nodes, star) == []
         same_centre = frag(1, {1})
         assert totals_from_fragments(
             sub, [first, other_centre, same_centre], nodes, star
-        ) == [first[0]]
+        ) == [first[:-1]]
 
     def test_cap_counts_totals_per_centre_image(self):
         # one total per centre image stays under cap 1; two totals for one
@@ -992,7 +1116,7 @@ class TestTotalsFromFragments:
         star = star_of(sub, nodes)
 
         def frag(centre, x_image):
-            return (centre, x_image, 100), 0b11
+            return (centre, x_image, 100, 0b11)
 
         frags = [frag(1, 5), frag(2, 5)]
         assert len(totals_from_fragments(sub, frags, nodes, star, cap=1)) == 2
@@ -1012,15 +1136,15 @@ class TestTotalsFromFragments:
         assert sg.star_centers(sub) == (sg.variable("C"),)
         nodes = tuple(sg.variable(v) for v in "CXY")
         star = star_of(sub, nodes)
-        missing = [((1, x, UNBOUND), 0b01) for x in (5, 6, 7)]
-        full = ((2, 5, 6), 0b11)
-        halves = [((3, 5, UNBOUND), 0b01), ((3, UNBOUND, 6), 0b10)]
+        missing = [(1, x, UNBOUND, 0b01) for x in (5, 6, 7)]
+        full = (2, 5, 6, 0b11)
+        halves = [(3, 5, UNBOUND, 0b01), (3, UNBOUND, 6, 0b10)]
         frags = missing + [full] + halves
         assert totals_from_fragments(sub, frags, nodes, star, cap=1) == [
             (2, 5, 6), (3, 5, 6)
         ]
         # once another fragment completes centre 1's cover, its join exceeds cap
-        frags = missing + [((1, 5, 8), 0b10)]
+        frags = missing + [(1, 5, 8, 0b10)]
         with pytest.raises(sg.CartesianCapExceeded):
             totals_from_fragments(sub, frags, nodes, star, cap=1)
 
@@ -1033,11 +1157,11 @@ class TestTotalsFromFragments:
         )
         nodes = tuple(sg.variable(v) for v in "CXY")
         star = star_of(sub, nodes)
-        p_only = [((1, x, UNBOUND), 0b001) for x in (10, *range(12, 22))]
+        p_only = [(1, x, UNBOUND, 0b001) for x in (10, *range(12, 22))]
         frags = p_only + [
-            ((1, 10, UNBOUND), 0b010),
-            ((1, 11, UNBOUND), 0b011),
-            ((1, UNBOUND, 5), 0b100),
+            (1, 10, UNBOUND, 0b010),
+            (1, 11, UNBOUND, 0b011),
+            (1, UNBOUND, 5, 0b100),
         ]
         assert totals_from_fragments(sub, frags, nodes, star, cap=2) == [
             (1, 10, 5), (1, 11, 5)
@@ -1051,9 +1175,9 @@ class TestTotalsFromFragments:
         sub = sg.Query([q3("?C", "<p>", "?X"), q3("?C", "<q>", "?Y")])
         nodes = tuple(sg.variable(v) for v in "YFCX")
         star = star_of(sub, nodes)
-        x_side = ((UNBOUND, UNBOUND, 1, 5), 0b01)
-        y_side = ((6, UNBOUND, 1, UNBOUND), 0b10)
-        clash = ((6, UNBOUND, 1, 8), 0b10)
+        x_side = (UNBOUND, UNBOUND, 1, 5, 0b01)
+        y_side = (6, UNBOUND, 1, UNBOUND, 0b10)
+        clash = (6, UNBOUND, 1, 8, 0b10)
         frags = [x_side, y_side, clash]
         assert totals_from_fragments(sub, frags, nodes, star) == [(6, UNBOUND, 1, 5)]
 

@@ -14,6 +14,8 @@ import pytest
 import stargraph as sg
 from stargraph.qejpe import qejpe_map1_records
 
+from conftest import decode
+
 SUPERVISOR = {
     (0, 0): [
         '<Article1> - - | - "Title1" | 00010',
@@ -91,21 +93,22 @@ COAUTHOR = {
 
 
 def _cells(split, ids):
-    terms = split.dictionary.decode(ids)
+    terms = decode(split.dictionary, ids)
     return " ".join("-" if v is None else v.token() for v in terms)
 
 
 def _rendered(layout, split, i, j):
     records = qejpe_map1_records(
-        layout, i, split.segments[j], split.borders[j], split.dictionary
+        layout, i, split.segments[j], split.interiors[j], split.dictionary
     )
     records.sort()
     query_index = {t: q for q, t in enumerate(layout.query.canonical)}
     positions = [query_index[t] for t in layout.subqueries[i].canonical]
     k = len(layout.border_nodes)
     lines = []
-    for key, (ids, mask) in records:
+    for key, frag in records:
         assert key == i
+        ids, mask = frag[:-1], frag[-1]
         bnv, nbnv = ids[:k], ids[k:]
         hit = {positions[k] for k in range(len(positions)) if mask >> k & 1}
         flags = "".join("1" if q in hit else "0" for q in range(len(query_index)))

@@ -18,7 +18,8 @@ from stargraph.errors import (
 )
 from stargraph.model import UNBOUND, TermDictionary
 
-from conftest import EDGE_BLOCKS
+from conftest import EDGE_BLOCKS, interior_of
+from test_differential import adversarial_instance, partition_for
 
 
 class TestEdgeRandom:
@@ -347,6 +348,58 @@ class TestSharedDictionary:
             None: UNBOUND,
         }
         assert edge.dictionary.ids == TermDictionary(bibliography.nodes).ids
+
+
+def _assert_interiors(data):
+    """Segment j's interior is the IDs of its non-literal nodes outside its
+    border, and every graph triple at an interior node lies in segment j."""
+    ids = data.dictionary.ids
+    assert len(data.interiors) == len(data.segments)
+    for seg, border, interior in zip(data.segments, data.borders, data.interiors):
+        assert interior == interior_of(seg, border, data.dictionary)
+        assert interior == {ids[n] for n in seg.nodes - border if not n.is_literal}
+        inside = {data.dictionary.terms[i] for i in interior}
+        for t in data.graph:
+            if t.s in inside or t.o in inside:
+                assert t in seg
+
+
+class TestInteriors:
+    @pytest.mark.parametrize("kind", ["edge-random", "vertex-hash", "node-import"])
+    def test_interiors_hold_whole_stars(self, kind, bibliography):
+        nonempty = 0
+        for k in range(8):
+            g, _q, m, _dec = adversarial_instance(k)
+            for data in (partition_for(kind, g, m, k), partition_for(kind, bibliography, 3, k)):
+                _assert_interiors(data)
+                nonempty += any(data.interiors)
+        assert nonempty
+
+    def test_round_trip_gives_the_same_interiors(self, edge_split, node_split, tmp_path):
+        for name, data in (("edge", edge_split), ("node", node_split)):
+            sg.write_segments(data, tmp_path / name)
+            back = sg.read_segments(tmp_path / name)
+            _assert_interiors(back)
+            assert back.interiors == data.interiors
+
+    def test_built_on_first_read_and_kept(self, bibliography):
+        data = sg.edge_random_partition(bibliography, 3, seed=4)
+        assert "interiors" not in vars(data)  # the constructor builds none
+        first = data.interiors
+        assert data.interiors is first
+
+    def test_literals_and_border_nodes_are_not_interior(self, bibliography, edge_split):
+        ids = edge_split.dictionary.ids
+        literals = {ids[n] for n in bibliography.nodes if n.is_literal}
+        assert literals
+        for border, interior in zip(edge_split.borders, edge_split.interiors):
+            assert interior.isdisjoint(literals)
+            assert interior.isdisjoint(ids[n] for n in border)
+        # one segment holds the whole graph, so every IRI is interior
+        whole = sg.edge_random_partition(bibliography, 1, seed=1)
+        assert whole.interiors == (
+            frozenset(ids[n] for n in bibliography.nodes if not n.is_literal),
+        )
 
 
 class TestColdSetup:

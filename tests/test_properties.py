@@ -18,9 +18,9 @@ one of the structural facts the engines rely on:
   replicated nodes and triples always owned elsewhere, and so on).
 
 An embedding here is the tuple of the images of one fixed node order, the
-query's nodes sorted, None for an unbound node; fragments are encoded to the
-data decomposition's IDs for ``totals_from_fragments`` and its totals decoded
-back. The joins are checked against a reference join of such tuples
+query's nodes sorted, None for an unbound node; fragments are the flat ID
+tuples over the data decomposition's dictionary that ``totals_from_fragments``
+joins, and its totals are decoded back. The joins are checked against a reference join of such tuples
 (``is_compatible``, ``join``, ``restrict``, position by position) that the
 engines do not use; ``TestCompatibilityAlgebra`` pins its own laws.
 """
@@ -38,6 +38,9 @@ from stargraph.embedding import (
     star_of,
     totals_from_fragments,
 )
+
+from conftest import decode
+from test_embedding import reference_useful_partials, step_useful_partials
 
 DECOMPOSERS = sorted(sg.DECOMPOSERS)
 
@@ -133,14 +136,13 @@ def nodes_of(q):
 def totals_of(sub, data, nodes):
     """sub's totals joined from its useful partials in every segment, as
     term tuples over nodes."""
-    code = data.dictionary.ids.__getitem__
     frags = [
-        (tuple(map(code, images)), matched)
-        for seg, border in zip(data.segments, data.borders)
-        for images, matched in enumerate_useful_partial(sub, seg, border, nodes)
+        frag
+        for seg, interior in zip(data.segments, data.interiors)
+        for frag in enumerate_useful_partial(sub, seg, interior, nodes, data.dictionary)
     ]
     return {
-        data.dictionary.decode(ids)
+        decode(data.dictionary, ids)
         for ids in totals_from_fragments(sub, frags, nodes, star_of(sub, nodes))
     }
 
@@ -178,6 +180,30 @@ class TestFragmentReconstruction:
             data = edge_partition(g, uid)
             nodes = nodes_of(q)
             assert totals_of(q, data, nodes) == set(sg.enumerate_total(q, g, nodes))
+            return True
+
+        run_instances(check)
+
+    def test_flat_fragments_decode_to_the_term_references(self):
+        # the fragments totals_of joins, decoded, are the term-level search's
+        # pairs in the same order, and the exhaustive reference's as a set
+        def check(uid):
+            g, q = instance(uid)
+            nodes = nodes_of(q)
+            for data in (edge_partition(g, uid), node_partition(g, uid)):
+                for seg, border, interior in zip(
+                    data.segments, data.borders, data.interiors
+                ):
+                    got = [
+                        (decode(data.dictionary, frag[:-1]), frag[-1])
+                        for frag in enumerate_useful_partial(
+                            q, seg, interior, nodes, data.dictionary
+                        )
+                    ]
+                    assert got == step_useful_partials(q, seg, border, nodes)
+                    assert set(got) == set(
+                        reference_useful_partials(q, seg, border, nodes)
+                    )
             return True
 
         run_instances(check)

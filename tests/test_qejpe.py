@@ -6,7 +6,7 @@ import stargraph as sg
 from stargraph.errors import NotADecomposition
 from stargraph.qejpe import qejpe_map1_records, run_qejpe
 
-from conftest import q3
+from conftest import decode, q3
 
 
 class TestFragmentRecords:
@@ -18,13 +18,15 @@ class TestFragmentRecords:
         for i in range(3):
             for j in range(3):
                 recs = qejpe_map1_records(
-                    layout, i, edge_split.segments[j], edge_split.borders[j],
+                    layout, i, edge_split.segments[j], edge_split.interiors[j],
                     edge_split.dictionary,
                 )
                 counts[(i, j)] = len(recs)
-                for key, (ids, mask) in recs:
+                for key, frag in recs:
                     assert key == i
-                    assert len(ids) == len(layout.nodes) and mask > 0
+                    # one ID per layout node, then the mask
+                    assert len(frag) == len(layout.nodes) + 1 and frag[-1] > 0
+                    assert all(type(v) is int for v in frag)
         assert counts == {
             (0, 0): 3, (0, 1): 4, (0, 2): 1,
             (1, 0): 1, (1, 1): 4, (1, 2): 2,
@@ -42,13 +44,12 @@ class TestFragmentRecords:
         for i, sub in enumerate(layout.subqueries):
             for j, seg in enumerate(edge_split.segments):
                 recs = qejpe_map1_records(
-                    layout, i, seg, edge_split.borders[j], edge_split.dictionary
+                    layout, i, seg, edge_split.interiors[j], edge_split.dictionary
                 )
-                for _, (ids, mask) in recs:
+                for _, frag in recs:
+                    ids, mask = frag[:-1], frag[-1]
                     assert 0 < mask < 1 << len(sub.canonical)
-                    image = dict(
-                        zip(layout.nodes, edge_split.dictionary.decode(ids))
-                    )
+                    image = dict(zip(layout.nodes, decode(edge_split.dictionary, ids)))
                     for k, t in enumerate(sub.canonical):
                         s_img, o_img = image[t.s], image[t.o]
                         held = (

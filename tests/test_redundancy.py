@@ -12,6 +12,8 @@ from stargraph.redundancy import red_map1_records, run_redundancy
 from stargraph.evalcore import join_job
 from stargraph.runtime import Emitter
 
+from conftest import decode
+
 
 def t(token):
     return sg.term_from_token(token)
@@ -69,7 +71,7 @@ class TestMapRecords:
         )
         joined = join_records(layout, records)
         assert all(sub_idx == 1 for _, (sub_idx, _ids) in joined)
-        assert sorted({node_split.dictionary.decode(key) for key, _ in joined}) == [
+        assert sorted({decode(node_split.dictionary, key) for key, _ in joined}) == [
             (t("<Person1>"),), (t("<Person2>"),), (t("<Person4>"),),
         ]
 
@@ -105,7 +107,7 @@ class TestMapRecords:
             assert sub_idx == 0
             bnv = ids[: len(layout.border_nodes)]
             assert len(bnv) == len(layout.border_nodes)
-            assert all(v is not None for v in node_split.dictionary.decode(bnv))
+            assert all(v is not None for v in decode(node_split.dictionary, bnv))
 
 
 class TestCompletion:
@@ -116,7 +118,7 @@ class TestCompletion:
         key = (node_split.dictionary.ids[t(person)],)
         em = Emitter()
         join_job(layout).reduce_fn(key, sorted(grouped[key]), em)
-        return sorted(node_split.dictionary.decode(row) for row, _ in em.records)
+        return sorted(decode(node_split.dictionary, row) for row, _ in em.records)
 
     def test_border_holes_fill_from_candidates(
         self, node_split, coauthor_query, coauthor_cover_decomposition

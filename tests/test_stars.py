@@ -14,7 +14,7 @@ from stargraph.model import UNBOUND
 from stargraph.runtime import Emitter
 from stargraph.stars import run_stars, stars_map1_records, stars_reduce1_fn
 
-from conftest import q3
+from conftest import decode, q3
 
 
 def t(token):
@@ -41,10 +41,10 @@ def all_part1(layout, edge_split):
 def decoded(split, record):
     """A stars record with its IDs decoded to terms."""
     key, val = record
-    terms, decode = split.dictionary.terms, split.dictionary.decode
+    terms = split.dictionary.terms
     if isinstance(key, tuple):  # part 1: ((sub, image), (k, image))
         return (key[0], terms[key[1]]), (val[0], terms[val[1]])
-    return key, decode(val)  # a total: (sub, ids)
+    return key, decode(split.dictionary, val)  # a total: (sub, ids)
 
 
 class TestMapRecords:
