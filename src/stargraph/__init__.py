@@ -45,11 +45,9 @@ from .model import (
     DataTriple,
     Query,
     QueryDecomposition,
-    QueryShape,
     Term,
     TermKind,
     TriplePattern,
-    classify_query,
     iri,
     literal,
     so_centers,
@@ -73,8 +71,6 @@ from .oracle import oracle_answers
 from .partition import (
     edge_random_partition,
     from_edge_assignment,
-    import_edge_assignment,
-    import_node_partition,
     import_partition,
     s_decompose,
     vertex_hash_partition,
@@ -98,8 +94,6 @@ __all__ = [
     "TriplePattern",
     "DataGraph",
     "Query",
-    "QueryShape",
-    "classify_query",
     "star_centers",
     "so_centers",
     "QueryDecomposition",
@@ -133,8 +127,6 @@ __all__ = [
     "edge_random_partition",
     "vertex_hash_partition",
     "s_decompose",
-    "import_node_partition",
-    "import_edge_assignment",
     "import_partition",
     "from_edge_assignment",
     "run_qejpe",

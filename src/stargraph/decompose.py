@@ -137,12 +137,17 @@ def min_res_decomposition(q: Query) -> QueryDecomposition:
     return QueryDecomposition(q, tuple(subs), tuple(centers), "min-res")
 
 
-def min_subquery_decomposition(q: Query, *, guard: int = 16) -> QueryDecomposition:
+# the most candidate stars min-subquery's exhaustive subset search takes on
+SUBSET_SEARCH_GUARD = 16
+
+
+def min_subquery_decomposition(q: Query) -> QueryDecomposition:
     base = naive_decomposition(q)
     stars = base.subqueries
-    if len(stars) > guard:
+    if len(stars) > SUBSET_SEARCH_GUARD:
         raise SearchSpaceTooLarge(
-            f"{len(stars)} candidate stars exceed the subset-search guard ({guard})"
+            f"{len(stars)} candidate stars exceed the subset-search guard"
+            f" ({SUBSET_SEARCH_GUARD})"
         )
     target = q.triples
     for k in range(1, len(stars) + 1):

@@ -23,8 +23,6 @@ __all__ = [
     "NotADecomposition",
     "NotSoDecomposition",
     "NotAnSDecomposition",
-    "UnknownNode",
-    "MissingNode",
     "UnknownTriple",
     "MissingTriple",
     "TooManySegments",
@@ -108,14 +106,6 @@ class NotSoDecomposition(ValidationError):
 
 class NotAnSDecomposition(ValidationError):
     """An evaluation strategy required node-partitioned segments."""
-
-
-class UnknownNode(ValidationError):
-    """An imported node assignment names a node absent from the graph."""
-
-
-class MissingNode(ValidationError):
-    """An imported node assignment leaves some graph node unassigned."""
 
 
 class UnknownTriple(ValidationError):

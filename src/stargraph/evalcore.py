@@ -41,12 +41,14 @@ some owner of a node never offers matches no row of that owner.
 ``run_phases`` is the one driver of all three engines: two MapReduce jobs,
 the engine's phase 1 and the final join, the join reading exactly phase 1's
 output records. A phase-1 map task may put records straight into its job's
-output with ``Emitter.emit_output``, past the shuffle and the reduce; the
-next job reads them next to the reducer's output. Nothing is sorted between
-jobs: each job's output reaches the next shuffle in emission order, and the
-join's records are returned in it. Every job runs through the ``run_job``
-the engine passes in, its own module's name for it, so whoever replaces that
-name (a tracer, say) sees every job.
+output by appending them to ``Emitter.output``, past the shuffle and the
+reduce, as stars does with the totals of a centre image in the segment's
+interior (``DataDecomposition.interiors``), which no other segment holds;
+the next job reads them next to the reducer's output. Nothing is sorted
+between jobs: each job's output reaches the next shuffle in emission order,
+and the join's records are returned in it. Every job runs through the
+``run_job`` the engine passes in, its own module's name for it, so whoever
+replaces that name (a tracer, say) sees every job.
 """
 
 from __future__ import annotations

@@ -53,8 +53,6 @@ __all__ = [
     "TriplePattern",
     "DataGraph",
     "Query",
-    "QueryShape",
-    "classify_query",
     "so_centers",
     "star_centers",
     "QueryDecomposition",
@@ -387,13 +385,6 @@ class Query(_TripleSet):
         return tuple(t for t in self.canonical if node in (t.s, t.o))
 
 
-class QueryShape(enum.Enum):
-    STAR = "star"
-    S_QUERY = "s-query"
-    O_QUERY = "o-query"
-    SO_QUERY = "so-query"
-
-
 def star_centers(q: Query) -> tuple[Term, ...]:
     """Nodes that appear in every triple of q, canonical order; computed on
     the first call and kept in q."""
@@ -415,27 +406,6 @@ def so_centers(q: Query) -> tuple[Term, ...]:
         if any(t.s == c for t in q.triples):
             out.append(c)
     return tuple(out)
-
-
-def classify_query(q: Query) -> frozenset[QueryShape]:
-    """All shape classes q belongs to.
-
-    A query is a generalized star when some node occurs in every triple; it is
-    an s-query / o-query when some node is the subject / object of every
-    triple; it is an so-query when some star center is the subject of at least
-    one triple. A single-triple query without a self-loop lands in every class.
-    """
-    shapes = set()
-    centers = star_centers(q)
-    if centers:
-        shapes.add(QueryShape.STAR)
-    if any(all(t.s == c for t in q.triples) for c in centers):
-        shapes.add(QueryShape.S_QUERY)
-    if any(all(t.o == c for t in q.triples) for c in centers):
-        shapes.add(QueryShape.O_QUERY)
-    if so_centers(q):
-        shapes.add(QueryShape.SO_QUERY)
-    return frozenset(shapes)
 
 
 @dataclass(frozen=True)
@@ -484,7 +454,8 @@ def block_index(graph: DataGraph, blocks) -> dict[Term, int]:
     ``blocks``, a sequence of node sets, must partition exactly the graph's
     non-literal nodes: every block non-empty, no literal, no node in two
     blocks, no node the graph lacks and none left uncovered. Anything else
-    raises NotAPartition naming the first offending node.
+    raises NotAPartition naming the offending node first in term order, so
+    the message does not depend on the order a set iterates in.
     """
     if not blocks or any(not b for b in blocks):
         raise NotAPartition("node blocks must be non-empty")
@@ -492,10 +463,13 @@ def block_index(graph: DataGraph, blocks) -> dict[Term, int]:
     block_of: dict[Term, int] = {}
     for i, b in enumerate(blocks):
         for n in b:
-            if n.is_literal:
-                raise NotAPartition(f"literal {n.token()} cannot be in a node block")
-            if n in block_of:
-                raise NotAPartition(f"node {n.token()} appears in two blocks")
+            if n.is_literal or n in block_of:
+                bad = min(
+                    (m for m in b if m.is_literal or block_of.get(m, i) < i), default=n
+                )
+                if bad.is_literal:
+                    raise NotAPartition(f"literal {bad.token()} cannot be in a node block")
+                raise NotAPartition(f"node {bad.token()} appears in two blocks")
             block_of[n] = i
     if block_of.keys() != expected:
         missing = sorted(expected - block_of.keys())
@@ -572,7 +546,8 @@ class DataDecomposition:
     of another block reaches segment i only through a triple that its own
     block's segment holds too, so it is a non-literal node of two segments.
     ``interiors[i]`` holds the dictionary IDs of segment i's non-literal
-    nodes outside its border, read by qejpe's closure rule.
+    nodes outside its border, read by qejpe's closure rule and by the
+    stars mapper, which splits central images by it.
     """
 
     graph: DataGraph

@@ -329,32 +329,6 @@ class AnswerSet:
             lines.append("\t".join(t.token() for t in row))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_tsv(cls, text: str) -> "AnswerSet":
-        lines = text.splitlines()
-        if not lines:
-            raise ParseError("empty answers file")
-        header = lines[0]
-        variables = tuple(
-            term_from_token(tok, 1) for tok in header.split("\t") if tok
-        )
-        for v in variables:
-            if not v.is_variable:
-                raise MalformedLine(f"header token {v.token()} is not a variable", 1)
-        rows = []
-        for idx, raw in enumerate(lines[1:], start=2):
-            if not raw:
-                if not variables:
-                    rows.append(())
-                continue
-            row = tuple(term_from_token(tok, idx) for tok in raw.split("\t"))
-            if len(row) != len(variables):
-                raise MalformedLine(
-                    f"row has {len(row)} values for {len(variables)} variables", idx
-                )
-            rows.append(row)
-        return cls(variables, rows)
-
     def as_bindings(self) -> frozenset[frozenset]:
         """Rows as sets of (variable, value) pairs, order-insensitive."""
         return frozenset(

@@ -9,8 +9,8 @@ Two families:
   whose endpoints live in different blocks are replicated into both segments,
   so each segment contains the full star around each of its own nodes.
 
-Both produce a DataDecomposition. Imports from files are supported for both
-families so partitions computed elsewhere can be reused.
+Both produce a DataDecomposition. ``import_partition`` reads either family
+from an assignment file, so partitions computed elsewhere can be reused.
 
 Every family fills its segments in one pass over the graph's ``canonical``,
 so each segment lists its triples in the graph's canonical order and keeps
@@ -23,11 +23,9 @@ from pathlib import Path
 
 from .errors import (
     MalformedLine,
-    MissingNode,
     MissingTriple,
     NotAPartition,
     TooManySegments,
-    UnknownNode,
     UnknownTriple,
 )
 from .model import DataGraph, DataDecomposition, DataTriple, Term, block_index
@@ -39,8 +37,6 @@ __all__ = [
     "vertex_hash_partition",
     "s_decompose",
     "from_edge_assignment",
-    "import_edge_assignment",
-    "import_node_partition",
     "import_partition",
 ]
 
@@ -136,13 +132,7 @@ def _route(g: DataGraph, block_of: dict[Term, int], m: int) -> list[list[DataTri
     return segments
 
 
-def s_decompose(
-    g: DataGraph,
-    node_blocks,
-    *,
-    method: str = "node-import",
-    seed: int | None = None,
-) -> DataDecomposition:
+def s_decompose(g: DataGraph, node_blocks) -> DataDecomposition:
     """Build the s-decomposition induced by a partition of the node set.
 
     ``node_blocks`` must partition exactly the non-literal nodes of the
@@ -155,15 +145,13 @@ def s_decompose(
     # no triple, and its empty segment would raise EmptyGraph instead
     block_of = block_index(g, blocks)
     return _decomposition(
-        g, _route(g, block_of, len(blocks)), method=method, seed=seed,
+        g, _route(g, block_of, len(blocks)), method="node-import",
         node_blocks=tuple(blocks),
     )
 
 
 def _check_block_ids(ids, kind: str) -> int:
     used = set(ids)
-    if not used:
-        raise NotAPartition(f"empty {kind} assignment")
     m = max(used) + 1
     if min(used) < 0 or used != set(range(m)):
         raise NotAPartition(
@@ -173,32 +161,21 @@ def _check_block_ids(ids, kind: str) -> int:
 
 
 def from_edge_assignment(
-    g: DataGraph,
-    assignment,
-    *,
-    method: str = "edge-import",
-    seed: int | None = None,
+    g: DataGraph, assignment: dict[DataTriple, int]
 ) -> DataDecomposition:
-    """Edge partition from an explicit {triple: block} mapping.
-
-    Triple keys may be DataTriple objects or their serialized tokens.
-    """
-    mapping: dict[DataTriple, int] = {}
-    for key, block in dict(assignment).items():
-        t = key
-        if isinstance(key, str):
-            t = _parse_line(key, None, as_query=False)
+    """Edge partition from an explicit {triple: block} mapping that covers
+    exactly the graph's triples."""
+    for t in assignment:
         if t not in g.triples:
             raise UnknownTriple(f"assigned triple {t.token()} is not in the graph")
-        mapping[t] = int(block)
     for t in g.canonical:
-        if t not in mapping:
+        if t not in assignment:
             raise MissingTriple(f"triple {t.token()} has no block assignment")
-    m = _check_block_ids(mapping.values(), "edge")
+    m = _check_block_ids(assignment.values(), "edge")
     segments: list[list[DataTriple]] = [[] for _ in range(m)]
     for t in g.canonical:
-        segments[mapping[t]].append(t)
-    return _decomposition(g, segments, method=method, seed=seed)
+        segments[assignment[t]].append(t)
+    return _decomposition(g, segments, method="edge-import")
 
 
 def _assignment_lines(path: Path):
@@ -213,52 +190,25 @@ def _assignment_lines(path: Path):
         yield idx, left.strip(), block
 
 
-def import_edge_assignment(source, g: DataGraph) -> DataDecomposition:
-    """Edge partition from a file of ``<s> <p> <o> .<TAB><block id>`` lines."""
-    if isinstance(source, (str, Path)):
-        assignment = {}
-        for idx, left, block in _assignment_lines(Path(source)):
-            assignment[_parse_line(left, idx, as_query=False)] = block
-        return from_edge_assignment(g, assignment)
-    return from_edge_assignment(g, source)
+def import_partition(path, g: DataGraph) -> DataDecomposition:
+    """Import an assignment file of ``<entry><TAB><block id>`` lines, read
+    once and sniffed by its first line.
 
-
-def import_node_partition(source, g: DataGraph) -> DataDecomposition:
-    """S-decomposition from ``<node token><TAB><block id>`` lines or a mapping."""
-    if isinstance(source, (str, Path)):
-        raw: dict[Term, int] = {}
-        for idx, left, block in _assignment_lines(Path(source)):
-            raw[term_from_token(left, idx)] = block
-    else:
-        raw = {
-            (term_from_token(k) if isinstance(k, str) else k): int(v)
-            for k, v in dict(source).items()
-        }
-    valid = {n for n in g.nodes if not n.is_literal}
-    for n in raw:
-        if n not in valid:
-            raise UnknownNode(
-                f"assigned node {n.token()} is not a non-literal node of the graph"
-            )
-    for n in valid:
-        if n not in raw:
-            raise MissingNode(f"node {n.token()} has no block assignment")
-    m = _check_block_ids(raw.values(), "node")
+    Entries that parse as a whole triple (``<s> <p> <o> .``) make an edge
+    assignment, handed to ``from_edge_assignment``; single node tokens make
+    a node partition, whose blocks ``s_decompose`` takes and
+    ``model.block_index`` checks.
+    """
+    lines = list(_assignment_lines(Path(path)))
+    if not lines:
+        raise NotAPartition(f"no assignment lines in {path}")
+    if _LINE_RE.match(lines[0][1]):
+        return from_edge_assignment(g, {
+            _parse_line(left, idx, as_query=False): block for idx, left, block in lines
+        })
+    nodes = {term_from_token(left, idx): block for idx, left, block in lines}
+    m = _check_block_ids(nodes.values(), "node")
     blocks: list[set[Term]] = [set() for _ in range(m)]
-    for n, block in raw.items():
+    for n, block in nodes.items():
         blocks[block].add(n)
     return s_decompose(g, blocks)
-
-
-def import_partition(source, g: DataGraph) -> DataDecomposition:
-    """Import either assignment format, sniffing by the first data line.
-
-    Lines whose left column parses as a full triple are an edge assignment;
-    single node tokens are a node partition.
-    """
-    path = Path(source)
-    for _idx, left, _block in _assignment_lines(path):
-        if _LINE_RE.match(left):
-            return import_edge_assignment(path, g)
-        return import_node_partition(path, g)
-    raise NotAPartition(f"no assignment lines in {path}")

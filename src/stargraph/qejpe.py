@@ -87,10 +87,9 @@ def run_qejpe(
 
     def map1(key, _value, em):
         i, j = key
-        for rec_key, rec_val in qejpe_map1_records(
+        em.records += qejpe_map1_records(
             layout, i, dec_data.segments[j], interiors[j], dictionary
-        ):
-            em.emit(rec_key, rec_val)
+        )
 
     phase1 = Job("useful-partials", map1, qejpe_reduce1_fn(layout, cap=cartesian_cap))
     records, stats, counts = run_phases(

@@ -74,10 +74,7 @@ def run_redundancy(
 
     def map1(key, _value, em):
         i, j = key
-        for rec_key, rec_val in red_map1_records(
-            layout, i, dec_data.segments[j], dictionary
-        ):
-            em.emit(rec_key, rec_val)
+        em.records += red_map1_records(layout, i, dec_data.segments[j], dictionary)
 
     records, stats, counts = run_phases(
         layout, dec_data, Job("segment-totals", map1, None),

@@ -21,8 +21,8 @@ GIL build, threads gave no CPU parallelism and measured slower than running
 the same chunks in turn. Worker count changes no output; the acceptance
 suite pins byte-identical results for 1, 4, and 8 workers.
 
-A map task may put a record straight into its stage's output with
-``Emitter.emit_output``, past the shuffle and the reduce; it counts in
+A map task may put records straight into its stage's output by appending
+them to ``Emitter.output``, past the shuffle and the reduce; they count in
 ``recordsOut`` and in that task's ``per_worker_out`` like any other output.
 ``distinctKeys`` is the number of shuffle groups and ``maxGroupSize`` the
 size of the largest, both 0 for a map-only stage, which has no shuffle.
@@ -69,10 +69,11 @@ _values = itemgetter(1)
 class Emitter:
     """Collects one task's emissions.
 
-    ``emit`` feeds the stage's shuffle. ``emit_output``, called from a map
-    task, puts a record straight into the stage's output, past the shuffle
-    and the reduce. A task with no shuffle after it (a reduce task, or a map
-    task of a map-only stage) has only output, so both calls append to it.
+    ``records`` feeds the stage's shuffle, and ``emit`` appends one record
+    to it; a task may also extend it with a whole list. ``output``, in a map
+    task, is the stage's output, past the shuffle and the reduce. A task
+    with no shuffle after it (a reduce task, or a map task of a map-only
+    stage) has only output, so both names are one list.
     """
 
     __slots__ = ("records", "output")
@@ -83,9 +84,6 @@ class Emitter:
 
     def emit(self, key, value) -> None:
         self.records.append((key, value))
-
-    def emit_output(self, key, value) -> None:
-        self.output.append((key, value))
 
 
 MapFn = Callable[[object, object, Emitter], None]

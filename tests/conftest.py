@@ -1,12 +1,17 @@
 """Shared fixtures: a small bibliography graph, three queries over it, and
-the frozen partitions and decompositions the golden tests rely on; and the
-helpers that read the engines' ID vectors back as terms."""
+the frozen partitions and decompositions the golden tests rely on; the
+helpers that read the engines' ID vectors back as terms; and readers that
+only tests need (query shape classes, answer files, token-keyed edge
+assignments)."""
+
+import enum
 
 import pytest
 
 import stargraph as sg
 from stargraph.embedding import enumerate_useful_partial
-from stargraph.model import UNBOUND
+from stargraph.errors import MalformedLine, ParseError
+from stargraph.model import UNBOUND, star_centers
 
 BIBLIOGRAPHY = """\
 <Article1> <hasAuthor> <Person1> .
@@ -79,6 +84,68 @@ NODE_BLOCKS = (
 )
 
 
+def triple_blocks(assignment):
+    """A {DataTriple: block} edge assignment from one keyed by triple lines,
+    as ``from_edge_assignment`` takes it."""
+    return {sg.parse_data(line).canonical[0]: blk for line, blk in assignment.items()}
+
+
+class QueryShape(enum.Enum):
+    STAR = "star"
+    S_QUERY = "s-query"
+    O_QUERY = "o-query"
+    SO_QUERY = "so-query"
+
+
+def classify_query(q):
+    """All shape classes q belongs to.
+
+    A query is a generalized star when some node occurs in every triple; it is
+    an s-query / o-query when some node is the subject / object of every
+    triple; it is an so-query when some star center is the subject of at least
+    one triple. A single-triple query without a self-loop lands in every class.
+    """
+    shapes = set()
+    centers = star_centers(q)
+    if centers:
+        shapes.add(QueryShape.STAR)
+    if any(all(t.s == c for t in q.triples) for c in centers):
+        shapes.add(QueryShape.S_QUERY)
+    if any(all(t.o == c for t in q.triples) for c in centers):
+        shapes.add(QueryShape.O_QUERY)
+    if sg.so_centers(q):
+        shapes.add(QueryShape.SO_QUERY)
+    return frozenset(shapes)
+
+
+def answers_from_tsv(text):
+    """The AnswerSet an answers file spells out, the inverse of
+    ``AnswerSet.to_tsv``: a header of variable tokens, then one row per line
+    (an empty line is the one row of a satisfied boolean query)."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty answers file")
+    variables = tuple(
+        sg.term_from_token(tok, 1) for tok in lines[0].split("\t") if tok
+    )
+    for v in variables:
+        if not v.is_variable:
+            raise MalformedLine(f"header token {v.token()} is not a variable", 1)
+    rows = []
+    for idx, raw in enumerate(lines[1:], start=2):
+        if not raw:
+            if not variables:
+                rows.append(())
+            continue
+        row = tuple(sg.term_from_token(tok, idx) for tok in raw.split("\t"))
+        if len(row) != len(variables):
+            raise MalformedLine(
+                f"row has {len(row)} values for {len(variables)} variables", idx
+            )
+        rows.append(row)
+    return sg.AnswerSet(variables, rows)
+
+
 def decode(dictionary, ids):
     """The terms of a vector of IDs in ``dictionary``, None for UNBOUND."""
     terms = dictionary.terms
@@ -140,7 +207,7 @@ def coauthor_query():
 def edge_split(bibliography):
     """Three-segment edge partition of the bibliography graph, imported from
     an explicit assignment so every test sees the same borders."""
-    return sg.from_edge_assignment(bibliography, EDGE_BLOCKS)
+    return sg.from_edge_assignment(bibliography, triple_blocks(EDGE_BLOCKS))
 
 
 @pytest.fixture(scope="session")

@@ -50,7 +50,7 @@ def test_c1_fragment_engine_golden(
     assign.write_text(
         "".join(f"{line}\t{blk}\n" for line, blk in EDGE_BLOCKS.items())
     )
-    data = sg.import_edge_assignment(assign, bibliography)
+    data = sg.import_partition(assign, bibliography)
     res = sg.run_qejpe(data, supervisor_query, supervisor_decomposition, workers=3)
     expected = sg.AnswerSet(
         (sg.variable("P1"), sg.variable("A"), sg.variable("P2"), sg.variable("T")),

@@ -10,8 +10,11 @@ from stargraph.cli import main
 from conftest import (
     BIBLIOGRAPHY,
     COAUTHOR_QUERY,
+    EDGE_BLOCKS,
     JOURNAL_ARTICLE_QUERY,
+    NODE_BLOCKS,
     SUPERVISOR_QUERY,
+    answers_from_tsv,
 )
 
 
@@ -28,7 +31,72 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def _node_lines(blocks=NODE_BLOCKS):
+    return [f"{n}\t{i}" for i, names in enumerate(blocks) for n in names]
+
+
+_EDGE_LINES = [f"{line}\t{blk}" for line, blk in EDGE_BLOCKS.items()]
+
+# assignment file lines, and the one error line its import must end in
+BAD_ASSIGNMENTS = {
+    "unknown-node": (
+        _node_lines() + ["<Nowhere>\t0"],
+        "block node <Nowhere> is not in the graph",
+    ),
+    "literal": (
+        _node_lines() + ['"2008"\t1'],
+        'literal "2008" cannot be in a node block',
+    ),
+    "uncovered-node": (
+        [line for line in _node_lines() if not line.startswith("<Person3>")],
+        "node <Person3> is not covered by any block",
+    ),
+    "skipped-block-id": (
+        _node_lines(NODE_BLOCKS[:2] + ((), NODE_BLOCKS[2])),
+        "node block ids must be exactly 0..3 with none skipped",
+    ),
+    "negative-block-id": (
+        [line.replace("\t2", "\t-1") for line in _node_lines()],
+        "node block ids must be exactly 0..1 with none skipped",
+    ),
+    "unknown-triple": (
+        _EDGE_LINES + ["<Nowhere> <hasAuthor> <Person1> .\t0"],
+        "assigned triple <Nowhere> <hasAuthor> <Person1> . is not in the graph",
+    ),
+    "missing-triple": (
+        _EDGE_LINES[1:],
+        "triple <Article1> <hasAuthor> <Person4> . has no block assignment",
+    ),
+    "empty-file": ([], "no assignment lines in {path}"),
+}
+
+
 class TestPartitionCommand:
+    @pytest.mark.parametrize("case", list(BAD_ASSIGNMENTS))
+    def test_bad_assignment_file_is_semantic(self, workdir, capsys, case):
+        lines, message = BAD_ASSIGNMENTS[case]
+        path = workdir / "assign.tsv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        code = run(
+            "partition", workdir / "graph.nt", "--method", "import",
+            "--assign", path, "--out", workdir / "segs",
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert not (workdir / "segs").exists()
+
+    def test_assignment_line_without_a_tab_is_a_parse_error(self, workdir, capsys):
+        path = workdir / "assign.tsv"
+        path.write_text("\n".join(_node_lines() + ["<Person3> 1"]) + "\n", encoding="utf-8")
+        code = run(
+            "partition", workdir / "graph.nt", "--method", "import",
+            "--assign", path, "--out", workdir / "segs",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: line {len(_node_lines()) + 1}: expected <entry><TAB><block id>\n"
+        )
+
     def test_edge_random(self, workdir, capsys):
         code = run(
             "partition", workdir / "graph.nt", "-m", 3, "--seed", 7,
@@ -121,7 +189,7 @@ class TestDecomposeCommand:
             "--out", workdir / "answers.tsv",
         )
         assert code == 0
-        got = sg.AnswerSet.from_tsv(
+        got = answers_from_tsv(
             (workdir / "answers.tsv").read_text(encoding="utf-8")
         )
         want = sg.oracle_answers(
@@ -151,7 +219,7 @@ class TestEvalCommand:
             "oracle", "--graph", workdir / "graph.nt",
             "--query", workdir / "supervisor.q", "--out", workdir / "oracle.tsv",
         )
-        assert sg.AnswerSet.from_tsv(
+        assert answers_from_tsv(
             (workdir / "oracle.tsv").read_text(encoding="utf-8")
         ) == want
         for algo in ("qejpe", "stars"):
@@ -161,7 +229,7 @@ class TestEvalCommand:
                 "--method", "min-res", "--out", workdir / f"{algo}.tsv",
             )
             assert code == 0
-            got = sg.AnswerSet.from_tsv(
+            got = answers_from_tsv(
                 (workdir / f"{algo}.tsv").read_text(encoding="utf-8")
             )
             assert got == want, algo

@@ -4,9 +4,7 @@ import pytest
 
 import stargraph as sg
 from stargraph.errors import NotANodeCover, SearchSpaceTooLarge
-from stargraph.model import QueryShape, classify_query
-
-from conftest import q3
+from conftest import QueryShape, classify_query, q3
 
 
 def triple_sets(dec):

@@ -84,8 +84,7 @@ def partition_for(kind, g, m, uid):
         rng = XorShift64Star(uid ^ 0x1D0C)
         rng.shuffle(non_literal)
         m_eff = min(m, len(non_literal))
-        mapping = {n: i % m_eff for i, n in enumerate(non_literal)}
-        return sg.import_node_partition(mapping, g)
+        return sg.s_decompose(g, [non_literal[i::m_eff] for i in range(m_eff)])
     return sg.vertex_hash_partition(g, min(m, len(non_literal)), seed=uid)
 
 

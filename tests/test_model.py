@@ -17,9 +17,9 @@ from stargraph.errors import (
     VariableInData,
     VariablePredicate,
 )
-from stargraph.model import QueryShape, Term, TermKind, classify_query
+from stargraph.model import Term, TermKind
 
-from conftest import NODE_BLOCKS, q3
+from conftest import NODE_BLOCKS, QueryShape, classify_query, q3
 
 
 def triples(line):

@@ -9,16 +9,14 @@ from hypothesis import given, settings, strategies as st
 import stargraph as sg
 from stargraph.errors import (
     MalformedLine,
-    MissingNode,
     MissingTriple,
     NotAPartition,
     TooManySegments,
-    UnknownNode,
     UnknownTriple,
 )
 from stargraph.model import UNBOUND, TermDictionary
 
-from conftest import EDGE_BLOCKS, interior_of
+from conftest import EDGE_BLOCKS, interior_of, triple_blocks
 from test_differential import adversarial_instance, partition_for
 
 
@@ -118,11 +116,13 @@ class TestSDecompose:
         assert total > len(bibliography.triples)
 
     def test_rejects_literals_in_blocks(self, bibliography):
+        # of the three literals the set holds, the message names the first
+        # in term order, whatever order the set iterates in
         blocks = [
             {n for n in bibliography.nodes if not n.is_literal},
-            {sg.literal("2008")},
+            {n for n in bibliography.nodes if n.is_literal},
         ]
-        with pytest.raises(NotAPartition):
+        with pytest.raises(NotAPartition, match='^literal "2008" cannot be in a node block$'):
             sg.s_decompose(bibliography, blocks)
 
     def test_rejects_overlapping_blocks(self, bibliography):
@@ -142,90 +142,104 @@ class TestSDecompose:
             sg.s_decompose(bibliography, [nonlit, {sg.iri("Nowhere")}])
 
 
+def _write_edges(path, assignment):
+    path.write_text(
+        "".join(f"{tok}\t{blk}\n" for tok, blk in assignment.items()),
+        encoding="utf-8",
+    )
+    return path
+
+
+def _write_nodes(path, blocks):
+    path.write_text(
+        "".join(f"{n.token()}\t{i}\n" for i, b in enumerate(blocks) for n in sorted(b)),
+        encoding="utf-8",
+    )
+    return path
+
+
 class TestImports:
     def test_edge_assignment_mapping(self, bibliography, edge_split):
         assert edge_split.method == "edge-import"
+        assert edge_split.seed is None
         assert [len(s) for s in edge_split.segments] == [5, 6, 4]
 
     def test_edge_assignment_rejects_unknown_triple(self, bibliography):
-        assignment = dict(EDGE_BLOCKS)
-        assignment["<Nowhere> <hasAuthor> <Person1> ."] = 0
-        with pytest.raises(UnknownTriple):
+        assignment = triple_blocks(
+            dict(EDGE_BLOCKS, **{"<Nowhere> <hasAuthor> <Person1> .": 0})
+        )
+        with pytest.raises(UnknownTriple, match="<Nowhere> <hasAuthor> <Person1> ."):
             sg.from_edge_assignment(bibliography, assignment)
 
     def test_edge_assignment_rejects_missing_triple(self, bibliography):
         assignment = dict(EDGE_BLOCKS)
         assignment.pop("<Article1> <hasAuthor> <Person4> .")
-        with pytest.raises(MissingTriple):
-            sg.from_edge_assignment(bibliography, assignment)
+        with pytest.raises(MissingTriple, match="<Article1> <hasAuthor> <Person4> ."):
+            sg.from_edge_assignment(bibliography, triple_blocks(assignment))
 
     def test_edge_assignment_rejects_id_gap(self, bibliography):
         assignment = {tok: (5 if blk == 2 else blk) for tok, blk in EDGE_BLOCKS.items()}
         with pytest.raises(NotAPartition):
-            sg.from_edge_assignment(bibliography, assignment)
+            sg.from_edge_assignment(bibliography, triple_blocks(assignment))
 
     def test_edge_assignment_file(self, bibliography, edge_split, tmp_path):
-        path = tmp_path / "edges.tsv"
-        path.write_text(
-            "".join(f"{tok}\t{blk}\n" for tok, blk in EDGE_BLOCKS.items()),
-            encoding="utf-8",
-        )
-        dec = sg.import_edge_assignment(path, bibliography)
+        path = _write_edges(tmp_path / "edges.tsv", EDGE_BLOCKS)
+        dec = sg.import_partition(path, bibliography)
         assert dec.segments == edge_split.segments
+        assert (dec.method, dec.seed) == ("edge-import", None)
 
     def test_node_assignment_file(self, bibliography, node_split, tmp_path):
-        path = tmp_path / "nodes.tsv"
-        lines = []
-        for i, block in enumerate(node_split.node_blocks):
-            lines += [f"{n.token()}\t{i}\n" for n in sorted(block)]
-        path.write_text("".join(lines), encoding="utf-8")
-        dec = sg.import_node_partition(path, bibliography)
+        path = _write_nodes(tmp_path / "nodes.tsv", node_split.node_blocks)
+        dec = sg.import_partition(path, bibliography)
         assert dec.segments == node_split.segments
         assert dec.node_blocks == node_split.node_blocks
+        assert (dec.method, dec.seed) == ("node-import", None)
 
-    def test_node_assignment_rejects_unknown_node(self, bibliography):
-        nonlit = {n: 0 for n in bibliography.nodes if not n.is_literal}
-        nonlit[sg.iri("Nowhere")] = 0
-        with pytest.raises(UnknownNode):
-            sg.import_node_partition(nonlit, bibliography)
+    def test_node_assignment_rejects_unknown_node(self, bibliography, tmp_path):
+        nonlit = {n for n in bibliography.nodes if not n.is_literal}
+        path = _write_nodes(tmp_path / "nodes.tsv", [nonlit | {sg.iri("Nowhere")}])
+        with pytest.raises(NotAPartition, match="^block node <Nowhere> is not in the graph$"):
+            sg.import_partition(path, bibliography)
 
-    def test_node_assignment_rejects_literal(self, bibliography):
-        nonlit = {n: 0 for n in bibliography.nodes if not n.is_literal}
-        nonlit[sg.literal("2008")] = 0
-        with pytest.raises(UnknownNode):
-            sg.import_node_partition(nonlit, bibliography)
+    def test_node_assignment_rejects_literal(self, bibliography, tmp_path):
+        nonlit = {n for n in bibliography.nodes if not n.is_literal}
+        path = _write_nodes(tmp_path / "nodes.tsv", [nonlit | {sg.literal("2008")}])
+        with pytest.raises(NotAPartition, match='^literal "2008" cannot be in a node block$'):
+            sg.import_partition(path, bibliography)
 
-    def test_node_assignment_rejects_missing_node(self, bibliography):
+    def test_node_assignment_rejects_missing_node(self, bibliography, tmp_path):
         nonlit = sorted(n for n in bibliography.nodes if not n.is_literal)
-        with pytest.raises(MissingNode):
-            sg.import_node_partition({n: 0 for n in nonlit[:-1]}, bibliography)
+        path = _write_nodes(tmp_path / "nodes.tsv", [nonlit[:-1]])
+        with pytest.raises(
+            NotAPartition, match=f"^node {nonlit[-1].token()} is not covered by any block$"
+        ):
+            sg.import_partition(path, bibliography)
 
-    def test_sniffer_picks_the_right_format(self, bibliography, tmp_path):
-        edge_file = tmp_path / "edges.tsv"
-        edge_file.write_text(
-            "".join(f"{tok}\t{blk}\n" for tok, blk in EDGE_BLOCKS.items()),
-            encoding="utf-8",
-        )
-        node_file = tmp_path / "nodes.tsv"
+    def test_sniffer_picks_the_right_format(self, bibliography, tmp_path, monkeypatch):
+        edge_file = _write_edges(tmp_path / "edges.tsv", EDGE_BLOCKS)
         nonlit = sorted(n for n in bibliography.nodes if not n.is_literal)
-        node_file.write_text(
-            "".join(f"{n.token()}\t{i % 2}\n" for i, n in enumerate(nonlit)),
-            encoding="utf-8",
+        node_file = _write_nodes(tmp_path / "nodes.tsv", [nonlit[::2], nonlit[1::2]])
+        # each file is read once
+        reads = []
+        read_text = sg.partition._read_text
+        monkeypatch.setattr(
+            sg.partition, "_read_text", lambda path: reads.append(path) or read_text(path)
         )
         assert not sg.import_partition(edge_file, bibliography).is_s_decomposition
         assert sg.import_partition(node_file, bibliography).is_s_decomposition
+        assert reads == [edge_file, node_file]
 
     def test_bad_block_id_is_malformed(self, bibliography, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("<Article1> <hasAuthor> <Person1> .\tmany\n")
         with pytest.raises(MalformedLine):
-            sg.import_edge_assignment(path, bibliography)
+            sg.import_partition(path, bibliography)
 
     def test_missing_tab_is_malformed(self, bibliography, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("<Article1> 0\n")
         with pytest.raises(MalformedLine):
-            sg.import_edge_assignment(path, bibliography)
+            sg.import_partition(path, bibliography)
 
 
 # ------------------------------------------------- segment order and indexes
@@ -332,7 +346,7 @@ class TestSegmentOrderAndIndex:
     def test_node_import(self, g, data):
         shuffled = data.draw(st.permutations(_non_literal(g)))
         m = data.draw(st.integers(1, min(4, len(shuffled))))
-        dec = sg.import_node_partition({n: i % m for i, n in enumerate(shuffled)}, g)
+        dec = sg.s_decompose(g, [shuffled[i::m] for i in range(m)])
         _assert_s_segments(g, dec)
 
 

@@ -14,7 +14,7 @@ from stargraph.model import UNBOUND
 from stargraph.runtime import Emitter
 from stargraph.stars import run_stars, stars_map1_records, stars_reduce1_fn
 
-from conftest import decode, q3
+from conftest import decode, q3, triple_blocks
 
 
 def t(token):
@@ -31,7 +31,7 @@ def all_part1(layout, edge_split):
     for i in range(len(layout.subqueries)):
         for j, seg in enumerate(edge_split.segments):
             part1, _ = stars_map1_records(
-                layout, i, seg, edge_split.borders[j], edge_split.dictionary
+                layout, i, seg, edge_split.interiors[j], edge_split.dictionary
             )
             for key, val in part1:
                 grouped.setdefault(key, []).append(val)
@@ -53,7 +53,7 @@ class TestMapRecords:
     ):
         layout = sg.preprocess(coauthor_cover_decomposition)
         part1, part2 = stars_map1_records(
-            layout, 1, edge_split.segments[0], edge_split.borders[0],
+            layout, 1, edge_split.segments[0], edge_split.interiors[0],
             edge_split.dictionary,
         )
         assert [decoded(edge_split, r) for r in part1] == [
@@ -69,7 +69,7 @@ class TestMapRecords:
         # off-border there, so it travels on the whole-star side
         layout = sg.preprocess(coauthor_cover_decomposition)
         _, part2 = stars_map1_records(
-            layout, 0, edge_split.segments[0], edge_split.borders[0],
+            layout, 0, edge_split.segments[0], edge_split.interiors[0],
             edge_split.dictionary,
         )
         assert [decoded(edge_split, r) for r in part2] == [
@@ -82,11 +82,11 @@ class TestMapRecords:
 
     def test_constant_centre_the_segment_lacks_gives_no_records(self):
         # every triple of the star holds <c>, so segment 1, which lacks it,
-        # has no witness: part 1 looks up no triple, and part 2 still runs
-        # its one enumerate_total, which finds nothing
+        # has no witness: part 1 looks up no triple, and part 2, which takes
+        # only a centre in the segment's interior, runs no enumerate_total
         g = sg.parse_data("<c> <p> <a> .\n<c> <q> <b> .\n<d> <p> <e> .\n")
         data = sg.from_edge_assignment(
-            g, {"<c> <p> <a> .": 0, "<c> <q> <b> .": 0, "<d> <p> <e> .": 1}
+            g, triple_blocks({"<c> <p> <a> .": 0, "<c> <q> <b> .": 0, "<d> <p> <e> .": 1})
         )
         q = sg.Query([q3("<c>", "<p>", "?y"), q3("<c>", "<q>", "?z")])
         layout = sg.preprocess(sg.naive_decomposition(q))
@@ -98,16 +98,18 @@ class TestMapRecords:
             "stargraph.stars.enumerate_total", wraps=sg.enumerate_total
         ) as totals:
             assert stars_map1_records(
-                layout, 0, data.segments[1], data.borders[1], data.dictionary
+                layout, 0, data.segments[1], data.interiors[1], data.dictionary
             ) == ([], [])
-        assert totals.call_count == 1
+        assert totals.call_count == 0
         assert run_stars(data, q, sg.naive_decomposition(q)).answers == (
             sg.oracle_answers(q, g)
         )
 
 
 def brute_force_part1(layout, sub_idx, segment, border, dictionary):
-    """Part 1 by scanning every segment triple against every star triple."""
+    """Part 1 by scanning every segment triple against every star triple,
+    taking a central image that is on ``border`` or a literal: the rule the
+    mapper's test against the segment's interior must agree with."""
     sub, center = layout.subqueries[sub_idx], centre_of(layout, sub_idx)
     ids = dictionary.ids
     out = []
@@ -164,7 +166,7 @@ PART1_CASES = {
 def test_part1_equals_a_scan_of_the_segment(case):
     assignment, star, centre = PART1_CASES[case]
     g = sg.parse_data("".join(line + "\n" for line in assignment))
-    split = sg.from_edge_assignment(g, assignment)
+    split = sg.from_edge_assignment(g, triple_blocks(assignment))
     q = sg.Query([q3(*t) for t in star])
     dec = sg.QueryDecomposition(q, (q,), (t(centre),), "handmade")
     layout = sg.preprocess(dec)
@@ -172,7 +174,7 @@ def test_part1_equals_a_scan_of_the_segment(case):
     found = 0
     for j, seg in enumerate(split.segments):
         part1, _ = stars_map1_records(
-            layout, 0, seg, split.borders[j], split.dictionary
+            layout, 0, seg, split.interiors[j], split.dictionary
         )
         want = brute_force_part1(
             layout, 0, seg, split.borders[j], split.dictionary
