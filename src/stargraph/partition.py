@@ -150,12 +150,18 @@ def s_decompose(g: DataGraph, node_blocks) -> DataDecomposition:
     )
 
 
-def _check_block_ids(ids, kind: str) -> int:
-    used = set(ids)
-    m = max(used) + 1
-    if min(used) < 0 or used != set(range(m)):
+def _check_block_ids(block_of: dict, kind: str, where) -> int:
+    """The number of blocks, once the ids ``block_of`` gives its entries are
+    exactly 0..m-1; ``where(entry)`` says where a negative id was read."""
+    used = set(block_of.values())
+    low, m = min(used), max(used) + 1
+    if low < 0:
+        entry = next(e for e, block in block_of.items() if block == low)
+        raise NotAPartition(f"{kind} block id {low} {where(entry)} is negative")
+    if len(used) < m:
+        skipped = min(set(range(m)).difference(used))
         raise NotAPartition(
-            f"{kind} block ids must be exactly 0..{m - 1} with none skipped"
+            f"{kind} block ids must be exactly 0..{m - 1}, but {skipped} is skipped"
         )
     return m
 
@@ -171,7 +177,7 @@ def from_edge_assignment(
     for t in g.canonical:
         if t not in assignment:
             raise MissingTriple(f"triple {t.token()} has no block assignment")
-    m = _check_block_ids(assignment.values(), "edge")
+    m = _check_block_ids(assignment, "edge", lambda t: f"of triple {t.token()}")
     segments: list[list[DataTriple]] = [[] for _ in range(m)]
     for t in g.canonical:
         segments[assignment[t]].append(t)
@@ -207,7 +213,9 @@ def import_partition(path, g: DataGraph) -> DataDecomposition:
             _parse_line(left, idx, as_query=False): block for idx, left, block in lines
         })
     nodes = {term_from_token(left, idx): block for idx, left, block in lines}
-    m = _check_block_ids(nodes.values(), "node")
+    m = _check_block_ids(
+        {idx: block for idx, _, block in lines}, "node", "on line {}".format
+    )
     blocks: list[set[Term]] = [set() for _ in range(m)]
     for n, block in nodes.items():
         blocks[block].add(n)

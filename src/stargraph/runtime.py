@@ -3,15 +3,17 @@
 Records are (key, value) pairs built from ints, strs, bools and tuples of
 them; the engines put a term's ID in a ``TermDictionary`` where the term
 would be, and UNBOUND (-1) for an unbound position. Determinism comes from
-sorting: the shuffle sorts all map emissions in Python's own order and
-reducers see their values in that order. Every position of a stage's
-records must therefore hold values that compare with each other (never None
-next to an int, say); a stage whose emissions do not is stopped with
-UnorderableRecords naming it. Two mixes pass that check and are not
-supported: keys group by equality, so 0 and False (or 1 and True) fall into
-one group, and sets compare only by inclusion, so two sets neither of which
-holds the other reach the reducer in the order they arrived. The engines
-emit neither.
+sorting: the shuffle puts a stage's map emissions into groups by key in one
+pass, then sorts the distinct keys and each group's values in Python's own
+order, and reducers see the groups and their values in that order. Keys
+must be hashable, and the keys, like each group's values, must compare
+with each other (never None next to an int, say); a stage whose emissions
+do not is stopped with UnorderableRecords naming it. Two mixes pass that
+check and are not supported: keys group by equality, so 0 and False (or 1
+and True) fall into one group, which keeps the key that arrived first, and
+sets compare only by inclusion, so two sets neither of which holds the
+other reach the reducer in the order they arrived. The engines emit
+neither.
 
 ``workers`` is the logical number of map and reduce tasks per stage, as in
 MapReduce: it splits a stage's input records (and its groups) into that many
@@ -32,14 +34,15 @@ once, by the shuffle of the stage that reads them, as in MapReduce. Answers
 are ordered once, by ``ntio.AnswerSet``. Everything else keeps emission
 order: a ``JobResult`` holds its records as the tasks emitted them (a map
 task's bypassed records first, then the reduce output), unsorted. This is
-safe because the shuffle orders every (key, value) pair by value, so the
-groups, the order of each group's values, and therefore the stage stats and
-which key trips a cap do not depend on the order the records arrive in; only
-the order a reducer emits in may. Records that compare equal are equal (the
-sort is stable, but no two distinct records tie, with the caveats above).
+safe because the shuffle orders the keys, and each group's values, by
+value, so the groups, the order of each group's values, and therefore the
+stage stats and which key trips a cap do not depend on the order the
+records arrive in; only the order a reducer emits in may. Values that
+compare equal are equal (the sorts are stable, but no two distinct values
+tie, with the caveats above).
 
-The shuffle is one in-memory sort: a stage's emissions, its groups and its
-output are held in memory.
+The shuffle runs in memory: a stage's emissions, its groups and its output
+are held in memory.
 
 Map and reduce callables receive an Emitter; exceptions are wrapped into
 MapFnError / ReduceFnError with the failing stage and key attached. Limit
@@ -51,7 +54,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable
 
 from .errors import LimitError, MapFnError, ReduceFnError, UnorderableRecords
@@ -62,8 +64,6 @@ __all__ = [
     "JobResult",
     "run_job",
 ]
-
-_values = itemgetter(1)
 
 
 class Emitter:
@@ -127,20 +127,6 @@ def _chunks(items: list, n: int) -> list[list]:
     return out
 
 
-def _collect_groups(ordered: list[tuple]) -> list[tuple[object, list]]:
-    """Fold (key, value) records, already in order, into (key, values)."""
-    groups: list[tuple[object, list]] = []
-    last = values = None
-    for key, value in ordered:
-        if values is None or key != last:
-            last = key
-            values = [value]
-            groups.append((key, values))
-        else:
-            values.append(value)
-    return groups
-
-
 def _run_task(fn, items: list[tuple], em: Emitter, wrap, stage: str) -> Emitter:
     """Call ``fn`` on every (key, value) of one task's chunk, rewrapping
     anything but a LimitError with the stage and key."""
@@ -173,13 +159,18 @@ def run_job(job: Job, records: list[tuple], *, workers: int = 1) -> JobResult:
     # ---- shuffle and reduce
     distinct_keys = max_group = 0
     if shuffled:
+        by_key: dict[object, list] = {}
         try:
-            emissions = sorted(emissions)
-        except TypeError as exc:  # two records that do not compare
+            for key, value in emissions:
+                by_key.setdefault(key, []).append(value)
+            for values in by_key.values():
+                if len(values) > 1:
+                    values.sort()
+            groups = [(key, by_key[key]) for key in sorted(by_key)]
+        except TypeError as exc:  # an unhashable key, or two that do not compare
             raise UnorderableRecords(job.name, exc) from exc
-        groups = _collect_groups(emissions)
-        distinct_keys = len(groups)
-        max_group = max(map(len, map(_values, groups)), default=0)
+        distinct_keys = len(by_key)
+        max_group = max(map(len, by_key.values()), default=0)
         for chunk in _chunks(groups, workers):
             em = _run_task(job.reduce_fn, chunk, Emitter(), ReduceFnError, job.name)
             out.extend(em.output)

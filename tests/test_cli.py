@@ -53,11 +53,15 @@ BAD_ASSIGNMENTS = {
     ),
     "skipped-block-id": (
         _node_lines(NODE_BLOCKS[:2] + ((), NODE_BLOCKS[2])),
-        "node block ids must be exactly 0..3 with none skipped",
+        "node block ids must be exactly 0..3, but 2 is skipped",
     ),
     "negative-block-id": (
         [line.replace("\t2", "\t-1") for line in _node_lines()],
-        "node block ids must be exactly 0..1 with none skipped",
+        "node block id -1 on line 8 is negative",
+    ),
+    "negative-edge-block-id": (
+        [_EDGE_LINES[0].rpartition("\t")[0] + "\t-1"] + _EDGE_LINES[1:],
+        "edge block id -1 of triple <Article1> <hasAuthor> <Person4> . is negative",
     ),
     "unknown-triple": (
         _EDGE_LINES + ["<Nowhere> <hasAuthor> <Person1> .\t0"],

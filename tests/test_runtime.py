@@ -18,7 +18,7 @@ from stargraph.errors import (
 )
 from stargraph.embedding import enumerate_total
 from stargraph.model import UNBOUND, Term, TermDictionary
-from stargraph.runtime import Emitter, Job, run_job
+from stargraph.runtime import Emitter, Job, JobResult, _chunks, _run_task, run_job
 
 
 # lexical forms shared across kinds and prefixing each other ("", "a", "ab")
@@ -137,6 +137,14 @@ class TestShuffleRecordOrder:
             assert not isinstance(exc.value, TypeError)
             assert exc.value.stage == "mixed-images"
             assert str(exc.value).startswith("mixed-images: the shuffle cannot order")
+
+    def test_unhashable_key_rejected(self):
+        job = Job("list-keys", _identity, _collect)
+        with pytest.raises(UnorderableRecords) as exc:
+            run_job(job, [([0], "a"), ([1], "b"), ([0], "c")])
+        assert not isinstance(exc.value, TypeError)
+        assert exc.value.stage == "list-keys"
+        assert str(exc.value).startswith("list-keys: the shuffle cannot order")
 
     def test_bool_and_int_keys_share_a_group(self):
         # a documented limitation: keys group by equality, and 0 == False
@@ -389,6 +397,96 @@ class TestRunJob:
         # its input, so compare them sorted
         assert sorted(got.records) == sorted(want.records)
         assert _without_wall([got.stats]) == _without_wall([want.stats])
+
+
+def _reference_collect_groups(ordered: list[tuple]) -> list[tuple[object, list]]:
+    """Fold (key, value) records, already in order, into (key, values)."""
+    groups: list[tuple[object, list]] = []
+    last = values = None
+    for key, value in ordered:
+        if values is None or key != last:
+            last = key
+            values = [value]
+            groups.append((key, values))
+        else:
+            values.append(value)
+    return groups
+
+
+def reference_run_job(job: Job, records: list[tuple], *, workers: int = 1) -> JobResult:
+    """The original shuffle, kept verbatim as the behaviour to preserve: one
+    sort of every (key, value) emission, then a fold of equal keys."""
+    shuffled = job.reduce_fn is not None
+    out: list[tuple] = []
+    per_worker: list[int] = []
+    emissions = []
+    for chunk in _chunks(records, workers):
+        em = _run_task(job.map_fn, chunk, Emitter(shuffled), MapFnError, job.name)
+        if shuffled:
+            emissions.extend(em.records)
+        out.extend(em.output)
+        per_worker.append(len(em.output))
+    distinct_keys = max_group = 0
+    if shuffled:
+        try:
+            emissions = sorted(emissions)
+        except TypeError as exc:  # two records that do not compare
+            raise UnorderableRecords(job.name, exc) from exc
+        groups = _reference_collect_groups(emissions)
+        distinct_keys = len(groups)
+        max_group = max((len(values) for _, values in groups), default=0)
+        for chunk in _chunks(groups, workers):
+            em = _run_task(job.reduce_fn, chunk, Emitter(), ReduceFnError, job.name)
+            out.extend(em.output)
+            per_worker.append(len(em.output))
+    stats = {
+        "stage": job.name,
+        "recordsIn": len(records),
+        "recordsOut": len(out),
+        "distinctKeys": distinct_keys,
+        "maxGroupSize": max_group,
+    }
+    return JobResult(records=out, stats=stats, per_worker_out=tuple(per_worker))
+
+
+def _seeing(job: Job, seen: list) -> Job:
+    """``job`` with a reducer that also logs each group it is handed."""
+    if job.reduce_fn is None:
+        return job
+
+    def reduce_fn(key, values, em):
+        seen.append((key, list(values)))
+        job.reduce_fn(key, values, em)
+
+    return Job(job.name, job.map_fn, reduce_fn)
+
+
+class TestShuffleMatchesReference:
+    """``run_job`` groups by key and sorts the keys and each group's values;
+    reducers, records and stats must be those of the original one-sort
+    shuffle."""
+
+    def _check(self, job, records, workers):
+        seen, want_seen = [], []
+        got = run_job(_seeing(job, seen), records, workers=workers)
+        want = reference_run_job(_seeing(job, want_seen), records, workers=workers)
+        assert seen == want_seen
+        assert got.records == want.records
+        assert got.per_worker_out == want.per_worker_out
+        assert _without_wall([got.stats]) == [want.stats]
+
+    @settings(max_examples=60, deadline=None)
+    @given(stage_jobs(), str_records, st.sampled_from([1, 3]), st.data())
+    def test_str_stages(self, job, source, workers, data):
+        self._check(job, data.draw(st.permutations(source)), workers)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stage_records(), st.sampled_from([1, 3]), st.data())
+    def test_id_encoded_engine_records(self, case, workers, data):
+        dictionary, records = case
+        encoded = [to_ids(r, dictionary) for r in records]
+        job = Job("engine-shaped", _identity, _collect)
+        self._check(job, data.draw(st.permutations(encoded)), workers)
 
 
 class TestErrorWrapping:
