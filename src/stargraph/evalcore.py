@@ -1,7 +1,7 @@
 """Machinery shared by the three distributed evaluation algorithms.
 
 The engines differ only in how phase 1 finds each subquery's total
-embeddings. Every phase-1 job outputs one record per total it finds:
+embeddings. Every phase-1 job outputs exactly one record per total:
 
     (sub, ids)    a total embedding of subquery ``sub``: the ID of every
                   layout node's image, UNBOUND (-1) for the nodes ``sub``
@@ -25,8 +25,8 @@ subqueries cover every query triple, that join is the answer set. When no
 border node is missing, every border node is common, the key is the whole
 border vector, the subqueries share no position past it, and the join is
 the product of the group's totals. The output pattern is every variable,
-and the join dedupes each subquery's records, so no two joined rows give
-the same answer row.
+and every engine ships each total once, so no two joined rows give the
+same answer row.
 
 This departs from the paper, whose second-phase mapper first completes the
 border values a subquery lacks from the candidates the other subqueries
@@ -116,11 +116,8 @@ def join_job(layout: QueryLayout, cap: int = CARTESIAN_CAP) -> Job:
 
     def join_reduce(key, values, em):
         by_sub: dict[int, list[tuple]] = {}
-        last = None
-        for val in values:
-            if val != last:  # values arrive sorted, so a duplicate is adjacent
-                last = val
-                by_sub.setdefault(val[0], []).append(val[1])
+        for sub_idx, ids in values:
+            by_sub.setdefault(sub_idx, []).append(ids)
         if len(by_sub) < num_subs:
             return
         for row in join([(key,), *map(by_sub.__getitem__, range(num_subs))], cap):

@@ -349,7 +349,7 @@ class DataGraph(_TripleSet):
 class Query(_TripleSet):
     """An immutable basic graph pattern."""
 
-    __slots__ = ("_variables", "_output_pattern", "_star_centers")
+    __slots__ = ("_variables", "_output_pattern", "_star_centers", "_so_centers")
     _empty = (EmptyQuery, "a query needs at least one triple pattern")
     _noun = "patterns"
 
@@ -358,6 +358,7 @@ class Query(_TripleSet):
         self._variables: frozenset[Term] | None = None
         self._output_pattern: tuple[Term, ...] | None = None
         self._star_centers: tuple[Term, ...] | None = None
+        self._so_centers: tuple[Term, ...] | None = None
 
     @property
     def variables(self) -> frozenset[Term]:
@@ -400,12 +401,12 @@ def star_centers(q: Query) -> tuple[Term, ...]:
 
 
 def so_centers(q: Query) -> tuple[Term, ...]:
-    """Star centers that are the subject of at least one triple."""
-    out = []
-    for c in star_centers(q):
-        if any(t.s == c for t in q.triples):
-            out.append(c)
-    return tuple(out)
+    """Star centers that are the subject of at least one triple; computed on
+    the first call and kept in q, as ``star_centers`` are."""
+    if q._so_centers is None:
+        subjects = {t.s for t in q.triples}
+        q._so_centers = tuple(c for c in star_centers(q) if c in subjects)
+    return q._so_centers
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ that order as its own without sorting again.
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 
 from .errors import (
@@ -196,6 +197,23 @@ def _assignment_lines(path: Path):
         yield idx, left.strip(), block
 
 
+def _assigned(lines, parse, kind: str) -> dict:
+    """Each entry of the (line number, entry, block id) ``lines``, parsed
+    by ``parse(entry, line number)``, mapped to its block id. An entry
+    listed twice raises NotAPartition naming it and both its lines."""
+    line_of: dict = {}
+    assignment: dict = {}
+    for idx, left, block in lines:
+        entry = parse(left, idx)
+        if entry in line_of:
+            raise NotAPartition(
+                f"{kind} {entry.token()} is assigned on lines {line_of[entry]} and {idx}"
+            )
+        line_of[entry] = idx
+        assignment[entry] = block
+    return assignment
+
+
 def import_partition(path, g: DataGraph) -> DataDecomposition:
     """Import an assignment file of ``<entry><TAB><block id>`` lines, read
     once and sniffed by its first line.
@@ -203,16 +221,16 @@ def import_partition(path, g: DataGraph) -> DataDecomposition:
     Entries that parse as a whole triple (``<s> <p> <o> .``) make an edge
     assignment, handed to ``from_edge_assignment``; single node tokens make
     a node partition, whose blocks ``s_decompose`` takes and
-    ``model.block_index`` checks.
+    ``model.block_index`` checks. Either kind of file lists each entry once.
     """
     lines = list(_assignment_lines(Path(path)))
     if not lines:
         raise NotAPartition(f"no assignment lines in {path}")
     if _LINE_RE.match(lines[0][1]):
-        return from_edge_assignment(g, {
-            _parse_line(left, idx, as_query=False): block for idx, left, block in lines
-        })
-    nodes = {term_from_token(left, idx): block for idx, left, block in lines}
+        return from_edge_assignment(g, _assigned(
+            lines, partial(_parse_line, as_query=False), "triple"
+        ))
+    nodes = _assigned(lines, term_from_token, "node")
     m = _check_block_ids(
         {idx: block for idx, _, block in lines}, "node", "on line {}".format
     )

@@ -9,10 +9,13 @@ node. That deletes an entire shuffle round, which is why this runs in one and
 a half phases:
 
 - The only mapper, a map-only stage, enumerates per (subquery, segment) the
-  subquery's total embeddings in that segment and emits each as a
-  (subquery, ids) record, images as their IDs in the data decomposition's
-  dictionary. Replication means the same embedding can be found in several
-  segments; the next stage's reducer dedups.
+  subquery's total embeddings in that segment and emits, as a (subquery,
+  ids) record with images as their IDs in the data decomposition's
+  dictionary, each one whose so-centre image lies in the segment's own node
+  block. Replicated triples let other segments find the same embedding, but
+  an so-centre is the subject of a query triple, so its image is a data
+  subject, never a literal, and lies in exactly one block: exactly one
+  segment ships each total.
 - The final join is the shared one, which joins the subqueries' totals
   inside each group of common-border IDs.
 
@@ -33,21 +36,25 @@ from .evalcore import (
     run_phases,
 )
 from .decompose import validate_decomposition
-from .model import Query, QueryDecomposition
+from .model import Query, QueryDecomposition, so_centers
 from .runtime import Job, run_job
 
 __all__ = ["red_map1_records", "run_redundancy"]
 
 
-def red_map1_records(layout, sub_idx: int, segment, dictionary):
-    """Total embeddings of one subquery inside one segment, as (subquery
-    index, ids) records, images as their IDs in ``dictionary``."""
+def red_map1_records(layout, sub_idx: int, centre: int, segment, block, dictionary):
+    """The totals of one subquery that one segment owns, as (subquery index,
+    ids) records, images as their IDs in ``dictionary``. The segment owns a
+    total when its image at layout position ``centre``, the subquery's
+    so-centre, lies in the segment's node ``block``, so exactly one segment
+    ships each total. Pure, for direct testing."""
     code = dictionary.ids.__getitem__
     return [
         (sub_idx, tuple(map(code, images)))
         for images in enumerate_total(
             layout.subqueries[sub_idx], segment, layout.nodes
         )
+        if images[centre] in block
     ]
 
 
@@ -70,11 +77,15 @@ def run_redundancy(
             "replicated evaluation needs so-queries in every subquery slot"
         )
     layout = preprocess(decomposition)
+    centres = [layout.node_index[so_centers(sub)[0]] for sub in layout.subqueries]
+    blocks = dec_data.node_blocks
     dictionary = dec_data.dictionary
 
     def map1(key, _value, em):
         i, j = key
-        em.records += red_map1_records(layout, i, dec_data.segments[j], dictionary)
+        em.records += red_map1_records(
+            layout, i, centres[i], dec_data.segments[j], blocks[j], dictionary
+        )
 
     records, stats, counts = run_phases(
         layout, dec_data, Job("segment-totals", map1, None),

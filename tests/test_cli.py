@@ -72,6 +72,14 @@ BAD_ASSIGNMENTS = {
         "triple <Article1> <hasAuthor> <Person4> . has no block assignment",
     ),
     "empty-file": ([], "no assignment lines in {path}"),
+    "duplicate-node": (
+        _node_lines() + ["<Person3>\t0"],
+        "node <Person3> is assigned on lines 7 and 10",
+    ),
+    "duplicate-triple": (
+        _EDGE_LINES + [_EDGE_LINES[0]],
+        "triple <Article1> <hasAuthor> <Person4> . is assigned on lines 1 and 16",
+    ),
 }
 
 

@@ -491,10 +491,11 @@ class TestLiteralCentreStars:
 # ------------------------------------------------------------ phase-1 contract
 
 
-def check_phase1_contract(engine_name, data, q, dec, monkeypatch):
+def check_phase1_contract(engine_name, data, q, dec, monkeypatch, workers=1):
     """Run one engine, keeping its phase-1 job's output, and check that the
     output is one (subquery, ids) record per total embedding, the totals of
-    each subquery being those of ``enumerate_total`` over the whole graph."""
+    each subquery being those of ``enumerate_total`` over the whole graph.
+    Returns the engine's result."""
     module = importlib.import_module(f"stargraph.{engine_name}")
     outputs = []
 
@@ -504,7 +505,7 @@ def check_phase1_contract(engine_name, data, q, dec, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(module, "run_job", recording)
-        res = ENGINES[engine_name](data, q, dec)
+        res = ENGINES[engine_name](data, q, dec, workers=workers)
     records = outputs[0].records
     layout = sg.preprocess(dec)
     for record in records:
@@ -517,9 +518,9 @@ def check_phase1_contract(engine_name, data, q, dec, monkeypatch):
     # each answer row once
     assert res.stats[-1]["stage"] == "join-answers"
     assert res.stats[-1]["recordsOut"] == len(res.answers.rows)
-    if engine_name != "redundancy":
-        # only replicated triples let an engine find a total twice
-        assert len(set(records)) == len(records)
+    # every engine ships each total once, redundancy's segments only the
+    # totals whose so-centre image lies in their own node block
+    assert len(set(records)) == len(records)
     code = data.dictionary.ids.__getitem__
     for i, sub in enumerate(layout.subqueries):
         want = {
@@ -527,6 +528,7 @@ def check_phase1_contract(engine_name, data, q, dec, monkeypatch):
             for images in sg.enumerate_total(sub, data.graph, layout.nodes)
         }
         assert {ids for k, ids in records if k == i} == want, (engine_name, i)
+    return res
 
 
 class TestPhase1Contract:
@@ -548,3 +550,28 @@ class TestPhase1Contract:
             g, q, dec, m = completion_instance(k)
             data = partition_for(partition_kind, g, m, k)
             check_phase1_contract(engine_name, data, q, dec, monkeypatch)
+
+
+class TestEachTotalShippedOnce:
+    """No engine ships a phase-1 record twice: qejpe and stars build each
+    centre image's totals in one place, and redundancy's segments ship only
+    the totals whose so-centre image lies in their own node block, though
+    replicated triples let other segments find them too."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("method", sorted(sg.DECOMPOSERS))
+    @pytest.mark.parametrize(
+        "query", ["journal_article_query", "supervisor_query", "coauthor_query"]
+    )
+    def test_fixture_cases(self, query, method, workers, request, monkeypatch):
+        q = request.getfixturevalue(query)
+        dec = sg.DECOMPOSERS[method](q)
+        assert sg.validate_decomposition(q, dec).all_so
+        embeddings = {}
+        for name in ENGINES:
+            data = request.getfixturevalue(
+                "node_split" if name == "redundancy" else "edge_split"
+            )
+            res = check_phase1_contract(name, data, q, dec, monkeypatch, workers)
+            embeddings[name] = res.subquery_embeddings
+        assert embeddings["redundancy"] == embeddings["qejpe"] == embeddings["stars"]

@@ -91,17 +91,6 @@ def test_a_node_with_three_owners_needs_all_three():
     assert joined(records) == [answer(a=3, b=4, c=1, x=5)]
 
 
-def test_a_repeated_offer_counts_once():
-    # redundancy may find one total in two segments
-    records = [
-        total(0, x=1, a=7), total(0, x=1, a=7), total(3, a=7, b=2),
-        total(1, x=1, b=2), total(2, x=1, c=5), total(2, x=1, c=6),
-    ]
-    assert joined(records) == [
-        answer(a=7, b=2, c=5, x=1), answer(a=7, b=2, c=6, x=1),
-    ]
-
-
 class TestPlanJoin:
     def test_shared_positions_join_and_each_is_read_once(self):
         # position 1 is shared; the output repeats it and asks for 3, which

@@ -28,14 +28,33 @@ def join_records(layout, records):
     return em.records
 
 
-def collect(layout, node_split):
+def collect(layout, data):
+    """The final join's groups of every subquery's totals over the whole
+    graph, each total once, as the join reads them."""
+    code = data.dictionary.ids.__getitem__
+    records = [
+        (i, tuple(map(code, images)))
+        for i, sub in enumerate(layout.subqueries)
+        for images in sg.enumerate_total(sub, data.graph, layout.nodes)
+    ]
     grouped = {}
-    for i in range(len(layout.subqueries)):
-        for seg in node_split.segments:
-            records = red_map1_records(layout, i, seg, node_split.dictionary)
-            for key, val in join_records(layout, records):
-                grouped.setdefault(key, []).append(val)
+    for key, val in join_records(layout, records):
+        grouped.setdefault(key, []).append(val)
     return grouped
+
+
+def so_centre(layout, sub_idx):
+    """The layout position of a subquery's so-centre, as run_redundancy
+    picks it."""
+    return layout.node_index[sg.so_centers(layout.subqueries[sub_idx])[0]]
+
+
+def owned(layout, sub_idx, data, j):
+    """The records segment j of ``data`` ships for one subquery."""
+    return red_map1_records(
+        layout, sub_idx, so_centre(layout, sub_idx), data.segments[j],
+        data.node_blocks[j], data.dictionary,
+    )
 
 
 def is_total(record, layout, sub_idx):
@@ -45,18 +64,26 @@ def is_total(record, layout, sub_idx):
 
 
 class TestMapRecords:
-    def test_per_segment_totals(self, node_split, coauthor_cover_decomposition):
-        layout = sg.preprocess(coauthor_cover_decomposition)
+    def test_per_segment_totals(self, node_split, supervisor_decomposition):
+        layout = sg.preprocess(supervisor_decomposition)
         counts = {}
-        for i in range(3):
-            for j, seg in enumerate(node_split.segments):
-                records = red_map1_records(layout, i, seg, node_split.dictionary)
+        for i, sub in enumerate(layout.subqueries):
+            shipped = []
+            for j in range(len(node_split)):
+                records = owned(layout, i, node_split, j)
                 assert all(is_total(r, layout, i) for r in records)
                 counts[(i, j)] = len(records)
+                shipped += [ids for _, ids in records]
+            # the segments' owned totals are the subquery's totals, each once
+            code = node_split.dictionary.ids.__getitem__
+            assert sorted(shipped) == sorted(
+                tuple(map(code, images))
+                for images in sg.enumerate_total(sub, node_split.graph, layout.nodes)
+            )
         assert counts == {
-            (0, 0): 1, (0, 1): 0, (0, 2): 2,
-            (1, 0): 3, (1, 1): 0, (1, 2): 0,
-            (2, 0): 1, (2, 1): 2, (2, 2): 0,
+            (0, 0): 3, (0, 1): 0, (0, 2): 2,
+            (1, 0): 3, (1, 1): 0, (1, 2): 2,
+            (2, 0): 1, (2, 1): 1, (2, 2): 0,
         }
 
     def test_keys_carry_common_border_values(
@@ -66,31 +93,40 @@ class TestMapRecords:
         # total by the images of the common border alone
         layout = sg.preprocess(coauthor_cover_decomposition)
         assert layout.common_border == (sg.variable("P1"),)
-        records = red_map1_records(
-            layout, 1, node_split.segments[0], node_split.dictionary
-        )
+        records = owned(layout, 1, node_split, 0)
         joined = join_records(layout, records)
         assert all(sub_idx == 1 for _, (sub_idx, _ids) in joined)
         assert sorted({decode(node_split.dictionary, key) for key, _ in joined}) == [
             (t("<Person1>"),), (t("<Person2>"),), (t("<Person4>"),),
         ]
 
-    def test_replication_duplicates_a_total(
-        self, node_split, coauthor_cover_decomposition
+    def test_a_replicated_total_ships_from_its_centre_block_alone(
+        self, node_split, supervisor_decomposition
     ):
-        # the supervision edge Person4 -> Person1 is replicated, so the same
-        # third-star total shows up in two segments and dedup happens later
-        layout = sg.preprocess(coauthor_cover_decomposition)
-        person4 = node_split.dictionary.ids[t("<Person4>")]
-        p1 = layout.node_index[sg.variable("P1")]
-        seen = []
-        for j, seg in enumerate(node_split.segments):
-            for _, ids in red_map1_records(layout, 2, seg, node_split.dictionary):
-                if ids[p1] == person4:
-                    seen.append((j, ids))
-        assert len(seen) == 2
-        assert seen[0][1] == seen[1][1]
-        assert {j for j, _ in seen} == {0, 1}
+        # the supervision edge Person4 -> Person1 is replicated into segments
+        # 0 and 1, so both find the third subquery's total through it, but
+        # only segment 0, whose block holds the so-centre image Person4,
+        # ships it
+        layout = sg.preprocess(supervisor_decomposition)
+        ids = node_split.dictionary.ids
+        centre = so_centre(layout, 2)
+        assert layout.nodes[centre] == sg.variable("P1")
+        person4 = ids[t("<Person4>")]
+        found = [
+            j for j, seg in enumerate(node_split.segments)
+            for images in sg.enumerate_total(
+                layout.subqueries[2], seg, layout.nodes
+            )
+            if images[centre] == t("<Person4>")
+        ]
+        assert found == [0, 1]
+        shipped = [
+            j for j in range(len(node_split))
+            for _, total in owned(layout, 2, node_split, j)
+            if total[centre] == person4
+        ]
+        assert shipped == [0]
+        assert t("<Person4>") in node_split.node_blocks[0]
 
     def test_ground_borders_route_straight_to_the_join(self, bibliography, node_split):
         # a decomposition whose single subquery holds every border node has
@@ -99,9 +135,7 @@ class TestMapRecords:
         dec = sg.naive_decomposition(q)
         layout = sg.preprocess(dec)
         assert layout.missing_border == ()
-        records = red_map1_records(
-            layout, 0, node_split.segments[0], node_split.dictionary
-        )
+        records = owned(layout, 0, node_split, 0)
         assert len(records) == 3
         for sub_idx, ids in records:
             assert sub_idx == 0
@@ -170,13 +204,13 @@ class TestRunRedundancy:
             res = run_redundancy(node_split, supervisor_query, make(supervisor_query))
             assert res.answers == want, name
 
-    def test_counts_include_replicated_duplicates(
+    def test_counts_are_each_total_once(
         self, bibliography, node_split, supervisor_query, supervisor_decomposition
     ):
         res = run_redundancy(node_split, supervisor_query, supervisor_decomposition)
         layout = sg.preprocess(supervisor_decomposition)
         for i, sub in enumerate(layout.subqueries):
-            assert res.subquery_embeddings[i] >= len(
+            assert res.subquery_embeddings[i] == len(
                 sg.enumerate_total(sub, bibliography, layout.nodes)
             )
 

@@ -616,8 +616,11 @@ class TestEngineStageHook:
             assert len(enumerated) == pairs
             counted = sum(n for _, n in enumerated)
             if engine == "redundancy":
-                # one phase-1 record per total, each counted by the driver
-                assert counted == totals > 0
+                # segments find a total through replicated triples too, but
+                # only the owner of its so-centre image ships it
+                assert counted >= totals > 0
+                qejpe = sg.run_qejpe(edge_split, q, dec)
+                assert totals == sum(qejpe.subquery_embeddings.values())
             else:
                 # stars part 2 ships only the totals part 1 does not cover
                 layout = sg.preprocess(dec)
