@@ -26,7 +26,7 @@ order, as a read-only sequence.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property, total_ordering
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
@@ -299,9 +299,8 @@ class DataGraph(_TripleSet):
     @classmethod
     def _from_canonical(cls, canonical: list[DataTriple]) -> "DataGraph":
         """The graph of ``canonical``, distinct triples already in canonical
-        order, which it keeps without sorting again. Only ``partition`` calls
-        this, with segments filled in one pass over the parent's
-        ``canonical``."""
+        order, which it keeps without sorting again. Only segments come
+        here, filled in one pass over their parent's ``canonical``."""
         g = cls(canonical)
         g._canonical = tuple(canonical)
         return g
@@ -481,30 +480,23 @@ def block_index(graph: DataGraph, blocks) -> dict[Term, int]:
     return block_of
 
 
-def _induces(
-    block_of: dict[Term, int], graph: DataGraph, segments: Sequence[DataGraph]
-) -> bool:
-    """Whether segment i holds exactly the graph's triples with an endpoint
-    in block i, ``block_of`` being ``block_index`` of the blocks.
+def _route(graph: DataGraph, blocks) -> tuple[DataGraph, ...]:
+    """The segments that ``blocks`` induce: segment i holds every triple
+    with an endpoint in block i, in one pass over ``graph.canonical``.
 
-    Every segment triple must be a graph triple with an endpoint in its
-    segment's block. A graph triple belongs to the segment of each block its
-    ends lie in, one or two, so it counts 2 in one block (or with a literal
-    object) and 1 in each of two; the counts add up to twice the graph's
-    size exactly when no segment lacks a triple it should hold.
+    ``block_index`` checks the blocks before any triple is routed: a block
+    of nodes the graph lacks would route no triple, and its empty segment
+    would raise EmptyGraph instead of naming the node.
     """
-    triples = graph.triples
-    shares = 0
-    for i, seg in enumerate(segments):
-        if not seg.triples <= triples:
-            return False
-        for t in seg.triples:
-            a = block_of[t.s]
-            b = block_of.get(t.o, a)  # no block holds a literal
-            if a != i and b != i:
-                return False
-            shares += 2 if a == b else 1
-    return shares == 2 * len(triples)
+    block_of = block_index(graph, blocks)
+    segments: list[list[DataTriple]] = [[] for _ in blocks]
+    for t in graph.canonical:
+        i = block_of[t.s]
+        segments[i].append(t)
+        j = block_of.get(t.o)  # None for a literal, which no block holds
+        if j is not None and j != i:
+            segments[j].append(t)
+    return tuple(map(DataGraph._from_canonical, segments))
 
 
 UNBOUND = -1
@@ -534,25 +526,27 @@ class TermDictionary:
 class DataDecomposition:
     """Segments of a data graph plus the border bookkeeping evaluation needs.
 
+    An edge partition is given its ``segments``, which must union to the
+    graph. A node partition (an s-decomposition) is given ``node_blocks``
+    instead, a partition of the graph's non-literal nodes that
+    ``block_index`` checks, and the constructor routes the segments from
+    them: segment i holds every triple with an endpoint in block i, so each
+    node's whole star sits in its own block's segment. Segments and blocks
+    are never given together.
     ``borders[i]`` holds segment i's border nodes, those of ``border_of``
-    over all segments. For s-decompositions ``node_blocks`` holds a
-    partition of the graph's non-literal nodes and ``replicated`` the
-    per-segment replicated node sets; both are None for edge partitions.
-    The constructor checks any blocks it is given: they must partition the
-    nodes (``block_index``) and segment i must hold exactly the triples with
-    an endpoint in block i, so that each node's whole star sits in its own
-    block's segment. Wrong blocks raise NotAPartition; without blocks the
-    segments must union to the graph.
-    Segment i's replicated nodes are its border minus its own block: a node
-    of another block reaches segment i only through a triple that its own
-    block's segment holds too, so it is a non-literal node of two segments.
+    over all segments. ``replicated`` holds, per segment of a node
+    partition, its border minus its own block (None for edge partitions):
+    a node of another block reaches segment i only through a triple that
+    its own block's segment holds too, so it is a non-literal node of two
+    segments.
     ``interiors[i]`` holds the dictionary IDs of segment i's non-literal
     nodes outside its border, read by qejpe's closure rule and by the
     stars mapper, which splits central images by it.
     """
 
     graph: DataGraph
-    segments: tuple[DataGraph, ...]
+    segments: tuple[DataGraph, ...] | None = None
+    _: KW_ONLY
     method: str
     seed: int | None = None
     node_blocks: tuple[frozenset[Term], ...] | None = None
@@ -560,27 +554,27 @@ class DataDecomposition:
     replicated: tuple[frozenset[Term], ...] | None = field(init=False)
 
     def __post_init__(self):
-        if not self.segments:
-            raise NotADecomposition("a data decomposition needs segments")
-        if self.node_blocks is None:
-            union = set()
-            for seg in self.segments:
-                union |= seg.triples
-            if union != self.graph.triples:
-                raise NotADecomposition("segments do not union to the graph")
-        else:
-            if len(self.node_blocks) != len(self.segments):
-                raise NotADecomposition("node blocks and segments differ in length")
-            block_of = block_index(self.graph, self.node_blocks)
-            if not _induces(block_of, self.graph, self.segments):
-                raise NotAPartition("node blocks do not induce the segments")
+        blocks = self.node_blocks
+        if blocks is not None:
+            if self.segments is not None:
+                raise NotADecomposition(
+                    "node blocks route their own segments; give segments or blocks"
+                )
+            blocks = tuple(map(frozenset, blocks))
+            object.__setattr__(self, "node_blocks", blocks)
+            object.__setattr__(self, "segments", _route(self.graph, blocks))
+        elif not self.segments:
+            raise NotADecomposition(
+                "a data decomposition needs segments or node blocks"
+            )
+        elif set().union(*(s.triples for s in self.segments)) != self.graph.triples:
+            raise NotADecomposition("segments do not union to the graph")
         shared = border_of(s.nodes for s in self.segments)
         borders = tuple(s.nodes & shared for s in self.segments)
         object.__setattr__(self, "borders", borders)
-        repl = None
-        if self.node_blocks is not None:
-            repl = tuple(map(frozenset.difference, borders, self.node_blocks))
-        object.__setattr__(self, "replicated", repl)
+        object.__setattr__(self, "replicated", None if blocks is None else tuple(
+            map(frozenset.difference, borders, blocks)
+        ))
 
     @property
     def is_s_decomposition(self) -> bool:

@@ -18,11 +18,13 @@ identity on every graph and query.
 A partition directory holds segment-NN.nt files, one .border file per segment
 (border node tokens, one per line), a .repl file per segment when the split
 was node-based (replicated node tokens; present but possibly empty), and a
-manifest.json with {method, seed, segments, created}. ``read_segments``
-accepts exactly the manifest's segment files and checks both kinds of node
-file against the segments: the .border files against the recomputed
-borders, the .repl files against ``replicated`` after the
-``DataDecomposition`` constructor has checked the blocks they imply.
+manifest.json with {method, seed, segments, created}. ``write_segments``
+removes the segment files of an earlier partition that it does not
+overwrite. ``read_segments`` accepts exactly the manifest's segment files
+and checks both kinds of node file against the segments: the .border files
+against the recomputed borders, the .repl files by routing the union of the
+segments from the blocks they imply and comparing the result with the
+stored segments and ``replicated``.
 """
 
 from __future__ import annotations
@@ -208,14 +210,25 @@ def _created_stamp() -> str:
 
 
 def write_segments(dec: DataDecomposition, outdir: str | Path) -> None:
+    """Write ``dec`` as a partition directory. Segment files that an earlier
+    partition left there and this one does not write are removed, so the
+    directory reads back as ``dec`` alone."""
     out = Path(outdir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise _unwritable(out, exc) from exc
     m = len(dec.segments)
-    for i, seg in enumerate(dec.segments):
-        stem = _segment_stem(i, m)
+    stems = [_segment_stem(i, m) for i in range(m)]
+    kinds = [".nt", ".border"] + ([".repl"] if dec.replicated is not None else [])
+    written = {stem + kind for stem in stems for kind in kinds}
+    for old in out.glob("segment-*"):
+        if old.suffix in (".nt", ".border", ".repl") and old.name not in written:
+            try:
+                old.unlink()
+            except OSError as exc:
+                raise _unwritable(old, exc) from exc
+    for i, (stem, seg) in enumerate(zip(stems, dec.segments)):
         write_text(out / f"{stem}.nt", serialize_graph(seg))
         border = "".join(n.token() + "\n" for n in sorted(dec.borders[i]))
         write_text(out / f"{stem}.border", border)
@@ -242,13 +255,15 @@ def read_segments(indir: str | Path) -> DataDecomposition:
     """Load a partition directory back into a DataDecomposition.
 
     The directory's ``segment-*.nt`` files must be exactly the manifest's
-    segments. Border files are recomputed from the segments and
-    cross-checked against the stored ones; a mismatch means the directory
-    was edited by hand. With .repl files, segment i's block is its
-    non-literal nodes outside its .repl file; the ``DataDecomposition``
-    constructor checks that the blocks partition the nodes and induce the
-    segments, and each .repl file must then equal its segment's
-    ``replicated`` nodes.
+    segments, and their union is the graph. Without .repl files they are
+    an edge partition's segments. With .repl files, segment i's block is
+    its non-literal nodes outside its .repl file; the ``DataDecomposition``
+    constructor checks that the blocks partition the graph's nodes and
+    routes the graph's triples from them, and the routed segments must
+    equal the stored ones and each .repl file its segment's ``replicated``
+    nodes. Border files are recomputed from the segments and cross-checked
+    against the stored ones. Any mismatch means the directory was edited
+    by hand.
     """
     src = Path(indir)
     manifest_path = src / "manifest.json"
@@ -277,24 +292,25 @@ def read_segments(indir: str | Path) -> DataDecomposition:
         stored_borders.append(_read_node_file(src / f"{stem}.border"))
         if repl_sets is not None:
             repl_sets.append(_read_node_file(src / f"{stem}.repl"))
-    union = set()
-    for seg in segments:
-        union |= seg.triples
-    blocks = None
-    if repl_sets is not None:
-        blocks = tuple(
+    graph = DataGraph(set().union(*(seg.triples for seg in segments)))
+    method, seed = str(manifest.get("method", "unknown")), manifest.get("seed")
+    if repl_sets is None:
+        dec = DataDecomposition(graph, tuple(segments), method=method, seed=seed)
+    else:
+        blocks = [
             frozenset(n for n in seg.nodes if not n.is_literal) - repl
             for seg, repl in zip(segments, repl_sets)
-        )
-    method = str(manifest.get("method", "unknown"))
-    try:
-        dec = DataDecomposition(
-            DataGraph(union), tuple(segments), method, manifest.get("seed"), blocks
-        )
-    except NotAPartition as exc:
-        raise NotAPartition(f"stored .repl files: {exc}") from None
-    if repl_sets is not None and list(dec.replicated) != repl_sets:
-        raise NotAPartition("stored .repl files disagree with the replicated nodes")
+        ]
+        try:
+            dec = DataDecomposition(graph, method=method, seed=seed, node_blocks=blocks)
+        except NotAPartition as exc:
+            raise NotAPartition(f"stored .repl files: {exc}") from None
+        if list(dec.segments) != segments:
+            raise NotAPartition(
+                "stored .repl files: node blocks do not induce the segments"
+            )
+        if list(dec.replicated) != repl_sets:
+            raise NotAPartition("stored .repl files disagree with the replicated nodes")
     if list(dec.borders) != stored_borders:
         raise NotAPartition("stored .border files disagree with segment contents")
     return dec

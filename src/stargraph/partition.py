@@ -11,10 +11,11 @@ Two families:
 
 Both produce a DataDecomposition. ``import_partition`` reads either family
 from an assignment file, so partitions computed elsewhere can be reused.
-
-Every family fills its segments in one pass over the graph's ``canonical``,
-so each segment lists its triples in the graph's canonical order and keeps
-that order as its own without sorting again.
+The edge families fill their segments here; an s-decomposition hands only
+its blocks to the ``DataDecomposition`` constructor, which checks them and
+routes the triples. Either way the segments are filled in one pass over the
+graph's ``canonical``, so each segment lists its triples in the graph's
+canonical order and keeps that order as its own without sorting again.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     TooManySegments,
     UnknownTriple,
 )
-from .model import DataGraph, DataDecomposition, DataTriple, Term, block_index
+from .model import DataGraph, DataDecomposition, DataTriple, Term
 from .ntio import _LINE_RE, _content_lines, _parse_line, _read_text, term_from_token
 from .rng import MASK64, XorShift64Star, _splitmix64, fnv1a64
 
@@ -42,12 +43,9 @@ __all__ = [
 ]
 
 
-def _decomposition(g: DataGraph, segments: list[list[DataTriple]], **fields):
-    return DataDecomposition(
-        graph=g,
-        segments=tuple(map(DataGraph._from_canonical, segments)),
-        **fields,
-    )
+def _edge_decomposition(g: DataGraph, segments: list[list[DataTriple]], **fields):
+    segs = tuple(map(DataGraph._from_canonical, segments))
+    return DataDecomposition(g, segs, **fields)
 
 
 def edge_random_partition(g: DataGraph, m: int, seed: int = 0) -> DataDecomposition:
@@ -79,7 +77,7 @@ def edge_random_partition(g: DataGraph, m: int, seed: int = 0) -> DataDecomposit
         donor = max(range(m), key=lambda i: (len(blocks[i]), -i))
         target = next(i for i in range(m) if not blocks[i])
         blocks[target].append(blocks[donor].pop(0))
-    return _decomposition(g, blocks, method="edge-random", seed=seed)
+    return _edge_decomposition(g, blocks, method="edge-random", seed=seed)
 
 
 def _node_hash(node: Term, seed: int) -> int:
@@ -91,8 +89,6 @@ def vertex_hash_partition(g: DataGraph, m: int, seed: int = 0) -> DataDecomposit
 
     Empty blocks are repaired deterministically: while one exists, the
     largest block (ties to the lowest index) donates its highest-hash node.
-    The blocks are built here, so the triples are routed by their own index
-    and the ``DataDecomposition`` constructor checks them once.
     """
     nodes = [n for n in g.nodes if not n.is_literal]
     if m < 1:
@@ -102,35 +98,16 @@ def vertex_hash_partition(g: DataGraph, m: int, seed: int = 0) -> DataDecomposit
             f"cannot spread {len(nodes)} non-literal nodes over {m} blocks"
         )
     hashes = {n: _node_hash(n, seed) for n in nodes}
-    block_of = {n: h % m for n, h in hashes.items()}
     blocks: list[set[Term]] = [set() for _ in range(m)]
-    for n, i in block_of.items():
-        blocks[i].add(n)
+    for n, h in hashes.items():
+        blocks[h % m].add(n)
     while not all(blocks):
         donor = max(range(m), key=lambda i: (len(blocks[i]), -i))
         target = next(i for i in range(m) if not blocks[i])
         moved = max(blocks[donor], key=lambda n: (hashes[n], n.key))
         blocks[donor].remove(moved)
         blocks[target].add(moved)
-        block_of[moved] = target
-    return _decomposition(
-        g, _route(g, block_of, m), method="vertex-hash", seed=seed,
-        node_blocks=tuple(map(frozenset, blocks)),
-    )
-
-
-def _route(g: DataGraph, block_of: dict[Term, int], m: int) -> list[list[DataTriple]]:
-    """The m segments that ``block_of``, each non-literal node's block,
-    induces: segment i gets every triple with an endpoint in block i, in
-    one pass over ``g.canonical``."""
-    segments: list[list[DataTriple]] = [[] for _ in range(m)]
-    for t in g.canonical:
-        i = block_of[t.s]
-        segments[i].append(t)
-        j = block_of.get(t.o)  # None for a literal, which no block holds
-        if j is not None and j != i:
-            segments[j].append(t)
-    return segments
+    return DataDecomposition(g, method="vertex-hash", seed=seed, node_blocks=blocks)
 
 
 def s_decompose(g: DataGraph, node_blocks) -> DataDecomposition:
@@ -139,16 +116,9 @@ def s_decompose(g: DataGraph, node_blocks) -> DataDecomposition:
     ``node_blocks`` must partition exactly the non-literal nodes of the
     graph, as ``model.block_index`` checks. Segment i gets every triple with
     an endpoint in block i, so cross-block triples are replicated; the
-    ``DataDecomposition`` constructor checks the result.
+    ``DataDecomposition`` constructor checks the blocks and routes the triples.
     """
-    blocks = [frozenset(b) for b in node_blocks]
-    # checked before routing: a block of nodes the graph lacks would route
-    # no triple, and its empty segment would raise EmptyGraph instead
-    block_of = block_index(g, blocks)
-    return _decomposition(
-        g, _route(g, block_of, len(blocks)), method="node-import",
-        node_blocks=tuple(blocks),
-    )
+    return DataDecomposition(g, method="node-import", node_blocks=node_blocks)
 
 
 def _check_block_ids(block_of: dict, kind: str, where) -> int:
@@ -182,7 +152,7 @@ def from_edge_assignment(
     segments: list[list[DataTriple]] = [[] for _ in range(m)]
     for t in g.canonical:
         segments[assignment[t]].append(t)
-    return _decomposition(g, segments, method="edge-import")
+    return _edge_decomposition(g, segments, method="edge-import")
 
 
 def _assignment_lines(path: Path):
@@ -220,8 +190,9 @@ def import_partition(path, g: DataGraph) -> DataDecomposition:
 
     Entries that parse as a whole triple (``<s> <p> <o> .``) make an edge
     assignment, handed to ``from_edge_assignment``; single node tokens make
-    a node partition, whose blocks ``s_decompose`` takes and
-    ``model.block_index`` checks. Either kind of file lists each entry once.
+    a node partition, whose blocks ``s_decompose`` hands to the
+    ``DataDecomposition`` constructor. Either kind of file lists each entry
+    once.
     """
     lines = list(_assignment_lines(Path(path)))
     if not lines:

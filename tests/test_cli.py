@@ -129,6 +129,25 @@ class TestPartitionCommand:
         dec = sg.read_segments(workdir / "segs")
         assert dec.is_s_decomposition
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_partition_over_a_node_partition_replaces_it(self, workdir, capsys, m):
+        segs = workdir / "segs"
+        run(
+            "partition", workdir / "graph.nt", "--method", "vertex-hash", "-m", 4,
+            "--out", segs,
+        )
+        run(
+            "partition", workdir / "graph.nt", "--method", "edge-random", "-m", m,
+            "--out", segs,
+        )
+        capsys.readouterr()
+        code = run("eval", "--data", segs, "--query", workdir / "supervisor.q")
+        assert code == 0
+        assert answers_from_tsv(capsys.readouterr().out) == sg.oracle_answers(
+            sg.parse_query(SUPERVISOR_QUERY), sg.parse_data(BIBLIOGRAPHY)
+        )
+        assert not sg.read_segments(segs).is_s_decomposition
+
     def test_import_nodes(self, workdir):
         lines = []
         for block, names in enumerate(
@@ -455,6 +474,28 @@ class TestEvalInputErrors:
         assert err.startswith("error: stored .repl files: node ")
         assert err.endswith(" appears in two blocks\n")
         assert err.count("\n") == 1
+
+    def test_node_segment_edited_by_hand_is_semantic(self, workdir, capsys):
+        # segment 0 drops a triple that segment 1 still holds, so the blocks
+        # the .repl files imply route a segment the directory lacks
+        segs = workdir / "segs"
+        nodes = workdir / "nodes.tsv"
+        nodes.write_text("\n".join(_node_lines()) + "\n", encoding="utf-8")
+        run(
+            "partition", workdir / "graph.nt", "--method", "import",
+            "--assign", nodes, "--out", segs,
+        )
+        seg0 = segs / "segment-00.nt"
+        lines = seg0.read_text(encoding="utf-8").splitlines(keepends=True)
+        seg0.write_text("".join(lines[1:]), encoding="utf-8")
+        capsys.readouterr()
+        code = run("eval", "--data", segs, "--query", workdir / "supervisor.q")
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: stored .repl files: node blocks do not induce the segments\n"
+        )
 
 
 # (partition method or None, command arguments after the partition, message)

@@ -14,6 +14,7 @@ from stargraph.errors import (
     LiteralSubject,
     NotADecomposition,
     NotAPartition,
+    ParseError,
     VariableInData,
     VariablePredicate,
 )
@@ -333,44 +334,64 @@ class TestDataDecomposition:
         self, bibliography, edge_split
     ):
         # an edge split's segments paired with node blocks used to answer
-        # wrongly: segment i need not hold the stars of block i
+        # wrongly: segment i need not hold the stars of block i. Blocks now
+        # route their own segments, so none can be given with them
         blocks = tuple(
             frozenset(map(sg.ntio.term_from_token, blk)) for blk in NODE_BLOCKS
         )
-        with pytest.raises(NotAPartition, match="do not induce the segments"):
+        with pytest.raises(NotADecomposition, match="give segments or blocks"):
             sg.DataDecomposition(
-                bibliography, edge_split.segments, "hand", None, blocks
+                bibliography, edge_split.segments, method="hand", node_blocks=blocks
             )
+
+    def test_blocks_route_the_segments_in_canonical_order(self, node_split):
+        blocks = [set(b) for b in node_split.node_blocks]
+        dec = sg.DataDecomposition(node_split.graph, method="hand", node_blocks=blocks)
+        assert dec.node_blocks == node_split.node_blocks
+        assert dec.segments == node_split.segments
+        for seg, block in zip(dec.segments, dec.node_blocks):
+            assert seg.canonical == tuple(
+                t for t in node_split.graph.canonical if t.s in block or t.o in block
+            )
+
+    # Only a directory on disk can pair node blocks with segments they do
+    # not route to: read_segments takes the blocks from the .repl files.
 
     @pytest.mark.parametrize(
         "edit_segment_0",
         [
             lambda ts: ts[1:],
-            # both ends of the added triple lie in block 1, none in block 0
-            lambda ts: ts + triples("<Person2> <hasSupervisor> <Person3> ."),
-            # <Article1> lies in block 0, but the graph lacks the triple
-            lambda ts: ts + triples("<Article1> <hasAuthor> <Person3> ."),
+            # both ends lie in block 1, and segment 0 holds both already
+            lambda ts: ts + triples("<Person1> <hasSupervisor> <Person2> ."),
+            # <Article1> lies in block 0 and <Person1> in block 1, but the
+            # graph lacks the triple, so segment 1 does not hold it
+            lambda ts: ts + triples("<Article1> <hasSupervisor> <Person1> ."),
         ],
         ids=["missing triple", "triple outside the block", "triple not in the graph"],
     )
-    def test_edited_segment_is_rejected(self, node_split, edit_segment_0):
-        segs = list(node_split.segments)
-        segs[0] = sg.DataGraph(edit_segment_0(list(segs[0])))
-        with pytest.raises(NotAPartition, match="do not induce the segments"):
-            sg.DataDecomposition(
-                node_split.graph, tuple(segs), "hand", None, node_split.node_blocks
-            )
+    def test_edited_segment_is_rejected(self, node_split, tmp_path, edit_segment_0):
+        sg.write_segments(node_split, tmp_path)
+        edited = sg.DataGraph(edit_segment_0(list(node_split.segments[0])))
+        (tmp_path / "segment-00.nt").write_text(sg.serialize_graph(edited))
+        with pytest.raises(
+            NotAPartition,
+            match="^stored .repl files: node blocks do not induce the segments$",
+        ):
+            sg.read_segments(tmp_path)
 
-    def test_swapped_blocks_are_rejected(self, node_split):
-        b = node_split.node_blocks
-        with pytest.raises(NotAPartition, match="do not induce the segments"):
-            sg.DataDecomposition(
-                node_split.graph, node_split.segments, "hand", None, (b[1], b[0], b[2])
-            )
+    def test_swapped_blocks_are_rejected(self, node_split, tmp_path):
+        # segments 0 and 1 trade places, their .repl files stay
+        sg.write_segments(node_split, tmp_path)
+        seg0, seg1 = tmp_path / "segment-00.nt", tmp_path / "segment-01.nt"
+        text0, text1 = seg0.read_text(), seg1.read_text()
+        seg0.write_text(text1)
+        seg1.write_text(text0)
+        with pytest.raises(NotAPartition, match="^stored .repl files: "):
+            sg.read_segments(tmp_path)
 
-    def test_node_blocks_of_the_wrong_length_are_rejected(self, node_split):
-        with pytest.raises(NotADecomposition, match="differ in length"):
-            sg.DataDecomposition(
-                node_split.graph, node_split.segments, "hand", None,
-                node_split.node_blocks[:2],
-            )
+    def test_node_blocks_of_the_wrong_length_are_rejected(self, node_split, tmp_path):
+        # two .repl files imply two blocks for three segments
+        sg.write_segments(node_split, tmp_path)
+        (tmp_path / "segment-02.repl").unlink()
+        with pytest.raises(ParseError, match="segment-02.repl"):
+            sg.read_segments(tmp_path)

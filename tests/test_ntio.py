@@ -189,6 +189,22 @@ class TestSegmentsOnDisk:
         assert back.node_blocks == node_split.node_blocks
         assert back.replicated == node_split.replicated
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_write_over_a_node_partition_replaces_it(self, bibliography, tmp_path, m):
+        # four node segments, then m edge segments: no segment file of the
+        # first partition may outlive the second, above all no .repl file
+        sg.write_segments(sg.vertex_hash_partition(bibliography, 4, seed=1), tmp_path)
+        (tmp_path / "notes.txt").write_text("kept\n")
+        edge = sg.edge_random_partition(bibliography, m, seed=1)
+        sg.write_segments(edge, tmp_path)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["manifest.json", "notes.txt"] + [
+            f"segment-{i:02d}.{kind}" for i in range(m) for kind in ("border", "nt")
+        ]
+        back = sg.read_segments(tmp_path)
+        assert not back.is_s_decomposition
+        assert back.segments == edge.segments
+
     def test_manifest_honors_source_date_epoch(
         self, edge_split, tmp_path, monkeypatch
     ):

@@ -1,6 +1,7 @@
 """Graph partitioning: random edge splits, hashed node splits, imports."""
 
 import dataclasses
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,21 +94,37 @@ class TestVertexHash:
         with pytest.raises(TooManySegments):
             sg.vertex_hash_partition(bibliography, 100, seed=0)
 
-    def test_blocks_are_checked_once(self, bibliography, monkeypatch):
-        # the blocks are built here, so only the DataDecomposition
-        # constructor checks them
-        calls = []
-        for module in (sg.model, sg.partition):
-            checked = module.block_index
-
-            def counting(*args, _checked=checked):
-                calls.append(args)
-                return _checked(*args)
-
-            monkeypatch.setattr(module, "block_index", counting)
+    def test_blocks_are_checked_once(self, bibliography, tmp_path):
+        # every node-partition build hands its blocks to the
+        # DataDecomposition constructor, which checks them once and routes
         dec = sg.vertex_hash_partition(bibliography, 3, seed=2)
-        assert len(calls) == 1
-        assert sg.s_decompose(bibliography, dec.node_blocks).segments == dec.segments
+        sg.write_segments(dec, tmp_path / "segments")
+        node_file = _write_nodes(tmp_path / "nodes.tsv", dec.node_blocks)
+        builds = {
+            "vertex_hash_partition": lambda: sg.vertex_hash_partition(
+                bibliography, 3, seed=2
+            ),
+            "s_decompose": lambda: sg.s_decompose(bibliography, dec.node_blocks),
+            "import_partition": lambda: sg.import_partition(node_file, bibliography),
+            "read_segments": lambda: sg.read_segments(tmp_path / "segments"),
+        }
+        # counted by code object, so a call through any module's name counts
+        code = sg.model.block_index.__code__
+        calls = {}
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls[name] = calls.get(name, 0) + 1
+
+        previous = sys.getprofile()
+        for name, build in builds.items():
+            sys.setprofile(count)
+            try:
+                segments = build().segments
+            finally:
+                sys.setprofile(previous)
+            assert segments == dec.segments
+        assert calls == dict.fromkeys(builds, 1)
 
 
 class TestSDecompose:
