@@ -68,7 +68,6 @@ def naive_decomposition(q: Query) -> QueryDecomposition:
     return QueryDecomposition(
         q,
         tuple(Query(star) for _, star in entries),
-        tuple(n for n, _ in entries),
         "naive",
     )
 
@@ -100,12 +99,10 @@ def min_res_decomposition(q: Query) -> QueryDecomposition:
             const.append(t)
 
     subs: list[Query] = []
-    centers: list[Term] = []
     used: set[TriplePattern] = set()
 
-    def emit(triples: set[TriplePattern], center: Term):
+    def emit(triples: set[TriplePattern]):
         subs.append(Query(triples))
-        centers.append(center)
         used.update(triples)
 
     for t in var_var:
@@ -120,21 +117,21 @@ def min_res_decomposition(q: Query) -> QueryDecomposition:
         else:
             q_o = set()
         if not q_o or len(q_s) >= len(q_o):
-            emit(q_s, t.s)
+            emit(q_s)
         else:
-            emit(q_o, t.o)
+            emit(q_o)
 
     for t in sub_var:
         if t not in used:
-            emit({t}, t.s)
+            emit({t})
     for t in obj_var:
         if t not in used:
-            emit({t}, t.s)
+            emit({t})
     for t in const:
         if t not in used:
-            emit({t}, t.s)
+            emit({t})
 
-    return QueryDecomposition(q, tuple(subs), tuple(centers), "min-res")
+    return QueryDecomposition(q, tuple(subs), "min-res")
 
 
 # the most candidate stars min-subquery's exhaustive subset search takes on
@@ -159,7 +156,6 @@ def min_subquery_decomposition(q: Query) -> QueryDecomposition:
                 return QueryDecomposition(
                     q,
                     tuple(stars[i] for i in combo),
-                    tuple(base.centers[i] for i in combo),
                     "min-subquery",
                 )
     raise AssertionError("naive stars always cover the query")
@@ -174,11 +170,9 @@ def _greedy_max_degree(
     entries = _outgoing_entries(q)
     covered: set[TriplePattern] = set()
     subs: list[Query] = []
-    centers: list[Term] = []
     while entries:
         n, star = max(entries, key=lambda e: len(e[1]))
         subs.append(Query(star | extras(n)))
-        centers.append(n)
         covered |= star
         entries = [
             (m, s2)
@@ -187,7 +181,7 @@ def _greedy_max_degree(
             for s2 in [s - covered]
             if any(t.s == m for t in s2)
         ]
-    return QueryDecomposition(q, tuple(subs), tuple(centers), method)
+    return QueryDecomposition(q, tuple(subs), method)
 
 
 def max_degree_decomposition(q: Query) -> QueryDecomposition:
@@ -211,7 +205,6 @@ def max_degree_reshaping_decomposition(q: Query) -> QueryDecomposition:
     entries = _outgoing_entries(q)
     covered: set[TriplePattern] = set()
     parts: list[set[TriplePattern]] = []
-    centers: list[Term] = []
     owner: dict[TriplePattern, int] = {}
     while True:
         entries = [(m, s) for m, s in entries if s - covered]
@@ -235,7 +228,6 @@ def max_degree_reshaping_decomposition(q: Query) -> QueryDecomposition:
             assert part is not None, "an owned outgoing triple always exists"
         idx = len(parts)
         parts.append(set(part))
-        centers.append(n)
         covered |= part
         for t in part:
             owner[t] = idx
@@ -243,7 +235,6 @@ def max_degree_reshaping_decomposition(q: Query) -> QueryDecomposition:
     return QueryDecomposition(
         q,
         tuple(Query(p) for p in parts),
-        tuple(centers),
         "max-degree-reshaping",
     )
 
@@ -267,12 +258,10 @@ def star_decomposition_from_cover(q: Query, cover) -> QueryDecomposition:
         else:
             raise NotANodeCover(f"triple {t.token()} has no endpoint in the cover")
     subs = []
-    centers = []
     for n in sorted(stars):
         if stars[n]:
             subs.append(Query(stars[n]))
-            centers.append(n)
-    return QueryDecomposition(q, tuple(subs), tuple(centers), "star-cover")
+    return QueryDecomposition(q, tuple(subs), "star-cover")
 
 
 @dataclass(frozen=True)
@@ -281,12 +270,7 @@ class DecompositionReport:
     non_redundant: bool
     all_stars: bool
     all_so: bool
-    centers_valid: bool
     max_variables: int
-
-    @property
-    def ok(self) -> bool:
-        return self.is_decomposition and self.centers_valid
 
 
 def validate_decomposition(q: Query, dec: QueryDecomposition) -> DecompositionReport:
@@ -296,16 +280,11 @@ def validate_decomposition(q: Query, dec: QueryDecomposition) -> DecompositionRe
         union |= sub.triples
         total += len(sub)
     is_dec = union == q.triples and len(dec.subqueries) > 0
-    centers_valid = all(
-        c is None or c in star_centers(sub)
-        for sub, c in zip(dec.subqueries, dec.centers)
-    )
     return DecompositionReport(
         is_decomposition=is_dec,
         non_redundant=total == len(q),
         all_stars=all(map(star_centers, dec.subqueries)),
         all_so=all(map(so_centers, dec.subqueries)),
-        centers_valid=centers_valid,
         max_variables=max(len(sub.variables) for sub in dec.subqueries),
     )
 

@@ -31,9 +31,9 @@ centre-less subquery's fragments witnessed.
 A layout fixes each subquery's star once, with ``star_of``, in
 ``QueryLayout.stars``: the position of its centre, each canonical triple's
 far end (the endpoint that is not the centre) and the projection of a
-combination of images to an ID tuple over the layout. The centre is the
-decomposition's recorded one when it is a star centre of the subquery, else
-the first so-centre, else the first star centre; no other code picks one.
+combination of images to an ID tuple over the layout. The centre depends on
+the subquery's triples alone: the first so-centre, else the first star
+centre. No other code picks one, and all three engines read it there.
 
 ``totals_from_fragments`` joins those flat fragments of one subquery back
 into its total embeddings, reading each image at its position and the mask
@@ -99,7 +99,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 from typing import NamedTuple
@@ -487,16 +487,13 @@ class Star(NamedTuple):
 
 
 @lru_cache(maxsize=1024)
-def star_of(
-    sub: Query, nodes: tuple[Term, ...], recorded: Term | None = None
-) -> Star | None:
+def star_of(sub: Query, nodes: tuple[Term, ...]) -> Star | None:
     """sub's star over ``nodes``, None when sub has no star centre.
 
-    This is the one place a subquery's centre is decided: the ``recorded``
-    centre when it is a star centre of sub, else the canonically first
-    so-centre, else the canonically first star centre. Every fragment and
-    every witness of the subquery binds its centre, whichever it is, because
-    each of sub's triples holds it.
+    This is the one place a subquery's centre is decided: the canonically
+    first so-centre of sub, else its canonically first star centre. Every
+    fragment and every witness of the subquery binds its centre, whichever
+    it is, because each of sub's triples holds it.
 
     A star depends on its arguments alone, so each is kept for the next
     layout with the same ones, as the search plans are: every evaluation
@@ -506,12 +503,11 @@ def star_of(
     centres = star_centers(sub)
     if not centres:
         return None
-    if recorded not in centres:
-        so = so_centers(sub)
-        recorded = so[0] if so else centres[0]
+    so = so_centers(sub)
+    node = so[0] if so else centres[0]
     at = nodes.index
-    centre = at(recorded)
-    far = tuple([at(t.o if t.s == recorded else t.s) for t in sub.canonical])
+    centre = at(node)
+    far = tuple([at(t.o if t.s == node else t.s) for t in sub.canonical])
     pools = dict.fromkeys((centre, *far))
     pick = [len(pools)] * len(nodes)  # a node outside the star reads UNBOUND
     for k, p in enumerate(pools):
@@ -527,7 +523,9 @@ class QueryLayout:
     each canonically sorted; a node's position in it is its position in
     every embedding the engines ship. ``missing_border`` pairs each border
     node with every subquery it does not occur in; ``common_border`` lists
-    the border nodes occurring in all subqueries.
+    the border nodes occurring in all subqueries. ``stars`` holds each
+    subquery's ``star_of`` over ``nodes``: its one star, and so its one
+    centre, which all three engines read.
     """
 
     dec: QueryDecomposition
@@ -536,6 +534,7 @@ class QueryLayout:
     node_index: dict[Term, int]
     missing_border: tuple[tuple[Term, int], ...]
     common_border: tuple[Term, ...]
+    stars: tuple[Star | None, ...]
 
     @property
     def query(self) -> Query:
@@ -544,16 +543,6 @@ class QueryLayout:
     @property
     def subqueries(self) -> tuple[Query, ...]:
         return self.dec.subqueries
-
-    @cached_property
-    def stars(self) -> tuple[Star | None, ...]:
-        """Each subquery's ``star_of`` over ``nodes`` at its recorded centre:
-        the one star both qejpe's fragment join and stars' reducer read.
-        Read on first use and kept, since the redundancy engine reads none."""
-        return tuple(
-            star_of(sub, self.nodes, c)
-            for sub, c in zip(self.subqueries, self.dec.centers)
-        )
 
 
 def preprocess(dec: QueryDecomposition) -> QueryLayout:
@@ -578,6 +567,7 @@ def preprocess(dec: QueryDecomposition) -> QueryLayout:
         node_index=node_index,
         missing_border=tuple(missing),
         common_border=common,
+        stars=tuple(star_of(sub, nodes) for sub in subs),
     )
 
 

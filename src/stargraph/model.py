@@ -348,7 +348,7 @@ class DataGraph(_TripleSet):
 class Query(_TripleSet):
     """An immutable basic graph pattern."""
 
-    __slots__ = ("_variables", "_output_pattern", "_star_centers", "_so_centers")
+    __slots__ = ("_variables", "_output_pattern", "_star_centers")
     _empty = (EmptyQuery, "a query needs at least one triple pattern")
     _noun = "patterns"
 
@@ -357,7 +357,6 @@ class Query(_TripleSet):
         self._variables: frozenset[Term] | None = None
         self._output_pattern: tuple[Term, ...] | None = None
         self._star_centers: tuple[Term, ...] | None = None
-        self._so_centers: tuple[Term, ...] | None = None
 
     @property
     def variables(self) -> frozenset[Term]:
@@ -389,41 +388,35 @@ def star_centers(q: Query) -> tuple[Term, ...]:
     """Nodes that appear in every triple of q, canonical order; computed on
     the first call and kept in q."""
     if q._star_centers is None:
-        centers = None
+        common = None
         for t in q.triples:
             here = set(t.nodes)
-            centers = here if centers is None else centers & here
-            if not centers:
+            common = here if common is None else common & here
+            if not common:
                 break
-        q._star_centers = tuple(sorted(centers, key=_term_order))
+        q._star_centers = tuple(sorted(common, key=_term_order))
     return q._star_centers
 
 
 def so_centers(q: Query) -> tuple[Term, ...]:
-    """Star centers that are the subject of at least one triple; computed on
-    the first call and kept in q, as ``star_centers`` are."""
-    if q._so_centers is None:
-        subjects = {t.s for t in q.triples}
-        q._so_centers = tuple(c for c in star_centers(q) if c in subjects)
-    return q._so_centers
+    """Star centres that are the subject of at least one triple."""
+    subjects = {t.s for t in q.triples}
+    return tuple(c for c in star_centers(q) if c in subjects)
 
 
 @dataclass(frozen=True)
 class QueryDecomposition:
     """A query split into subqueries whose union is the query.
 
-    ``centers`` records the central node each decomposer chose per subquery
-    (None when no decomposer picked one, e.g. hand-built splits).
+    Each subquery's centre follows from its triples alone, and
+    ``embedding.star_of`` decides it.
     """
 
     query: Query
     subqueries: tuple[Query, ...]
-    centers: tuple[Term | None, ...]
     method: str
 
     def __post_init__(self):
-        if len(self.subqueries) != len(self.centers):
-            raise NotADecomposition("centers and subqueries differ in length")
         if not self.subqueries:
             raise NotADecomposition("a decomposition needs at least one subquery")
         union = set()

@@ -7,11 +7,11 @@ Data and query files use one triple per line, N-Triples style:
 
 IRIs are angle-bracketed, literals double-quoted (escapes: \\" and \\\\ only),
 variables start with '?'. ``_TERM`` is the one grammar of a term token: a
-triple line's three terms, a token of an answers file, a node file or a
-node assignment, and a plan's centre all parse by it, and a token it does
-not match whole is a MalformedLine. ``_content_lines`` is the one line loop
-of data, query, node and assignment files: it skips blank lines and
-full-line comments, which start with '#'. Serialization is canonical:
+triple line's three terms and a token of an answers file, a node file or a
+node assignment all parse by it, and a token it does not match whole is a
+MalformedLine. ``_content_lines`` is the one line loop of data, query, node
+and assignment files: it skips blank lines and full-line comments, which
+start with '#'. Serialization is canonical:
 sorted, deduplicated, newline-terminated, so parse(serialize(x)) is the
 identity on every graph and query.
 
@@ -53,7 +53,6 @@ from .model import (
     TriplePattern,
     iri,
     literal,
-    star_centers,
     variable,
 )
 
@@ -275,10 +274,21 @@ def read_segments(indir: str | Path) -> DataDecomposition:
     m = manifest["segments"]
     if m < 1:
         raise ParseError(f"{manifest_path}: 'segments' must be a positive integer")
-    stems = [_segment_stem(i, m) for i in range(m)]
-    extra = sorted({p.stem for p in src.glob("segment-*.nt")} - set(stems))
+    # a file is one of the manifest's when its number has the manifest's
+    # width in ASCII digits and is below the count: a test per file present,
+    # never per segment counted, which may be any number at all
+    width = len(_segment_stem(0, m))
+    present = [p.stem for p in src.glob("segment-*.nt")]
+    numbers = [stem.removeprefix("segment-") for stem in present]
+    extra = sorted(
+        stem for stem, n in zip(present, numbers)
+        if len(stem) != width or not (n.isascii() and n.isdigit()) or int(n) >= m
+    )
     if extra:
         raise ParseError(f"extra segment file {extra[0]}.nt (manifest: {m} segments)")
+    # each file present is a distinct one of the manifest's, so when the
+    # count is larger the first len(present) + 1 stems include a missing one
+    stems = [_segment_stem(i, m) for i in range(min(m, len(present) + 1))]
     segments = []
     stored_borders = []
     repl_sets: list[frozenset[Term]] | None = [] if any(
@@ -373,17 +383,15 @@ class AnswerSet:
 
 
 def write_plan(dec, path: str | Path | None = None) -> dict:
-    """Serialize a query decomposition to JSON: its method, query and
-    subqueries. The evaluation layout is derived again on load."""
+    """Serialize a query decomposition to JSON: its method, query and each
+    subquery's triples. The evaluation layout, each subquery's centre
+    included, is derived again on load."""
     doc = {
         "method": dec.method,
         "query": [t.token() for t in dec.query.canonical],
         "subqueries": [
-            {
-                "center": c.token() if c is not None else None,
-                "triples": [t.token() for t in sub.canonical],
-            }
-            for sub, c in zip(dec.subqueries, dec.centers)
+            {"triples": [t.token() for t in sub.canonical]}
+            for sub in dec.subqueries
         ],
     }
     if path is not None:
@@ -402,9 +410,9 @@ def _query_from_tokens(tokens, what: str) -> Query:
 def read_plan(source: str | Path | dict, query: Query | None = None):
     """Load a plan written by write_plan.
 
-    When ``query`` is given, the plan must decompose exactly that query. A
-    subquery's center, when given, must be a star centre of it: a node that
-    every one of its triples holds.
+    When ``query`` is given, the plan must decompose exactly that query.
+    Keys it does not use are ignored, ``"center"`` among them, which older
+    plans record per subquery: each centre follows from the triples.
     """
     doc = source if isinstance(source, dict) else _read_json(source)
     if not isinstance(doc, dict):
@@ -415,22 +423,12 @@ def read_plan(source: str | Path | dict, query: Query | None = None):
     entries = doc.get("subqueries")
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ParseError("plan 'subqueries' must be a list of objects")
-    subqueries = []
-    centers = []
-    for i, entry in enumerate(entries, 1):
-        subqueries.append(_query_from_tokens(entry.get("triples"), f"subquery {i}"))
-        c = entry.get("center")
-        if c is not None and not isinstance(c, str):
-            raise ParseError(f"plan subquery {i} center must be a term token")
-        center = term_from_token(c) if c is not None else None
-        if center is not None and center not in star_centers(subqueries[-1]):
-            raise NotADecomposition(
-                f"plan subquery {i}: center {center.token()} is not a star centre"
-            )
-        centers.append(center)
+    subqueries = tuple(
+        _query_from_tokens(entry.get("triples"), f"subquery {i}")
+        for i, entry in enumerate(entries, 1)
+    )
     return QueryDecomposition(
         query=plan_query,
-        subqueries=tuple(subqueries),
-        centers=tuple(centers),
+        subqueries=subqueries,
         method=str(doc.get("method", "imported")),
     )

@@ -130,7 +130,9 @@ def _check_block_ids(block_of: dict, kind: str, where) -> int:
         entry = next(e for e, block in block_of.items() if block == low)
         raise NotAPartition(f"{kind} block id {low} {where(entry)} is negative")
     if len(used) < m:
-        skipped = min(set(range(m)).difference(used))
+        # one of 0..len(used) is unused, so this stops within len(used) + 1
+        # steps however large the largest id is
+        skipped = next(i for i in range(m) if i not in used)
         raise NotAPartition(
             f"{kind} block ids must be exactly 0..{m - 1}, but {skipped} is skipped"
         )

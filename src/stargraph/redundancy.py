@@ -11,9 +11,11 @@ a half phases:
 - The only mapper, a map-only stage, enumerates per (subquery, segment) the
   subquery's total embeddings in that segment and emits, as a (subquery,
   ids) record with images as their IDs in the data decomposition's
-  dictionary, each one whose so-centre image lies in the segment's own node
-  block. Replicated triples let other segments find the same embedding, but
-  an so-centre is the subject of a query triple, so its image is a data
+  dictionary, each one whose centre image lies in the segment's own node
+  block. The centre is the subquery's layout star's (``QueryLayout.stars``,
+  decided once by ``embedding.star_of``), which in an so-query is its first
+  so-centre. Replicated triples let other segments find the same embedding,
+  but an so-centre is the subject of a query triple, so its image is a data
   subject, never a literal, and lies in exactly one block: exactly one
   segment ships each total.
 - The final join is the shared one, which joins the subqueries' totals
@@ -36,7 +38,7 @@ from .evalcore import (
     run_phases,
 )
 from .decompose import validate_decomposition
-from .model import Query, QueryDecomposition, so_centers
+from .model import Query, QueryDecomposition
 from .runtime import Job, run_job
 
 __all__ = ["red_map1_records", "run_redundancy"]
@@ -77,7 +79,8 @@ def run_redundancy(
             "replicated evaluation needs so-queries in every subquery slot"
         )
     layout = preprocess(decomposition)
-    centres = [layout.node_index[so_centers(sub)[0]] for sub in layout.subqueries]
+    # in an so-query the layout star's centre is an so-centre
+    centres = [star.centre for star in layout.stars]
     blocks = dec_data.node_blocks
     dictionary = dec_data.dictionary
 

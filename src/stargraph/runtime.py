@@ -17,11 +17,12 @@ neither.
 
 ``workers`` is the logical number of map and reduce tasks per stage, as in
 MapReduce: it splits a stage's input records (and its groups) into that many
-contiguous chunks, one task each, and ``JobResult.per_worker_out`` counts each
-task's output. The tasks run one after another in the calling thread; on a
-GIL build, threads gave no CPU parallelism and measured slower than running
-the same chunks in turn. Worker count changes no output; the acceptance
-suite pins byte-identical results for 1, 4, and 8 workers.
+contiguous chunks, one task each, or one per record when there are fewer, and
+``JobResult.per_worker_out`` counts each task's output. The tasks run one
+after another in the calling thread; on a GIL build, threads gave no CPU
+parallelism and measured slower than running the same chunks in turn.
+Worker count changes no output; the acceptance suite pins byte-identical
+results for 1, 4, and 8 workers.
 
 A map task may put records straight into its stage's output by appending
 them to ``Emitter.output``, past the shuffle and the reduce; they count in
@@ -116,6 +117,8 @@ class JobResult:
 def _chunks(items: list, n: int) -> list[list]:
     if n <= 1 or len(items) <= 1:
         return [items]
+    # beyond one task per item the rest would be empty and are never made
+    n = min(n, len(items))
     size, rem = divmod(len(items), n)
     out = []
     start = 0

@@ -146,6 +146,12 @@ def answers_from_tsv(text):
     return sg.AnswerSet(variables, rows)
 
 
+def layout_centres(dec):
+    """The centre of each subquery's layout star, as the engines read it."""
+    layout = sg.preprocess(dec)
+    return tuple(layout.nodes[star.centre] for star in layout.stars)
+
+
 def decode(dictionary, ids):
     """The terms of a vector of IDs in ``dictionary``, None for UNBOUND."""
     terms = dictionary.terms
@@ -232,13 +238,8 @@ def supervisor_decomposition(supervisor_query):
         [q3(a, "<hasAuthor>", p2), q3(a, "<publishedIn>", "<Journal1>")]
     )
     sub3 = sg.Query([q3(p1, "<hasSupervisor>", p2)])
-    centers = (
-        sg.variable("A"),
-        sg.variable("A"),
-        sg.variable("P1"),
-    )
     return sg.QueryDecomposition(
-        supervisor_query, (sub1, sub2, sub3), centers, method="fixture"
+        supervisor_query, (sub1, sub2, sub3), method="fixture"
     )
 
 

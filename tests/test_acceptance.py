@@ -230,7 +230,6 @@ def test_c5_embedding_count_goldens(capsys, bibliography, coauthor_query):
     split = sg.QueryDecomposition(
         nine_q,
         (sg.Query([t0]), sg.Query([t1])),
-        (sg.iri("c"), sg.iri("c")),
         method="handmade",
     )
     split_counts = [
@@ -275,7 +274,7 @@ def test_c6_decomposition_guarantees(capsys):
                 dec = sg.DECOMPOSERS[name](q)
                 rep = sg.validate_decomposition(q, dec)
                 cards[name] = len(dec)
-                if not (rep.ok and rep.all_stars and rep.all_so):
+                if not (rep.is_decomposition and rep.all_stars and rep.all_so):
                     problems.append((name, "shape", queries))
                 if name == "min-res" and rep.max_variables > 2:
                     problems.append((name, "variables", queries))

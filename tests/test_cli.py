@@ -59,6 +59,18 @@ BAD_ASSIGNMENTS = {
         [line.replace("\t2", "\t-1") for line in _node_lines()],
         "node block id -1 on line 8 is negative",
     ),
+    # the skipped id is found without counting up to the huge one
+    "huge-node-block-id": (
+        [
+            line.replace("<Journal1>\t2", f"<Journal1>\t{10**12}")
+            for line in _node_lines()
+        ],
+        f"node block ids must be exactly 0..{10**12}, but 3 is skipped",
+    ),
+    "huge-edge-block-id": (
+        _EDGE_LINES[:-1] + [_EDGE_LINES[-1].rpartition("\t")[0] + f"\t{10**12}"],
+        f"edge block ids must be exactly 0..{10**12}, but 3 is skipped",
+    ),
     "negative-edge-block-id": (
         [_EDGE_LINES[0].rpartition("\t")[0] + "\t-1"] + _EDGE_LINES[1:],
         "edge block id -1 of triple <Article1> <hasAuthor> <Person4> . is negative",
@@ -279,6 +291,30 @@ class TestEvalCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "center", ["?A", '"lit"', '"a"b"'],
+        ids=["valid", "not-a-star-centre", "malformed"],
+    )
+    def test_centres_of_older_plans_are_ignored(self, workdir, center):
+        # plans once recorded a centre per subquery; eval derives each
+        # centre from the triples, so whatever an old plan recorded loads
+        q = sg.parse_query(SUPERVISOR_QUERY)
+        want = sg.oracle_answers(q, sg.parse_data(BIBLIOGRAPHY))
+        plan = sg.write_plan(sg.naive_decomposition(q))
+        for entry in plan["subqueries"]:
+            entry["center"] = center
+        (workdir / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
+        self.setup_segments(workdir, method="vertex-hash")
+        for algo in ("qejpe", "stars", "redundancy"):
+            code = run(
+                "eval", "--data", workdir / "segs",
+                "--query", workdir / "supervisor.q", "--algorithm", algo,
+                "--plan", workdir / "plan.json", "--out", workdir / "a.tsv",
+            )
+            assert code == 0, algo
+            got = answers_from_tsv((workdir / "a.tsv").read_text(encoding="utf-8"))
+            assert got == want, algo
+
     def test_stats_shape(self, workdir):
         self.setup_segments(workdir)
         shapes = {
@@ -412,26 +448,26 @@ class TestEvalInputErrors:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_plan_center_outside_its_subquery_is_semantic(self, workdir, capsys):
+    def test_huge_manifest_count_is_a_parse_error(self, workdir, capsys):
+        # the check costs one step per segment file present, so a count no
+        # directory could hold fails at once
         run(
             "partition", workdir / "graph.nt", "-m", 3, "--seed", 7,
             "--out", workdir / "segs",
         )
-        triples = ["?a <p1> ?b .", "?b <p2> ?c ."]
-        (workdir / "chain.q").write_text("\n".join(triples) + "\n", encoding="utf-8")
-        plan = {
-            "query": triples,
-            "subqueries": [{"center": '"lit"', "triples": triples}],
-        }
-        (workdir / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
+        manifest = workdir / "segs" / "manifest.json"
+        data = json.loads(manifest.read_text(encoding="utf-8"))
+        manifest.write_text(json.dumps(dict(data, segments=10**12)), encoding="utf-8")
         capsys.readouterr()
         code = run(
-            "eval", "--data", workdir / "segs", "--query", workdir / "chain.q",
-            "--plan", workdir / "plan.json",
+            "eval", "--data", workdir / "segs", "--query", workdir / "supervisor.q"
         )
-        err = capsys.readouterr().err
-        assert code == 3
-        assert err == 'error: plan subquery 1: center "lit" is not a star centre\n'
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: extra segment file segment-00.nt (manifest: {10**12} segments)\n"
+        )
 
     def test_segment_file_beyond_the_manifest_is_a_parse_error(self, workdir, capsys):
         (workdir / "three.nt").write_text(

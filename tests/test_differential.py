@@ -370,7 +370,7 @@ def centreless_plans(q, whole):
     if whole:
         splits.append(("whole-path", (sg.Query(path),)))
     return {
-        split: sg.QueryDecomposition(q, subs, (None,) * len(subs), method="hand-built")
+        split: sg.QueryDecomposition(q, subs, method="hand-built")
         for split, subs in splits
     }
 

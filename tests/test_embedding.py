@@ -933,7 +933,6 @@ class TestStarMemo:
         twin = sg.QueryDecomposition(
             sg.Query(supervisor_query.canonical),
             tuple(sg.Query(sub.canonical) for sub in dec.subqueries),
-            dec.centers,
             dec.method,
         )
         assert twin == dec and twin is not dec
@@ -943,8 +942,8 @@ class TestStarMemo:
         for star, twin_star in zip(layout.stars, twin_layout.stars):
             assert twin_star is star
         # each kept star is the one a fresh build gives
-        for sub, centre, star in zip(dec.subqueries, dec.centers, layout.stars):
-            fresh = star_of.__wrapped__(sub, layout.nodes, centre)
+        for sub, star in zip(dec.subqueries, layout.stars):
+            fresh = star_of.__wrapped__(sub, layout.nodes)
             assert (fresh.centre, fresh.far) == (star.centre, star.far)
             row = tuple(range(100, 101 + len(layout.nodes)))  # pools, then UNBOUND
             assert fresh.project(row) == star.project(row)

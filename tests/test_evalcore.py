@@ -26,7 +26,7 @@ SUBQUERIES = tuple(sg.Query([q3(*t) for t in sub]) for sub in PATTERNS)
 LAYOUT = sg.preprocess(
     sg.QueryDecomposition(
         sg.Query([t for sub in SUBQUERIES for t in sub.canonical]),
-        SUBQUERIES, (None,) * 4, "handmade",
+        SUBQUERIES, "handmade",
     )
 )
 

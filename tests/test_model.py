@@ -284,9 +284,7 @@ class TestQueryDecomposition:
     def test_union_must_equal_query(self, supervisor_query):
         sub = sg.Query([q3("?A", "<hasAuthor>", "?P1")])
         with pytest.raises(NotADecomposition):
-            sg.QueryDecomposition(
-                supervisor_query, (sub,), (sg.variable("A"),), method="bad"
-            )
+            sg.QueryDecomposition(supervisor_query, (sub,), method="bad")
 
     def test_fixture_decomposition_is_accepted(self, supervisor_decomposition):
         assert len(supervisor_decomposition) == 3

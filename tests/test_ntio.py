@@ -16,7 +16,7 @@ from stargraph.errors import (
     VariablePredicate,
 )
 
-from conftest import BIBLIOGRAPHY, SUPERVISOR_QUERY, answers_from_tsv
+from conftest import BIBLIOGRAPHY, SUPERVISOR_QUERY, answers_from_tsv, layout_centres
 
 
 class TestParseErrors:
@@ -100,23 +100,13 @@ TOKEN_ENTRY_POINTS = {
     "plan_query": lambda tok: sg.read_plan(
         {"query": [f"{tok} <p> ?o ."], "subqueries": []}
     ),
-    "plan_center": lambda tok: sg.read_plan(
-        {
-            "query": ["?s <p> ?o ."],
-            "subqueries": [{"center": tok, "triples": ["?s <p> ?o ."]}],
-        }
-    ),
 }
 
 BAD_TOKEN_CASES = [
     (entry, token)
     for token in [*BAD_IRI_TOKENS, BAD_LITERAL_TOKEN]
     for entry in sorted(TOKEN_ENTRY_POINTS)
-] + [
-    (entry, token)
-    for token in BAD_WHOLE_TOKENS
-    for entry in ["plan_center", "term_from_token"]
-]
+] + [("term_from_token", token) for token in BAD_WHOLE_TOKENS]
 
 
 @pytest.mark.parametrize("entry, token", BAD_TOKEN_CASES)
@@ -266,6 +256,23 @@ class TestSegmentsOnDisk:
         with pytest.raises(ParseError, match="extra segment file segment-02.nt"):
             sg.read_segments(tmp_path)
 
+    @pytest.mark.parametrize(
+        "count, dropped, missing", [(3, 1, "segment-01"), (5, None, "segment-03")]
+    )
+    def test_a_missing_segment_file_is_named(self, tmp_path, count, dropped, missing):
+        # the first of the manifest's segments that no file holds
+        g = sg.parse_data("<a> <p> <b> .\n<c> <p> <d> .\n<e> <p> <f> .\n")
+        sg.write_segments(
+            sg.from_edge_assignment(g, {t: i for i, t in enumerate(g)}), tmp_path
+        )
+        if dropped is not None:
+            (tmp_path / f"segment-{dropped:02d}.nt").unlink()
+        manifest = tmp_path / "manifest.json"
+        data = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps(dict(data, segments=count)))
+        with pytest.raises(ParseError, match=f"^missing segment file {missing}.nt$"):
+            sg.read_segments(tmp_path)
+
     def test_missing_manifest_is_a_parse_error(self, tmp_path):
         with pytest.raises(ParseError):
             sg.read_segments(tmp_path)
@@ -316,11 +323,9 @@ class TestPlans:
         path = tmp_path / "plan.json"
         doc = sg.write_plan(supervisor_decomposition, path)
         assert list(doc) == ["method", "query", "subqueries"]
+        assert all(list(entry) == ["triples"] for entry in doc["subqueries"])
         assert json.loads(path.read_text()) == doc
-        back = sg.read_plan(path)
-        assert back.query == supervisor_decomposition.query
-        assert back.subqueries == supervisor_decomposition.subqueries
-        assert back.centers == supervisor_decomposition.centers
+        assert sg.read_plan(path) == supervisor_decomposition
 
     def test_plan_for_other_query_rejected(
         self, supervisor_decomposition, journal_article_query
@@ -337,7 +342,17 @@ class TestPlans:
         old = sg.read_plan(path)
         assert old == sg.read_plan(sg.write_plan(supervisor_decomposition))
         assert old.subqueries == supervisor_decomposition.subqueries
-        assert old.centers == supervisor_decomposition.centers
+        # the centres it records are the ones the layout derives
+        assert layout_centres(old) == tuple(
+            sg.variable(name) for name in ("A", "A", "P1")
+        )
+
+    @pytest.mark.parametrize("center", ["?P1", '"lit"', '"a"b"', "<a b>", 3, None])
+    def test_plan_center_is_ignored(self, supervisor_decomposition, center):
+        doc = sg.write_plan(supervisor_decomposition)
+        for entry in doc["subqueries"]:
+            entry["center"] = center
+        assert sg.read_plan(doc) == supervisor_decomposition
 
 
 class TestAnswerSet:

@@ -1,5 +1,7 @@
 """Single-shuffle evaluation over replicated node partitions."""
 
+from unittest import mock
+
 import pytest
 
 import stargraph as sg
@@ -11,8 +13,9 @@ from stargraph.errors import (
 from stargraph.redundancy import red_map1_records, run_redundancy
 from stargraph.evalcore import join_job
 from stargraph.runtime import Emitter
+from stargraph.stars import stars_map1_records
 
-from conftest import decode
+from conftest import decode, layout_centres
 
 
 def t(token):
@@ -44,9 +47,9 @@ def collect(layout, data):
 
 
 def so_centre(layout, sub_idx):
-    """The layout position of a subquery's so-centre, as run_redundancy
-    picks it."""
-    return layout.node_index[sg.so_centers(layout.subqueries[sub_idx])[0]]
+    """The layout position of a subquery's centre, as run_redundancy reads
+    it from the layout star: in an so-query, its first so-centre."""
+    return layout.stars[sub_idx].centre
 
 
 def owned(layout, sub_idx, data, j):
@@ -269,3 +272,97 @@ class TestRunRedundancy:
         assert [s["stage"] for s in res.stats] == ["segment-totals", "join-answers"]
         assert res.answers == sg.oracle_answers(journal_article_query, bibliography)
         assert all(s["recordsIn"] > 0 for s in res.stats)
+
+
+# two-cycles <a_i> <p> <b_i> <q> <a_i>, and a <p> triple without its way back
+TWO_CYCLES = "".join(
+    f"<a{i}> <p> <b{i}> .\n<b{i}> <q> <a{i}> .\n" for i in range(6)
+) + "<a0> <p> <b1> .\n"
+# (query, decomposer, the one centre each subquery's layout star has)
+TWO_SO_CENTRES = {
+    # both ?a and ?b are so-centres; the first in term order is the centre
+    "two-cycle": ("?a <p> ?b .\n?b <q> ?a .\n", lambda q: sg.QueryDecomposition(
+        q, (q,), "handmade"
+    ), ("?a",)),
+    # naive builds the same star at <k> and at ?x, and both centre on <k>
+    "naive-twins": ("<k> <p5> ?x .\n?x <p3> <k> .\n", sg.naive_decomposition,
+                    ("<k>", "<k>")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_SO_CENTRES))
+class TestTwoSoCentres:
+    """A subquery with two so-centres has one centre, its layout star's, and
+    every engine works around it."""
+
+    def instance(self, case):
+        text, decompose, centres = TWO_SO_CENTRES[case]
+        g = sg.parse_data(
+            TWO_CYCLES + "<k> <p5> <a0> .\n<a0> <p3> <k> .\n<k> <p5> <b2> .\n"
+        )
+        q = sg.parse_query(text)
+        dec = decompose(q)
+        assert all(len(sg.so_centers(sub)) == 2 for sub in dec.subqueries)
+        assert layout_centres(dec) == tuple(map(t, centres))
+        return g, q, dec
+
+    def test_redundancy_ships_each_total_once_from_the_centre_block(self, case):
+        g, q, dec = self.instance(case)
+        data = sg.vertex_hash_partition(g, 3, seed=1)
+        layout = sg.preprocess(dec)
+        shipped = {i: [] for i in range(len(layout.subqueries))}
+
+        def spy(layout_, i, centre, segment, block, dictionary):
+            assert centre == layout.stars[i].centre
+            records = red_map1_records(layout_, i, centre, segment, block, dictionary)
+            for _, ids in records:
+                assert dictionary.terms[ids[centre]] in block
+                shipped[i].append(ids)
+            return records
+
+        with mock.patch("stargraph.redundancy.red_map1_records", spy):
+            res = run_redundancy(data, q, dec)
+        assert res.answers == sg.oracle_answers(q, g)
+        code = data.dictionary.ids.__getitem__
+        for i, sub in enumerate(layout.subqueries):
+            assert sorted(shipped[i]) == sorted(
+                tuple(map(code, images))
+                for images in sg.enumerate_total(sub, g, layout.nodes)
+            )
+
+    def test_stars_keys_by_the_centre_image(self, case):
+        g, q, dec = self.instance(case)
+        data = sg.edge_random_partition(g, 3, seed=2)
+        layout = sg.preprocess(dec)
+        terms = data.dictionary.terms
+        for i in range(len(layout.subqueries)):
+            centre = layout.nodes[layout.stars[i].centre]
+            # the images the centre takes in any match of any triple
+            images = {
+                img
+                for tr in layout.subqueries[i].canonical
+                for d in g.by_predicate(tr.p)
+                for img in [d.s if tr.s == centre else d.o]
+            }
+            keys = set()
+            for j, seg in enumerate(data.segments):
+                part1, _ = stars_map1_records(
+                    layout, i, seg, data.interiors[j], data.dictionary
+                )
+                keys |= {terms[img] for (_, img), _ in part1}
+            assert keys and keys <= images
+        assert sg.run_stars(data, q, dec).answers == sg.oracle_answers(q, g)
+
+    def test_qejpe_splits_fragments_by_the_centre(self, case):
+        g, q, dec = self.instance(case)
+        data = sg.edge_random_partition(g, 3, seed=2)
+        layout = sg.preprocess(dec)
+        join = sg.embedding.totals_from_fragments
+        with mock.patch("stargraph.qejpe.totals_from_fragments", wraps=join) as spy:
+            res = sg.run_qejpe(data, q, dec)
+        assert res.answers == sg.oracle_answers(q, g)
+        assert spy.call_count == len(layout.subqueries)
+        for call in spy.call_args_list:
+            sub, _fragments, nodes, star = call.args
+            assert nodes == layout.nodes
+            assert star == layout.stars[layout.subqueries.index(sub)]

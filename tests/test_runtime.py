@@ -340,6 +340,17 @@ class TestRunJob:
         # (and, fox, quick, the); only the reduce tasks emit stage output
         assert res.per_worker_out == (0, 0, 0, 0, 0, 1, 1, 1, 1)
 
+    def test_a_huge_worker_count_splits_as_many_as_there_are_items(self):
+        # a task per item at most, so the count costs nothing beyond that
+        assert _chunks(list(range(5)), 10**12) == [[0], [1], [2], [3], [4]]
+        records = word_count_records()[:5]
+        job = Job("count", split_map, sum_reduce)
+        res = run_job(job, records, workers=10**12)
+        five = run_job(job, records, workers=5)
+        assert res.records == five.records
+        assert _without_wall([res.stats]) == _without_wall([five.stats])
+        assert res.per_worker_out == five.per_worker_out
+
     def test_output_bypasses_the_reduce_in_emission_order(self):
         seen = []
 

@@ -4,7 +4,7 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import stargraph as sg
@@ -168,7 +168,7 @@ def test_part1_equals_a_scan_of_the_segment(case):
     g = sg.parse_data("".join(line + "\n" for line in assignment))
     split = sg.from_edge_assignment(g, triple_blocks(assignment))
     q = sg.Query([q3(*t) for t in star])
-    dec = sg.QueryDecomposition(q, (q,), (t(centre),), "handmade")
+    dec = sg.QueryDecomposition(q, (q,), "handmade")
     layout = sg.preprocess(dec)
     assert centre_of(layout, 0) == t(centre)
     found = 0
@@ -292,14 +292,13 @@ def star_keys(draw):
     return centre, sorted(triples), img, values
 
 
-def star_layout(centre, triples):
+def star_layout(triples):
     """A layout of the star as subquery 0 beside a second, disjoint star,
     so the vectors have positions the first star leaves unbound."""
     star = sg.Query([q3(*tr) for tr in triples])
     other = sg.Query([q3("?z", "<r>", "?w")])
     q = sg.Query(star.triples | other.triples)
-    dec = sg.QueryDecomposition(q, (star, other), (t(centre), t("?z")), "handmade")
-    return sg.preprocess(dec)
+    return sg.preprocess(sg.QueryDecomposition(q, (star, other), "handmade"))
 
 
 def self_loops_witness_the_centre(layout, img, values):
@@ -332,7 +331,11 @@ class TestReduceAgainstReference:
               [(0, 1), (0, 2), (0, 3)]))
     def test_totals_equal_the_witness_intersection(self, case):
         centre, triples, img, values = case
-        layout = star_layout(centre, triples)
+        layout = star_layout(triples)
+        # a star whose triples all come into the centre from one subject is
+        # centred on that subject, an out-triple centre drawn anyway; keep the
+        # in-triple centres the strategy draws
+        assume(centre_of(layout, 0) == t(centre))
         values = self_loops_witness_the_centre(layout, img, values)
         n = len(layout.subqueries[0].canonical)
         joined = []
@@ -368,7 +371,7 @@ class TestReduceAgainstReference:
         # ?x's witnesses for <a> and <c> meet in one image: two totals, while
         # joining <a> and <b> before <c> filters them would hold 4 x 2 states
         triples = [("?c", "<a>", "?x"), ("?c", "<b>", "?y"), ("?c", "<c>", "?x")]
-        layout = star_layout("?c", triples)
+        layout = star_layout(triples)
         assert [tr.p for tr in layout.subqueries[0].canonical] == [
             t("<a>"), t("<b>"), t("<c>")
         ]
@@ -414,16 +417,17 @@ class TestRunStars:
             assert res.answers == want, name
 
     def test_literal_central_images_travel_by_witness(self):
+        # ?y is the one node both triples hold, so the literal "v" is the
+        # central image, and it reaches part 1 from both segments
         g = sg.parse_data('<a> <p> "v" .\n<b> <p> "v" .\n')
         q = sg.Query([q3("?x", "<p>", "?y"), q3("?z", "<p>", "?y")])
-        dec = sg.QueryDecomposition(
-            q,
-            (sg.Query([q3("?x", "<p>", "?y")]), sg.Query([q3("?z", "<p>", "?y")])),
-            (sg.variable("y"), sg.variable("y")),
-            "handmade",
-        )
+        dec = sg.QueryDecomposition(q, (q,), "handmade")
+        layout = sg.preprocess(dec)
+        assert centre_of(layout, 0) == sg.variable("y")
         split = sg.edge_random_partition(g, 2, seed=3)
         assert all(len(seg) == 1 for seg in split.segments)
+        part1 = all_part1(layout, split)
+        assert set(part1) == {(0, split.dictionary.ids[sg.literal("v")])}
         res = run_stars(split, q, dec)
         assert res.answers == sg.oracle_answers(q, g)
         assert len(res.answers.rows) == 4
@@ -458,7 +462,11 @@ class TestLayoutStars:
     """``preprocess`` decides each subquery's centre once, in its layout's
     stars, for both engines that read one."""
 
-    def test_recorded_centers_win(self, coauthor_cover_decomposition):
+    def test_cover_stars_centre_on_their_first_so_or_star_centre(
+        self, coauthor_cover_decomposition
+    ):
+        # the third star, {?A <hasAuthor> ?P2, ?P1 <hasSupervisor> ?P2}, has
+        # no so-centre and centres on its only star centre
         layout = sg.preprocess(coauthor_cover_decomposition)
         assert tuple(centre_of(layout, i) for i in range(3)) == (
             sg.variable("A"),
@@ -467,22 +475,26 @@ class TestLayoutStars:
         )
 
     def test_invalid_recorded_center_falls_back(self):
+        # an older plan records ?x, which centres neither triple; the layout
+        # derives the centre from the triples and lands on ?y
         q = sg.Query([q3("?x", "<p>", "?y"), q3("?z", "<p>", "?y")])
-        dec = sg.QueryDecomposition(q, (q,), (sg.variable("x"),), "handmade")
+        plan = sg.write_plan(sg.QueryDecomposition(q, (q,), "handmade"))
+        plan["subqueries"][0]["center"] = "?x"
+        dec = sg.read_plan(plan, q)
         assert centre_of(sg.preprocess(dec), 0) == sg.variable("y")
 
     def test_so_center_preferred_over_plain_star_center(self):
         # both endpoints center the single triple; the subject keeps the
-        # star outgoing so it wins the fallback
+        # star outgoing so it wins
         q = sg.Query([q3("?x", "<p>", "?y")])
-        dec = sg.QueryDecomposition(q, (q,), (None,), "handmade")
+        dec = sg.QueryDecomposition(q, (q,), "handmade")
         assert centre_of(sg.preprocess(dec), 0) == sg.variable("x")
 
     def test_non_star_subquery_rejected(self, edge_split):
         path = sg.Query(
             [q3("?a", "<p>", "?b"), q3("?b", "<p>", "?c"), q3("?c", "<p>", "?d")]
         )
-        dec = sg.QueryDecomposition(path, (path,), (None,), "handmade")
+        dec = sg.QueryDecomposition(path, (path,), "handmade")
         assert sg.preprocess(dec).stars == (None,)
         # rejected before any job runs
         with mock.patch("stargraph.stars.run_job", side_effect=AssertionError):
