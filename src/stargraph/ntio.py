@@ -162,12 +162,23 @@ def _read_text(path: str | Path) -> str:
 
 
 def _read_json(path: str | Path):
+    """Parse a JSON input file; one that does not parse is a ParseError,
+    as is one the parser gives up on: an integer longer than the
+    interpreter converts, or arrays and objects nested past its recursion
+    limit."""
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: not valid JSON ({exc.msg}, line {exc.lineno})"
         ) from exc
+    except ValueError as exc:
+        raise ParseError(
+            f"{path}: not valid JSON (an integer has too many digits)"
+        ) from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: not valid JSON (nested too deeply)") from exc
 
 
 def _unwritable(path: str | Path, exc: OSError) -> UnwritableOutput:

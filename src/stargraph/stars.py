@@ -8,18 +8,22 @@ image of its central node. The mapper has two parts:
   reads): border nodes, and literals for object-central triples, since
   literals are never border. Such an image may have triples in other
   segments. Part 1 emits one record per matching triple, found through the
-  same index lookup as ``enumerate_total``: ((subquery, central image), (k,
-  image of the triple's other endpoint)), k being the triple's canonical
-  position in the subquery. A key whose witnesses cover every triple has as
-  totals the product ``star_totals`` builds, over the non-central nodes, of
-  the images that every triple through the node witnessed; qejpe's reducer
-  builds the same product from its fragments. Every combination is a total,
-  since each witness is a data triple at the central image, and every total
-  is one, since each of its triples lies in some segment and is witnessed
-  there. A repeated neighbor node needs no code here: its pool is the
-  intersection of its triples' witnesses. Nor does a self-loop, whose
-  witness is the central image itself and meets the centre's pool of that
-  one image.
+  same index lookup as ``enumerate_total``: (key, (k, image of the triple's
+  other endpoint)), k being the triple's canonical position in the subquery.
+  The key is one int per (subquery, central image), ``subquery * N + image``
+  with N = ``len(dictionary.terms)``; every image is an ID below N, so keys
+  sort and group exactly as the (subquery, image) pairs would, and the
+  reducer reads the pair back with ``divmod``. A key whose witnesses cover
+  every triple has as totals the product ``star_totals`` builds, over the
+  non-central nodes, of the images that every triple through the node
+  witnessed; qejpe's reducer builds the same product from its fragments.
+  Every combination is a total, since each witness is a data triple at the
+  central image, and every total is one, since each of its triples lies in
+  some segment and is witnessed there. A repeated neighbor node needs no
+  code here: its pool is the intersection of its triples' witnesses. Nor
+  does a self-loop, whose witness is the central image itself and meets the
+  centre's pool of that one image. A key with fewer witnesses than the star
+  has triples cannot cover it, and the reducer skips it by that count alone.
 - Part 2 handles central images in the interior, whose every triple lies
   in the segment: whole-star embeddings enumerated locally. A constant
   centre outside the interior skips it. The mapper puts them straight into
@@ -61,8 +65,9 @@ def stars_map1_records(layout, sub_idx: int, segment, interior, dictionary):
     their IDs in ``dictionary``; ``interior`` is the segment's entry in
     ``DataDecomposition.interiors``.
 
-    Returns (part1, part2): part1 records are keyed (subquery, central image)
-    and carry (k, other-endpoint image), k the matched triple's canonical
+    Returns (part1, part2): part1 records are keyed ``sub_idx * N + image``,
+    N being ``len(dictionary.terms)`` and image the central image's ID, and
+    carry (k, other-endpoint image), k the matched triple's canonical
     position in the subquery, for each central image outside ``interior``;
     part2 records are the (subquery, ids) totals of the whole stars whose
     central image is in it.
@@ -71,6 +76,7 @@ def stars_map1_records(layout, sub_idx: int, segment, interior, dictionary):
     center_pos = layout.stars[sub_idx].centre
     center = layout.nodes[center_pos]
     ids = dictionary.ids
+    base = sub_idx * len(dictionary.terms)
     part1 = []
     # every triple holds the centre, so a constant centre the segment lacks
     # leaves no witness
@@ -80,20 +86,24 @@ def stars_map1_records(layout, sub_idx: int, segment, interior, dictionary):
             segment, t,
             t.s if t.s.is_constant else None, t.o if t.o.is_constant else None,
         )
-        if t.s == center:
+        if t.s == center and t.o == center:
             # a self-loop's match is its own witness: subject and object are
             # the one central image
-            loop = t.o == center
-            part1.extend(
-                ((sub_idx, ids[i.s]), (k, ids[i.o]))
+            part1 += [
+                (base + c, (k, c))
                 for i in insts
-                if ids[i.s] not in interior and (i.s is i.o or not loop)
-            )
+                if i.s is i.o and (c := ids[i.s]) not in interior
+            ]
+        elif t.s == center:
+            part1 += [
+                (base + c, (k, ids[i.o]))
+                for i in insts if (c := ids[i.s]) not in interior
+            ]
         else:  # t.o == center
-            part1.extend(
-                ((sub_idx, ids[i.o]), (k, ids[i.s]))
-                for i in insts if ids[i.o] not in interior
-            )
+            part1 += [
+                (base + c, (k, ids[i.s]))
+                for i in insts if (c := ids[i.o]) not in interior
+            ]
     part2 = []
     if center.is_constant and ids.get(center) not in interior:
         # every total would have this one image, which part 1 owns or the
@@ -106,20 +116,26 @@ def stars_map1_records(layout, sub_idx: int, segment, interior, dictionary):
     return part1, part2
 
 
-def stars_reduce1_fn(layout, *, cap: int = CARTESIAN_CAP):
-    """Star assembly over IDs: a key whose witnesses (k, other) cover every
-    triple has as totals the product ``star_totals`` takes over the far-end
-    images each triple witnessed, at the subquery's layout star; any other
-    key has none, and is skipped before a set is built."""
+def stars_reduce1_fn(layout, n: int, *, cap: int = CARTESIAN_CAP):
+    """Star assembly over IDs, for part-1 keys over a dictionary of ``n``
+    terms: the key ``sub_idx * n + image`` whose witnesses (k, other) cover
+    every triple has as totals the product ``star_totals`` takes over the
+    far-end images each triple witnessed, at the subquery's layout star; any
+    other key has none. A key with fewer witnesses than the star has
+    triples is skipped by that count, and one whose witnesses miss a triple
+    by a bit mask, both before any set is built."""
     stars = layout.stars
-    fulls = [(1 << len(star.far)) - 1 for star in stars]
+    sizes = [len(star.far) for star in stars]
 
     def fn(key, values, em):
-        sub_idx, img = key
+        sub_idx, img = divmod(key, n)
+        size = sizes[sub_idx]
+        if len(values) < size:
+            return
         covered = 0
         for k, _other in values:
             covered |= 1 << k
-        if covered != fulls[sub_idx]:
+        if covered != (1 << size) - 1:
             return
         star = stars[sub_idx]
         witnessed: list[set] = [set() for _ in star.far]
@@ -154,7 +170,8 @@ def run_stars(
         em.records += part1
         em.output += part2
 
-    phase1 = Job("star-assembly", map1, stars_reduce1_fn(layout, cap=cartesian_cap))
+    reduce1 = stars_reduce1_fn(layout, len(dictionary.terms), cap=cartesian_cap)
+    phase1 = Job("star-assembly", map1, reduce1)
     records, stats, counts = run_phases(
         layout, dec_data, phase1, workers=workers, cap=cartesian_cap, run_job=run_job
     )

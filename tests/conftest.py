@@ -1,6 +1,7 @@
 """Shared fixtures: a small bibliography graph, three queries over it, and
 the frozen partitions and decompositions the golden tests rely on; the
-helpers that read the engines' ID vectors back as terms; and readers that
+helpers that read the engines' ID vectors and stars' star-assembly keys
+back as terms; and readers that
 only tests need (query shape classes, answer files, token-keyed edge
 assignments)."""
 
@@ -156,6 +157,14 @@ def decode(dictionary, ids):
     """The terms of a vector of IDs in ``dictionary``, None for UNBOUND."""
     terms = dictionary.terms
     return tuple(None if i == UNBOUND else terms[i] for i in ids)
+
+
+def assembly_key(dictionary, key):
+    """A stars ``star-assembly`` key read back as (subquery, central term):
+    the key is ``subquery * len(dictionary.terms) + image``, the image being
+    the central term's ID in ``dictionary``."""
+    sub, img = divmod(key, len(dictionary.terms))
+    return sub, dictionary.terms[img]
 
 
 def interior_of(segment, border, dictionary):

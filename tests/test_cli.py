@@ -448,6 +448,42 @@ class TestEvalInputErrors:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    # JSON that parses by the grammar but that the parser gives up on, and
+    # the reason the error line gives for it
+    UNREADABLE_JSON = {
+        "huge-integer": (
+            '{"segments": 1' + "0" * 5000 + ', "method": 1' + "0" * 5000 + "}",
+            "an integer has too many digits",
+        ),
+        "deep-nesting": ("[" * 200_000, "nested too deeply"),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(UNREADABLE_JSON))
+    @pytest.mark.parametrize("target", ["manifest", "plan"])
+    def test_json_the_parser_gives_up_on_is_a_parse_error(
+        self, workdir, capsys, target, shape
+    ):
+        run(
+            "partition", workdir / "graph.nt", "-m", 3, "--seed", 7,
+            "--out", workdir / "segs",
+        )
+        text, reason = self.UNREADABLE_JSON[shape]
+        if target == "manifest":
+            path, extra = workdir / "segs" / "manifest.json", ()
+        else:
+            path = workdir / "plan.json"
+            extra = ("--plan", path)
+        path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        code = run(
+            "eval", "--data", workdir / "segs", "--query", workdir / "supervisor.q",
+            *extra,
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not valid JSON ({reason})\n"
+
     def test_huge_manifest_count_is_a_parse_error(self, workdir, capsys):
         # the check costs one step per segment file present, so a count no
         # directory could hold fails at once

@@ -43,6 +43,7 @@ import pytest
 import stargraph as sg
 from stargraph.rng import XorShift64Star
 
+from conftest import assembly_key
 from naive_eval import naive_answers
 
 DECOMPOSER_NAMES = sorted(sg.DECOMPOSERS)
@@ -481,9 +482,9 @@ class TestLiteralCentreStars:
             data = partition_for(partition_kind, g, m, k)
             grouped.clear()
             sg.run_stars(data, q, literal_centre_plan(q))
-            terms = data.dictionary.terms
             literal_records += sum(
-                n for (_sub, img), n in grouped if terms[img].is_literal
+                n for key, n in grouped
+                if assembly_key(data.dictionary, key)[1].is_literal
             )
         assert literal_records > 0
 

@@ -15,7 +15,7 @@ from stargraph.evalcore import join_job
 from stargraph.runtime import Emitter
 from stargraph.stars import stars_map1_records
 
-from conftest import decode, layout_centres
+from conftest import assembly_key, decode, layout_centres
 
 
 def t(token):
@@ -334,7 +334,6 @@ class TestTwoSoCentres:
         g, q, dec = self.instance(case)
         data = sg.edge_random_partition(g, 3, seed=2)
         layout = sg.preprocess(dec)
-        terms = data.dictionary.terms
         for i in range(len(layout.subqueries)):
             centre = layout.nodes[layout.stars[i].centre]
             # the images the centre takes in any match of any triple
@@ -349,8 +348,8 @@ class TestTwoSoCentres:
                 part1, _ = stars_map1_records(
                     layout, i, seg, data.interiors[j], data.dictionary
                 )
-                keys |= {terms[img] for (_, img), _ in part1}
-            assert keys and keys <= images
+                keys |= {assembly_key(data.dictionary, key) for key, _ in part1}
+            assert keys and keys <= {(i, img) for img in images}
         assert sg.run_stars(data, q, dec).answers == sg.oracle_answers(q, g)
 
     def test_qejpe_splits_fragments_by_the_centre(self, case):

@@ -14,7 +14,12 @@ from stargraph.model import UNBOUND
 from stargraph.runtime import Emitter
 from stargraph.stars import run_stars, stars_map1_records, stars_reduce1_fn
 
-from conftest import decode, q3, triple_blocks
+from conftest import assembly_key, decode, q3, triple_blocks
+
+# The dictionary size the reducer tests give ``stars_reduce1_fn``: every
+# made-up ID they key or witness lies below it, so subquery 0's key at an
+# image is that image's ID.
+IDS = 8
 
 
 def t(token):
@@ -27,6 +32,7 @@ def centre_of(layout, sub_idx):
 
 
 def all_part1(layout, edge_split):
+    """Every segment's part-1 witnesses, grouped by (subquery, central term)."""
     grouped = {}
     for i in range(len(layout.subqueries)):
         for j, seg in enumerate(edge_split.segments):
@@ -34,17 +40,23 @@ def all_part1(layout, edge_split):
                 layout, i, seg, edge_split.interiors[j], edge_split.dictionary
             )
             for key, val in part1:
-                grouped.setdefault(key, []).append(val)
+                grouped.setdefault(
+                    assembly_key(edge_split.dictionary, key), []
+                ).append(val)
     return grouped
 
 
 def decoded(split, record):
-    """A stars record with its IDs decoded to terms."""
+    """A (sub, ids) total with its IDs decoded to terms."""
     key, val = record
-    terms = split.dictionary.terms
-    if isinstance(key, tuple):  # part 1: ((sub, image), (k, image))
-        return (key[0], terms[key[1]]), (val[0], terms[val[1]])
-    return key, decode(split.dictionary, val)  # a total: (sub, ids)
+    return key, decode(split.dictionary, val)
+
+
+def decoded_witness(split, record):
+    """A part-1 record, (key, (k, image)), read back as ((subquery, central
+    term), (k, term))."""
+    key, (k, other) = record
+    return assembly_key(split.dictionary, key), (k, split.dictionary.terms[other])
 
 
 class TestMapRecords:
@@ -56,7 +68,7 @@ class TestMapRecords:
             layout, 1, edge_split.segments[0], edge_split.interiors[0],
             edge_split.dictionary,
         )
-        assert [decoded(edge_split, r) for r in part1] == [
+        assert [decoded_witness(edge_split, r) for r in part1] == [
             ((1, t("<Article1>")), (0, t("<Person4>"))),
             ((1, t("<Article1>")), (2, t('"Title1"'))),
         ]
@@ -109,7 +121,8 @@ class TestMapRecords:
 def brute_force_part1(layout, sub_idx, segment, border, dictionary):
     """Part 1 by scanning every segment triple against every star triple,
     taking a central image that is on ``border`` or a literal: the rule the
-    mapper's test against the segment's interior must agree with."""
+    mapper's test against the segment's interior must agree with. Keys are
+    (subquery, central term), as ``assembly_key`` reads the mapper's back."""
     sub, center = layout.subqueries[sub_idx], centre_of(layout, sub_idx)
     ids = dictionary.ids
     out = []
@@ -122,12 +135,12 @@ def brute_force_part1(layout, sub_idx, segment, border, dictionary):
                 continue
             if t.s == center and t.o == center:
                 if inst.s == inst.o and inst.s in border:
-                    out.append(((sub_idx, ids[inst.s]), (k, ids[inst.s])))
+                    out.append(((sub_idx, inst.s), (k, ids[inst.s])))
             elif t.s == center:
                 if inst.s in border:
-                    out.append(((sub_idx, ids[inst.s]), (k, ids[inst.o])))
+                    out.append(((sub_idx, inst.s), (k, ids[inst.o])))
             elif inst.o in border or inst.o.is_literal:
-                out.append(((sub_idx, ids[inst.o]), (k, ids[inst.s])))
+                out.append(((sub_idx, inst.o), (k, ids[inst.s])))
     return out
 
 
@@ -179,7 +192,9 @@ def test_part1_equals_a_scan_of_the_segment(case):
         want = brute_force_part1(
             layout, 0, seg, split.borders[j], split.dictionary
         )
-        assert sorted(part1) == sorted(want)
+        assert sorted(
+            (assembly_key(split.dictionary, key), val) for key, val in part1
+        ) == sorted(want)
         found += len(part1)
     assert found
 
@@ -188,10 +203,12 @@ class TestReduce:
     def run_key(self, layout, grouped, key, split):
         """The reducer's records for a (subquery, central term) key, decoded."""
         sub_idx, img = key
-        key = (sub_idx, split.dictionary.ids[img])
+        n = len(split.dictionary.terms)
+        assembly = sub_idx * n + split.dictionary.ids[img]
+        assert assembly_key(split.dictionary, assembly) == key
         em = Emitter()
-        fn = stars_reduce1_fn(layout)
-        fn(key, sorted(grouped.get(key, [])), em)
+        fn = stars_reduce1_fn(layout, n)
+        fn(assembly, sorted(grouped.get(key, [])), em)
         return [decoded(split, r) for r in em.records]
 
     def test_witness_assembly_for_constant_center(
@@ -201,7 +218,7 @@ class TestReduce:
         grouped = all_part1(layout, edge_split)
         key = (1, t("<Article1>"))
         witnesses = {}
-        for k, other in grouped[(1, edge_split.dictionary.ids[key[1]])]:
+        for k, other in grouped[key]:
             witnesses.setdefault(k, set()).add(edge_split.dictionary.terms[other])
         assert witnesses == {
             0: {t("<Person1>"), t("<Person2>"), t("<Person4>")},
@@ -346,7 +363,7 @@ class TestReduceAgainstReference:
 
         em = Emitter()
         with mock.patch("stargraph.stars.star_totals", spy):
-            stars_reduce1_fn(layout)((0, img), values, em)
+            stars_reduce1_fn(layout, IDS)(img, values, em)
         want = reference_reduce1(layout, (0, img), values)
         assert [key for key, _ in em.records] == [0] * len(em.records)
         assert {ids for _, ids in em.records} == want
@@ -360,11 +377,11 @@ class TestReduceAgainstReference:
             ]
         # the witness-intersection reducer raised when its product, the
         # number of totals, exceeded the cap; so does star_totals
-        stars_reduce1_fn(layout, cap=len(want))((0, img), values, Emitter())
+        stars_reduce1_fn(layout, IDS, cap=len(want))(img, values, Emitter())
         if want:
             with pytest.raises(sg.CartesianCapExceeded):
-                stars_reduce1_fn(layout, cap=len(want) - 1)(
-                    (0, img), values, Emitter()
+                stars_reduce1_fn(layout, IDS, cap=len(want) - 1)(
+                    img, values, Emitter()
                 )
 
     def test_shared_node_star_under_the_cap_answers(self):
@@ -379,8 +396,76 @@ class TestReduceAgainstReference:
         want = reference_reduce1(layout, (0, 5), values)
         assert len(want) == 2
         em = Emitter()
-        stars_reduce1_fn(layout, cap=2)((0, 5), values, em)
+        stars_reduce1_fn(layout, IDS, cap=2)(5, values, em)
         assert {ids for _, ids in em.records} == want
+
+
+class TestAssemblyKeys:
+    """Part 1 keys a witness by one int, ``sub_idx * N + image`` with N the
+    dictionary's size, in place of the (subquery, image) pair."""
+
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.integers(0, 3), st.integers(0, n - 1), st.integers()),
+                    max_size=30,
+                ),
+            )
+        )
+    )
+    def test_int_keys_sort_and_group_as_pairs(self, case):
+        n, records = case
+
+        def groups(key_of):
+            job = sg.Job(
+                "groups",
+                lambda key, value, em: em.emit(key_of(key), value),
+                lambda key, values, em: em.emit(key, list(values)),
+            )
+            pairs = [((sub, img), value) for sub, img, value in records]
+            return sg.run_job(job, pairs).records
+
+        by_int = groups(lambda key: key[0] * n + key[1])
+        assert [(divmod(key, n), values) for key, values in by_int] == groups(
+            lambda key: key
+        )
+
+    @given(
+        st.sets(
+            st.tuples(
+                st.sampled_from(["<a>", "<b>", "<c>", "<d>"]),
+                st.sampled_from(["<p>", "<q>"]),
+                st.sampled_from(["<a>", "<b>", "<c>", "<d>", '"v"']),
+            ),
+            min_size=2,
+        ),
+        st.integers(0, 9),
+    )
+    def test_part1_keys_of_each_subquery_fill_its_own_range(self, triples, seed):
+        g = sg.parse_data("".join(f"{s} {p} {o} .\n" for s, p, o in triples))
+        split = sg.edge_random_partition(g, 2, seed=seed)
+        # an out-star on ?c and an in-star on ?w, so both subqueries witness
+        out_star = sg.Query([q3("?c", "<p>", "?x"), q3("?c", "<q>", "?y")])
+        in_star = sg.Query([q3("?z", "<p>", "?w"), q3("?u", "<q>", "?w")])
+        q = sg.Query(out_star.triples | in_star.triples)
+        layout = sg.preprocess(
+            sg.QueryDecomposition(q, (out_star, in_star), "handmade")
+        )
+        assert [centre_of(layout, i) for i in range(2)] == [
+            sg.variable("c"), sg.variable("w")
+        ]
+        n = len(split.dictionary.terms)
+        for i in range(2):
+            for j, seg in enumerate(split.segments):
+                part1, _ = stars_map1_records(
+                    layout, i, seg, split.interiors[j], split.dictionary
+                )
+                for key, (_k, _other) in part1:
+                    assert i * n <= key < (i + 1) * n
+                    sub, image = assembly_key(split.dictionary, key)
+                    assert sub == i and image in seg.nodes
 
 
 class TestRunStars:
@@ -427,7 +512,7 @@ class TestRunStars:
         split = sg.edge_random_partition(g, 2, seed=3)
         assert all(len(seg) == 1 for seg in split.segments)
         part1 = all_part1(layout, split)
-        assert set(part1) == {(0, split.dictionary.ids[sg.literal("v")])}
+        assert set(part1) == {(0, sg.literal("v"))}
         res = run_stars(split, q, dec)
         assert res.answers == sg.oracle_answers(q, g)
         assert len(res.answers.rows) == 4
